@@ -9,6 +9,8 @@ from __future__ import annotations
 
 import random
 
+from .charts import _is_prime_power
+
 
 def _report(name: str, ok: bool, verbose: bool) -> bool:
     if verbose:
@@ -187,14 +189,3 @@ def run_suite(name: str, verbose: bool = True) -> bool:
     if name not in SUITES:
         raise ValueError(f"unknown suite {name!r}")
     return SUITES[name](verbose)
-
-
-def _is_prime_power(q: int) -> bool:
-    p = 2
-    while p * p <= q:
-        if q % p == 0:
-            while q % p == 0:
-                q //= p
-            return q == 1
-        p += 1
-    return q > 1

@@ -5,7 +5,12 @@ a catalogued field), stems (tensor-product formula charts), decompose
 (F_p[[t]]-module reports), check (validation suites), render (saved chart
 JSON), catalog (list/show field descriptors).
 
-Exit codes: 0 success, 2 precondition violation, 3 precision exhausted.
+Exit codes: 0 success, 2 usage or precondition violation, 3 precision
+exhausted.  Inputs are validated before any work or cache access, and a
+rejected input is a usage error (exit 2): --prime and --complete must be
+prime, --smax and --tmax non-negative, --tmax even, --precision at least
+2, and every input file (--module-file, --chart-file, --table, --catalog)
+readable.
 Every command is deterministic given its inputs: re-running reproduces
 byte-identical output.
 """
@@ -223,6 +228,45 @@ def cmd_check(args) -> int:
     return EXIT_OK if ok else 1
 
 
+def _is_prime(n: int) -> bool:
+    """Miller-Rabin on the first twelve prime bases: exact below 3.3e24."""
+    bases = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
+    if n < 2 or n in bases or any(n % b == 0 for b in bases):
+        return n in bases
+    d, s = n - 1, 0
+    while d % 2 == 0:
+        d, s = d // 2, s + 1
+    for a in bases:
+        x = pow(a, d, n)
+        if x != 1 and all(pow(x, 2 ** r, n) != n - 1 for r in range(s)):
+            return False
+    return True
+
+
+def _int_arg(ok, requirement: str):
+    """argparse type: an int satisfying ok; anything else is a usage error."""
+    def parse(text: str) -> int:
+        n = int(text)
+        if not ok(n):
+            raise argparse.ArgumentTypeError(f"{n} {requirement}")
+        return n
+    parse.__name__ = "int"  # argparse names the type in its messages
+    return parse
+
+
+_prime = _int_arg(_is_prime, "is not prime")
+_non_negative = _int_arg(lambda n: n >= 0, "is negative")
+_even_degree = _int_arg(lambda n: n >= 0 and n % 2 == 0,
+                        "is not an even non-negative degree")
+_precision = _int_arg(lambda n: n >= 2, "is below the minimum precision 2")
+
+
+def _readable_file(path: str) -> str:
+    if not os.path.isfile(path) or not os.access(path, os.R_OK):
+        raise argparse.ArgumentTypeError(f"cannot read file {path!r}")
+    return path
+
+
 def _parse_range(text: str) -> tuple[int, int]:
     lo, _, hi = text.partition(":")
     return int(lo), int(hi)
@@ -243,13 +287,14 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--out", default=None, help="write output to a file")
         p.add_argument("--cache-dir", default=None,
                        help="cache directory (default: $STEMCHARTS_CACHE_DIR)")
-        p.add_argument("--catalog", default=None, help="field catalog JSON")
+        p.add_argument("--catalog", type=_readable_file, default=None,
+                       help="field catalog JSON")
 
     p = sub.add_parser("ext", help="Adams-Novikov E2 chart from the cobar complex")
-    p.add_argument("--prime", type=int, required=True)
-    p.add_argument("--smax", type=int, default=6)
-    p.add_argument("--tmax", type=int, default=18)
-    p.add_argument("--precision", type=int, default=10)
+    p.add_argument("--prime", type=_prime, required=True)
+    p.add_argument("--smax", type=_non_negative, default=6)
+    p.add_argument("--tmax", type=_even_degree, default=18)
+    p.add_argument("--precision", type=_precision, default=10)
     p.add_argument("--kind", choices=["p_typical", "universal"],
                    default="p_typical")
     p.add_argument("--unnormalized", action="store_true",
@@ -261,7 +306,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--field", required=True)
     p.add_argument("--range", default="-5:5",
                    help="LO:HI degrees (use --range=-5:5 for negative LO)")
-    p.add_argument("--complete", type=int, default=None,
+    p.add_argument("--complete", type=_prime, default=None,
                    help="(p, eta)-complete at this prime")
     p.add_argument("--basis", action="store_true",
                    help="include the free basis over pi_0 synthetic")
@@ -270,31 +315,32 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("stems", help="motivic stable stems via the tensor formula")
     p.add_argument("--field", required=True)
-    p.add_argument("--prime", type=int, required=True)
+    p.add_argument("--prime", type=_prime, required=True)
     p.add_argument("--stem-max", type=int, default=12)
     p.add_argument("--source", choices=["auto", "computed", "table"],
                    default="auto")
-    p.add_argument("--table", default=None, help="synthetic table file")
-    p.add_argument("--precision", type=int, default=10)
+    p.add_argument("--table", type=_readable_file, default=None,
+                   help="synthetic table file")
+    p.add_argument("--precision", type=_precision, default=10)
     common(p)
     p.set_defaults(func=cmd_stems)
 
     p = sub.add_parser("synthetic", help="synthetic stable stems chart")
-    p.add_argument("--prime", type=int, required=True)
+    p.add_argument("--prime", type=_prime, required=True)
     p.add_argument("--stem-max", type=int, default=12)
     p.add_argument("--source", choices=["computed", "table"], default="computed")
-    p.add_argument("--table", default=None)
-    p.add_argument("--precision", type=int, default=10)
+    p.add_argument("--table", type=_readable_file, default=None)
+    p.add_argument("--precision", type=_precision, default=10)
     common(p)
     p.set_defaults(func=cmd_synthetic)
 
     p = sub.add_parser("decompose", help="decompose an F_p[[t]]-module file")
-    p.add_argument("--module-file", required=True)
+    p.add_argument("--module-file", type=_readable_file, required=True)
     p.add_argument("--out", default=None)
     p.set_defaults(func=cmd_decompose)
 
     p = sub.add_parser("render", help="render a saved chart JSON")
-    p.add_argument("--chart-file", required=True)
+    p.add_argument("--chart-file", type=_readable_file, required=True)
     p.add_argument("--format", choices=["grid", "svg", "json"], default="grid")
     p.add_argument("--view", choices=["ij", "stem-weight"], default="ij")
     p.add_argument("--out", default=None)
@@ -303,7 +349,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("catalog", help="list or show field descriptors")
     p.add_argument("--show", default=None)
     p.add_argument("--names-only", action="store_true")
-    p.add_argument("--catalog", default=None)
+    p.add_argument("--catalog", type=_readable_file, default=None)
     p.add_argument("--out", default=None)
     p.set_defaults(func=cmd_catalog)
 

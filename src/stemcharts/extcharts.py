@@ -66,10 +66,6 @@ def _reduce_matrix(mat, p: int, m: int):
     return out
 
 
-def _columns(mat, ncols: int):
-    return mat if mat else [[] for _ in range(0)]
-
-
 def ext_chart(algebroid: HopfAlgebroid, p: int, K: int, s_max: int, t_max: int,
               normalized: bool = True, check_d_squared: bool = True) -> ExtChart:
     """Cohomology of the cobar complex as an Ext chart with precision K.

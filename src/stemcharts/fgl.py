@@ -6,12 +6,20 @@ homotopy degree 2i.  The universal construction works over Q[m_1, m_2, ...]
 with the generic logarithm l(x) = x + m_1 x^2 + m_2 x^3 + ...; integral
 polynomial generators x_i of the Lazard ring are then extracted by a
 lattice computation on the coefficients of the universal law.
+
+The lattice step is integer linear algebra done once per degree d: the
+degree-d coefficients and decomposables, scaled by one common
+denominator, are put in Hermite normal form; the decomposables'
+coordinates in it come by forward substitution along the pivot columns,
+and their Smith form yields x_d.  to_x_coordinates eliminates each
+degree's x-monomial matrix once and then costs one mat-vec per call.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
+from math import gcd, lcm
 
 from .poly import Poly, PolyRing, Monomial, ONE, mon_deg, format_poly, format_monomial
 from .series import Series, compose_univariate, reversion, derivative, integrate, multiplicative_inverse
@@ -23,14 +31,6 @@ QQ = "QQ"
 
 def zz_local(p: int) -> str:
     return f"ZZ_({p})"
-
-
-def zz_mod(p: int, k: int) -> str:
-    return f"ZZ/{p}^{k}"
-
-
-def ff(p: int) -> str:
-    return f"FF_{p}"
 
 
 @dataclass
@@ -188,24 +188,30 @@ class UniversalFGL:
         self.exp = reversion(self.log)
         x = Series.variable(self.mring, 2, order, 0)
         y = Series.variable(self.mring, 2, order, 1)
-        lx = _eval_univariate(self.log, x)
-        ly = _eval_univariate(self.log, y)
-        self.F = _eval_univariate(self.exp, lx + ly)
-        # Lazard lattice data per degree
-        self._lattice_basis: dict[int, list[dict[Monomial, Fraction]]] = {}
+        lx = compose_univariate(self.log, x)
+        ly = compose_univariate(self.log, y)
+        self.F = compose_univariate(self.exp, lx + ly)
+        # per-degree caches (one entry per degree 0..bound): m-monomial
+        # basis with its index, and the eliminated x-monomial matrix
+        self._mbasis: dict[int, tuple[list[Monomial], dict[Monomial, int]]] = {}
+        self._xfactor: dict[int, tuple] = {}
         self._xgens: list[Poly] = []
         self._compute_integral_generators()
 
     # -- lattice machinery over the m-monomial basis ------------------------
 
-    def _mon_basis(self, d: int) -> list[Monomial]:
-        return self.mring.monomials_of_degree(d)
+    def _mon_basis(self, d: int) -> tuple[list[Monomial], dict[Monomial, int]]:
+        if d not in self._mbasis:
+            basis = self.mring.monomials_of_degree(d)
+            self._mbasis[d] = basis, {m: i for i, m in enumerate(basis)}
+        return self._mbasis[d]
 
-    def _vec(self, p: Poly, basis: list[Monomial]) -> list[Fraction]:
-        idx = {m: i for i, m in enumerate(basis)}
-        v = [Fraction(0)] * len(basis)
+    def _vec(self, p: Poly, d: int, denom: int) -> list[int]:
+        """Coefficients of denom * p on the degree-d m-monomial basis."""
+        basis, idx = self._mon_basis(d)
+        v = [0] * len(basis)
         for m, c in p.terms.items():
-            v[idx[m]] = Fraction(c)
+            v[idx[m]] = int(c * denom)
         return v
 
     def _compute_integral_generators(self):
@@ -216,8 +222,7 @@ class UniversalFGL:
                 coeffs_by_degree[d].append(c)
         basis_elems: dict[int, list[Poly]] = {}
         for d in range(1, self.bound + 1):
-            basis = self._mon_basis(d)
-            rows: list[list[Fraction]] = []
+            basis, _ = self._mon_basis(d)
             polys: list[Poly] = []
             # decomposables: products of lattice basis elements of lower degrees
             for k in range(1, d):
@@ -226,22 +231,20 @@ class UniversalFGL:
                         polys.append(pl * pr)
             n_dec = len(polys)
             polys.extend(coeffs_by_degree[d])
-            rows = [self._vec(p, basis) for p in polys]
-            lat_basis, lat_rows = _hnf_basis(rows)
-            basis_elems[d] = [_poly_from_vec(self.mring, basis, v) for v in lat_basis]
+            # one common denominator puts the lattice and the decomposables
+            # on the integer lattice, where the HNF is computed once
+            denom = _common_denominator(polys)
+            int_rows = [self._vec(p, d, denom) for p in polys]
+            hnf = _integer_hnf(int_rows)
+            basis_elems[d] = [_poly_from_vec(self.mring, basis, r, denom) for r in hnf]
             # quotient by decomposables to find the Lazard generator
-            dec_rows = rows[:n_dec]
-            gen_vec = _lattice_quotient_generator(lat_basis, dec_rows)
-            xp = _poly_from_vec(self.mring, basis, gen_vec)
+            gen_vec = _lattice_quotient_generator(hnf, int_rows[:n_dec])
+            xp = _poly_from_vec(self.mring, basis, gen_vec, denom)
             # canonical sign: positive coefficient on the pure m_d monomial
             lead = Fraction(xp.coefficient(((d - 1, 1),)))
             if lead < 0:
                 xp = xp.scale(-1)
             self._xgens.append(xp)
-        self._lattice_basis = {
-            d: [self._vec(p, self._mon_basis(d)) for p in basis_elems[d]]
-            for d in basis_elems
-        }
 
     def x_generator(self, n: int) -> Poly:
         """The integral Lazard generator x_n as a polynomial in the m's."""
@@ -251,6 +254,21 @@ class UniversalFGL:
         return PolyRing([f"x{i}" for i in range(1, self.bound + 1)],
                         list(range(1, self.bound + 1)), self.bound)
 
+    def _x_factor(self, d: int) -> tuple:
+        """The degree-d x-monomial matrix, eliminated once and cached."""
+        if d not in self._xfactor:
+            xmons = self.x_ring().monomials_of_degree(d)
+            qs = []
+            for xm in xmons:
+                q = self.mring.one()
+                for g, e in xm:
+                    q = q * self._xgens[g].pow(e)
+                qs.append(q)
+            scale = _common_denominator(qs)
+            pivots, transform = _integer_gauss_jordan([self._vec(q, d, scale) for q in qs])
+            self._xfactor[d] = xmons, pivots, transform, scale
+        return self._xfactor[d]
+
     def to_x_coordinates(self, p: Poly) -> Poly:
         """Rewrite an integral element of Q[m] in the x-generators.
 
@@ -259,29 +277,24 @@ class UniversalFGL:
         """
         xr = self.x_ring()
         out = xr.zero()
-        rem = p
         # by degree, peel off x-monomials
         degrees = sorted({mon_deg(m, self.mring.degrees) for m in p.terms})
         for d in degrees:
-            comp = rem.degree_component(d)
+            comp = p.degree_component(d)
             if comp.is_zero():
                 continue
-            xmons = xr.monomials_of_degree(d)
-            cols = []
-            for xm in xmons:
-                q = self.mring.one()
-                for g, e in xm:
-                    q = q * self._xgens[g].pow(e)
-                cols.append(self._vec(q, self._mon_basis(d)))
-            target = self._vec(comp, self._mon_basis(d))
-            sol = _solve_rational(cols, target)
-            if sol is None:
+            xmons, pivots, transform, scale = self._x_factor(d)
+            _, idx = self._mon_basis(d)
+            target = [(idx[m], c) for m, c in comp.terms.items()]
+            y = [sum(row[j] * c for j, c in target) for row in transform]
+            if any(y[len(pivots):]):
                 raise ValueError("element not in the span of x-monomials")
-            for xm, c in zip(xmons, sol):
+            for (col, piv), yi in zip(pivots, y):
+                c = Fraction(yi) * scale / piv
                 if c:
                     if c.denominator != 1:
                         raise ValueError("element is not integral in the x-basis")
-                    out = out + xr.monomial(xm, int(c))
+                    out = out + xr.monomial(xmons[col], int(c))
         return out
 
     def presentation(self) -> GradedRingPresentation:
@@ -310,40 +323,18 @@ def _reindex(p: Poly, ring: PolyRing) -> Poly:
     return Poly(ring, dict(p.terms))
 
 
-def _poly_from_vec(ring: PolyRing, basis: list[Monomial], v: list[Fraction]) -> Poly:
+def _poly_from_vec(ring: PolyRing, basis: list[Monomial], v: list[int],
+                   denom: int) -> Poly:
+    """The polynomial with coefficients v / denom on the given basis."""
     terms = {}
-    for m, c in zip(basis, v):
-        if c:
+    for m, a in zip(basis, v):
+        if a:
+            c = Fraction(a, denom)
             terms[m] = c if c.denominator != 1 else int(c)
     return Poly(ring, terms)
 
 
-def _eval_univariate(f: Series, g: Series) -> Series:
-    return compose_univariate(f, g)
-
-
-# -- exact rational/integer lattice helpers ---------------------------------
-
-def _hnf_basis(rows: list[list[Fraction]]) -> tuple[list[list[Fraction]], int]:
-    """Hermite-style basis of the Z-span of rational row vectors."""
-    if not rows:
-        return [], 0
-    n = len(rows[0])
-    # clear denominators by a global scale D, do integer HNF, scale back
-    denom = 1
-    for r in rows:
-        for c in r:
-            denom = denom * c.denominator // _gcd(denom, c.denominator)
-    int_rows = [[int(c * denom) for c in r] for r in rows]
-    hnf = _integer_hnf(int_rows)
-    return [[Fraction(a, denom) for a in r] for r in hnf], denom
-
-
-def _gcd(a: int, b: int) -> int:
-    while b:
-        a, b = b, a % b
-    return abs(a)
-
+# -- exact integer lattice helpers -------------------------------------------
 
 def _integer_hnf(rows: list[list[int]]) -> list[list[int]]:
     """Row Hermite normal form (non-negative pivots, reduced above)."""
@@ -388,45 +379,67 @@ def _integer_hnf(rows: list[list[int]]) -> list[list[int]]:
     return basis
 
 
-def _lattice_quotient_generator(lat_basis: list[list[Fraction]],
-                                dec_rows: list[list[Fraction]]) -> list[Fraction]:
-    """Generator of L/D where D (span of dec_rows) has corank 1 in L.
+def _pivot_columns(echelon: list[list[int]]) -> list[int]:
+    return [next(t for t, a in enumerate(row) if a) for row in echelon]
 
-    Works in coordinates of lat_basis; uses Smith form over Z.  The class of
-    the returned vector generates the quotient, which is required to be Z
-    (Lazard's theorem); anything else is reported as a defect.
+
+def _echelon_coordinates(hnf: list[list[int]], pivots: list[int],
+                         row: list[int]) -> list[int]:
+    """Integer coordinates of row in the row-echelon basis hnf.
+
+    Forward substitution along the pivot columns.  A row outside the
+    Q-span of hnf is "not in lattice"; a row inside it whose coordinates
+    need a denominator has "non-integral coordinates".
     """
-    if not lat_basis:
+    r = list(row)
+    coords = []
+    integral = True
+    for h, col in zip(hnf, pivots):
+        q, rem = divmod(r[col], h[col])
+        if rem:
+            # rescale and keep substituting to tell the two defects apart
+            integral = False
+            s = h[col] // gcd(r[col], h[col])
+            r = [s * a for a in r]
+            q = r[col] // h[col]
+        coords.append(q)
+        if q:
+            r = [a - q * b for a, b in zip(r, h)]
+    if any(r):
+        raise ValueError("decomposable not in lattice")
+    if not integral:
+        raise ValueError("decomposable has non-integral coordinates")
+    return coords
+
+
+def _lattice_quotient_generator(hnf: list[list[int]],
+                                dec_rows: list[list[int]]) -> list[int]:
+    """Generator of L/D where L is the row lattice of the echelon basis hnf
+    and D (span of dec_rows) has corank 1 in L.
+
+    Works in coordinates of hnf, read off by forward substitution; uses
+    Smith form over Z.  The class of the returned vector generates the
+    quotient, which is required to be Z (Lazard's theorem); anything else
+    is reported as a defect.
+    """
+    if not hnf:
         raise ValueError("empty lattice")
-    k = len(lat_basis)
-    # express dec_rows in lat_basis coordinates (rational solve, must be integral)
-    dmat: list[list[int]] = []
-    for r in dec_rows:
-        sol = _solve_rational(lat_basis, r)
-        if sol is None:
-            raise ValueError("decomposable not in lattice")
-        if any(c.denominator != 1 for c in sol):
-            raise ValueError("decomposable has non-integral coordinates")
-        dmat.append([int(c) for c in sol])
+    k = len(hnf)
+    pivots = _pivot_columns(hnf)
+    dmat = [_echelon_coordinates(hnf, pivots, r) for r in dec_rows]
     if not dmat:
         if k != 1:
             raise ValueError("quotient not cyclic")
-        return lat_basis[0]
+        return hnf[0]
     diag, _, v_inv_rows = _integer_smith(dmat, k)
     # quotient = Z^k / row span; invariant factors diag (padded with 0)
     free_idx = [i for i in range(k) if i >= len(diag) or diag[i] == 0]
     nontrivial = [d for d in diag if d not in (0, 1)]
     if len(free_idx) != 1 or nontrivial:
         raise ValueError(f"Lazard quotient defect: diag={diag}, free={len(free_idx)}")
-    j = free_idx[0]
-    # generator = row j of V^{-1} mapped through lat_basis
-    coords = v_inv_rows[j]
-    n = len(lat_basis[0])
-    out = [Fraction(0)] * n
-    for c, b in zip(coords, lat_basis):
-        for t in range(n):
-            out[t] += c * b[t]
-    return out
+    # generator = row j of V^{-1} mapped through the basis
+    coords = v_inv_rows[free_idx[0]]
+    return [sum(c * b[t] for c, b in zip(coords, hnf)) for t in range(len(hnf[0]))]
 
 
 def _integer_smith(rows: list[list[int]], ncols: int):
@@ -495,38 +508,39 @@ def _integer_smith(rows: list[list[int]], ncols: int):
     return diag, None, Vinv
 
 
-def _solve_rational(cols: list[list[Fraction]], target: list[Fraction]):
-    """Solve sum c_i * cols[i] = target over Q; None if inconsistent."""
-    n = len(target)
-    k = len(cols)
-    M = [[Fraction(cols[j][i]) for j in range(k)] + [Fraction(target[i])]
+def _common_denominator(polys: list[Poly]) -> int:
+    return lcm(*(Fraction(c).denominator for p in polys for c in p.terms.values()))
+
+
+def _integer_gauss_jordan(cols: list[list[int]]):
+    """Fraction-free Gauss-Jordan of the integer matrix A with these columns.
+
+    Returns (pivots, T): T is an integer matrix with T A in reduced echelon
+    form up to row scaling, and pivots lists (column, pivot entry) for its
+    first len(pivots) rows.  Then A c = t is solvable iff
+    (T t)[len(pivots):] vanishes, and the solution with zero free variables
+    has c[column] = (T t)[i] / pivot entry.
+    """
+    n, k = len(cols[0]), len(cols)
+    M = [[cols[j][i] for j in range(k)] + [int(i == t) for t in range(n)]
          for i in range(n)]
     piv_cols = []
-    r = 0
     for c in range(k):
-        pr = None
-        for i in range(r, n):
-            if M[i][c] != 0:
-                pr = i
-                break
+        r = len(piv_cols)
+        pr = next((i for i in range(r, n) if M[i][c]), None)
         if pr is None:
             continue
         M[r], M[pr] = M[pr], M[r]
         pv = M[r][c]
-        M[r] = [a / pv for a in M[r]]
         for i in range(n):
-            if i != r and M[i][c] != 0:
-                f = M[i][c]
-                M[i] = [a - f * b for a, b in zip(M[i], M[r])]
+            a = M[i][c]
+            if i != r and a:
+                row = [pv * x - a * y for x, y in zip(M[i], M[r])]
+                g = gcd(*row)
+                M[i] = [x // g for x in row]
         piv_cols.append(c)
-        r += 1
-    for i in range(r, n):
-        if M[i][k] != 0:
-            return None
-    sol = [Fraction(0)] * k
-    for row, c in enumerate(piv_cols):
-        sol[c] = M[row][k]
-    return sol
+    pivots = [(c, M[i][c]) for i, c in enumerate(piv_cols)]
+    return pivots, [row[k:] for row in M]
 
 
 # ---------------------------------------------------------------------------

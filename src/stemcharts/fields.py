@@ -11,6 +11,7 @@ formal square-class data.
 from __future__ import annotations
 
 from dataclasses import dataclass, field as dc_field
+from math import gcd
 from typing import Optional
 
 from .charts import AbGroupDesc, INF, cyclic, free_group
@@ -442,18 +443,12 @@ def steinberg_k2(q: int) -> int:
         if b == F.zero():
             continue
         rel = (dlog[a] * dlog[b]) % m
-        d = _gcd(d, rel)
+        d = gcd(d, rel)
     return d
 
 
 def steinberg_k1(q: int) -> int:
     return q - 1
-
-
-def _gcd(a, b):
-    while b:
-        a, b = b, a % b
-    return abs(a)
 
 
 class SquareClassModel:

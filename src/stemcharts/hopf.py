@@ -371,7 +371,6 @@ def build_p_typical(p: int, bound: int) -> HopfAlgebroid:
     def lam(i: int) -> Poly:
         return lams[i] if i < len(lams) else aring.zero()
 
-    alg = HopfAlgebroid.__new__(HopfAlgebroid)
     # eta_R(lambda_n) = sum_{i+j=n} lambda_i t_j^{p^i}  (t_0 = 1)
     # solved for eta_R(v_n) through the Hazewinkel recursion
     eta_r_gen: dict[int, Tensor] = {}

@@ -13,8 +13,6 @@ fractions.Fraction (they mix freely).
 
 from __future__ import annotations
 
-from fractions import Fraction
-from typing import Iterable
 
 Monomial = tuple[tuple[int, int], ...]
 
@@ -34,14 +32,6 @@ def mon_mul(a: Monomial, b: Monomial) -> Monomial:
 
 def mon_deg(m: Monomial, degrees: list[int]) -> int:
     return sum(degrees[g] * e for g, e in m)
-
-
-def mon_from(pairs: Iterable[tuple[int, int]]) -> Monomial:
-    out: dict[int, int] = {}
-    for g, e in pairs:
-        if e:
-            out[g] = out.get(g, 0) + e
-    return tuple(sorted(out.items()))
 
 
 class PolyRing:
@@ -72,9 +62,6 @@ class PolyRing:
         if c == 0 or mon_deg(m, self.degrees) > self.bound:
             return self.zero()
         return Poly(self, {m: c})
-
-    def gen_index(self, name: str) -> int:
-        return self.names.index(name)
 
     def monomials_of_degree(self, d: int) -> list[Monomial]:
         """All monomials of exact weighted degree d, sorted."""
@@ -107,9 +94,6 @@ class Poly:
     def __init__(self, ring: PolyRing, terms: dict[Monomial, object]):
         self.ring = ring
         self.terms = terms
-
-    def copy(self) -> "Poly":
-        return Poly(self.ring, dict(self.terms))
 
     def is_zero(self) -> bool:
         return not self.terms
@@ -191,33 +175,6 @@ class Poly:
         return Poly(self.ring, {m: c for m, c in self.terms.items()
                                 if mon_deg(m, degs) == d})
 
-    def is_homogeneous(self) -> bool:
-        degs = {mon_deg(m, self.ring.degrees) for m in self.terms}
-        return len(degs) <= 1
-
-    def map_coefficients(self, f) -> "Poly":
-        out = {}
-        for m, c in self.terms.items():
-            v = f(c)
-            if v:
-                out[m] = v
-        return Poly(self.ring, out)
-
-    def substitute(self, images: dict[int, "Poly"], target: PolyRing) -> "Poly":
-        """Ring map sending generator i to images[i] (default: same index)."""
-        out = target.zero()
-        for m, c in self.terms.items():
-            term = target.const(c)
-            for g, e in m:
-                img = images.get(g)
-                if img is None:
-                    img = target.gen(g)
-                term = term * img.pow(e)
-                if term.is_zero():
-                    break
-            out = out + term
-        return out
-
     def coefficient(self, m: Monomial):
         return self.terms.get(m, 0)
 
@@ -258,7 +215,3 @@ def format_poly(p: Poly) -> str:
             parts.append(f"{c}*{ms}")
     s = " + ".join(parts)
     return s.replace("+ -", "- ")
-
-
-def as_fraction(c) -> Fraction:
-    return c if isinstance(c, Fraction) else Fraction(c)

@@ -52,10 +52,6 @@ def mat_mul(A: Matrix, B: Matrix, mod: int) -> Matrix:
     return out
 
 
-def mat_vec(A: Matrix, v: list[int], mod: int) -> list[int]:
-    return [sum(a * b for a, b in zip(row, v)) % mod for row in A]
-
-
 class SmithForm:
     """U A V = D with U, V invertible mod p^m and D = diag(p^{a_i})."""
 

@@ -190,3 +190,37 @@ def test_empty_chart_render():
     assert "." in out  # grid of dots
     svg = render_svg(BigradedChart({}))
     assert svg.startswith("<svg")
+
+
+@pytest.mark.parametrize("argv", [
+    ["ext", "--prime", "4", "--tmax", "8"],
+    ["ext", "--prime", "1", "--tmax", "8"],
+    ["ext", "--prime", "3", "--smax", "-1"],
+    ["ext", "--prime", "3", "--tmax", "-2"],
+    ["ext", "--prime", "3", "--tmax", "7"],
+    ["ext", "--prime", "3", "--precision", "1"],
+    ["stems", "--field", "complex", "--prime", "9"],
+    ["synthetic", "--prime", "3", "--precision", "0"],
+    ["kmw", "--field", "complex", "--complete", "4"],
+    ["synthetic", "--prime", "2", "--source", "table", "--table", "missing.json"],
+    ["catalog", "--catalog", "missing.json"],
+])
+def test_invalid_input_is_usage_error(tmp_path, capsys, argv):
+    cache = tmp_path / "cache"
+    cached = [] if argv[0] == "catalog" else ["--cache-dir", str(cache)]
+    argv = [str(tmp_path / a) if a == "missing.json" else a for a in argv]
+    with pytest.raises(SystemExit) as exc:
+        main(argv + cached)
+    assert exc.value.code == 2
+    assert capsys.readouterr().out == ""
+    assert not cache.exists()
+
+
+@pytest.mark.parametrize("command,flag", [("decompose", "--module-file"),
+                                          ("render", "--chart-file")])
+def test_missing_input_file_is_usage_error(tmp_path, capsys, command, flag):
+    with pytest.raises(SystemExit) as exc:
+        main([command, flag, str(tmp_path / "missing.json")])
+    assert exc.value.code == 2
+    captured = capsys.readouterr()
+    assert captured.out == "" and "cannot read file" in captured.err

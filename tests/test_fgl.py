@@ -1,8 +1,11 @@
+import random
 from fractions import Fraction
 
 import pytest
 
-from stemcharts.fgl import (FGLAxiomError, additive_fgl, fgl_series,
+from stemcharts.fgl import (FGLAxiomError, _echelon_coordinates, _integer_hnf,
+                            _integer_smith, _lattice_quotient_generator,
+                            _pivot_columns, additive_fgl, fgl_series,
                             hazewinkel_lambdas, multiplicative_fgl,
                             p_typical_reduction, truncate_fgl, universal_fgl,
                             universal_model)
@@ -179,3 +182,122 @@ def test_p_typical_classifying_images():
     for mon, c in img.terms.items():
         assert Fr(c).denominator % 2 != 0
         assert mon_deg(mon, ring.degrees) == 3
+
+
+# -- the integer lattice kernel, against sympy as an oracle ------------------
+
+def random_int_matrix(seed: int) -> list[list[int]]:
+    """A nonzero integer matrix, rank deficient for every third seed."""
+    rng = random.Random(seed)
+    m, n = rng.randint(1, 6), rng.randint(1, 6)
+    rows = [[rng.randint(-9, 9) for _ in range(n)] for _ in range(m)]
+    if seed % 3 == 0 and m > 1:
+        a, b = rng.randint(-3, 3), rng.randint(-3, 3)
+        rows[-1] = [a * x + b * y for x, y in zip(rows[0], rows[1 % m])]
+    if not any(any(r) for r in rows):
+        rows[0][0] = 1
+    return rows
+
+
+def row_lattice(rows):
+    """Canonical form of the row lattice of rows (sympy HNF of the transpose)."""
+    from sympy import Matrix
+    from sympy.matrices.normalforms import hermite_normal_form
+    return hermite_normal_form(Matrix(rows).T)
+
+
+def elementary_divisors(diag) -> list[int]:
+    out = []
+    for d in diag:
+        q, p = abs(d), 2
+        while q > 1:
+            pk = 1
+            while q % p == 0:
+                q //= p
+                pk *= p
+            if pk > 1:
+                out.append(pk)
+            p += 1
+    return sorted(out)
+
+
+@pytest.mark.parametrize("seed", range(24))
+def test_integer_hnf_against_sympy(seed):
+    pytest.importorskip("sympy")
+    rows = random_int_matrix(seed)
+    hnf = _integer_hnf(rows)
+    assert row_lattice(hnf) == row_lattice(rows)
+    pivots = _pivot_columns(hnf)
+    assert pivots == sorted(set(pivots))
+    for i, (h, col) in enumerate(zip(hnf, pivots)):
+        assert h[col] > 0 and not any(h[:col])
+        # reduced above: earlier rows lie in [0, pivot) in this column
+        assert all(0 <= hnf[k][col] < h[col] for k in range(i))
+
+
+@pytest.mark.parametrize("seed", range(24))
+def test_integer_smith_against_sympy(seed):
+    sympy = pytest.importorskip("sympy")
+    from sympy.matrices.normalforms import smith_normal_form
+    rows = random_int_matrix(seed)
+    n = len(rows[0])
+    diag, _, vinv = _integer_smith(rows, n)
+    snf = smith_normal_form(sympy.Matrix(rows), domain=sympy.ZZ)
+    expected = [snf[i, i] for i in range(min(snf.shape)) if snf[i, i]]
+    assert len(diag) == len(expected)
+    assert elementary_divisors(diag) == elementary_divisors(expected)
+    # V^{-1} is unimodular and its rows scaled by diag span the row lattice
+    assert abs(sympy.Matrix(vinv).det()) == 1
+    assert row_lattice([[d * a for a in vinv[i]] for i, d in enumerate(diag)]) \
+        == row_lattice(rows)
+
+
+def test_echelon_coordinates_of_lattice_rows():
+    hnf = _integer_hnf([[2, 4, 0], [0, 3, 6]])
+    pivots = _pivot_columns(hnf)
+    for coords in ([1, 0], [0, 1], [3, -2], [-5, 7]):
+        row = [sum(c * h[t] for c, h in zip(coords, hnf)) for t in range(3)]
+        assert _echelon_coordinates(hnf, pivots, row) == coords
+
+
+def test_echelon_coordinates_defects():
+    hnf = _integer_hnf([[2, 4, 0], [0, 6, 6]])
+    pivots = _pivot_columns(hnf)
+    half = [a // 2 for a in hnf[0]]
+    assert [2 * a for a in half] == hnf[0]
+    with pytest.raises(ValueError, match="non-integral coordinates"):
+        _echelon_coordinates(hnf, pivots, half)
+    with pytest.raises(ValueError, match="not in lattice"):
+        _echelon_coordinates(hnf, pivots, [0, 0, 1])
+    # outside the Q-span wins over a non-dividing pivot
+    with pytest.raises(ValueError, match="not in lattice"):
+        _echelon_coordinates(hnf, pivots, [1, 0, 1])
+
+
+def test_lattice_quotient_generator():
+    lattice = _integer_hnf([[1, 0], [0, 1]])
+    gen = _lattice_quotient_generator(lattice, [[3, 1]])
+    assert abs(3 * gen[1] - gen[0]) == 1  # (3, 1) and gen are a basis of Z^2
+    with pytest.raises(ValueError, match="Lazard quotient defect"):
+        _lattice_quotient_generator(lattice, [[2, 0]])
+    with pytest.raises(ValueError, match="not in lattice"):
+        _lattice_quotient_generator(_integer_hnf([[1, 0, 0], [0, 1, 0]]), [[0, 0, 1]])
+
+
+@pytest.fixture(scope="module")
+def universal10():
+    return universal_model(10)
+
+
+def test_x_coordinates_of_generators(universal10):
+    xr = universal10.x_ring()
+    for n in range(1, 11):
+        assert universal10.to_x_coordinates(universal10.x_generator(n)) \
+            == xr.gen(n - 1)
+
+
+def test_x_coordinates_reject_non_integral(universal10):
+    # x_1 = 2 m_1, so m_1 = x_1 / 2 is not in the Lazard ring
+    assert universal10.x_generator(1).terms == {((0, 1),): 2}
+    with pytest.raises(ValueError, match="not integral"):
+        universal10.to_x_coordinates(universal10.mring.gen(0))

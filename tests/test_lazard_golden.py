@@ -1,0 +1,55 @@
+"""Golden guard for the Lazard lattice: integral generators and the
+universal Hopf algebroid at bound 10, pinned byte for byte.
+
+The expected values were recorded from the Fraction Gauss-Jordan
+implementation of the lattice step; any rewrite of that step must
+reproduce them exactly.
+"""
+
+import hashlib
+from fractions import Fraction
+
+import pytest
+
+from stemcharts.hopf import build_universal
+from stemcharts.poly import format_poly
+
+X_GENERATORS = {
+    1: "2*m1",
+    2: "3*m2",
+    3: "4*m1^3 + 2*m3",
+    4: "5*m4",
+    5: "-9*m1*m2^2 + 8*m1^3*m2 + 12*m2*m3 + m5",
+    6: "7*m6",
+    7: "-4*m1*m3^2 - 16*m1^7 + 2*m7",
+    8: "54*m2^4 + 3*m8",
+    9: "-75*m1*m4^2 + 64*m1^5*m4 + m9",
+    10: "11*m10",
+}
+
+STRUCTURE_DIGEST = "559e556629d795b96839a4eb7e452ac8315c92f40b3826c9743a5655cf456a07"
+
+
+def structure_digest(alg) -> str:
+    """sha256 over eta_R and Delta on the generators, in sorted key order."""
+    h = hashlib.sha256()
+    for name, maps in (("eta_r", alg.eta_r_gen), ("delta", alg.coproduct_gen)):
+        for g in sorted(maps):
+            for key in sorted(maps[g]):
+                h.update(f"{name} {g} {key!r} {Fraction(maps[g][key])}\n".encode())
+    return h.hexdigest()
+
+
+@pytest.fixture(scope="module")
+def universal10():
+    return build_universal(10)
+
+
+def test_x_generators_bound_10(universal10):
+    u = universal10._universal_model
+    got = {n: format_poly(u.x_generator(n)) for n in range(1, 11)}
+    assert got == X_GENERATORS
+
+
+def test_universal_structure_digest_bound_10(universal10):
+    assert structure_digest(universal10) == STRUCTURE_DIGEST

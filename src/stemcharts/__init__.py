@@ -16,7 +16,7 @@ from .fgl import (FormalGroupLaw, GradedRingPresentation, additive_fgl,
                   universal_fgl, universal_model)
 from .hopf import (HopfAlgebroid, HopfAxiomError, adams_projection,
                    adams_summand_coefficients, build_algebroid)
-from .cobar import CobarComplex
+from .cobar import CobarComplex, CobarError, EngineError
 from .extcharts import ExtChart, PrecisionExhausted, ext_chart
 from .fields import (FieldDescriptor, FieldError, WittData,
                      algebraically_closed, complex_like, finite_field,

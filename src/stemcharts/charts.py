@@ -16,18 +16,54 @@ from typing import Callable, Iterable, Optional
 INF = "inf"  # countably-infinite marker for ranks and multiplicities
 
 
+_SMALL_PRIMES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
+
+
+def _is_prime(n: int) -> bool:
+    """Miller-Rabin on the first twelve prime bases: exact below 3.3e24."""
+    if n < 2 or n in _SMALL_PRIMES or any(n % b == 0 for b in _SMALL_PRIMES):
+        return n in _SMALL_PRIMES
+    d, s = n - 1, 0
+    while d % 2 == 0:
+        d, s = d // 2, s + 1
+    for a in _SMALL_PRIMES:
+        x = pow(a, d, n)
+        if x != 1 and all(pow(x, 2 ** r, n) != n - 1 for r in range(s)):
+            return False
+    return True
+
+
+def _integer_root(n: int, k: int) -> int:
+    """floor(n ** (1/k)) for n >= 1, by Newton's method from above."""
+    x = 1 << -(-n.bit_length() // k)
+    while True:
+        y = ((k - 1) * x + n // x ** (k - 1)) // k
+        if y >= x:
+            return x
+        x = y
+
+
 def _is_prime_power(n: int) -> Optional[tuple[int, int]]:
+    """(p, k) with n = p^k and p prime, else None.
+
+    A prime factor below 41 is divided out.  Otherwise n = p^k with
+    p >= 41 > 2^5, so k <= n.bit_length() / 5 and p is the exact k-th root
+    of n: a few integer roots and primality tests decide it without
+    factoring n.
+    """
     if n < 2:
         return None
-    for p in range(2, n + 1):
-        if p * p > n:
-            return (n, 1)
-        if n % p == 0:
+    for b in _SMALL_PRIMES:
+        if n % b == 0:
             k = 0
-            while n % p == 0:
-                n //= p
+            while n % b == 0:
+                n //= b
                 k += 1
-            return (p, k) if n == 1 else None
+            return (b, k) if n == 1 else None
+    for k in range(1, n.bit_length() // 5 + 1):
+        r = _integer_root(n, k)
+        if r ** k == n and _is_prime(r):
+            return (r, k)
     return None
 
 

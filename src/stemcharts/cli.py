@@ -6,11 +6,13 @@ a catalogued field), stems (tensor-product formula charts), decompose
 JSON), catalog (list/show field descriptors).
 
 Exit codes: 0 success, 2 usage or precondition violation, 3 precision
-exhausted.  Inputs are validated before any work or cache access, and a
-rejected input is a usage error (exit 2): --prime and --complete must be
-prime, --smax and --tmax non-negative, --tmax even, --precision at least
-2, and every input file (--module-file, --chart-file, --table, --catalog)
-readable.
+exhausted, 4 broken engine invariant (EngineError: a cobar differential
+that is not p-integral, leaves the basis, or has d o d != 0; a defect of
+the engine, not of the input).  Inputs are validated before any work or
+cache access, and a rejected input is a usage error (exit 2): --prime and
+--complete must be prime, --smax and --tmax non-negative, --tmax even,
+--precision at least 2, and every input file (--module-file,
+--chart-file, --table, --catalog) readable.
 Every command is deterministic given its inputs: re-running reproduces
 byte-identical output.
 """
@@ -23,8 +25,9 @@ import os
 import sys
 
 from .cache import ENGINE_VERSION, cache_key, cache_load, cache_store
-from .charts import BigradedChart
+from .charts import BigradedChart, _is_prime
 from .catalog import catalog_to_json, get_field, load_catalog
+from .cobar import EngineError
 from .extcharts import PrecisionExhausted, ext_chart
 from .fields import FieldError
 from .fpt import FptModule, IndFptModule, classify_divisible, check_torsion_powers, \
@@ -37,6 +40,7 @@ from .stems import PreconditionError, synthetic_stems, tensor_formula
 EXIT_OK = 0
 EXIT_PRECONDITION = 2
 EXIT_PRECISION = 3
+EXIT_ENGINE = 4
 
 
 def _emit(text: str, out: str | None):
@@ -228,21 +232,6 @@ def cmd_check(args) -> int:
     return EXIT_OK if ok else 1
 
 
-def _is_prime(n: int) -> bool:
-    """Miller-Rabin on the first twelve prime bases: exact below 3.3e24."""
-    bases = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
-    if n < 2 or n in bases or any(n % b == 0 for b in bases):
-        return n in bases
-    d, s = n - 1, 0
-    while d % 2 == 0:
-        d, s = d // 2, s + 1
-    for a in bases:
-        x = pow(a, d, n)
-        if x != 1 and all(pow(x, 2 ** r, n) != n - 1 for r in range(s)):
-            return False
-    return True
-
-
 def _int_arg(ok, requirement: str):
     """argparse type: an int satisfying ok; anything else is a usage error."""
     def parse(text: str) -> int:
@@ -369,6 +358,9 @@ def main(argv=None) -> int:
     except PrecisionExhausted as exc:
         print(f"stemcharts: precision exhausted: {exc}", file=sys.stderr)
         return EXIT_PRECISION
+    except EngineError as exc:
+        print(f"stemcharts: engine invariant broken: {exc}", file=sys.stderr)
+        return EXIT_ENGINE
     except (PreconditionError, FieldError, NotFreeError, ValueError) as exc:
         print(f"stemcharts: precondition violated: {exc}", file=sys.stderr)
         return EXIT_PRECONDITION

@@ -443,10 +443,15 @@ def _lattice_quotient_generator(hnf: list[list[int]],
 
 
 def _integer_smith(rows: list[list[int]], ncols: int):
-    """Smith normal form over Z. Returns (diagonal, U, Vinv_rows).
+    """Diagonal form over Z, without the divisibility chain of Smith's.
 
-    A = U * D * V; we track V^{-1} rows so that the generator extraction can
-    read off coordinates in the original column space.
+    Returns (diagonal, None, Vinv_rows): unimodular row and column
+    operations bring A to D = diag(diagonal) padded with zeros, where
+    diagonal holds rank(A) positive integers, and the rows diagonal[i] *
+    Vinv_rows[i] span the row lattice of A.  The diagonal is not
+    normalized to divide successively: [[2, 0], [0, 3]] gives [2, 3], not
+    Smith's [1, 6].  Its entries are all 1 exactly when the Smith form's
+    are, which is all the Lazard quotient step asks.
     """
     A = [list(r) for r in rows]
     m, n = len(A), ncols

@@ -2,14 +2,17 @@
 
 Z/p^m is local with chain ideal lattice, so every matrix has a Smith normal
 form diag(p^a1, p^a2, ...) with unit transforms.  This module provides the
-Smith form with tracked transforms, kernels, and the structure of
-subquotients span(G)/im(B) presented by generators and relations -- the
-workhorse for cobar cohomology.
+elementary divisors alone (`elementary_divisors`, sparse and transform-free:
+all the Ext engine needs), and the Smith form with tracked transforms,
+kernels, and the structure of subquotients span(G)/im(B) presented by
+generators and relations, which serve as an independent oracle for it.
 
-Matrices are lists of row lists of ints reduced mod p^m.
+Dense matrices are lists of row lists of ints reduced mod p^m.
 """
 
 from __future__ import annotations
+
+from heapq import heapify, heappop, heappush
 
 Matrix = list[list[int]]
 
@@ -50,6 +53,73 @@ def mat_mul(A: Matrix, B: Matrix, mod: int) -> Matrix:
                 for j in range(m):
                     Oi[j] = (Oi[j] + a * Bt[j]) % mod
     return out
+
+
+def elementary_divisors(rows, p: int, m: int) -> list[int]:
+    """Exponents a_i of the Smith form diag(p^{a_i}) of a matrix over Z/p^m.
+
+    rows: sparse rows {column: integer entry}.  Returns the exponents
+    a_i < m of the nonzero diagonal entries, nondecreasing; their number is
+    the rank over Z/p^m.  No transform is kept.  Elimination goes one
+    valuation level v at a time: every remaining entry is divisible by p^v,
+    so a pivot of valuation v has minimal valuation, clears its column by
+    row operations, and splits off with its row as a summand p^v.  Among
+    the rows with an entry of valuation v the shortest is taken, and in it
+    the column with the fewest entries, which keeps the rows sparse.
+    """
+    mod = p ** m
+    live: dict[int, dict[int, int]] = {}   # row index -> {column: entry}
+    holders: dict[int, set[int]] = {}      # column -> rows with an entry there
+    for i, row in enumerate(rows):
+        red = {c: x % mod for c, x in row.items() if x % mod}
+        if red:
+            live[i] = red
+            for c in red:
+                holders.setdefault(c, set()).add(i)
+    vals: list[int] = []
+    pv = 1
+    for v in range(m):
+        if not live:
+            break
+        # rows by length; a row pushed again when it changes, stale lengths skipped
+        queue = [(len(r), i) for i, r in live.items()]
+        heapify(queue)
+        while queue:
+            size, i = heappop(queue)
+            prow = live.get(i)
+            if prow is None or len(prow) != size:
+                continue
+            cands = [c for c, x in prow.items() if (x // pv) % p]
+            if not cands:
+                continue  # no entry of valuation v (unless a later update adds one)
+            j = min(cands, key=lambda c: len(holders[c]))
+            uinv = pow(prow[j] // pv, -1, mod)
+            for k in holders.pop(j):
+                if k == i:
+                    continue
+                row = live[k]
+                q = (row[j] // pv) * uinv % mod
+                for c, x in prow.items():
+                    z = (row.get(c, 0) - q * x) % mod
+                    if z:
+                        if c not in row:
+                            holders[c].add(k)
+                        row[c] = z
+                    elif c in row:
+                        del row[c]
+                        if c != j:
+                            holders[c].discard(k)
+                if row:
+                    heappush(queue, (len(row), k))
+                else:
+                    del live[k]
+            for c in prow:
+                if c != j:
+                    holders[c].discard(i)
+            del live[i]
+            vals.append(v)
+        pv *= p
+    return vals
 
 
 class SmithForm:

@@ -1,4 +1,5 @@
 import json
+import time
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -6,7 +7,8 @@ from hypothesis import given, settings, strategies as st
 from stemcharts.charts import (AbGroupDesc, BigradedChart, INF, chart_combine,
                                charts_same_groups, chow_degree, chow_weight,
                                complete_desc, custom_weight, cyclic, fd_weight,
-                               free_group, truncate_chart, weight_eval)
+                               free_group, truncate_chart, weight_eval,
+                               _is_prime_power)
 
 
 def test_chow_degree_examples():
@@ -144,6 +146,27 @@ def test_torsion_must_be_prime_powers():
     with pytest.raises(ValueError):
         AbGroupDesc(torsion=(6,))
     assert cyclic(6).torsion == (2, 3)
+
+
+def test_is_prime_power_examples():
+    assert [_is_prime_power(n) for n in (0, 1, 2, 4, 6, 12, 27, 49, 1024)] == \
+        [None, None, (2, 1), (2, 2), None, None, (3, 3), (7, 2), (2, 10)]
+    # around the switch from trial division to integer roots at 41
+    assert [_is_prime_power(n) for n in (37 ** 3, 41, 41 ** 2, 43 * 47, 41 ** 2 * 43)] == \
+        [(37, 3), (41, 1), (41, 2), None, None]
+    assert [q for q in range(2, 28) if _is_prime_power(q)] == \
+        [2, 3, 4, 5, 7, 8, 9, 11, 13, 16, 17, 19, 23, 25, 27]
+
+
+def test_large_prime_torsion_is_fast():
+    # trial division up to sqrt(2^61 - 1) would not finish
+    q = 2 ** 61 - 1
+    start = time.perf_counter()
+    assert AbGroupDesc(torsion=(q,)).torsion == (q,)
+    assert _is_prime_power(q ** 3) == (q, 3)
+    with pytest.raises(ValueError):
+        AbGroupDesc(torsion=(3 * q,))
+    assert time.perf_counter() - start < 1.0
 
 
 def test_precision_invariant():

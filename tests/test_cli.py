@@ -1,10 +1,11 @@
 import json
 import os
+import time
 
 import pytest
 
 from stemcharts.cache import cache_key, cache_load, cache_store
-from stemcharts.charts import BigradedChart, cyclic, free_group
+from stemcharts.charts import AbGroupDesc, BigradedChart, cyclic, free_group
 from stemcharts.cli import main
 from stemcharts.render import render_svg, render_text
 
@@ -109,6 +110,18 @@ def test_render_roundtrip(tmp_path, capsys):
     code, out = run(capsys, "render", "--chart-file", str(path),
                     "--format", "grid")
     assert code == 0 and "demo" in out and "Z" in out
+
+
+def test_render_large_prime_torsion(tmp_path, capsys):
+    q = 2 ** 61 - 1
+    chart = BigradedChart({(0, 0): free_group(1), (1, 1): AbGroupDesc(torsion=(q,))},
+                          label="big")
+    path = tmp_path / "chart.json"
+    path.write_text(json.dumps(chart.to_json()))
+    start = time.perf_counter()
+    code, out = run(capsys, "render", "--chart-file", str(path), "--format", "grid")
+    assert code == 0 and str(q) in out
+    assert time.perf_counter() - start < 1.0
 
 
 def test_catalog_commands(capsys):

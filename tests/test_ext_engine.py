@@ -1,0 +1,193 @@
+"""The elementary-divisor Ext engine against golden charts and two oracles.
+
+Golden files in tests/golden/ hold `json.dumps(ec.to_json(), indent=1)`
+(plus a newline) of charts computed by the kernel/subquotient engine that
+preceded the elementary-divisor one, and the grid output of
+`stemcharts ext --prime 3 --tmax 24 --format grid`; they must be
+reproduced byte for byte.  The oracles are sympy's Smith normal form over
+Z (for `zpk.elementary_divisors`) and the kernel/subquotient computation
+over Z/p^(2K) with its image at p^K (for `ext_chart`).
+"""
+
+import json
+import os
+import random
+from fractions import Fraction
+
+import pytest
+
+from stemcharts import cli, cobar
+from stemcharts.cobar import CobarComplex, CobarError, EngineError, sparse_rows
+from stemcharts.extcharts import _reduce_rows, ext_chart
+from stemcharts.hopf import build_algebroid
+from stemcharts.zpk import SmithForm, elementary_divisors, subquotient_structure
+
+GOLDEN = os.path.join(os.path.dirname(os.path.abspath(__file__)), "golden")
+
+
+@pytest.mark.parametrize("name,p,t_max,normalized", [
+    ("ext_p3_t36.json", 3, 36, True),
+    ("ext_p2_t16.json", 2, 16, True),
+    ("ext_p5_t60.json", 5, 60, True),
+    ("ext_p3_t18_unnormalized.json", 3, 18, False),
+])
+def test_golden_chart(name, p, t_max, normalized):
+    alg = build_algebroid("p_typical", (t_max + 1) // 2, p=p)
+    ec = ext_chart(alg, p, 10, 6, t_max, normalized=normalized)
+    with open(os.path.join(GOLDEN, name), encoding="utf-8") as fh:
+        assert json.dumps(ec.to_json(), indent=1) + "\n" == fh.read()
+
+
+def test_golden_cli_grid(capsys):
+    assert cli.main(["ext", "--prime", "3", "--tmax", "24", "--format", "grid"]) == 0
+    with open(os.path.join(GOLDEN, "cli_ext_p3_t24_grid.txt"), encoding="utf-8") as fh:
+        assert capsys.readouterr().out == fh.read()
+
+
+# -- elementary_divisors ----------------------------------------------------
+
+def valuation(x: int, p: int) -> int:
+    v = 0
+    while x % p == 0:
+        x //= p
+        v += 1
+    return v
+
+
+def random_matrix(rng, p, nr, nc):
+    """Entries with random p-power factors; some rows zero, some dependent."""
+    rows = [[rng.randint(-9, 9) * p ** rng.choice([0, 0, 1, 2, 3]) for _ in range(nc)]
+            for _ in range(nr)]
+    for i in range(nr):
+        if rng.random() < 0.2:
+            rows[i] = [0] * nc
+        elif i >= 2 and rng.random() < 0.3:
+            a, b = rng.randint(-3, 3), rng.randint(-3, 3) * p
+            rows[i] = [a * x + b * y for x, y in zip(rows[0], rows[1])]
+    return rows
+
+
+def sparse(rows):
+    return [{j: x for j, x in enumerate(row) if x} for row in rows]
+
+
+@pytest.mark.parametrize("seed", range(30))
+def test_elementary_divisors_against_sympy(seed):
+    sympy = pytest.importorskip("sympy")
+    from sympy.matrices.normalforms import smith_normal_form
+    rng = random.Random(seed)
+    p, m = rng.choice([(2, 5), (3, 4), (5, 3)])
+    nr, nc = rng.randint(1, 7), rng.randint(1, 7)
+    rows = random_matrix(rng, p, nr, nc)
+    if not any(any(r) for r in rows):
+        expected = []
+    else:
+        snf = smith_normal_form(sympy.Matrix(rows), domain=sympy.ZZ)
+        expected = sorted(v for v in (valuation(int(snf[i, i]), p)
+                                      for i in range(min(nr, nc)) if snf[i, i])
+                          if v < m)
+    assert elementary_divisors(sparse([[x % p ** m for x in r] for r in rows]), p, m) \
+        == expected
+
+
+def test_elementary_divisors_against_dense_smith_form():
+    rng = random.Random(7)
+    for p, m in [(2, 8), (3, 6), (5, 4)]:
+        for _ in range(40):
+            nr, nc = rng.randint(0, 14), rng.randint(0, 14)
+            rows = [[x % p ** m for x in r] for r in random_matrix(rng, p, nr, nc)]
+            assert elementary_divisors(sparse(rows), p, m) == \
+                SmithForm(rows, p, m, ncols=nc).pivots
+
+
+def test_elementary_divisors_examples():
+    assert elementary_divisors([], 3, 4) == []
+    assert elementary_divisors([{}, {0: 81}], 3, 4) == []      # 81 = 0 mod 3^4
+    assert elementary_divisors([{0: 9, 1: 3}, {0: 3}], 3, 4) == [1, 1]
+    # diag(2, 3) over Z/2^3 has the single divisor 2 and a unit
+    assert elementary_divisors([{0: 2}, {1: 3}], 2, 3) == [0, 1]
+
+
+# -- ext_chart against the kernel/subquotient oracle ------------------------
+
+def oracle_chart(alg, p, K, s_max, t_max, normalized):
+    """Every (s, t) group via kernels and subquotients over Z/p^(2K),
+    imaged at p^K: the computation the elementary-divisor engine replaced."""
+    cx = CobarComplex(alg, normalized=normalized)
+    m2 = 2 * K
+
+    def dense(mat, m):
+        ncols = len(mat[0]) if mat else 0
+        return [[row.get(j, 0) for j in range(ncols)] for row in _reduce_rows(sparse_rows(mat), p, m)]
+
+    groups = {}
+    for d in range(t_max // 2 + 1):
+        mats = {s: cx.differential_matrix(s, d) for s in range(s_max + 1)}
+        for s in range(s_max + 1):
+            n = len(cx.basis(s, d))
+            if not n:
+                continue
+            kergens = SmithForm(dense(mats[s], m2), p, m2, ncols=n).kernel_generators()
+            if not kergens:
+                continue
+            kmat = [[g[i] for g in kergens] for i in range(n)]
+            B2 = dense(mats[s - 1], m2) if s else []
+            orders2, gens2 = subquotient_structure(kmat, B2, n, p, m2)
+            assert not [a for a in orders2 if K <= a < m2], (s, d)
+            if not orders2:
+                continue
+            gcols = [[gens2[i][j] % p ** K for j in range(len(orders2))] for i in range(n)]
+            BK = dense(mats[s - 1], K) if s else []
+            ordersK, _ = subquotient_structure(gcols, BK, n, p, K)
+            free = sum(1 for a in ordersK if a == K)
+            torsion = tuple(sorted(p ** a for a in ordersK if 0 < a < K))
+            if free or torsion:
+                groups[(s, 2 * d)] = (free, torsion)
+    return groups
+
+
+@pytest.mark.parametrize("p,t_max", [(2, 8), (3, 18)])
+@pytest.mark.parametrize("normalized", [True, False])
+def test_engine_matches_subquotient_oracle(p, t_max, normalized):
+    alg = build_algebroid("p_typical", (t_max + 1) // 2, p=p)
+    ec = ext_chart(alg, p, 10, 6, t_max, normalized=normalized)
+    got = {key: (g.free_rank, g.torsion) for key, g in ec.chart.entries.items()}
+    assert got == oracle_chart(alg, p, 10, 6, t_max, normalized)
+
+
+# -- broken invariants --------------------------------------------------------
+
+def non_integral(monkeypatch, p):
+    """Make every differential matrix carry a 1/p entry."""
+    original = CobarComplex.differential_matrix
+
+    def patched(self, s, degree):
+        mat = original(self, s, degree)
+        if mat and mat[0]:
+            mat[0][0] = Fraction(1, p)
+        return mat
+    monkeypatch.setattr(CobarComplex, "differential_matrix", patched)
+
+
+def test_non_integral_differential_is_engine_error(monkeypatch):
+    alg = build_algebroid("p_typical", 2, p=3)
+    non_integral(monkeypatch, 3)
+    with pytest.raises(EngineError, match="not p-integral"):
+        ext_chart(alg, 3, 4, 2, 4, check_d_squared=False)
+
+
+def test_cobar_error_is_engine_error():
+    assert issubclass(CobarError, EngineError)
+    assert not issubclass(EngineError, ValueError)
+    with pytest.raises(CobarError, match=r"d o d != 0 at s=0, degree=1, column 1"):
+        cobar.check_composite_zero([{1: 1}], [{}, {0: 1}], 0, 1)
+
+
+def test_cli_engine_error_exit_code(monkeypatch, capsys):
+    non_integral(monkeypatch, 3)
+    monkeypatch.setattr("stemcharts.extcharts.check_composite_zero", lambda *args: None)
+    code = cli.main(["ext", "--prime", "3", "--tmax", "4", "--smax", "2"])
+    captured = capsys.readouterr()
+    assert code == cli.EXIT_ENGINE == 4
+    assert captured.out == ""
+    assert "not p-integral" in captured.err

@@ -9,7 +9,7 @@ zero group; zero descriptors are never stored.
 
 from __future__ import annotations
 
-import json
+import math
 from dataclasses import dataclass, field as dc_field
 from typing import Callable, Iterable, Optional
 
@@ -129,16 +129,6 @@ class AbGroupDesc:
             out *= q
         return out
 
-    def p_primary(self, p: int) -> "AbGroupDesc":
-        return AbGroupDesc(
-            free_rank=self.free_rank,
-            torsion=tuple(q for q in self.torsion if q % p == 0),
-            torsion_infinite=tuple(q for q in self.torsion_infinite if q % p == 0),
-            modulus_precision=self.modulus_precision,
-            completed_at=self.completed_at,
-            divisible=self.divisible,
-        )
-
     def direct_sum(self, other: "AbGroupDesc") -> "AbGroupDesc":
         # precision propagates pessimistically: min of declared precisions,
         # floored so that orders certified at construction stay recorded
@@ -241,20 +231,47 @@ def free_group(rank=1, completed_at: Optional[int] = None) -> AbGroupDesc:
 
 def cyclic(q: int) -> AbGroupDesc:
     """Z/q as a descriptor; q is factored into prime powers."""
+    factors: dict[int, int] = {}
     n = q
-    torsion = []
-    p = 2
-    while p * p <= n:
-        if n % p == 0:
-            pk = 1
-            while n % p == 0:
-                pk *= p
-                n //= p
-            torsion.append(pk)
-        p += 1
-    if n > 1:
-        torsion.append(n)
-    return AbGroupDesc(torsion=tuple(sorted(torsion)))
+    for p in _SMALL_PRIMES:
+        while n > 1 and n % p == 0:
+            factors[p] = factors.get(p, 0) + 1
+            n //= p
+    _factor_into(n, factors)
+    return AbGroupDesc(torsion=tuple(sorted(p ** k for p, k in factors.items())))
+
+
+def _factor_into(n: int, factors: dict[int, int]) -> None:
+    """Add the prime factorization of n (no prime factor below 41) to factors:
+    a prime power is recognised by `_is_prime_power`, anything else is split
+    by Pollard's rho."""
+    if n < 2:
+        return
+    pk = _is_prime_power(n)
+    if pk:
+        factors[pk[0]] = factors.get(pk[0], 0) + pk[1]
+        return
+    d = _pollard_rho(n)
+    _factor_into(d, factors)
+    _factor_into(n // d, factors)
+
+
+def _pollard_rho(n: int) -> int:
+    """A proper divisor of n, which is odd, composite and not a prime power
+    (Floyd cycle finding on x -> x^2 + c, with c = 1, 2, ... until one
+    splits n)."""
+    c = 0
+    while True:
+        c += 1
+        x = y = 2
+        d = 1
+        while d == 1:
+            x = (x * x + c) % n
+            y = (y * y + c) % n
+            y = (y * y + c) % n
+            d = math.gcd(x - y, n)
+        if d != n:
+            return d
 
 
 def complete_desc(g: AbGroupDesc, p: int) -> AbGroupDesc:
@@ -381,9 +398,6 @@ class BigradedChart:
             return NotImplemented
         return self._entries == other._entries
 
-    def with_label(self, label: str) -> "BigradedChart":
-        return BigradedChart(self._entries, label, self.prime)
-
     def to_json(self) -> dict:
         entries = []
         for (i, j) in self.support():
@@ -391,9 +405,6 @@ class BigradedChart:
             ent.update(self._entries[(i, j)].to_json())
             entries.append(ent)
         return {"label": self.label, "prime": self.prime, "entries": entries}
-
-    def to_json_str(self) -> str:
-        return json.dumps(self.to_json(), indent=1, sort_keys=False)
 
     @staticmethod
     def from_json(obj: dict) -> "BigradedChart":

@@ -50,10 +50,6 @@ class ExtChart:
     def group(self, s: int, t: int) -> AbGroupDesc:
         return self.chart.group(s, t)
 
-    def stem_entries(self) -> dict[tuple[int, int], AbGroupDesc]:
-        """Reindex to (stem n = t - s, filtration s)."""
-        return {(t - s, s): g for (s, t), g in self.chart.entries.items()}
-
     def to_json(self) -> dict:
         obj = self.chart.to_json()
         obj["axes"] = ["s", "t"]

@@ -6,8 +6,18 @@ t) drives the constructive decomposition: extract_free splits off the free
 F_p[t]/t^{n+1} part exactly as in the structure-theory proofs, by splitting
 the t^{n+1}-torsion submodule against the t^{n+1}-cotorsion quotient, and
 decompose iterates from n = 0.  Divisible parts of ind-systems are counted
-in Prussian copies of F_p((t))/F_p[[t]].  All pivoting is lexicographic-first
-for reproducible witnesses.
+in Prussian copies of F_p((t))/F_p[[t]].
+
+All F_p linear algebra goes through one incremental echelon basis, `_Span`:
+vectors are added in order, and each is either independent of the earlier
+ones (it becomes a row) or yields its dependency coefficients.  Every query
+on a fixed set of vectors builds the span once and reduces each vector in
+one pass over its rows.  Witnesses are lexicographic-first and therefore
+reproducible: a basis is the sublist of the vectors that are independent of
+those before them, a solution is the unique one with zeros on the dependent
+vectors, and the kernel vector of a dependent column is the unique one with
+1 there and 0 at every other dependent column.  Ranks of t-powers for the
+Jordan-type oracle come from `zpk.elementary_divisors`, not from `_Span`.
 """
 
 from __future__ import annotations
@@ -15,11 +25,13 @@ from __future__ import annotations
 from dataclasses import dataclass, field as dc_field
 from typing import Optional
 
+from .zpk import elementary_divisors
+
 Matrix = list[list[int]]
 
 
 # ---------------------------------------------------------------------------
-# F_p linear algebra (lex-first pivoting)
+# F_p linear algebra (lex-first)
 
 def _mat_mul(A: Matrix, B: Matrix, p: int) -> Matrix:
     if not A or not B:
@@ -54,72 +66,75 @@ def _mat_pow(A: Matrix, k: int, p: int) -> Matrix:
     return out
 
 
-def _rref(rows: Matrix, p: int) -> tuple[Matrix, list[int]]:
-    """Reduced row echelon form; returns (rref_rows, pivot_columns)."""
-    rows = [r[:] for r in rows]
-    ncols = len(rows[0]) if rows else 0
-    pivots: list[int] = []
-    r = 0
-    for c in range(ncols):
-        piv = None
-        for i in range(r, len(rows)):
-            if rows[i][c] % p:
-                piv = i
-                break
+class _Span:
+    """Incremental echelon basis of the vectors added so far, over F_p.
+
+    Each row has pivot entry 1, is zero at the pivots of the rows before it
+    and carries its combination of the added vectors, so one pass over the
+    rows in order reduces a vector.  A vector dependent on the earlier ones
+    is counted but not stored: combinations are zero on it.
+    """
+
+    def __init__(self, p: int):
+        self.p = p
+        self.rows: list[tuple[int, list[int], list[int]]] = []  # pivot, row, comb
+        self.count = 0  # vectors added, dependent ones included
+
+    def reduce(self, v: list[int]) -> tuple[list[int], list[int]]:
+        """(residual, comb) with residual = v - sum comb[k] * added[k]."""
+        p = self.p
+        v = [x % p for x in v]
+        comb = [0] * self.count
+        for piv, row, rc in self.rows:
+            f = v[piv]
+            if f:
+                v = [(x - f * y) % p for x, y in zip(v, row)]
+                for k, c in enumerate(rc):
+                    if c:
+                        comb[k] = (comb[k] + f * c) % p
+        return v, comb
+
+    def add(self, v: list[int]) -> Optional[list[int]]:
+        """None if v is independent of the added vectors, else the
+        coefficients of v on them."""
+        residual, comb = self.reduce(v)
+        self.count += 1
+        piv = next((i for i, x in enumerate(residual) if x), None)
         if piv is None:
-            continue
-        rows[r], rows[piv] = rows[piv], rows[r]
-        inv = pow(rows[r][c], -1, p)
-        rows[r] = [(x * inv) % p for x in rows[r]]
-        for i in range(len(rows)):
-            if i != r and rows[i][c]:
-                f = rows[i][c]
-                rows[i] = [(x - f * y) % p for x, y in zip(rows[i], rows[r])]
-        pivots.append(c)
-        r += 1
-    return [row for row in rows[:r]], pivots
+            return comb
+        inv = pow(residual[piv], -1, self.p)
+        self.rows.append((piv, [(x * inv) % self.p for x in residual],
+                          [(-c * inv) % self.p for c in comb] + [inv]))
+        return None
+
+    def coordinates(self, v: list[int]) -> Optional[list[int]]:
+        """The solution of sum c_k added[k] = v with zeros on the dependent
+        vectors; None if v is outside the span."""
+        residual, comb = self.reduce(v)
+        return None if any(residual) else comb
+
+
+def _span(vecs: list[list[int]], p: int) -> _Span:
+    span = _Span(p)
+    for v in vecs:
+        span.add(v)
+    return span
+
+
+def _columns(A: Matrix, ncols: int) -> list[list[int]]:
+    return [[row[j] for row in A] for j in range(ncols)]
 
 
 def _kernel_basis(A: Matrix, ncols: int, p: int) -> list[list[int]]:
-    """Basis of ker(A) as a list of vectors (lex-deterministic)."""
-    if ncols == 0:
-        return []
-    if not A:
-        return [[1 if i == j else 0 for i in range(ncols)] for j in range(ncols)]
-    rref, pivots = _rref(A, p)
-    pivset = set(pivots)
-    free = [c for c in range(ncols) if c not in pivset]
+    """Basis of ker(A): for each column dependent on the earlier ones, the
+    kernel vector with 1 there and 0 at every other dependent column."""
+    span = _Span(p)
     out = []
-    for fc in free:
-        v = [0] * ncols
-        v[fc] = 1
-        for r, pc in enumerate(pivots):
-            v[pc] = (-rref[r][fc]) % p
-        out.append(v)
+    for j, col in enumerate(_columns(A, ncols)):
+        dep = span.add(col)
+        if dep is not None:
+            out.append([(-c) % p for c in dep] + [1] + [0] * (ncols - j - 1))
     return out
-
-
-def _solve(A_cols: list[list[int]], target: list[int], p: int
-           ) -> Optional[list[int]]:
-    """Solve sum c_i A_cols[i] = target over F_p; None if inconsistent."""
-    n = len(target)
-    k = len(A_cols)
-    M = [[A_cols[j][i] % p for j in range(k)] + [target[i] % p]
-         for i in range(n)]
-    rref, pivots = _rref(M, p)
-    for row in rref:
-        if not any(row[:k]) and row[k] % p:
-            return None
-    sol = [0] * k
-    for r, c in enumerate(pivots):
-        if c == k:
-            return None
-        sol[c] = rref[r][k]
-    return sol
-
-
-def _in_span(cols: list[list[int]], v: list[int], p: int) -> bool:
-    return _solve(cols, v, p) is not None
 
 
 def _complement_basis(inside: list[list[int]], whole: list[list[int]], p: int
@@ -128,41 +143,33 @@ def _complement_basis(inside: list[list[int]], whole: list[list[int]], p: int
 
     Candidates are taken from `whole` in order (lex-first determinism).
     """
-    current = [list(c) for c in inside]
-    out = []
-    for cand in whole:
-        if not _in_span(current, cand, p):
-            current.append(list(cand))
-            out.append(list(cand))
-    return out
+    span = _span(inside, p)
+    return [list(c) for c in whole if span.add(c) is None]
 
 
 def _intersect(cols_a: list[list[int]], cols_b: list[list[int]], p: int,
                dim: int) -> list[list[int]]:
-    """Basis of span(cols_a) n span(cols_b)."""
-    if not cols_a or not cols_b:
-        return []
-    k, l = len(cols_a), len(cols_b)
-    rows = [[cols_a[j][i] for j in range(k)] + [(-cols_b[j][i]) % p for j in range(l)]
-            for i in range(dim)]
+    """Basis of span(cols_a) n span(cols_b): the span(cols_a)-part of each
+    b dependent on cols_a and the b before it."""
+    span = _span(cols_a, p)
+    k = len(cols_a)
     out = []
-    for v in _kernel_basis(rows, k + l, p):
-        vec = [0] * dim
-        for j in range(k):
-            if v[j]:
-                for i in range(dim):
-                    vec[i] = (vec[i] + v[j] * cols_a[j][i]) % p
-        if any(vec):
-            out.append(vec)
+    for b in cols_b:
+        dep = span.add(b)
+        if dep is not None:
+            vec = [0] * dim
+            for j in range(k):
+                if dep[j]:
+                    for i in range(dim):
+                        vec[i] = (vec[i] + dep[j] * cols_a[j][i]) % p
+            if any(vec):
+                out.append(vec)
     return _independent_subset(out, p)
 
 
 def _independent_subset(vecs: list[list[int]], p: int) -> list[list[int]]:
-    out: list[list[int]] = []
-    for v in vecs:
-        if not _in_span(out, v, p):
-            out.append(v)
-    return out
+    span = _Span(p)
+    return [v for v in vecs if span.add(v) is None]
 
 
 # ---------------------------------------------------------------------------
@@ -235,15 +242,11 @@ def jordan_type(M: FptModule) -> dict[int, int]:
     if M.dim == 0:
         return {}
     ranks = [M.dim]
-    Tk = M.t_power(1)
-    k = 1
-    while True:
-        _, piv = _rref(Tk, M.p)
-        ranks.append(len(piv))
-        if not piv:
-            break
-        k += 1
-        Tk = M.t_power(k)
+    T = Tk = M.T()
+    while ranks[-1]:
+        rows = [{c: x for c, x in enumerate(row) if x} for row in Tk]
+        ranks.append(len(elementary_divisors(rows, M.p, 1)))
+        Tk = _mat_mul(Tk, T, M.p)
     while len(ranks) < M.dim + 2:
         ranks.append(0)
     out = {}
@@ -264,11 +267,9 @@ def satisfies_pn(M: FptModule, n: int) -> tuple[bool, Optional[list[int]]]:
     if n == 0 or M.dim == 0:
         return True, None
     p = M.p
-    ker = _kernel_basis(M.t_power(n), M.dim, p)
-    im_cols = [[M.t_action[i][j] for i in range(M.dim)] for j in range(M.dim)]
-    im = _independent_subset(im_cols, p)
-    for v in ker:
-        if not _in_span(im, v, p):
+    im = _span(_columns(M.T(), M.dim), p)
+    for v in _kernel_basis(M.t_power(n), M.dim, p):
+        if im.coordinates(v) is None:
             return False, v
     return True, None
 
@@ -313,12 +314,12 @@ def extract_free(M: FptModule, n: int) -> Splitting:
     G = _complement_basis(tA, A_basis, p)
 
     # W = im(t^{n+1}); quotient B = M/W with basis C (coset representatives)
-    W = _independent_subset(
-        [[Tn1[i][j] for i in range(d)] for j in range(d)], p)
+    W = _independent_subset(_columns(Tn1, d), p)
     C = _complement_basis(W, std, p)
+    CW = _span(C + W, p)
 
     def proj_B(x: list[int]) -> list[int]:
-        sol = _solve(C + W, x, p)
+        sol = CW.coordinates(x)
         if sol is None:
             raise FptError("projection to the quotient failed")
         return sol[:len(C)]
@@ -330,20 +331,18 @@ def extract_free(M: FptModule, n: int) -> Splitting:
             TB[i][j] = col[i]
 
     # tB and alpha(G): split G into G_2 = ker(G -> B/tB) and a complement G_1
-    tB_cols = _independent_subset(
-        [[TB[i][j] for i in range(len(C))] for j in range(len(C))], p)
-    G1, G2 = [], []
-    BmodT = _complement_basis(tB_cols,
-                              [[1 if i == j else 0 for i in range(len(C))]
-                               for j in range(len(C))], p)
+    tB_cols = _independent_subset(_columns(TB, len(C)), p)
+    std_B = [[1 if i == j else 0 for i in range(len(C))] for j in range(len(C))]
+    BmodT = _complement_basis(tB_cols, std_B, p)
+    BmodT_tB = _span(BmodT + tB_cols, p)
 
     def mod_tB(xB: list[int]) -> list[int]:
-        sol = _solve(BmodT + tB_cols, xB, p)
-        return sol[:len(BmodT)]
+        return BmodT_tB.coordinates(xB)[:len(BmodT)]
 
     gmat = [mod_tB(proj_B(g)) for g in G]
     ker_coeffs = _kernel_basis([list(r) for r in zip(*gmat)] if gmat else [],
                                len(G), p)
+    G2 = []
     for coeffs in ker_coeffs:
         v = [0] * d
         for c, g in zip(coeffs, G):
@@ -366,12 +365,9 @@ def extract_free(M: FptModule, n: int) -> Splitting:
 
     # B decomposes as N_1 (+) N_2 on alpha(G_1) and a complement G_3
     aG1 = [proj_B(g) for g in G1]
-    aG1_span = _independent_subset(aG1, p)
-    if len(aG1_span) != len(aG1):
+    if len(_independent_subset(aG1, p)) != len(aG1):
         raise FptError("alpha(G_1) not independent in the quotient")
-    G3 = _complement_basis(
-        _independent_subset(tB_cols + aG1, p),
-        [[1 if i == j else 0 for i in range(len(C))] for j in range(len(C))], p)
+    G3 = _complement_basis(tB_cols + aG1, std_B, p)
     n1_basis: list[list[int]] = []
     n1_labels: list[tuple[int, int]] = []  # (generator index, power)
     for gi, b in enumerate(aG1):
@@ -387,15 +383,14 @@ def extract_free(M: FptModule, n: int) -> Splitting:
             n2_basis.append(v)
             v = _mat_vec(TB, v, p)
     n2_basis = [v for v in n2_basis if any(v)]
-    full = n1_basis + n2_basis
-    if len(_independent_subset(full, p)) != len(C):
+    full = _span(n1_basis + n2_basis, p)
+    if len(full.rows) != len(C):
         raise FptError("N_1 (+) N_2 does not exhaust the quotient")
 
     # retraction: M -> B -> N_1 -> F
     retraction = [[0] * d for _ in range(len(f_basis))]
     for col in range(d):
-        x = std[col]
-        sol = _solve(full, proj_B(x), p)
+        sol = full.coordinates(proj_B(std[col]))
         if sol is None:
             raise FptError("quotient coordinates failed")
         for idx, (gi, j) in enumerate(n1_labels):
@@ -415,9 +410,9 @@ def extract_free(M: FptModule, n: int) -> Splitting:
     MK = _kernel_basis(retraction, d, p) if f_basis else std
     Mp_dim = len(MK)
     TMp = [[0] * Mp_dim for _ in range(Mp_dim)]
+    MK_span = _span(MK, p)
     for j, v in enumerate(MK):
-        tv = _mat_vec(T, v, p)
-        sol = _solve(MK, tv, p)
+        sol = MK_span.coordinates(_mat_vec(T, v, p))
         if sol is None:
             raise FptError("kernel of the retraction is not t-stable")
         for i in range(Mp_dim):
@@ -428,9 +423,7 @@ def extract_free(M: FptModule, n: int) -> Splitting:
         raise FptError("complement does not satisfy P_{n+1}")
     quotient_inclusion = [[MK[j][i] for j in range(Mp_dim)] for i in range(d)]
     # direct sum check: [inclusion | quotient_inclusion] invertible
-    joint = [inclusion[i] + quotient_inclusion[i] for i in range(d)]
-    _, piv = _rref(joint, p)
-    if len(piv) != d:
+    if len(_independent_subset(f_basis + MK, p)) != d:
         raise FptError("F (+) M' does not reassemble M")
     return Splitting(n + 1, len(G1), [list(g) for g in G1], inclusion,
                      retraction, Mp, quotient_inclusion)
@@ -509,14 +502,13 @@ def _stage_retraction(spl: Splitting, retr_chain: Matrix, p: int) -> Matrix:
         [[1 if i == j else 0 for j in range(d)] for i in range(d)]
     proj = [[x % p for x in row] for row in proj]
     # coordinates in the M'-basis
-    cols = [[spl.quotient_inclusion[i][j] for i in range(d)] for j in range(dq)]
+    cols = _span(_columns(spl.quotient_inclusion, dq), p)
     out = [[0] * len(retr_chain[0]) if retr_chain else [] for _ in range(dq)]
     # build matrix: for each original basis vector, project then solve
     src_dim = len(retr_chain[0]) if retr_chain else 0
     for col in range(src_dim):
         x = [retr_chain[i][col] for i in range(len(retr_chain))]
-        px = _mat_vec(proj, x, p)
-        sol = _solve(cols, px, p)
+        sol = cols.coordinates(_mat_vec(proj, x, p))
         if sol is None:
             raise FptError("projection does not land in the complement")
         for i in range(dq):
@@ -550,32 +542,19 @@ def check_torsion_powers(M: FptModule, p: Optional[int] = None
     p = p or M.p
     d = M.dim
     element_ok, witness = True, None
+    ker_t = _kernel_basis(M.T(), d, M.p)
     n = 0
     while d and p ** n <= d and element_ok:
         a = p ** n
         b = p ** (n + 1) - 1
-        ker_t = _kernel_basis(M.T(), d, M.p)
-        Ta = M.t_power(a)
-        im_a = _independent_subset(
-            [[Ta[i][j] for i in range(d)] for j in range(d)], M.p)
+        im_a = _independent_subset(_columns(M.t_power(a), d), M.p)
         S = _intersect(ker_t, im_a, M.p, d)
-        if b >= d:
-            im_b = []
-        else:
-            Tb = M.t_power(b)
-            im_b = _independent_subset(
-                [[Tb[i][j] for i in range(d)] for j in range(d)], M.p)
-        if b >= d:
-            # t^b = 0: condition demands S = 0
-            for v in S:
-                if any(v):
-                    element_ok, witness = False, {"n": n, "vector": v}
-                    break
-        else:
-            for v in S:
-                if not _in_span(im_b, v, M.p):
-                    element_ok, witness = False, {"n": n, "vector": v}
-                    break
+        # t^b = 0 for b >= d: the condition then demands S = 0
+        im_b = _span(_columns(M.t_power(b), d) if b < d else [], M.p)
+        for v in S:
+            if im_b.coordinates(v) is None:
+                element_ok, witness = False, {"n": n, "vector": v}
+                break
         n += 1
     profile_ok = all(_is_p_power(i, p) for i, _ in decompose(M).free_parts)
     if element_ok != profile_ok:
@@ -613,25 +592,19 @@ def check_u_sequence(M: FptModule, p: Optional[int] = None, n: int = 0) -> bool:
         return _kernel_basis(U(k), d, M.p)
 
     if p != 2:
-        keru = ker_u(1)
-        Umat = U(1)
-        imu = _independent_subset(
-            [[Umat[i][j] for i in range(d)] for j in range(d)], M.p)
-        lhs = _intersect(keru, imu, M.p, d)
+        lhs = _intersect(ker_u(1), _columns(U(1), d), M.p, d)
         Upm1 = M.t_power(min(e * (p - 1), d))
-        rhs = _independent_subset(
-            [_mat_vec(Upm1, v, M.p) for v in ker_u(p)], M.p)
+        rhs = [_mat_vec(Upm1, v, M.p) for v in ker_u(p)]
         return _same_span(lhs, rhs, M.p)
-    lhs = ker_u(3)
-    rhs = [list(v) for v in ker_u(2)]
     Umat = U(1)
-    rhs += [_mat_vec(Umat, v, M.p) for v in ker_u(4)]
-    rhs = _independent_subset(rhs, M.p)
-    return _same_span(lhs, rhs, M.p)
+    rhs = ker_u(2) + [_mat_vec(Umat, v, M.p) for v in ker_u(4)]
+    return _same_span(ker_u(3), rhs, M.p)
 
 
 def _same_span(a: list[list[int]], b: list[list[int]], p: int) -> bool:
-    return all(_in_span(b, v, p) for v in a) and all(_in_span(a, v, p) for v in b)
+    rank = len(_independent_subset(a, p))
+    return rank == len(_independent_subset(b, p)) == \
+        len(_independent_subset(a + b, p))
 
 
 # ---------------------------------------------------------------------------
@@ -725,20 +698,20 @@ def random_nilpotent(p: int, dim: int, rng) -> FptModule:
     base = jordan_module(p, partition)
     if dim == 0:
         return base
-    while True:
+    Ginv = None
+    while Ginv is None:
         G = [[rng.randrange(p) for _ in range(dim)] for _ in range(dim)]
-        _, piv = _rref(G, p)
-        if len(piv) == dim:
-            break
-    Ginv = _invert(G, p)
+        Ginv = _invert(G, p)
     T = _mat_mul(_mat_mul(G, base.T(), p), Ginv, p)
     return FptModule(p, dim, tuple(tuple(r) for r in T))
 
 
-def _invert(G: Matrix, p: int) -> Matrix:
+def _invert(G: Matrix, p: int) -> Optional[Matrix]:
+    """G^{-1} from the coordinates of the unit vectors; None if singular."""
     n = len(G)
-    M = [G[i][:] + [1 if i == j else 0 for j in range(n)] for i in range(n)]
-    rref, piv = _rref(M, p)
-    if piv != list(range(n)):
-        raise FptError("matrix not invertible")
-    return [row[n:] for row in rref]
+    span = _span(_columns(G, n), p)
+    if len(span.rows) != n:
+        return None
+    inv_cols = [span.coordinates([1 if i == j else 0 for i in range(n)])
+                for j in range(n)]
+    return [list(r) for r in zip(*inv_cols)]

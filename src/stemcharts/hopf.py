@@ -85,10 +85,6 @@ class HopfAlgebroid:
     def tdeg(self, tmon: Monomial) -> int:
         return mon_deg(tmon, self.gamma_degrees)
 
-    def key_degree(self, key: TensorKey) -> int:
-        amon, tmons = key
-        return self.adeg(amon) + sum(self.tdeg(t) for t in tmons)
-
     def tensor_monomials(self, degree: int) -> list[Monomial]:
         ring = PolyRing(self.gamma_names, self.gamma_degrees, self.bound)
         return ring.monomials_of_degree(degree)

@@ -169,6 +169,37 @@ def test_large_prime_torsion_is_fast():
     assert time.perf_counter() - start < 1.0
 
 
+def _cyclic_by_trial_division(q):
+    n, torsion, p = q, [], 2
+    while p * p <= n:
+        if n % p == 0:
+            pk = 1
+            while n % p == 0:
+                pk, n = pk * p, n // p
+            torsion.append(pk)
+        p += 1
+    if n > 1:
+        torsion.append(n)
+    return AbGroupDesc(torsion=tuple(sorted(torsion)))
+
+
+def test_cyclic_matches_trial_division():
+    for n in range(20000):
+        assert cyclic(n) == _cyclic_by_trial_division(n), n
+
+
+@pytest.mark.parametrize("q,torsion", [
+    (2 ** 61 - 1, (2 ** 61 - 1,)),
+    ((2 ** 31 - 1) * (2 ** 61 - 1), (2 ** 31 - 1, 2 ** 61 - 1)),
+    (2 ** 5 * 43 * (2 ** 31 - 1) ** 2, (32, 43, (2 ** 31 - 1) ** 2)),
+])
+def test_cyclic_large_orders_are_fast(q, torsion):
+    # trial division up to sqrt(q) would not finish
+    start = time.perf_counter()
+    assert cyclic(q).torsion == torsion
+    assert time.perf_counter() - start < 1.0
+
+
 def test_precision_invariant():
     with pytest.raises(ValueError):
         AbGroupDesc(torsion=(8,), modulus_precision=3)

@@ -7,7 +7,8 @@ from stemcharts.fpt import (FptModule, FptError, IndFptModule, check_torsion_pow
                             check_u_sequence, classify_divisible, decompose,
                             extract_free, jordan_module, jordan_type,
                             partitions, random_nilpotent, reassemble,
-                            satisfies_pn, _mat_mul, _mat_vec)
+                            satisfies_pn, _Span, _independent_subset, _intersect,
+                            _invert, _kernel_basis, _mat_mul, _mat_vec, _same_span)
 
 
 def test_module_validation():
@@ -212,3 +213,116 @@ def test_classify_divisible_mixed():
 def test_classify_divisible_empty():
     dec = classify_divisible(IndFptModule([], []))
     assert dec.free_parts == [] and dec.divisible_rank == 0
+
+
+# -- the incremental F_p span ----------------------------------------------
+
+def random_fp_matrix(rng, p, nr, nc):
+    """Random rows over F_p; some rows zero, some combinations of the first two."""
+    rows = [[rng.randrange(p) for _ in range(nc)] for _ in range(nr)]
+    for i in range(nr):
+        if rng.random() < 0.2:
+            rows[i] = [0] * nc
+        elif i >= 2 and rng.random() < 0.4:
+            a, b = rng.randrange(p), rng.randrange(p)
+            rows[i] = [(a * x + b * y) % p for x, y in zip(rows[0], rows[1])]
+    return rows
+
+
+def gf_rank(rows, ncols, p):
+    """Rank over GF(p) by sympy's DomainMatrix (test-time oracle)."""
+    from sympy import GF
+    from sympy.polys.matrices import DomainMatrix
+    K = GF(p)
+    return DomainMatrix([[K(x) for x in r] for r in rows], (len(rows), ncols), K).rank()
+
+
+@pytest.mark.parametrize("seed", range(30))
+def test_span_against_sympy(seed):
+    pytest.importorskip("sympy")
+    from sympy import GF
+    from sympy.polys.matrices import DomainMatrix
+    rng = random.Random(seed)
+    p = (2, 3, 5)[seed % 3]
+    nr, nc = rng.randint(1, 7), rng.randint(1, 8)
+    A = random_fp_matrix(rng, p, nr, nc)
+    cols = [[A[i][j] for i in range(nr)] for j in range(nc)]
+    # rank
+    assert len(_independent_subset(cols, p)) == gf_rank(A, nc, p)
+    # nullspace: the same span as sympy's, and A v = 0
+    K = GF(p)
+    theirs = [[int(x) % p for x in r] for r in
+              DomainMatrix([[K(x) for x in r] for r in A], (nr, nc), K)
+              .nullspace().to_list()]
+    ours = _kernel_basis(A, nc, p)
+    assert len(ours) == gf_rank(theirs, nc, p) == gf_rank(ours + theirs, nc, p)
+    assert all(not any(_mat_vec(A, v, p)) for v in ours)
+    # lex-first: 1 at its own dependent column, 0 at every other one
+    dependent = [j for j in range(nc)
+                 if gf_rank(cols[:j + 1], nr, p) == gf_rank(cols[:j], nr, p)]
+    assert len(ours) == len(dependent)
+    for v, j in zip(ours, dependent):
+        assert [v[k] for k in dependent] == [1 if k == j else 0 for k in dependent]
+    # coordinates: a solution with zeros on the dependent columns, or None
+    # exactly when the target is outside the column span
+    span = _Span(p)
+    for c in cols:
+        span.add(c)
+    for _ in range(6):
+        if rng.random() < 0.5:
+            coeffs = [rng.randrange(p) for _ in range(nc)]
+            target = [sum(c * A[i][j] for j, c in enumerate(coeffs)) % p
+                      for i in range(nr)]
+        else:
+            target = [rng.randrange(p) for _ in range(nr)]
+        sol = span.coordinates(target)
+        outside = gf_rank(cols + [target], nr, p) > gf_rank(cols, nr, p)
+        assert (sol is None) == outside
+        if sol is not None:
+            assert _mat_vec(A, sol, p) == target
+            assert all(sol[j] == 0 for j in dependent)
+
+
+def test_span_add_and_reduce():
+    span = _Span(3)
+    assert span.add([1, 2, 0]) is None
+    assert span.add([0, 0, 0]) == [0]
+    assert span.add([2, 1, 0]) == [2, 0]      # 2 * (1, 2, 0)
+    assert span.add([0, 1, 1]) is None
+    # span{(1, 2, 0), (0, 1, 1)} = {(a, 2a + b, b)}
+    assert span.coordinates([1, 0, 1]) == [1, 0, 0, 1]
+    assert span.coordinates([0, 0, 1]) is None
+    residual, comb = span.reduce([0, 0, 1])
+    added = [[1, 2, 0], [0, 0, 0], [2, 1, 0], [0, 1, 1]]
+    assert any(residual) and comb[1] == comb[2] == 0
+    assert residual == [(x - sum(c * a[i] for c, a in zip(comb, added))) % 3
+                        for i, x in enumerate([0, 0, 1])]
+
+
+def test_linear_algebra_edge_cases():
+    # empty A: every column is free; no columns: no kernel
+    assert _kernel_basis([], 3, 2) == [[1, 0, 0], [0, 1, 0], [0, 0, 1]]
+    assert _kernel_basis([], 0, 2) == []
+    assert _kernel_basis([[0, 0]], 2, 5) == [[1, 0], [0, 1]]
+    # empty inputs to _intersect
+    assert _intersect([], [[1, 0]], 3, 2) == []
+    assert _intersect([[1, 0]], [], 3, 2) == []
+    assert _intersect([], [], 3, 0) == []
+    assert _intersect([[1, 0], [0, 1]], [[1, 1], [2, 2]], 3, 2) == [[1, 1]]
+    # spans of nothing and of zero vectors
+    assert _independent_subset([[0, 0], []], 2) == []
+    assert _same_span([], [[0, 0]], 2) and not _same_span([], [[1, 0]], 2)
+    assert _invert([], 3) == [] and _invert([[1, 1], [1, 1]], 3) is None
+    assert _invert([[1, 1], [0, 1]], 3) == [[1, 2], [0, 1]]
+
+
+def test_zero_dim_modules():
+    Z = FptModule(5, 0, ())
+    assert jordan_type(Z) == {} and decompose(Z).free_parts == []
+    assert check_torsion_powers(Z) == (True, None)
+    assert check_u_sequence(Z) is True
+    assert random_nilpotent(3, 0, random.Random(1)).dim == 0
+    # a 0-dim stage maps into the next one by a matrix with no columns
+    dec = classify_divisible(IndFptModule([Z, jordan_module(5, [1])], [[[]]],
+                                          stable_from=1))
+    assert dec.free_parts == [(1, 1)] and dec.divisible_rank == 0

@@ -77,6 +77,16 @@ def _with_cache(args, command: str, params: dict, compute):
     return payload
 
 
+def _emit_chart(args, payload: str) -> int:
+    """Emit a chart's JSON payload as is, or rendered in args.format."""
+    if args.format == "json":
+        _emit(payload, args.out)
+    else:
+        chart = BigradedChart.from_json(json.loads(payload))
+        _emit(_chart_output(chart, args.format, args.view), args.out)
+    return EXIT_OK
+
+
 def cmd_ext(args) -> int:
     params = {
         "kind": args.kind, "prime": args.prime, "smax": args.smax,
@@ -92,13 +102,7 @@ def cmd_ext(args) -> int:
                        normalized=not args.unnormalized)
         return ec.to_json()
 
-    payload = _with_cache(args, "ext", params, compute)
-    if args.format == "json":
-        _emit(payload, args.out)
-    else:
-        chart = BigradedChart.from_json(json.loads(payload))
-        _emit(_chart_output(chart, args.format, args.view), args.out)
-    return EXIT_OK
+    return _emit_chart(args, _with_cache(args, "ext", params, compute))
 
 
 def cmd_kmw(args) -> int:
@@ -145,13 +149,7 @@ def cmd_stems(args) -> int:
                                precision=args.precision)
         return chart.to_json()
 
-    payload = _with_cache(args, "stems", params, compute)
-    if args.format == "json":
-        _emit(payload, args.out)
-    else:
-        chart = BigradedChart.from_json(json.loads(payload))
-        _emit(_chart_output(chart, args.format, args.view), args.out)
-    return EXIT_OK
+    return _emit_chart(args, _with_cache(args, "stems", params, compute))
 
 
 def cmd_synthetic(args) -> int:
@@ -164,13 +162,7 @@ def cmd_synthetic(args) -> int:
                               table=args.table, precision=args.precision)
         return syn.to_json()
 
-    payload = _with_cache(args, "synthetic", params, compute)
-    if args.format == "json":
-        _emit(payload, args.out)
-    else:
-        chart = BigradedChart.from_json(json.loads(payload))
-        _emit(_chart_output(chart, args.format, args.view), args.out)
-    return EXIT_OK
+    return _emit_chart(args, _with_cache(args, "synthetic", params, compute))
 
 
 def cmd_decompose(args) -> int:
@@ -186,7 +178,7 @@ def cmd_decompose(args) -> int:
     else:
         M = FptModule.from_json(data)
         dec = decompose(M)
-        tp, witness = check_torsion_powers(M)
+        tp, witness = check_torsion_powers(M, dec)
         useq = {}
         n = 0
         while M.p ** n <= max(M.dim, 1) and M.dim:
@@ -228,7 +220,7 @@ def cmd_catalog(args) -> int:
 
 def cmd_check(args) -> int:
     from . import checks
-    ok = checks.run_suite(args.suite, verbose=True)
+    ok = checks.run_suite(args.suite)
     return EXIT_OK if ok else 1
 
 

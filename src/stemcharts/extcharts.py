@@ -80,7 +80,7 @@ def _reduce_rows(rows, p: int, m: int) -> list[dict[int, int]]:
 
 
 def ext_chart(algebroid: HopfAlgebroid, p: int, K: int, s_max: int, t_max: int,
-              normalized: bool = True, check_d_squared: bool = True) -> ExtChart:
+              normalized: bool = True) -> ExtChart:
     """Cohomology of the cobar complex as an Ext chart with precision K.
 
     t_max is the maximal internal (doubled) degree; requires
@@ -99,9 +99,8 @@ def ext_chart(algebroid: HopfAlgebroid, p: int, K: int, s_max: int, t_max: int,
         t = 2 * d
         # d^s : C^s -> C^{s+1} for s = 0..s_max, each built once
         mats = [sparse_rows(cx.differential_matrix(s, d)) for s in range(s_max + 1)]
-        if check_d_squared:
-            for s in range(s_max):
-                check_composite_zero(mats[s], mats[s + 1], s, d)
+        for s in range(s_max):
+            check_composite_zero(mats[s], mats[s + 1], s, d)
         reduced = [_reduce_rows(rows, p, m2) for rows in mats]
         prev: list[int] = []  # valuations of d^{s-1}
         for s in range(s_max + 1):

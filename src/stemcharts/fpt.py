@@ -531,15 +531,15 @@ def reassemble(dec: Decomposition) -> FptModule:
 # ---------------------------------------------------------------------------
 # torsion powers and u-sequences
 
-def check_torsion_powers(M: FptModule, p: Optional[int] = None
+def check_torsion_powers(M: FptModule, dec: Optional[Decomposition] = None
                          ) -> tuple[bool, Optional[dict]]:
     """Every t-torsion element divisible by t^{p^n} is divisible by
     t^{p^{n+1}-1}; equivalently all decomposition exponents are p-powers.
 
     Both characterizations are computed and compared; a witness element is
-    returned on failure.
+    returned on failure.  `dec` is M's decomposition, computed when absent.
     """
-    p = p or M.p
+    p = M.p
     d = M.dim
     element_ok, witness = True, None
     ker_t = _kernel_basis(M.T(), d, M.p)
@@ -556,7 +556,9 @@ def check_torsion_powers(M: FptModule, p: Optional[int] = None
                 element_ok, witness = False, {"n": n, "vector": v}
                 break
         n += 1
-    profile_ok = all(_is_p_power(i, p) for i, _ in decompose(M).free_parts)
+    if dec is None:
+        dec = decompose(M)
+    profile_ok = all(_is_p_power(i, p) for i, _ in dec.free_parts)
     if element_ok != profile_ok:
         raise FptError(
             "element-level scan and decomposition profile disagree "

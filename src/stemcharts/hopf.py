@@ -583,8 +583,7 @@ def build_universal(bound: int) -> HopfAlgebroid:
     return out
 
 
-def build_algebroid(kind: str, bound: int, p: int | None = None,
-                    verify: bool = True) -> HopfAlgebroid:
+def build_algebroid(kind: str, bound: int, p: int | None = None) -> HopfAlgebroid:
     """Build the universal or p-typical Hopf algebroid, verified symbolically."""
     if bound < 1:
         raise ValueError("bound must be >= 1")
@@ -596,8 +595,7 @@ def build_algebroid(kind: str, bound: int, p: int | None = None,
         alg = build_p_typical(p, bound)
     else:
         raise ValueError(f"unknown algebroid kind {kind!r}")
-    if verify:
-        alg.verify()
+    alg.verify()
     return alg
 
 

@@ -1,76 +1,42 @@
 """Acceptance suite: one test per criterion, one pass/fail line each.
 
-Run with `pytest tests/test_acceptance.py -s` to see the lines as they
-pass.  All tolerances are exact; the timed criteria assert their stated
-wall-clock budgets.
+Criteria 1, 3, 4, 6, 7 and 8 run the checks of `stemcharts.checks` at
+`FULL` scale, the same functions `stemcharts check` runs at desk scale; a
+failing criterion names the failing check lines.  Run with
+`pytest tests/test_acceptance.py -s` to see the lines as they pass.  All
+tolerances are exact; the timed criteria assert their stated wall-clock
+budgets.
 """
 
-import json
-import random
 import time
 
-import pytest
-
 from stemcharts.catalog import default_catalog
-from stemcharts.charts import (charts_same_groups, chart_combine, chow_degree,
-                               chow_weight, complete_desc, cyclic, fd_weight,
-                               free_group, truncate_chart, weight_eval,
-                               BigradedChart)
-from stemcharts.cobar import CobarComplex
-from stemcharts.extcharts import ext_chart, stable_stems_reference
-from stemcharts.fields import (element_order, finite_field,
-                               finite_field_square_model,
-                               quadratically_closed_square_model,
-                               real_closed_square_model, steinberg_k1,
-                               steinberg_k2, witt_group_table)
-from stemcharts.fpt import (check_torsion_powers, check_u_sequence, decompose,
-                            jordan_module, jordan_type, partitions,
-                            random_nilpotent, satisfies_pn)
+from stemcharts.charts import (charts_same_groups, chart_combine, chow_weight,
+                               truncate_chart)
+from stemcharts.checks import (FULL, check_charts, check_ext, check_fpt,
+                               check_hopf, check_milnor, check_stems,
+                               classical_stem_mismatches, diagonal_pairs)
+from stemcharts.extcharts import ext_chart
+from stemcharts.fields import algebraically_closed
 from stemcharts.hopf import build_algebroid
-from stemcharts.stems import (Box, anss_e1, mgl_homotopy, morel_zero_line,
-                              synthetic_stems, tensor_formula)
+from stemcharts.stems import Box, anss_e1, mgl_homotopy, synthetic_stems, tensor_formula
 
 
 def report(n: int, text: str):
     print(f"[PASS] criterion {n}: {text}")
 
 
-def _ext_stem_table(ec):
-    out = {}
-    for (s, t), g in ec.chart.entries.items():
-        out[(t - s, s)] = g
-    return out
+def assert_lines_pass(check):
+    """Run a shared check at full scale; fail naming every failing line."""
+    failed = [line for line, ok in check(FULL) if not ok]
+    assert not failed, f"failing lines: {failed}"
 
 
 def test_criterion_1_anss_p3():
     t0 = time.time()
-    alg = build_algebroid("p_typical", 9, p=3)
-    ec = ext_chart(alg, 3, 10, s_max=6, t_max=18)
-    entries = {k: g for k, g in _ext_stem_table(ec).items()
-               if k[0] <= 12 and k[1] <= 6}
-    expected_orders = {(0, 0): "free", (3, 1): 3, (7, 1): 3,
-                       (11, 1): 9, (10, 2): 3}
-    assert set(entries) == set(expected_orders), entries
-    for key, want in expected_orders.items():
-        g = entries[key]
-        if want == "free":
-            assert g.free_rank == 1 and not g.torsion
-        else:
-            assert g.free_rank == 0 and g.order() == want, (key, g)
-    # cross-check (a): unnormalized cobar brute-force slices
-    ec_un = ext_chart(alg, 3, 10, s_max=6, t_max=18, normalized=False)
-    assert charts_same_groups(ec.chart, ec_un.chart)
-    # cross-check (b): 3-primary classical stable stems per stem column
-    ref = stable_stems_reference(3)
-    for stem in range(1, 13):
-        total = 1
-        for (n, s), g in entries.items():
-            if n == stem:
-                total *= g.order()
-        want = 1
-        for q in ref.get(stem, ()):
-            want *= q
-        assert total == want, (stem, total, want)
+    # the E2 chart against the known table and the unnormalized cobar
+    # complex, then the classical stems per stem column
+    assert_lines_pass(check_ext)
     elapsed = time.time() - t0
     assert elapsed <= 300, f"criterion 1 exceeded budget: {elapsed:.1f}s"
     report(1, f"ANSS E2 at p=3 (stems <= 12, s <= 6) exact in {elapsed:.1f}s")
@@ -80,8 +46,8 @@ def test_criterion_2_anss_p5():
     t0 = time.time()
     alg = build_algebroid("p_typical", 11, p=5)
     ec = ext_chart(alg, 5, 10, s_max=6, t_max=22)
-    entries = {k: g for k, g in _ext_stem_table(ec).items()
-               if k[0] <= 16 and k[1] <= 6}
+    entries = {(t - s, s): g for (s, t), g in ec.chart.entries.items()
+               if t - s <= 16 and s <= 6}
     expected = {(0, 0): "free", (7, 1): 5, (15, 1): 5}
     assert set(entries) == set(expected)
     assert entries[(7, 1)].order() == 5
@@ -89,16 +55,8 @@ def test_criterion_2_anss_p5():
     assert entries[(0, 0)].free_rank == 1
     ec_un = ext_chart(alg, 5, 10, s_max=6, t_max=22, normalized=False)
     assert charts_same_groups(ec.chart, ec_un.chart)
-    ref = stable_stems_reference(5)
-    for stem in range(1, 17):
-        total = 1
-        for (n, s), g in entries.items():
-            if n == stem:
-                total *= g.order()
-        want = 1
-        for q in ref.get(stem, ()):
-            want *= q
-        assert total == want, (stem, total, want)
+    mismatches = classical_stem_mismatches(ec, 16)
+    assert not mismatches, mismatches
     elapsed = time.time() - t0
     assert elapsed <= 300, f"criterion 2 exceeded budget: {elapsed:.1f}s"
     report(2, f"ANSS E2 at p=5 (stems <= 16) exact in {elapsed:.1f}s")
@@ -106,50 +64,27 @@ def test_criterion_2_anss_p5():
 
 def test_criterion_3_hopf_axioms_bound_10():
     t0 = time.time()
-    checked = 0
-    for kind, p in (("universal", None), ("p_typical", 2),
-                    ("p_typical", 3), ("p_typical", 5)):
-        alg = build_algebroid(kind, 10, p=p)  # verify() runs on construction
-        cx = CobarComplex(alg)
-        for d in range(0, 6):
-            for s in range(0, 3):
-                cx.check_d_squared(s, d)
-                checked += len(cx.basis(s, d))
+    assert_lines_pass(check_hopf)  # verify() runs on construction
     elapsed = time.time() - t0
-    report(3, f"Hopf axioms at bound 10 (universal, p=2,3,5) and d^2=0 on "
-              f"{checked} basis elements in {elapsed:.1f}s")
+    report(3, f"Hopf axioms at bound 10 (universal, p=2,3,5) and d^2=0 for "
+              f"s <= 2, degree <= 5 in {elapsed:.1f}s")
 
 
 def test_criterion_4_tensor_formula():
+    assert_lines_pass(check_stems)
     cat = default_catalog()
-    syn3 = synthetic_stems(3, 12)
-    for name in ("complex", "algclosed_char0", "algclosed_char7"):
-        t = tensor_formula(cat[name], 3, 12)
-        assert charts_same_groups(t, syn3.chart), name
     syn2 = synthetic_stems(2, 7, source="table")
     t2 = tensor_formula(cat["complex"], 2, 7)
     assert charts_same_groups(t2, syn2.chart)
     # custom two-generator basis {0, -1}: two-fold shifted sum
     k2 = cat["twogen"]
-    for p, syn in ((2, syn2), (3, syn3)):
+    for p, syn in ((2, syn2), (3, synthetic_stems(3, 12))):
         got = tensor_formula(k2, p, syn.degeneration_max)
         expected = chart_combine(
             syn.chart, chart_combine(syn.chart, None, "shift", shift=(-1, -1)),
             "direct_sum")
         assert charts_same_groups(got, expected), p
-    # diagonal agreement with the completed Morel zero line, |n| <= 5
-    tested = 0
-    for p in (2, 3):
-        for name, k in sorted(cat.items()):
-            if not k.tate_orientable(p):
-                continue
-            stem_max = 7 if p == 2 else 12
-            t = tensor_formula(k, p, stem_max)
-            mz = morel_zero_line(k, -5, 5)
-            for n in range(-5, 6):
-                assert t.group(n, n).same_group(complete_desc(mz.group(n, n), p)), \
-                    (p, name, n)
-            tested += 1
+    tested = len(diagonal_pairs(FULL))
     assert tested >= 6
     report(4, f"tensor formula identity/shift cases and diagonal agreement "
               f"({tested} field/prime pairs)")
@@ -171,90 +106,32 @@ def test_criterion_5_pi0_rows():
 
 def test_criterion_6_fpt_suite():
     t0 = time.time()
-    for p in (2, 3):
-        for d in range(0, 5):
-            for part in partitions(d):
-                M = jordan_module(p, part)
-                assert decompose(M).profile() == jordan_type(M)
-                # Lemma (1) biconditional on F_p[t]/t^{n+1}-modules
-                for n in range(0, 5):
-                    if part and all(s <= n + 1 for s in part):
-                        ok, _ = satisfies_pn(M, n)
-                        assert ok == all(s == n + 1 for s in part)
-    rng = random.Random(20260809)
-    for _ in range(500):
-        p = rng.choice([2, 3])
-        M = random_nilpotent(p, rng.randrange(0, 13), rng)
-        useq = all(check_u_sequence(M, p, n)
-                   for n in range(0, 12) if p ** n <= max(M.dim, 1))
-        tp, _ = check_torsion_powers(M)
-        if useq:
-            assert tp, jordan_type(M)
+    assert_lines_pass(check_fpt)
     elapsed = time.time() - t0
     assert elapsed <= 120, f"criterion 6 exceeded budget: {elapsed:.1f}s"
-    report(6, f"F_p[[t]] suite: exhaustive dim<=4 + 500 random modules "
+    _, count, _ = FULL.random_modules
+    report(6, f"F_p[[t]] suite: exhaustive dim<=4 + {count} random modules "
               f"in {elapsed:.1f}s")
 
 
 def test_criterion_7_milnor_oracles():
     t0 = time.time()
-    pps = [q for q in range(2, 50) if _pp(q)]
-    for q in pps:
-        assert steinberg_k2(q) == 1, q
-        assert steinberg_k1(q) == q - 1
-    for q in (3, 5, 7, 9, 11, 13, 25, 27, 49):
-        reps, add = witt_group_table(finite_field_square_model(q))
-        assert len(reps) == 4
-        assert element_order(("1",), add, reps) == (2 if q % 4 == 1 else 4)
-        binaries = [r for r in reps if len(r) == 2]
-        assert len(binaries) == 1 and add[(binaries[0], binaries[0])] == ()
-    reps, add = witt_group_table(real_closed_square_model(), max_dim=5)
-    sigs = sorted((1 if r and r[0] == "+" else -1) * len(r) for r in reps)
-    assert sigs == list(range(-5, 6))
-    reps, add = witt_group_table(quadratically_closed_square_model())
-    assert len(reps) == 2 and add[(("1",), ("1",))] == ()
+    assert_lines_pass(check_milnor)
     elapsed = time.time() - t0
     assert elapsed <= 60, f"criterion 7 exceeded budget: {elapsed:.1f}s"
-    report(7, f"Steinberg K_2(F_q)=0 and K_1=Z/(q-1) for q <= 49, Witt "
-              f"enumerations in {elapsed:.1f}s")
-
-
-def _pp(q):
-    p = 2
-    while p * p <= q:
-        if q % p == 0:
-            while q % p == 0:
-                q //= p
-            return q == 1
-        p += 1
-    return q > 1
+    report(7, f"Steinberg K_2(F_q)=0 and K_1=Z/(q-1) for q < {FULL.q_below}, "
+              f"Witt enumerations in {elapsed:.1f}s")
 
 
 def test_criterion_8_chow_weight_suite():
-    for d in range(1, 11):
-        f = fd_weight(d)
-        assert weight_eval(f, 0) == 0
-        for a in range(-50, 51):
-            fa = weight_eval(f, a)
-            for b in range(-50, 51):
-                assert fa + weight_eval(f, b) >= weight_eval(f, a + b)
-    chart = BigradedChart({(i, j): cyclic(3)
-                           for i in range(-4, 5) for j in range(-3, 4)})
-    for thr in (-2, 0, 3):
-        ge = truncate_chart(chart, chow_weight(), thr, "ge")
-        assert truncate_chart(ge, chow_weight(), thr, "ge") == ge
-        lt = truncate_chart(chart, chow_weight(), thr, "lt")
-        assert chart_combine(ge, lt, "direct_sum") == chart
-    for i in range(-30, 31):
-        for j in range(-30, 31):
-            assert chow_degree(i + 2, j + 1) == chow_degree(i, j)
-    from stemcharts.fields import algebraically_closed
+    assert_lines_pass(check_charts)
     mgl = mgl_homotopy(algebraically_closed(0), 3, Box(-6, 10, -5, 5))
     assert truncate_chart(mgl, chow_weight(), 0, "ge") == mgl
     e1 = anss_e1(algebraically_closed(0), 3, 1, Box(-6, 8, -4, 4))
     assert truncate_chart(e1, chow_weight(), 0, "ge") == e1
-    report(8, "f_d superadditivity (d<=10, window 50), truncation algebra, "
-              "Chow invariance, MGL non-negativity")
+    report(8, f"f_d superadditivity (d<={FULL.fd_max}, window "
+              f"{FULL.fd_window}), truncation algebra, Chow invariance, "
+              "MGL non-negativity")
 
 
 def test_criterion_9_cli_determinism(tmp_path):

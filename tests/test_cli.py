@@ -86,6 +86,30 @@ def test_decompose_command(tmp_path, capsys):
     assert report["torsion_power_condition"] is False
 
 
+def test_decompose_decomposes_once(monkeypatch, capsys):
+    import stemcharts.cli
+    import stemcharts.fpt
+    calls = []
+    original = stemcharts.fpt.decompose
+
+    def counted(M):
+        calls.append(M)
+        return original(M)
+    monkeypatch.setattr(stemcharts.fpt, "decompose", counted)
+    monkeypatch.setattr(stemcharts.cli, "decompose", counted)
+    path = os.path.join(os.path.dirname(__file__), "golden", "module_p3_j9_3.json")
+    code, _ = run(capsys, "decompose", "--module-file", path)
+    assert code == 0 and len(calls) == 1
+
+
+def test_check_failure_is_reported(monkeypatch, capsys):
+    monkeypatch.setattr("stemcharts.fields.steinberg_k2", lambda q: 2)
+    code, out = run(capsys, "check", "--suite", "milnor")
+    assert code == 1
+    assert "[FAIL] Steinberg: K2(F_q)=0 for q in [2, 3, 4, 5" in out
+    assert "[PASS] Witt enumeration over F_3" in out
+
+
 def test_decompose_ind_system(tmp_path, capsys):
     data = {
         "modules": [{"p": 2, "dim": 1, "t": [0]},

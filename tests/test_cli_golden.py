@@ -29,6 +29,7 @@ CASES = [
     (_module("module_p5_j5_4_2_1.json"), "cli_decompose_p5_j5_4_2_1.json"),
     (_module("ind_p3_pruefer.json"), "cli_decompose_ind_p3_pruefer.json"),
     (["check", "--suite", "fpt"], "cli_check_fpt.txt"),
+    (["check", "--suite", "all"], "cli_check_all.txt"),
     (["stems", "--field", "complex", "--prime", "3", "--stem-max", "12",
       "--format", "svg"], "cli_stems_complex_p3_s12.svg"),
     (["synthetic", "--prime", "5", "--stem-max", "37", "--format", "json"],

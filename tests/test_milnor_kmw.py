@@ -1,6 +1,7 @@
 import pytest
 
-from stemcharts.charts import AbGroupDesc, INF, complete_desc, cyclic, free_group
+from stemcharts.charts import (AbGroupDesc, INF, _is_prime_power, complete_desc,
+                               cyclic, free_group)
 from stemcharts.fields import (FieldDescriptor, FieldError, SmallFiniteField,
                                algebraically_closed, complex_like,
                                element_order, finite_field,
@@ -13,8 +14,7 @@ from stemcharts.catalog import default_catalog, get_field
 from stemcharts.kmw import (NotFreeError, complete_kmw, fiber_product_order_check,
                             free_basis, milnor_witt, rebuild_from_basis)
 
-PRIME_POWERS = [q for q in range(2, 50)
-                if __import__("stemcharts.checks", fromlist=["x"])._is_prime_power(q)]
+PRIME_POWERS = [q for q in range(2, 50) if _is_prime_power(q)]
 
 
 def test_finite_field_arithmetic():

@@ -5,36 +5,28 @@ the left (which in left-normal form lands as eta_R of the coefficient),
 coproduct on each factor, and insert a unit on the right.  The total
 differential is the alternating sum.  The normalized (reduced) subcomplex
 drops every tuple containing an empty slot; it computes the same
-cohomology and is the default.  d o d = 0 is checked exactly, over Q, on
-every basis element produced (`check_composite_zero`).
+cohomology and is the default.  Differentials are built directly as sparse
+rows, never dense, and d o d = 0 is checked exactly, over Q, on every
+basis element produced (`check_composite_zero`).
 """
 
 from __future__ import annotations
 
-from fractions import Fraction
-
-from .poly import Monomial, ONE, mon_mul
+from .fgl import EngineError
+from .poly import Monomial, ONE
 from .hopf import HopfAlgebroid, Tensor, TensorKey
-
-
-class EngineError(Exception):
-    """An internal invariant of the engine is broken (CLI exit code 4)."""
 
 
 class CobarError(EngineError):
     """The cobar complex is not a complex on the computed basis."""
 
 
-def sparse_rows(mat) -> list[dict[int, object]]:
-    """The nonzero entries of each row of a dense matrix, by column."""
-    return [{j: v for j, v in enumerate(row) if v} for row in mat]
-
-
 def check_composite_zero(first, second, s: int, degree: int) -> None:
     """Raise CobarError unless d^{s+1} o d^s = 0 exactly.
 
-    first, second: `sparse_rows` of the matrices of d^s (rows C^{s+1},
-    columns C^s) and d^{s+1}; the error names the first failing column.
+    first, second: the sparse rows of d^s (rows C^{s+1}, columns C^s) and
+    of d^{s+1}, as `differential_matrix` returns them; the error names the
+    first failing column.
     """
     bad = []  # columns of the product with a nonzero entry
     for row in second:
@@ -103,53 +95,43 @@ class CobarComplex:
         s = len(tmons)
         out: Tensor = {}
 
-        def add(k: TensorKey, c):
-            cur = out.get(k, 0) + c
-            if cur:
-                out[k] = cur
-            else:
-                out.pop(k, None)
+        def add(terms, sign: int):
+            for k, c in terms:
+                if self.normalized and ONE in k[1]:
+                    continue  # a degenerate tuple, outside the normalized complex
+                c = out.get(k, 0) + sign * c
+                if c:
+                    out[k] = c
+                else:
+                    out.pop(k, None)
 
         # d^0: eta_R of the coefficient lands in a new left slot
-        for (cm, (sigma,)), c in alg.eta_r(amon).items():
-            if self.normalized and sigma == ONE:
-                continue
-            add((cm, (sigma,) + tmons), c)
+        add((((cm, (sigma,) + tmons), c) for (cm, (sigma,)), c in alg.eta_r(amon).items()), 1)
         # d^i: coproduct on slot i, coefficient migrated left
-        elem: Tensor = {(amon, tmons): 1}
         for i in range(1, s + 1):
-            sign = -1 if i % 2 else 1
-            expanded = alg.apply_delta_slot(elem, i)
-            for (em, fin), c in expanded.items():
-                if self.normalized and any(t == ONE for t in fin):
-                    continue
-                add((em, fin), sign * c)
-        # d^{s+1}: unit in a new right slot (degenerate when normalized)
-        if not self.normalized:
-            sign = -1 if (s + 1) % 2 else 1
-            add((amon, tmons + (ONE,)), sign)
+            add(alg.apply_delta_slot({key: 1}, i).items(), (-1) ** i)
+        # d^{s+1}: unit in a new right slot
+        add([((amon, tmons + (ONE,)), 1)], (-1) ** (s + 1))
         return out
 
-    def differential_matrix(self, s: int, degree: int) -> list[list[object]]:
-        """Matrix of d: C^s -> C^{s+1} in algebraic degree `degree`.
+    def differential_matrix(self, s: int, degree: int) -> list[dict[int, object]]:
+        """Matrix of d: C^s -> C^{s+1} in algebraic degree `degree`, sparse.
 
-        Rows indexed by basis(s+1, degree), columns by basis(s, degree);
-        exact rational entries.
+        One row {column: entry} per element of basis(s+1, degree), holding
+        its nonzero exact rational entries; columns index basis(s, degree)
+        and appear in increasing order.
         """
-        src = self.basis(s, degree)
-        tgt = self.basis(s + 1, degree)
-        index = {k: i for i, k in enumerate(tgt)}
-        mat = [[0] * len(src) for _ in range(len(tgt))]
-        for j, key in enumerate(src):
-            img = self.differential_element(key)
-            for k, c in img.items():
-                if k not in index:
+        index = {k: i for i, k in enumerate(self.basis(s + 1, degree))}
+        rows: list[dict[int, object]] = [{} for _ in index]
+        for j, key in enumerate(self.basis(s, degree)):
+            for k, c in self.differential_element(key).items():
+                i = index.get(k)
+                if i is None:
                     raise CobarError(f"differential leaves the basis at {k}")
-                mat[index[k]][j] = c
-        return mat
+                rows[i][j] = c
+        return rows
 
     def check_d_squared(self, s: int, degree: int) -> None:
         """Verify d o d = 0 exactly on every basis element of C^s."""
-        check_composite_zero(sparse_rows(self.differential_matrix(s, degree)),
-                             sparse_rows(self.differential_matrix(s + 1, degree)),
-                             s, degree)
+        check_composite_zero(self.differential_matrix(s, degree),
+                             self.differential_matrix(s + 1, degree), s, degree)

@@ -8,10 +8,14 @@ saturated.  Hence
 
 where n_s = rank C^s, r_s = rank d^s, and p^a runs over the non-unit
 elementary divisors of d^{s-1} (Ravenel, Complex Cobordism and Stable
-Homotopy Groups of Spheres, ch. 4 and 7).  Each differential is built once,
-checked against d o d = 0 exactly over Q, reduced once mod p^(2K), and
-eliminated once (`zpk.elementary_divisors`); its valuations give r_s and
-the torsion of H^(s+1).
+Homotopy Groups of Spheres, ch. 4 and 7).  Each differential is built once
+as sparse rows, checked against d o d = 0 exactly over Q, reduced once mod
+p^(2K), and its elementary divisors (`zpk.elementary_divisors`) give r_s
+and the torsion of H^(s+1).  As d^s o d^{s-1} = 0, rank_{F_p}(d^s) <= r_s
+<= n_s - r_{s-1}: when the F_p rank meets that bound, every divisor is a
+unit and the elimination over Z/p^(2K) is skipped.  The cobar complex of
+BP_*BP (x) Q is acyclic in positive degree, so a free summand off (0,0),
+e.g. from a divisor of valuation >= 2K read as zero, is an EngineError.
 
 Precision contract: orders are certified below p^K.  A valuation a of d^s
 in [K, 2K) is torsion that p^(2K) sees but p^K cannot certify, and raises
@@ -26,7 +30,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .charts import AbGroupDesc, BigradedChart
-from .cobar import CobarComplex, EngineError, check_composite_zero, sparse_rows
+from .cobar import CobarComplex, EngineError, check_composite_zero
 from .hopf import HopfAlgebroid
 from .zpk import elementary_divisors
 
@@ -79,12 +83,21 @@ def _reduce_rows(rows, p: int, m: int) -> list[dict[int, int]]:
     return out
 
 
+def _divisor_exponents(rows, p: int, m: int, rank_bound: int) -> list[int]:
+    """Elementary divisor exponents over Z/p^m of rows whose rank over
+    Z_(p) is at most rank_bound: all units when the F_p rank meets it."""
+    rank = len(elementary_divisors(rows, p, 1))
+    if rank == rank_bound:
+        return [0] * rank
+    return elementary_divisors(rows, p, m)
+
+
 def ext_chart(algebroid: HopfAlgebroid, p: int, K: int, s_max: int, t_max: int,
               normalized: bool = True) -> ExtChart:
     """Cohomology of the cobar complex as an Ext chart with precision K.
 
     t_max is the maximal internal (doubled) degree; requires
-    t_max <= 2 * algebroid.degree_bound and K >= 2.
+    t_max <= 2 * algebroid.bound and K >= 2.
     """
     if K < 2:
         raise ValueError("precision K must be >= 2")
@@ -98,18 +111,18 @@ def ext_chart(algebroid: HopfAlgebroid, p: int, K: int, s_max: int, t_max: int,
     for d in range(0, t_max // 2 + 1):
         t = 2 * d
         # d^s : C^s -> C^{s+1} for s = 0..s_max, each built once
-        mats = [sparse_rows(cx.differential_matrix(s, d)) for s in range(s_max + 1)]
+        mats = [cx.differential_matrix(s, d) for s in range(s_max + 1)]
         for s in range(s_max):
             check_composite_zero(mats[s], mats[s + 1], s, d)
-        reduced = [_reduce_rows(rows, p, m2) for rows in mats]
         prev: list[int] = []  # valuations of d^{s-1}
         for s in range(s_max + 1):
-            vals = elementary_divisors(reduced[s], p, m2)
+            n = len(cx.basis(s, d))
+            vals = _divisor_exponents(_reduce_rows(mats[s], p, m2), p, m2, n - len(prev))
             bad = [a for a in vals if a >= K]
             if bad:
                 raise PrecisionExhausted(
                     f"torsion of order p^{bad[0]} >= p^{K} at (s,t)=({s},{t})")
-            free = len(cx.basis(s, d)) - len(vals) - len(prev)
+            free = n - len(vals) - len(prev)
             torsion = tuple(p ** a for a in prev if a > 0)
             if free or torsion:
                 entries[(s, t)] = AbGroupDesc(
@@ -126,10 +139,13 @@ def ext_chart(algebroid: HopfAlgebroid, p: int, K: int, s_max: int, t_max: int,
 def _check_ext_invariants(ec: ExtChart):
     g00 = ec.group(0, 0)
     if g00.free_rank != 1 or g00.torsion:
-        raise AssertionError("Ext^{0,0} is not free of rank 1")
-    for (s, t) in ec.chart.entries:
+        raise EngineError("Ext^{0,0} is not free of rank 1")
+    for (s, t), g in ec.chart.entries.items():
         if t < s:
-            raise AssertionError(f"entry below the connectivity line: {(s, t)}")
+            raise EngineError(f"entry below the connectivity line: {(s, t)}")
+        if g.free_rank and (s, t) != (0, 0):
+            raise EngineError(f"free rank {g.free_rank} at (s,t)=({s},{t}) "
+                              "contradicts rational acyclicity")
 
 
 def stable_stems_reference(p: int) -> dict[int, tuple[int, ...]]:

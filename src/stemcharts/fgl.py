@@ -17,12 +17,17 @@ degree's x-monomial matrix once and then costs one mat-vec per call.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd, lcm
 
-from .poly import Poly, PolyRing, Monomial, ONE, mon_deg, format_poly, format_monomial
-from .series import Series, compose_univariate, reversion, derivative, integrate, multiplicative_inverse
+from .poly import Poly, PolyRing, Monomial, mon_deg, format_poly
+from .series import Series, compose_univariate, reversion, integrate, multiplicative_inverse
+
+
+class EngineError(Exception):
+    """An internal invariant of the engine is broken (CLI exit code 4)."""
+
 
 # coefficient base tags
 ZZ = "ZZ"
@@ -436,7 +441,7 @@ def _lattice_quotient_generator(hnf: list[list[int]],
     free_idx = [i for i in range(k) if i >= len(diag) or diag[i] == 0]
     nontrivial = [d for d in diag if d not in (0, 1)]
     if len(free_idx) != 1 or nontrivial:
-        raise ValueError(f"Lazard quotient defect: diag={diag}, free={len(free_idx)}")
+        raise EngineError(f"Lazard quotient defect: diag={diag}, free={len(free_idx)}")
     # generator = row j of V^{-1} mapped through the basis
     coords = v_inv_rows[free_idx[0]]
     return [sum(c * b[t] for c, b in zip(coords, hnf)) for t in range(len(hnf[0]))]

@@ -23,9 +23,9 @@ from __future__ import annotations
 from fractions import Fraction
 
 from .poly import Poly, PolyRing, Monomial, ONE, mon_mul, mon_deg
-from .series import Series, compose_univariate, reversion
+from .series import Series, reversion
 from .fgl import (GradedRingPresentation, UniversalFGL, hazewinkel_lambdas,
-                  p_typical_presentation, zz_local, ZZ)
+                  p_typical_presentation, zz_local)
 
 TensorKey = tuple[Monomial, tuple[Monomial, ...]]
 Tensor = dict[TensorKey, object]
@@ -58,10 +58,6 @@ class HopfAlgebroid:
         self._antipode_cache: dict[Monomial, Tensor] = {ONE: {(ONE, (ONE,)): 1}}
 
     # -- presentation-level views -------------------------------------------
-
-    @property
-    def degree_bound(self) -> int:
-        return self.bound
 
     def gamma_presentation(self) -> GradedRingPresentation:
         return GradedRingPresentation(
@@ -229,15 +225,11 @@ class HopfAlgebroid:
         return out
 
     def apply_delta_slot(self, elem: Tensor, slot: int) -> Tensor:
-        """Replace slot `slot` (1-based) by its coproduct; slots increase by 1."""
+        """Replace slot `slot` (1-based) by its coproduct; slots increase by 1.
+        Delta and eta_R are homogeneous (`verify`), so nothing is truncated."""
         out: Tensor = {}
-        bound = self.bound
         for (am, tmons), c in elem.items():
-            base_deg = self.adeg(am) + sum(self.tdeg(t) for t in tmons)
             for (cm, (u, w)), c2 in self.delta(tmons[slot - 1]).items():
-                if base_deg - self.tdeg(tmons[slot - 1]) + self.adeg(cm) \
-                        + self.tdeg(u) + self.tdeg(w) > bound:
-                    continue
                 new_t = tmons[:slot - 1] + (u, w) + tmons[slot:]
                 moved = self.migrate(cm, slot, new_t)
                 for (em, fin), c3 in moved.items():
@@ -268,6 +260,14 @@ class HopfAlgebroid:
     def verify(self):
         """Symbolic verification of all Hopf-algebroid identities on generators."""
         aring = self.aring
+        # Delta and eta_R are homogeneous: each term has its generator's degree
+        for what, images, names, degrees in (
+                ("Delta", self.coproduct_gen, self.gamma_names, self.gamma_degrees),
+                ("eta_R", self.eta_r_gen, aring.names, aring.degrees)):
+            for g, elem in images.items():
+                for am, tmons in elem:
+                    if self.adeg(am) + sum(self.tdeg(t) for t in tmons) != degrees[g]:
+                        raise HopfAxiomError(f"{what} is not homogeneous at {names[g]}")
         # counit inverts both units on A-generators
         for i in range(len(aring.names)):
             if aring.degrees[i] > self.bound:

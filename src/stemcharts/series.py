@@ -146,15 +146,6 @@ def reversion(f: Series) -> Series:
     return g
 
 
-def derivative(f: Series) -> Series:
-    """d/dx of a univariate series."""
-    out = {}
-    for (n,), c in f.terms.items():
-        if n >= 1:
-            out[(n - 1,)] = c.scale(n)
-    return Series(f.ring, 1, f.order, out)
-
-
 def integrate(f: Series) -> Series:
     """Formal integral with zero constant term; divides by exponents."""
     from fractions import Fraction

@@ -5,7 +5,9 @@ homotopy of completed algebraic cobordism from completed Milnor K-theory
 with a Bott element and Lazard generators, the Adams-Novikov E_1 levels,
 synthetic stable stems (computed from Ext in the degeneration range, or
 loaded from a table file), and the tensor-product formula for
-Tate-orientable fields.
+Tate-orientable fields.  At p = 2 the synthetic stems come from a table
+of the Adams-Novikov E_2 page, so they and the tensor-formula charts built
+on them are the E_2 (mod tau) layer, not pi_**.
 
 Chart conventions: an Ext class in (s, t) sits at stem n = t - s and
 weight w = t / 2.  The zeroth Milnor-Witt stem is the diagonal {(k, k)};
@@ -16,14 +18,12 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass, field as dc_field
-from typing import Optional
 
-from .charts import (AbGroupDesc, BigradedChart, INF, chart_combine,
-                     complete_desc, cyclic, free_group)
-from .fields import FieldDescriptor, FieldError, milnor_k
-from .kmw import KMWChart, complete_kmw, free_basis, milnor_witt
+from .charts import AbGroupDesc, BigradedChart, complete_desc, cyclic, free_group
+from .fields import FieldDescriptor, milnor_k
+from .kmw import complete_kmw, free_basis, milnor_witt
 from .hopf import build_algebroid
-from .extcharts import ExtChart, ext_chart
+from .extcharts import ext_chart
 
 
 class PreconditionError(Exception):
@@ -304,9 +304,13 @@ def _check_synthetic_invariants(syn: SyntheticChart):
 def tensor_formula(k: FieldDescriptor, p: int, stem_max: int,
                    source: str = "auto", table=None,
                    precision: int = 10) -> BigradedChart:
-    """pi_** of the (p, eta)-completed sphere of a Tate-orientable field:
+    """Stems of the (p, eta)-completed sphere of a Tate-orientable field:
     the synthetic chart summed over shifts from the free basis of completed
-    Milnor-Witt K-theory, then completed degreewise."""
+    Milnor-Witt K-theory, then completed degreewise.
+
+    At p = 2 the synthetic chart is an E_2 table, whose classes at (5,3),
+    (6,4) and (7,5) support d_3(alpha_3) = alpha_1^4 and its
+    alpha_1-multiples: the result is the E_2 (mod tau) layer, not pi_**."""
     if not k.tate_orientable(p):
         raise PreconditionError(
             f"{k.describe()} is not Tate-orientable at {p}: "

@@ -199,7 +199,6 @@ class SmithForm:
             r += 1
         self.U, self.Uinv, self.V, self.Vinv = U, Uinv, V, Vinv
         self.pivots = diag          # valuations a_i, nondecreasing
-        self.rank_units = sum(1 for a in diag if a == 0)
 
     def kernel_generators(self) -> list[list[int]]:
         """Columns generating {x : A x = 0 mod p^m} (includes torsion gens)."""

@@ -2,13 +2,15 @@
 
 Golden files in tests/golden/ hold `json.dumps(ec.to_json(), indent=1)`
 (plus a newline) of charts computed by the kernel/subquotient engine that
-preceded the elementary-divisor one, and the grid output of
-`stemcharts ext --prime 3 --tmax 24 --format grid`; they must be
-reproduced byte for byte.  The oracles are sympy's Smith normal form over
+preceded the elementary-divisor one (ext_p3_t48.json by the elementary-
+divisor engine before the sparse builder and the F_p rank shortcut), and
+the grid output of `stemcharts ext --prime 3 --tmax 24 --format grid`;
+they must be reproduced byte for byte.  The oracles are sympy's Smith normal form over
 Z (for `zpk.elementary_divisors`) and the kernel/subquotient computation
 over Z/p^(2K) with its image at p^K (for `ext_chart`).
 """
 
+import hashlib
 import json
 import os
 import random
@@ -16,9 +18,9 @@ from fractions import Fraction
 
 import pytest
 
-from stemcharts import cli, cobar
-from stemcharts.cobar import CobarComplex, CobarError, EngineError, sparse_rows
-from stemcharts.extcharts import _reduce_rows, ext_chart
+from stemcharts import cli, cobar, extcharts
+from stemcharts.cobar import CobarComplex, CobarError, EngineError
+from stemcharts.extcharts import PrecisionExhausted, _reduce_rows, ext_chart
 from stemcharts.hopf import build_algebroid
 from stemcharts.zpk import SmithForm, elementary_divisors, subquotient_structure
 
@@ -30,6 +32,7 @@ GOLDEN = os.path.join(os.path.dirname(os.path.abspath(__file__)), "golden")
     ("ext_p2_t16.json", 2, 16, True),
     ("ext_p5_t60.json", 5, 60, True),
     ("ext_p3_t18_unnormalized.json", 3, 18, False),
+    ("ext_p3_t48.json", 3, 48, True),
 ])
 def test_golden_chart(name, p, t_max, normalized):
     alg = build_algebroid("p_typical", (t_max + 1) // 2, p=p)
@@ -116,28 +119,30 @@ def oracle_chart(alg, p, K, s_max, t_max, normalized):
     cx = CobarComplex(alg, normalized=normalized)
     m2 = 2 * K
 
-    def dense(mat, m):
-        ncols = len(mat[0]) if mat else 0
-        return [[row.get(j, 0) for j in range(ncols)] for row in _reduce_rows(sparse_rows(mat), p, m)]
-
     groups = {}
     for d in range(t_max // 2 + 1):
-        mats = {s: cx.differential_matrix(s, d) for s in range(s_max + 1)}
+
+        def dense(s, m):
+            """d^s reduced mod p^m as a dense matrix."""
+            ncols = len(cx.basis(s, d))
+            return [[row.get(j, 0) for j in range(ncols)]
+                    for row in _reduce_rows(cx.differential_matrix(s, d), p, m)]
+
         for s in range(s_max + 1):
             n = len(cx.basis(s, d))
             if not n:
                 continue
-            kergens = SmithForm(dense(mats[s], m2), p, m2, ncols=n).kernel_generators()
+            kergens = SmithForm(dense(s, m2), p, m2, ncols=n).kernel_generators()
             if not kergens:
                 continue
             kmat = [[g[i] for g in kergens] for i in range(n)]
-            B2 = dense(mats[s - 1], m2) if s else []
+            B2 = dense(s - 1, m2) if s else []
             orders2, gens2 = subquotient_structure(kmat, B2, n, p, m2)
             assert not [a for a in orders2 if K <= a < m2], (s, d)
             if not orders2:
                 continue
             gcols = [[gens2[i][j] % p ** K for j in range(len(orders2))] for i in range(n)]
-            BK = dense(mats[s - 1], K) if s else []
+            BK = dense(s - 1, K) if s else []
             ordersK, _ = subquotient_structure(gcols, BK, n, p, K)
             free = sum(1 for a in ordersK if a == K)
             torsion = tuple(sorted(p ** a for a in ordersK if 0 < a < K))
@@ -162,10 +167,10 @@ def non_integral(monkeypatch, p):
     original = CobarComplex.differential_matrix
 
     def patched(self, s, degree):
-        mat = original(self, s, degree)
-        if mat and mat[0]:
-            mat[0][0] = Fraction(1, p)
-        return mat
+        rows = original(self, s, degree)
+        if rows and self.basis(s, degree):
+            rows[0][0] = Fraction(1, p)
+        return rows
     monkeypatch.setattr(CobarComplex, "differential_matrix", patched)
 
 
@@ -192,3 +197,93 @@ def test_cli_engine_error_exit_code(monkeypatch, capsys):
     assert code == cli.EXIT_ENGINE == 4
     assert captured.out == ""
     assert "not p-integral" in captured.err
+
+
+def drop_one_divisor(monkeypatch):
+    """Make the elimination lose one divisor, as if its valuation were >= 2K."""
+    original = extcharts.elementary_divisors
+    monkeypatch.setattr("stemcharts.extcharts.elementary_divisors",
+                        lambda rows, p, m: original(rows, p, m)[:-1])
+
+
+def test_lost_divisor_breaks_rational_acyclicity(monkeypatch):
+    alg = build_algebroid("p_typical", 2, p=3)
+    drop_one_divisor(monkeypatch)
+    with pytest.raises(EngineError, match=r"free rank 1 at \(s,t\)=\(0,4\) "
+                                          "contradicts rational acyclicity"):
+        ext_chart(alg, 3, 4, 2, 4)
+
+
+def test_cli_lost_divisor_exit_code(monkeypatch, capsys):
+    drop_one_divisor(monkeypatch)
+    code = cli.main(["ext", "--prime", "3", "--tmax", "4", "--smax", "2"])
+    captured = capsys.readouterr()
+    assert code == cli.EXIT_ENGINE
+    assert captured.out == ""
+    assert "rational acyclicity" in captured.err
+
+
+# -- the F_p rank shortcut ------------------------------------------------------
+
+@pytest.mark.parametrize("p,t_max", [(2, 16), (3, 36)])
+@pytest.mark.parametrize("normalized", [True, False])
+def test_fp_shortcut_leaves_chart_unchanged(monkeypatch, p, t_max, normalized):
+    alg = build_algebroid("p_typical", (t_max + 1) // 2, p=p)
+    moduli = []
+    original = extcharts.elementary_divisors
+
+    def counted(rows, p, m):
+        moduli.append(m)
+        return original(rows, p, m)
+    monkeypatch.setattr("stemcharts.extcharts.elementary_divisors", counted)
+    fast = ext_chart(alg, p, 10, 6, t_max, normalized=normalized)
+    assert moduli.count(20) < moduli.count(1)  # the shortcut did skip eliminations
+    monkeypatch.setattr("stemcharts.extcharts._divisor_exponents",
+                        lambda rows, p, m, rank_bound: original(rows, p, m))
+    slow = ext_chart(alg, p, 10, 6, t_max, normalized=normalized)
+    assert json.dumps(fast.to_json()) == json.dumps(slow.to_json())
+
+
+# PrecisionExhausted messages, and sha256 prefixes of json.dumps(to_json())
+# for the charts that fit, recorded from the engine before the F_p shortcut;
+# the unnormalized complex gives the same outcome where it was recorded
+PRECISION_OUTCOMES = {
+    (2, 12, 2): "torsion of order p^2 >= p^2 at (s,t)=(0,4)",
+    (2, 12, 3): "torsion of order p^4 >= p^3 at (s,t)=(0,8)",
+    (2, 12, 4): "torsion of order p^4 >= p^4 at (s,t)=(0,8)",
+    (2, 12, 5): "bc69e5e3257272ab",
+    (2, 16, 2): "torsion of order p^2 >= p^2 at (s,t)=(0,4)",
+    (2, 16, 3): "torsion of order p^4 >= p^3 at (s,t)=(0,8)",
+    (2, 16, 4): "torsion of order p^4 >= p^4 at (s,t)=(0,8)",
+    (2, 16, 5): "torsion of order p^5 >= p^5 at (s,t)=(0,16)",
+    (3, 18, 2): "torsion of order p^2 >= p^2 at (s,t)=(0,12)",
+    (3, 18, 3): "8bf9b189463626ca",
+    (3, 18, 4): "79c03c90623f6321",
+    (3, 18, 5): "aa91b57b5f46e3d8",
+    (3, 36, 2): "torsion of order p^2 >= p^2 at (s,t)=(0,12)",
+    (3, 36, 3): "torsion of order p^3 >= p^3 at (s,t)=(0,36)",
+    (3, 36, 4): "301f6ae59644bbc4",
+    (3, 36, 5): "0cf6f8bcb0cdd97d",
+    (5, 30, 2): "b4599c30572c3687",
+    (5, 30, 3): "2178f7b6702e6297",
+    (5, 60, 2): "torsion of order p^2 >= p^2 at (s,t)=(0,40)",
+    (5, 60, 3): "5af11ccf9805fbe3",
+    (5, 60, 4): "4091bcee3785386a",
+    (5, 60, 5): "097ca5f9a28c37be",
+}
+UNNORMALIZED_RECORDED = {(2, 12), (3, 18), (5, 30)}
+
+
+@pytest.mark.parametrize("p,t_max,K,normalized", [
+    (p, t_max, K, normalized) for (p, t_max, K) in sorted(PRECISION_OUTCOMES)
+    for normalized in (True, False)
+    if normalized or (p, t_max) in UNNORMALIZED_RECORDED])
+def test_precision_outcomes_unchanged(p, t_max, K, normalized):
+    alg = build_algebroid("p_typical", (t_max + 1) // 2, p=p)
+    try:
+        ec = ext_chart(alg, p, K, 6, t_max, normalized=normalized)
+    except PrecisionExhausted as exc:
+        got = str(exc)
+    else:
+        got = hashlib.sha256(json.dumps(ec.to_json()).encode()).hexdigest()[:16]
+    assert got == PRECISION_OUTCOMES[(p, t_max, K)]

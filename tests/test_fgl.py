@@ -3,8 +3,9 @@ from fractions import Fraction
 
 import pytest
 
-from stemcharts.fgl import (FGLAxiomError, _echelon_coordinates, _integer_hnf,
-                            _integer_smith, _lattice_quotient_generator,
+from stemcharts.fgl import (EngineError, FGLAxiomError, _echelon_coordinates,
+                            _integer_hnf, _integer_smith,
+                            _lattice_quotient_generator,
                             _pivot_columns, additive_fgl, fgl_series,
                             hazewinkel_lambdas, multiplicative_fgl,
                             p_typical_reduction, truncate_fgl, universal_fgl,
@@ -278,7 +279,7 @@ def test_lattice_quotient_generator():
     lattice = _integer_hnf([[1, 0], [0, 1]])
     gen = _lattice_quotient_generator(lattice, [[3, 1]])
     assert abs(3 * gen[1] - gen[0]) == 1  # (3, 1) and gen are a basis of Z^2
-    with pytest.raises(ValueError, match="Lazard quotient defect"):
+    with pytest.raises(EngineError, match="Lazard quotient defect"):
         _lattice_quotient_generator(lattice, [[2, 0]])
     with pytest.raises(ValueError, match="not in lattice"):
         _lattice_quotient_generator(_integer_hnf([[1, 0, 0], [0, 1, 0]]), [[0, 0, 1]])

@@ -3,8 +3,8 @@ import pytest
 from stemcharts.charts import BigradedChart, cyclic, free_group
 from stemcharts.cobar import CobarComplex
 from stemcharts.fgl import GradedRingPresentation
-from stemcharts.hopf import (adams_projection, adams_summand_coefficients,
-                             build_algebroid)
+from stemcharts.hopf import (HopfAxiomError, adams_projection,
+                             adams_summand_coefficients, build_algebroid)
 from stemcharts.poly import ONE
 
 
@@ -50,6 +50,17 @@ def test_axiom_verification(kind, p, bound):
     build_algebroid(kind, bound, p=p)
 
 
+@pytest.mark.parametrize("structure,name,term", [
+    ("coproduct_gen", "Delta", (ONE, (((0, 2),), ONE))),   # t1^2 (x) 1 in Delta(t1)
+    ("eta_r_gen", "eta_R", (((0, 2),), (ONE,))),           # v1^2 in eta_R(v1)
+])
+def test_non_homogeneous_term_fails_verify(structure, name, term):
+    alg = build_algebroid("p_typical", 4, p=3)
+    getattr(alg, structure)[0][term] = 1
+    with pytest.raises(HopfAxiomError, match=f"{name} is not homogeneous at"):
+        alg.verify()
+
+
 def test_gamma_free_on_monomials(bp3):
     basis = bp3.tensor_monomials(4)
     assert ((0, 2),) in basis  # t1^2 in degree 4
@@ -58,17 +69,17 @@ def test_gamma_free_on_monomials(bp3):
 
 def test_cobar_s0_kernel_is_base(bp3):
     cx = CobarComplex(bp3)
-    mat = cx.differential_matrix(0, 0)
+    rows = cx.differential_matrix(0, 0)
     assert cx.basis(0, 0) == [(ONE, ())]
-    assert all(all(v == 0 for v in row) for row in mat)
+    assert all(not row for row in rows)
 
 
 def test_cobar_t1_is_cocycle_p3(bp3):
     cx = CobarComplex(bp3)
     basis1 = cx.basis(1, 2)
     assert basis1 == [(ONE, (((0, 1),),))]
-    mat = cx.differential_matrix(1, 2)
-    assert all(all(v == 0 for v in row) for row in mat)
+    rows = cx.differential_matrix(1, 2)
+    assert all(not row for row in rows)
 
 
 def test_d_squared_zero_everywhere(bp3):

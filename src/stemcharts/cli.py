@@ -8,12 +8,12 @@ JSON), catalog (list/show field descriptors).
 Exit codes: 0 success, 2 usage or precondition violation, 3 precision
 exhausted, 4 broken engine invariant (EngineError: a cobar differential
 that is not p-integral, leaves the basis, or has d o d != 0; an Ext chart
-with a free summand off (0,0); a Lazard quotient defect; a defect of the
-engine, not of the input).  Inputs are validated before any work or
-cache access, and a rejected input is a usage error (exit 2): --prime and
---complete must be prime, --smax and --tmax non-negative, --tmax even,
---precision at least 2, and every input file (--module-file,
---chart-file, --table, --catalog) readable.
+with a free summand off (0,0); a Lazard quotient defect; a Hopf-algebroid
+axiom failure; a defect of the engine, not of the input).  Inputs are
+validated before any work or cache access, and a rejected input is a usage
+error (exit 2): --prime and --complete must be prime, --smax and --tmax
+non-negative, --tmax even, --precision at least 2, and every input file
+(--module-file, --chart-file, --table, --catalog) readable.
 Every command is deterministic given its inputs: re-running reproduces
 byte-identical output.
 """

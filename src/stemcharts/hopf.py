@@ -21,18 +21,21 @@ onto the leftmost factor through eta_R.  Tensor keys are
 from __future__ import annotations
 
 from fractions import Fraction
+from operator import itemgetter
 
 from .poly import Poly, PolyRing, Monomial, ONE, mon_mul, mon_deg
 from .series import Series, reversion
-from .fgl import (GradedRingPresentation, UniversalFGL, hazewinkel_lambdas,
-                  p_typical_presentation, zz_local)
+from .fgl import (EngineError, GradedRingPresentation, UniversalFGL,
+                  hazewinkel_lambdas, p_typical_presentation, zz_local)
 
 TensorKey = tuple[Monomial, tuple[Monomial, ...]]
 Tensor = dict[TensorKey, object]
 
+_first = itemgetter(0)
 
-class HopfAxiomError(Exception):
-    pass
+
+class HopfAxiomError(EngineError):
+    """A constructed algebroid fails a Hopf-algebroid axiom or p-integrality."""
 
 
 class HopfAlgebroid:
@@ -100,16 +103,27 @@ class HopfAlgebroid:
                 out.pop(k, None)
         return out
 
+    def key_deg(self, key: TensorKey) -> int:
+        am, tmons = key
+        return self.adeg(am) + sum(self.tdeg(t) for t in tmons)
+
     def tensor_mul(self, a: Tensor, b: Tensor) -> Tensor:
-        """Componentwise product; both sides in normal form, same slot count."""
+        """Componentwise product; both sides in normal form, same slot count.
+
+        The degree of each term of b is computed once per call, and b's
+        terms are walked in increasing degree, so each term of a stops at
+        the first partner that would pass the bound.
+        """
         out: Tensor = {}
         bound = self.bound
-        for (am1, tm1), c1 in a.items():
-            d1 = self.adeg(am1) + sum(self.tdeg(t) for t in tm1)
-            for (am2, tm2), c2 in b.items():
-                d2 = self.adeg(am2) + sum(self.tdeg(t) for t in tm2)
-                if d1 + d2 > bound:
-                    continue
+        right = sorted(((self.key_deg(k), k, c) for k, c in b.items()),
+                       key=_first)
+        for key1, c1 in a.items():
+            am1, tm1 = key1
+            room = bound - self.key_deg(key1)
+            for d2, (am2, tm2), c2 in right:
+                if d2 > room:
+                    break
                 key = (mon_mul(am1, am2),
                        tuple(mon_mul(x, y) for x, y in zip(tm1, tm2)))
                 s = out.get(key, 0) + c1 * c2
@@ -134,11 +148,14 @@ class HopfAlgebroid:
         """Multiply by an A-polynomial through the left unit."""
         out: Tensor = {}
         bound = self.bound
-        for (am, tm), c in a.items():
-            d = self.adeg(am) + sum(self.tdeg(t) for t in tm)
-            for qm, qc in q.terms.items():
-                if d + self.adeg(qm) > bound:
-                    continue
+        right = sorted(((self.adeg(qm), qm, qc) for qm, qc in q.terms.items()),
+                       key=_first)
+        for key1, c in a.items():
+            am, tm = key1
+            room = bound - self.key_deg(key1)
+            for dq, qm, qc in right:
+                if dq > room:
+                    break
                 key = (mon_mul(am, qm), tm)
                 s = out.get(key, 0) + c * qc
                 if s:
@@ -265,8 +282,8 @@ class HopfAlgebroid:
                 ("Delta", self.coproduct_gen, self.gamma_names, self.gamma_degrees),
                 ("eta_R", self.eta_r_gen, aring.names, aring.degrees)):
             for g, elem in images.items():
-                for am, tmons in elem:
-                    if self.adeg(am) + sum(self.tdeg(t) for t in tmons) != degrees[g]:
+                for key in elem:
+                    if self.key_deg(key) != degrees[g]:
                         raise HopfAxiomError(f"{what} is not homogeneous at {names[g]}")
         # counit inverts both units on A-generators
         for i in range(len(aring.names)):

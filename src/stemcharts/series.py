@@ -4,6 +4,17 @@ Used for formal-group-law manipulations: logs, exponentials, formal sums
 and the series identities defining Hopf-algebroid structure maps.  A series
 in n variables is a dict exponent-tuple -> Poly, kept to total variable
 degree <= order.
+
+Composition f(g) runs Horner's scheme over the coefficients of f.  Once
+f_n is added, the accumulator is multiplied by g (no constant term) n more
+times, so only its terms of total degree <= order - n reach the result:
+those are kept, and the product is kept to degree order - n + 1, which is
+what the next step reads after adding f_{n-1}.
+
+Reversion solves f(g) = x in one pass over a power table
+P[k][n] = [x^n] g^k (Brent and Kung, J. ACM 25, 1978): for n >= 2,
+g_n = -sum_{k=2..n} f_k P[k][n], and for k >= 2 the entry P[k][n] needs
+only g_1..g_{n-1}.
 """
 
 from __future__ import annotations
@@ -108,24 +119,21 @@ def compose_univariate(f: Series, g: Series) -> Series:
     """
     if f.nvars != 1:
         raise ValueError("outer series must be univariate")
-    if not g.coefficient((0,) * g.nvars).is_zero():
+    zero_e = (0,) * g.nvars
+    if not g.coefficient(zero_e).is_zero():
         raise ValueError("inner series must have zero constant term")
-    out = Series.zero(g.ring, g.nvars, g.order)
-    # Horner-style evaluation over exponents of f in decreasing order.
-    exps = sorted((e[0] for e in f.terms), reverse=True)
-    if not exps:
-        return out
-    top = exps[0]
-    acc = Series.zero(g.ring, g.nvars, g.order)
-    for n in range(top, 0, -1):
+    ring, nv, order = g.ring, g.nvars, g.order
+    acc = Series.zero(ring, nv, order)
+    # f_n with n > order meets g at least n times and contributes nothing
+    for n in range(min(max((e[0] for e in f.terms), default=0), order), 0, -1):
         c = f.coefficient((n,))
         if not c.is_zero():
-            const = Series(g.ring, g.nvars, g.order,
-                           {(0,) * g.nvars: c})
-            acc = acc + const
-        if n > 1:
-            acc = acc * g
-    return acc * g
+            acc = acc + Series(ring, nv, order, {zero_e: c})
+        # acc meets g n more times: drop what cannot reach degree order
+        keep = order - n
+        acc = Series(ring, nv, keep + 1,
+                     {e: p for e, p in acc.terms.items() if sum(e) <= keep}) * g
+    return acc
 
 
 def reversion(f: Series) -> Series:
@@ -136,14 +144,26 @@ def reversion(f: Series) -> Series:
     if f.coefficient((1,)).terms != one.terms:
         raise ValueError("reversion needs leading coefficient 1")
     order = f.order
-    g = Series(f.ring, 1, order, {(1,): one})
-    # Newton-style iteration degree by degree: enforce f(g(x)) = x.
+    zero = f.ring.zero()
+    g = [zero, one] + [zero] * (order - 1)
+    # power[k][n] = [x^n] g^k for 2 <= k <= n; g^k starts at x^k (g_1 = 1)
+    power = [None, g] + [[zero] * k + [one] + [zero] * (order - k)
+                         for k in range(2, order + 1)]
     for n in range(2, order + 1):
-        comp = compose_univariate(f, g)
-        err = comp.coefficient((n,))
-        if not err.is_zero():
-            g = g + Series(f.ring, 1, order, {(n,): err.scale(-1)})
-    return g
+        for k in range(2, n):
+            # g^k = g * g^{k-1}; the g_1 = 1 term needs no product
+            acc = power[k - 1][n - 1]
+            for j in range(2, n - k + 2):
+                if not g[j].is_zero() and not power[k - 1][n - j].is_zero():
+                    acc = acc + g[j] * power[k - 1][n - j]
+            power[k][n] = acc
+        acc = zero
+        for k in range(2, n + 1):
+            fk = f.coefficient((k,))
+            if not fk.is_zero():
+                acc = acc + fk * power[k][n]
+        g[n] = -acc
+    return Series(f.ring, 1, order, {(n,): g[n] for n in range(1, order + 1)})
 
 
 def integrate(f: Series) -> Series:

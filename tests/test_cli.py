@@ -75,6 +75,21 @@ def test_exit_code_precision(capsys):
     assert code == 3
 
 
+def test_exit_code_hopf_axiom_failure(monkeypatch, tmp_path, capsys):
+    from stemcharts.hopf import HopfAlgebroid, HopfAxiomError
+
+    def broken(self):
+        raise HopfAxiomError("coassociativity fails at t1")
+    monkeypatch.setattr(HopfAlgebroid, "verify", broken)
+    cache = tmp_path / "cache"
+    code = main(["ext", "--prime", "3", "--tmax", "8", "--cache-dir", str(cache)])
+    captured = capsys.readouterr()
+    assert code == 4
+    assert captured.out == ""
+    assert "engine invariant broken: coassociativity fails at t1" in captured.err
+    assert not list(cache.glob("*.json"))
+
+
 def test_decompose_command(tmp_path, capsys):
     mod = {"p": 2, "dim": 3, "t": [0, 0, 0, 1, 0, 0, 0, 1, 0]}
     path = tmp_path / "module.json"

@@ -5,6 +5,8 @@ torsion-power witness vector), which depend on the lex-first pivoting of
 the F_p linear algebra, not only on the module's isomorphism type.  The
 module inputs, stored next to their reports, are the Jordan type [3, 1] at
 p = 2 and four conjugated Jordan types at p = 2, 3, 5 of dimension 9 to 12.
+The universal Ext chart (p = 2, t <= 16, algebroid bound 8) is the only
+end-to-end run of the Lazard algebroid through the CLI.
 """
 
 import json
@@ -36,6 +38,8 @@ CASES = [
      "cli_synthetic_p5_s37.json"),
     (["kmw", "--field", "twogen", "--range=-5:5", "--complete", "3", "--basis",
       "--format", "grid"], "cli_kmw_twogen_c3_grid.txt"),
+    (["ext", "--kind", "universal", "--prime", "2", "--tmax", "16",
+      "--format", "json"], "cli_ext_universal_p2_t16.json"),
 ]
 
 

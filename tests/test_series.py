@@ -1,0 +1,119 @@
+"""The series kernels against naive references.
+
+`compose_univariate` is checked against sum_k f_k g^k with every power
+computed in full, and `reversion` by f(g) = x and g(f) = x under that
+naive composition.  Inputs are seeded random series over a small graded
+ring (generators of degree 1 and 2, truncated at degree 4), with int or
+Fraction coefficients, sparse outer series with gaps, and univariate or
+bivariate inner series.
+"""
+
+import random
+from fractions import Fraction
+
+import pytest
+
+from stemcharts.poly import Poly, PolyRing
+from stemcharts.series import Series, compose_univariate, reversion
+
+RING = PolyRing(["a", "b"], [1, 2], 4)
+MONOMIALS = [m for d in range(RING.bound + 1) for m in RING.monomials_of_degree(d)]
+
+
+def random_poly(rng: random.Random, fractions: bool) -> Poly:
+    terms = {}
+    for m in rng.sample(MONOMIALS, rng.randint(1, 3)):
+        c = rng.randint(-3, 3)
+        if fractions:
+            c = Fraction(c, rng.randint(1, 4))
+        if c:
+            terms[m] = c
+    return Poly(RING, terms)
+
+
+def random_series(rng, nvars, order, fractions, density=0.6, lowest=1):
+    """No constant term; each exponent of total degree lowest..order is
+    present with probability `density`."""
+    terms = {}
+    for e in _exponents(nvars, order):
+        if sum(e) >= lowest and rng.random() < density:
+            terms[e] = random_poly(rng, fractions)
+    return Series(RING, nvars, order, terms)
+
+
+def _exponents(nvars, order):
+    if nvars == 0:
+        return [()]
+    return [e + (k,) for e in _exponents(nvars - 1, order)
+            for k in range(order + 1) if sum(e) + k <= order]
+
+
+def naive_compose(f: Series, g: Series) -> Series:
+    out = Series.zero(g.ring, g.nvars, g.order)
+    for (k,), c in f.terms.items():
+        out = out + g.pow(k).scale_poly(c)
+    return out
+
+
+def x_series(order: int) -> Series:
+    return Series.variable(RING, 1, order, 0)
+
+
+CASES = [(order, nvars, fractions)
+         for order in range(1, 13) for nvars in (1, 2) for fractions in (False, True)]
+
+
+@pytest.mark.parametrize("order,nvars,fractions", CASES)
+def test_compose_matches_naive(order, nvars, fractions):
+    rng = random.Random(1000 * order + 10 * nvars + fractions)
+    # outer series sparse, with gaps, and reaching past the inner order
+    f = random_series(rng, 1, order + 2, fractions, density=0.5)
+    g = random_series(rng, nvars, order, fractions)
+    assert compose_univariate(f, g) == naive_compose(f, g)
+
+
+@pytest.mark.parametrize("order", range(1, 13))
+@pytest.mark.parametrize("fractions", [False, True])
+def test_reversion_is_two_sided_inverse(order, fractions):
+    rng = random.Random(7 * order + fractions)
+    f = random_series(rng, 1, order, fractions, density=0.7, lowest=2)
+    f = f + x_series(order)
+    g = reversion(f)
+    assert g.coefficient((1,)) == RING.one()
+    assert naive_compose(f, g) == x_series(order)
+    assert naive_compose(g, f) == x_series(order)
+
+
+def test_reversion_of_sparse_series():
+    # f = x + x^3 + x^7: only odd powers, so the inverse has only odd powers
+    one = RING.one()
+    f = Series(RING, 1, 11, {(1,): one, (3,): one, (7,): one})
+    g = reversion(f)
+    assert all(n % 2 for (n,) in g.terms)
+    assert naive_compose(f, g) == x_series(11)
+
+
+def test_reversion_rejects_non_unit_leading_coefficient():
+    f = Series(RING, 1, 5, {(1,): RING.const(2), (2,): RING.one()})
+    with pytest.raises(ValueError, match="leading coefficient 1"):
+        reversion(f)
+    f = Series(RING, 1, 5, {(1,): RING.gen(0)})
+    with pytest.raises(ValueError, match="leading coefficient 1"):
+        reversion(f)
+
+
+def test_reversion_rejects_multivariate_series():
+    with pytest.raises(ValueError, match="univariate"):
+        reversion(Series.variable(RING, 2, 4, 0))
+
+
+def test_compose_rejects_constant_term():
+    f = x_series(4)
+    g = x_series(4) + Series(RING, 1, 4, {(0,): RING.one()})
+    with pytest.raises(ValueError, match="zero constant term"):
+        compose_univariate(f, g)
+
+
+def test_compose_rejects_multivariate_outer_series():
+    with pytest.raises(ValueError, match="outer series must be univariate"):
+        compose_univariate(Series.variable(RING, 2, 4, 0), x_series(4))

@@ -9,18 +9,30 @@ Exit codes: 0 success, 2 usage or precondition violation, 3 precision
 exhausted, 4 broken engine invariant (EngineError: a cobar differential
 that is not p-integral, leaves the basis, or has d o d != 0; an Ext chart
 with a free summand off (0,0); a Lazard quotient defect; a Hopf-algebroid
-axiom failure; a defect of the engine, not of the input).  Inputs are
+axiom failure; a failed splitting or reassembly check of an F_p[[t]]
+decomposition; a defect of the engine, not of the input).  Inputs are
 validated before any work or cache access, and a rejected input is a usage
 error (exit 2): --prime and --complete must be prime, --smax and --tmax
-non-negative, --tmax even, --precision at least 2, and every input file
-(--module-file, --chart-file, --table, --catalog) readable.
+non-negative, --tmax even, --precision at least 2, --range two integers
+LO:HI with LO <= HI, and every input file (--module-file, --chart-file,
+--table, --catalog) readable.  A module file that does not describe a
+module (a key missing, a matrix of the wrong shape, a t-action that is not
+nilpotent, a structure map that is not injective or not t-equivariant) or
+an ind-system whose profiles do not stabilize as declared is a
+precondition violation (exit 2).
 Every command is deterministic given its inputs: re-running reproduces
 byte-identical output.
+
+The argument parser is built once per process (`build_parser` is cached),
+so in-process callers of `main`, such as the tests, pay for it on their
+first call only; `main` stays re-entrant because parsing never changes the
+parser.
 """
 
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import os
 import sys
@@ -31,8 +43,8 @@ from .catalog import catalog_to_json, get_field, load_catalog
 from .cobar import EngineError
 from .extcharts import PrecisionExhausted, ext_chart
 from .fields import FieldError
-from .fpt import FptModule, IndFptModule, classify_divisible, check_torsion_powers, \
-    check_u_sequence, decompose
+from .fpt import FptError, FptModule, IndFptModule, IndSystemError, \
+    classify_divisible, check_torsion_powers, check_u_sequence, decompose
 from .hopf import build_algebroid
 from .kmw import NotFreeError, complete_kmw, free_basis, milnor_witt
 from .render import render_svg, render_text
@@ -108,7 +120,7 @@ def cmd_ext(args) -> int:
 
 def cmd_kmw(args) -> int:
     k = get_field(args.field, args.catalog)
-    lo, hi = _parse_range(args.range)
+    lo, hi = args.range
     params = {"field": args.field, "range": [lo, hi], "complete": args.complete}
 
     def compute():
@@ -166,18 +178,38 @@ def cmd_synthetic(args) -> int:
     return _emit_chart(args, _with_cache(args, "synthetic", params, compute))
 
 
-def cmd_decompose(args) -> int:
-    with open(args.module_file, "r", encoding="utf-8") as fh:
+def _read_module(path: str) -> FptModule | IndFptModule:
+    """The module or ind-system in a module file; a file that does not
+    describe one is a precondition violation."""
+    with open(path, "r", encoding="utf-8") as fh:
         data = json.load(fh)
-    if "modules" in data:
+    try:
+        if "modules" not in data:
+            return FptModule.from_json(data)
         mods = [FptModule.from_json(m) for m in data["modules"]]
-        maps = data["maps"]
-        ind = IndFptModule(mods, maps, data.get("stable_from", 0))
-        dec = classify_divisible(ind)
-        report = dec.to_json()
+        return IndFptModule(mods, data["maps"], data.get("stable_from", 0))
+    except (FptError, KeyError, TypeError) as exc:
+        raise PreconditionError(
+            f"{path} is not a module file ({type(exc).__name__}: {exc})") from exc
+
+
+def cmd_decompose(args) -> int:
+    M = _read_module(args.module_file)
+    try:
+        report = _decompose_report(M)
+    except IndSystemError as exc:
+        raise PreconditionError(str(exc)) from exc
+    except FptError as exc:
+        raise EngineError(f"F_p[[t]] decomposition: {exc}") from exc
+    _emit(json.dumps(report, indent=1) + "\n", args.out)
+    return EXIT_OK
+
+
+def _decompose_report(M: FptModule | IndFptModule) -> dict:
+    if isinstance(M, IndFptModule):
+        report = classify_divisible(M).to_json()
         report["kind"] = "ind_system"
     else:
-        M = FptModule.from_json(data)
         dec = decompose(M)
         tp, witness = check_torsion_powers(M, dec)
         useq = {}
@@ -191,8 +223,7 @@ def cmd_decompose(args) -> int:
         if witness:
             report["torsion_power_witness"] = witness
         report["u_sequence_exact"] = useq
-    _emit(json.dumps(report, indent=1) + "\n", args.out)
-    return EXIT_OK
+    return report
 
 
 def cmd_render(args) -> int:
@@ -249,12 +280,22 @@ def _readable_file(path: str) -> str:
     return path
 
 
-def _parse_range(text: str) -> tuple[int, int]:
+def _degree_range(text: str) -> tuple[int, int]:
+    """argparse type: LO:HI with integers LO <= HI."""
     lo, _, hi = text.partition(":")
-    return int(lo), int(hi)
+    try:
+        lo, hi = int(lo), int(hi)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"{text!r} is not LO:HI") from None
+    if lo > hi:
+        raise argparse.ArgumentTypeError(f"{text!r} has LO > HI")
+    return lo, hi
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The argument parser, built once per process and shared by every call
+    of `main`: parsing leaves it as it was, and callers must not change it."""
     ap = argparse.ArgumentParser(
         prog="stemcharts",
         description="Exact-arithmetic motivic stable-stem charts "
@@ -286,7 +327,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("kmw", help="Milnor-Witt K-theory of a catalog field")
     p.add_argument("--field", required=True)
-    p.add_argument("--range", default="-5:5",
+    p.add_argument("--range", type=_degree_range, default="-5:5",
                    help="LO:HI degrees (use --range=-5:5 for negative LO)")
     p.add_argument("--complete", type=_prime, default=None,
                    help="(p, eta)-complete at this prime")
@@ -344,8 +385,7 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    ap = build_parser()
-    args = ap.parse_args(argv)
+    args = build_parser().parse_args(argv)
     try:
         return args.func(args)
     except PrecisionExhausted as exc:

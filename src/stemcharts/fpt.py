@@ -18,13 +18,24 @@ those before them, a solution is the unique one with zeros on the dependent
 vectors, and the kernel vector of a dependent column is the unique one with
 1 there and 0 at every other dependent column.  Ranks of t-powers for the
 Jordan-type oracle come from `zpk.elementary_divisors`, not from `_Span`.
+
+Each module computes its t-powers T^0..T^e once, on construction, and
+memoizes the lex-first basis of ker t^k and the span of the columns of t^k
+on first use (k past e reads T^e = 0).  P_n, free extraction, the
+torsion-power scan and the u-sequence all read these, so a decomposition
+report computes each of them once.  The memos are shared and read-only:
+spans are only queried (`coordinates`, `basis`), never extended, and
+whatever a public function returns is a fresh copy.  A memo is stored only
+once computed, so threads sharing a module at worst compute it twice.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field as dc_field
+from operator import mul
 from typing import Optional
 
+from .charts import _is_prime
 from .zpk import elementary_divisors
 
 Matrix = list[list[int]]
@@ -50,20 +61,7 @@ def _mat_mul(A: Matrix, B: Matrix, p: int) -> Matrix:
 
 
 def _mat_vec(A: Matrix, v: list[int], p: int) -> list[int]:
-    return [sum(a * b for a, b in zip(row, v)) % p for row in A]
-
-
-def _mat_pow(A: Matrix, k: int, p: int) -> Matrix:
-    n = len(A)
-    out = [[1 if i == j else 0 for j in range(n)] for i in range(n)]
-    base = [row[:] for row in A]
-    while k:
-        if k & 1:
-            out = _mat_mul(out, base, p)
-        k >>= 1
-        if k:
-            base = _mat_mul(base, base, p)
-    return out
+    return [sum(map(mul, row, v)) % p for row in A]
 
 
 class _Span:
@@ -72,12 +70,14 @@ class _Span:
     Each row has pivot entry 1, is zero at the pivots of the rows before it
     and carries its combination of the added vectors, so one pass over the
     rows in order reduces a vector.  A vector dependent on the earlier ones
-    is counted but not stored: combinations are zero on it.
+    is counted but not stored: combinations are zero on it.  `basis` keeps
+    the added vectors independent of those before them, as given.
     """
 
     def __init__(self, p: int):
         self.p = p
         self.rows: list[tuple[int, list[int], list[int]]] = []  # pivot, row, comb
+        self.basis: list = []
         self.count = 0  # vectors added, dependent ones included
 
     def reduce(self, v: list[int]) -> tuple[list[int], list[int]]:
@@ -103,6 +103,7 @@ class _Span:
         if piv is None:
             return comb
         inv = pow(residual[piv], -1, self.p)
+        self.basis.append(v)
         self.rows.append((piv, [(x * inv) % self.p for x in residual],
                           [(-c * inv) % self.p for c in comb] + [inv]))
         return None
@@ -168,8 +169,7 @@ def _intersect(cols_a: list[list[int]], cols_b: list[list[int]], p: int,
 
 
 def _independent_subset(vecs: list[list[int]], p: int) -> list[list[int]]:
-    span = _Span(p)
-    return [v for v in vecs if span.add(v) is None]
+    return _span(vecs, p).basis
 
 
 # ---------------------------------------------------------------------------
@@ -179,32 +179,70 @@ class FptError(Exception):
     pass
 
 
+class IndSystemError(FptError):
+    """An ind-system whose profiles do not stabilize as declared."""
+
+
 @dataclass(frozen=True)
 class FptModule:
-    """Finite-length F_p[[t]]-module: nilpotent t-action on F_p^dim."""
+    """Finite-length F_p[[t]]-module: nilpotent t-action on F_p^dim.
+
+    The stored t-powers and the kernel and image memos (module docstring)
+    are not fields: equality, hashing, repr and JSON see only p, dim and
+    t_action.
+    """
 
     p: int
     dim: int
     t_action: tuple[tuple[int, ...], ...]
 
     def __post_init__(self):
-        if self.p < 2:
+        if not isinstance(self.p, int) or not _is_prime(self.p):
             raise FptError("p must be prime")
         T = [list(r) for r in self.t_action]
         if len(T) != self.dim or any(len(r) != self.dim for r in T):
             raise FptError("t-action must be dim x dim")
-        object.__setattr__(self, "t_action",
-                           tuple(tuple(x % self.p for x in r) for r in T))
-        if self.dim:
-            Tn = _mat_pow(self.T(), self.dim, self.p)
-            if any(any(r) for r in Tn):
+        if not all(isinstance(x, int) for r in T for x in r):
+            raise FptError("t-action entries must be integers")
+        T = tuple(tuple(x % self.p for x in r) for r in T)
+        object.__setattr__(self, "t_action", T)
+        powers = [tuple(tuple(int(i == j) for j in range(self.dim))
+                        for i in range(self.dim))]
+        while any(map(any, powers[-1])):
+            if len(powers) > self.dim:
                 raise FptError("t-action is not nilpotent")
+            powers.append(tuple(map(tuple, _mat_mul(powers[-1], T, self.p))))
+        object.__setattr__(self, "_powers", powers)
+        object.__setattr__(self, "_kernels", {})
+        object.__setattr__(self, "_images", {})
 
     def T(self) -> Matrix:
         return [list(r) for r in self.t_action]
 
     def t_power(self, k: int) -> Matrix:
-        return _mat_pow(self.T(), k, self.p)
+        if k < 0:
+            raise ValueError("k must be >= 0")
+        return [list(r) for r in self._power(k)]
+
+    def _power(self, k: int) -> tuple[tuple[int, ...], ...]:
+        """T^k as stored (shared: read it, never write it)."""
+        return self._powers[min(k, len(self._powers) - 1)]
+
+    def _kernel(self, k: int) -> tuple[tuple[int, ...], ...]:
+        """Lex-first basis of ker t^k, memoized."""
+        k = min(k, len(self._powers) - 1)
+        if k not in self._kernels:
+            self._kernels[k] = tuple(map(tuple, _kernel_basis(
+                self._powers[k], self.dim, self.p)))
+        return self._kernels[k]
+
+    def _image(self, k: int) -> _Span:
+        """The span of the columns of t^k, memoized (shared: query it with
+        `coordinates` and read `basis`, never `add` to it)."""
+        k = min(k, len(self._powers) - 1)
+        if k not in self._images:
+            self._images[k] = _span(list(zip(*self._powers[k])), self.p)
+        return self._images[k]
 
     def to_json(self) -> dict:
         return {"p": self.p, "dim": self.dim,
@@ -242,11 +280,9 @@ def jordan_type(M: FptModule) -> dict[int, int]:
     if M.dim == 0:
         return {}
     ranks = [M.dim]
-    T = Tk = M.T()
-    while ranks[-1]:
+    for Tk in M._powers[1:]:
         rows = [{c: x for c, x in enumerate(row) if x} for row in Tk]
         ranks.append(len(elementary_divisors(rows, M.p, 1)))
-        Tk = _mat_mul(Tk, T, M.p)
     while len(ranks) < M.dim + 2:
         ranks.append(0)
     out = {}
@@ -266,11 +302,10 @@ def satisfies_pn(M: FptModule, n: int) -> tuple[bool, Optional[list[int]]]:
         raise ValueError("n must be >= 0")
     if n == 0 or M.dim == 0:
         return True, None
-    p = M.p
-    im = _span(_columns(M.T(), M.dim), p)
-    for v in _kernel_basis(M.t_power(n), M.dim, p):
+    im = M._image(1)
+    for v in M._kernel(n):
         if im.coordinates(v) is None:
-            return False, v
+            return False, list(v)
     return True, None
 
 
@@ -303,18 +338,17 @@ def extract_free(M: FptModule, n: int) -> Splitting:
     if d == 0:
         return Splitting(n + 1, 0, [], [[] for _ in range(0)], [],
                          M, [[] for _ in range(0)])
-    T = M.T()
-    Tn1 = M.t_power(n + 1)
+    T = M._power(1)
     std = [[1 if i == j else 0 for i in range(d)] for j in range(d)]
 
     # A = ker(t^{n+1}) inside M
-    A_basis = _kernel_basis(Tn1, d, p)
+    A_basis = M._kernel(n + 1)
     # G: complement of t*A in A
     tA = _independent_subset([_mat_vec(T, v, p) for v in A_basis], p)
     G = _complement_basis(tA, A_basis, p)
 
     # W = im(t^{n+1}); quotient B = M/W with basis C (coset representatives)
-    W = _independent_subset(_columns(Tn1, d), p)
+    W = M._image(n + 1).basis
     C = _complement_basis(W, std, p)
     CW = _span(C + W, p)
 
@@ -496,11 +530,12 @@ def _stage_retraction(spl: Splitting, retr_chain: Matrix, p: int) -> Matrix:
         return []
     d = len(spl.inclusion)
     # projector onto M' along F: pi = 1 - iota_F rho
-    proj = [[(1 if i == j else 0) - _dot(spl.inclusion[i], [spl.retraction[k][j]
-             for k in range(len(spl.retraction))]) for j in range(d)]
-            for i in range(d)] if spl.free_rank else \
-        [[1 if i == j else 0 for j in range(d)] for i in range(d)]
-    proj = [[x % p for x in row] for row in proj]
+    if spl.free_rank:
+        ir = _mat_mul(spl.inclusion, spl.retraction, p)
+        proj = [[(int(i == j) - x) % p for j, x in enumerate(row)]
+                for i, row in enumerate(ir)]
+    else:
+        proj = [[int(i == j) for j in range(d)] for i in range(d)]
     # coordinates in the M'-basis
     cols = _span(_columns(spl.quotient_inclusion, dq), p)
     out = [[0] * len(retr_chain[0]) if retr_chain else [] for _ in range(dq)]
@@ -514,10 +549,6 @@ def _stage_retraction(spl: Splitting, retr_chain: Matrix, p: int) -> Matrix:
         for i in range(dq):
             out[i][col] = sol[i]
     return out
-
-
-def _dot(a: list[int], b: list[int]) -> int:
-    return sum(x * y for x, y in zip(a, b))
 
 
 def reassemble(dec: Decomposition) -> FptModule:
@@ -542,15 +573,14 @@ def check_torsion_powers(M: FptModule, dec: Optional[Decomposition] = None
     p = M.p
     d = M.dim
     element_ok, witness = True, None
-    ker_t = _kernel_basis(M.T(), d, M.p)
+    ker_t = M._kernel(1)
     n = 0
     while d and p ** n <= d and element_ok:
         a = p ** n
         b = p ** (n + 1) - 1
-        im_a = _independent_subset(_columns(M.t_power(a), d), M.p)
-        S = _intersect(ker_t, im_a, M.p, d)
+        S = _intersect(ker_t, M._image(a).basis, M.p, d)
         # t^b = 0 for b >= d: the condition then demands S = 0
-        im_b = _span(_columns(M.t_power(b), d) if b < d else [], M.p)
+        im_b = M._image(b)
         for v in S:
             if im_b.coordinates(v) is None:
                 element_ok, witness = False, {"n": n, "vector": v}
@@ -587,26 +617,23 @@ def check_u_sequence(M: FptModule, p: Optional[int] = None, n: int = 0) -> bool:
         raise ValueError("u = t^{p^n} requires p^n <= dim")
     e = p ** n
 
-    def U(k: int) -> Matrix:
-        return M.t_power(min(e * k, d))
-
-    def ker_u(k: int) -> list[list[int]]:
-        return _kernel_basis(U(k), d, M.p)
+    def ker_u(k: int) -> tuple[tuple[int, ...], ...]:
+        return M._kernel(e * k)
 
     if p != 2:
-        lhs = _intersect(ker_u(1), _columns(U(1), d), M.p, d)
-        Upm1 = M.t_power(min(e * (p - 1), d))
+        lhs = _intersect(ker_u(1), _columns(M._power(e), d), M.p, d)
+        Upm1 = M._power(e * (p - 1))
         rhs = [_mat_vec(Upm1, v, M.p) for v in ker_u(p)]
         return _same_span(lhs, rhs, M.p)
-    Umat = U(1)
-    rhs = ker_u(2) + [_mat_vec(Umat, v, M.p) for v in ker_u(4)]
+    Umat = M._power(e)
+    rhs = [*ker_u(2), *(_mat_vec(Umat, v, M.p) for v in ker_u(4))]
     return _same_span(ker_u(3), rhs, M.p)
 
 
 def _same_span(a: list[list[int]], b: list[list[int]], p: int) -> bool:
     rank = len(_independent_subset(a, p))
     return rank == len(_independent_subset(b, p)) == \
-        len(_independent_subset(a + b, p))
+        len(_independent_subset([*a, *b], p))
 
 
 # ---------------------------------------------------------------------------
@@ -627,6 +654,12 @@ class IndFptModule:
     stable_from: int = 0
 
     def __post_init__(self):
+        if len({M.p for M in self.modules}) > 1:
+            raise FptError("the modules must share one prime")
+        if self.modules and not (isinstance(self.stable_from, int)
+                                 and 0 <= self.stable_from < len(self.modules)):
+            raise FptError(f"stable_from={self.stable_from!r} is not a stage "
+                           "of the prefix")
         if len(self.maps) != max(len(self.modules) - 1, 0):
             raise FptError("need one structure map per adjacent pair")
         for k, f in enumerate(self.maps):
@@ -650,8 +683,6 @@ def classify_divisible(ind: IndFptModule) -> Decomposition:
     decs = [decompose(M) for M in ind.modules]
     profiles = [d.profile() for d in decs]
     suffix = profiles[ind.stable_from:]
-    if not suffix:
-        raise FptError("stable_from is beyond the prefix")
     stable: dict[int, int] = {}
     for i in sorted(set().union(*(set(pr) for pr in suffix))):
         m = min(pr.get(i, 0) for pr in suffix)
@@ -664,14 +695,14 @@ def classify_divisible(ind: IndFptModule) -> Decomposition:
         residuals.append(res)
     counts = [sum(r.values()) for r in residuals]
     if len(set(counts)) > 1:
-        raise FptError(
+        raise IndSystemError(
             f"residual block counts do not stabilize: {counts}; "
             "refine stable_from or the declared rule")
     div_rank = counts[0] if counts else 0
     if div_rank:
         mins = [min(r) for r in residuals if r]
         if any(b <= a for a, b in zip(mins, mins[1:])) or len(mins) != len(residuals):
-            raise FptError(
+            raise IndSystemError(
                 "residual exponents do not grow; the system is not "
                 "eventually divisible")
     last = decs[-1]

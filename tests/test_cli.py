@@ -1,9 +1,12 @@
 import json
 import os
+import subprocess
+import sys
 import time
 
 import pytest
 
+from stemcharts import cli
 from stemcharts.cache import cache_key, cache_load, cache_store
 from stemcharts.charts import AbGroupDesc, BigradedChart, cyclic, free_group
 from stemcharts.cli import main
@@ -256,6 +259,7 @@ def test_empty_chart_render():
     ["kmw", "--field", "complex", "--complete", "4"],
     ["synthetic", "--prime", "2", "--source", "table", "--table", "missing.json"],
     ["catalog", "--catalog", "missing.json"],
+    ["kmw", "--field", "complex", "--range=5"],
 ])
 def test_invalid_input_is_usage_error(tmp_path, capsys, argv):
     cache = tmp_path / "cache"
@@ -276,3 +280,102 @@ def test_missing_input_file_is_usage_error(tmp_path, capsys, command, flag):
     assert exc.value.code == 2
     captured = capsys.readouterr()
     assert captured.out == "" and "cannot read file" in captured.err
+
+
+@pytest.mark.parametrize("text,message", [("a:3", "'a:3' is not LO:HI"),
+                                          ("5:1", "'5:1' has LO > HI")])
+def test_range_is_validated_by_the_parser(monkeypatch, capsys, text, message):
+    def unreachable(*args):
+        raise AssertionError("work ran on a rejected --range")
+    monkeypatch.setattr("stemcharts.cli.get_field", unreachable)
+    with pytest.raises(SystemExit) as exc:
+        main(["kmw", "--field", "complex", f"--range={text}"])
+    assert exc.value.code == 2
+    assert f"argument --range: {message}" in capsys.readouterr().err
+
+
+def test_range_bounds_are_inclusive(capsys):
+    code, out = run(capsys, "kmw", "--field", "complex", "--range=2:2")
+    assert code == 0 and list(json.loads(out)["kmw"]) == ["2"]
+
+
+SRC = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
+
+
+def fresh_process(argv) -> str:
+    """stdout of the CLI run in a new interpreter, with a parser of its own."""
+    env = {k: v for k, v in os.environ.items() if k != "STEMCHARTS_CACHE_DIR"}
+    env["PYTHONPATH"] = SRC
+    proc = subprocess.run([sys.executable, "-m", "stemcharts.cli", *argv],
+                          capture_output=True, text=True, env=env, timeout=120,
+                          check=True)
+    return proc.stdout
+
+
+def test_parser_is_shared_across_calls(monkeypatch, capsys):
+    monkeypatch.delenv("STEMCHARTS_CACHE_DIR", raising=False)
+    assert cli.build_parser() is cli.build_parser()
+    base = ["ext", "--prime", "2", "--smax", "3", "--tmax", "8"]
+    flagged = base + ["--unnormalized", "--kind", "universal"]
+    for argv in (flagged, base):
+        fresh = vars(cli.build_parser.__wrapped__().parse_args(argv))
+        assert vars(cli.build_parser().parse_args(argv)) == fresh
+        code, out = run(capsys, *argv)
+        assert code == 0 and out == fresh_process(argv)
+    with pytest.raises(SystemExit) as exc:
+        main(base + ["--kind", "lazard"])
+    assert exc.value.code == 2
+    assert capsys.readouterr().out == ""
+    argv = ["kmw", "--field", "twogen", "--range=-5:5", "--complete", "3", "--basis",
+            "--format", "grid"]
+    code, out = run(capsys, *argv)
+    golden = os.path.join(os.path.dirname(__file__), "golden", "cli_kmw_twogen_c3_grid.txt")
+    with open(golden, encoding="utf-8") as fh:
+        assert code == 0 and out == fh.read()
+
+
+F2_POINT = {"p": 2, "dim": 1, "t": [0]}
+F2_PLANE = {"p": 2, "dim": 2, "t": [0, 0, 0, 0]}
+BAD_MODULE_FILES = {
+    "not-nilpotent": {"p": 2, "dim": 2, "t": [1, 0, 0, 0]},
+    "wrong-length": {"p": 2, "dim": 2, "t": [0, 0, 0]},
+    "p-missing": {"dim": 1, "t": [0]},
+    "dim-missing": {"p": 2, "t": [0]},
+    "t-missing": {"p": 2, "dim": 1},
+    "p-not-prime": {"p": 4, "dim": 1, "t": [0]},
+    "entry-not-int": {"p": 3, "dim": 1, "t": ["0"]},
+    "not-an-object": [1, 2],
+    "map-not-injective": {"modules": [F2_POINT, F2_PLANE], "maps": [[[0], [0]]]},
+    "maps-missing": {"modules": [F2_POINT]},
+    "stable-from-past-prefix": {"modules": [F2_POINT], "maps": [], "stable_from": 1},
+    "stable-from-negative": {"modules": [F2_POINT], "maps": [], "stable_from": -1},
+    "two-primes": {"modules": [F2_POINT, {"p": 3, "dim": 1, "t": [0]}],
+                   "maps": [[[1]]]},
+    # residual block counts 0, 1: the declared system never stabilizes
+    "not-stabilizing": {"modules": [F2_POINT, F2_PLANE], "maps": [[[1], [0]]]},
+}
+
+
+@pytest.mark.parametrize("data", BAD_MODULE_FILES.values(), ids=BAD_MODULE_FILES.keys())
+def test_decompose_bad_module_file_is_precondition(tmp_path, capsys, data):
+    path = tmp_path / "module.json"
+    path.write_text(json.dumps(data))
+    code = main(["decompose", "--module-file", str(path)])
+    captured = capsys.readouterr()
+    assert code == 2 and captured.out == ""
+    assert "stemcharts: precondition violated: " in captured.err
+
+
+def test_decompose_check_failure_is_engine_error(monkeypatch, capsys):
+    import stemcharts.fpt
+    from stemcharts.fpt import FptError
+
+    def broken(M, n):
+        raise FptError("retraction does not split the inclusion")
+    monkeypatch.setattr(stemcharts.fpt, "extract_free", broken)
+    path = os.path.join(os.path.dirname(__file__), "golden", "module_p3_j9_3.json")
+    code = main(["decompose", "--module-file", path])
+    captured = capsys.readouterr()
+    assert code == 4 and captured.out == ""
+    assert "engine invariant broken: F_p[[t]] decomposition: retraction does not " \
+        "split the inclusion" in captured.err

@@ -8,14 +8,23 @@ from stemcharts.fpt import (FptModule, FptError, IndFptModule, check_torsion_pow
                             extract_free, jordan_module, jordan_type,
                             partitions, random_nilpotent, reassemble,
                             satisfies_pn, _Span, _independent_subset, _intersect,
-                            _invert, _kernel_basis, _mat_mul, _mat_vec, _same_span)
+                            _invert, _kernel_basis, _mat_mul, _mat_vec, _same_span,
+                            _span)
 
 
 def test_module_validation():
-    with pytest.raises(FptError):
-        FptModule(2, 2, ((1, 0), (0, 1)))  # not nilpotent
-    with pytest.raises(FptError):
-        FptModule(2, 2, ((0,),))           # wrong shape
+    with pytest.raises(FptError, match="^t-action is not nilpotent$"):
+        FptModule(2, 2, ((1, 0), (0, 1)))
+    with pytest.raises(FptError, match="^t-action is not nilpotent$"):
+        FptModule(3, 3, ((0, 1, 0), (0, 0, 1), (1, 0, 0)))
+    with pytest.raises(FptError, match="^t-action must be dim x dim$"):
+        FptModule(2, 2, ((0,),))
+    with pytest.raises(FptError, match="^p must be prime$"):
+        FptModule(4, 1, ((0,),))
+    with pytest.raises(FptError, match="^t-action entries must be integers$"):
+        FptModule(2, 1, ((0.5,),))
+    with pytest.raises(ValueError):
+        jordan_module(2, [2]).t_power(-1)
     M = FptModule(3, 2, ((0, 0), (1, 0)))
     assert M.dim == 2
 
@@ -171,6 +180,11 @@ def test_ind_validation():
     bad_equiv = [[[1], [0]]]  # e -> generator (not t-equivariant)
     with pytest.raises(FptError):
         IndFptModule(mods, bad_equiv)
+    for stable_from in (2, -1, "0"):
+        with pytest.raises(FptError, match="is not a stage of the prefix"):
+            IndFptModule(mods, good, stable_from)
+    with pytest.raises(FptError, match="share one prime"):
+        IndFptModule([jordan_module(2, [1]), jordan_module(3, [2])], good)
 
 
 def test_classify_divisible_constant():
@@ -326,3 +340,76 @@ def test_zero_dim_modules():
     dec = classify_divisible(IndFptModule([Z, jordan_module(5, [1])], [[[]]],
                                           stable_from=1))
     assert dec.free_parts == [(1, 1)] and dec.divisible_rank == 0
+
+
+# -- the per-module memos -------------------------------------------------
+
+def reference_mul(A, B, p):
+    """Schoolbook product over F_p (test-time reference for _mat_mul)."""
+    m = len(B[0]) if B else 0
+    return [[sum(A[i][t] * B[t][j] for t in range(len(B))) % p for j in range(m)]
+            for i in range(len(A))]
+
+
+def test_mat_mul_against_reference():
+    rng = random.Random(3)
+    for _ in range(60):
+        p = rng.choice([2, 3, 5])
+        n, k, m = rng.randint(1, 6), rng.randint(1, 6), rng.randint(1, 6)
+        A = random_fp_matrix(rng, p, n, k)
+        B = random_fp_matrix(rng, p, k, m)
+        assert _mat_mul(A, B, p) == reference_mul(A, B, p)
+    # empty shapes: IndFptModule's equivariance check on a 0-dim source
+    assert _mat_mul([], [[1]], 2) == []
+    assert _mat_mul([[1], [0]], [], 2) == [[], []]
+    assert _mat_mul([[1], [1]], [[]], 2) == [[], []]
+
+
+@pytest.mark.parametrize("seed", range(12))
+def test_module_memos_match_fresh_computation(seed):
+    rng = random.Random(seed)
+    p = (2, 3, 5)[seed % 3]
+    for dim in range(0, 11):
+        M = random_nilpotent(p, dim, rng)
+        power = [[int(i == j) for j in range(dim)] for i in range(dim)]
+        for k in range(dim + 3):
+            assert M.t_power(k) == power, (p, dim, k)
+            cols = [[row[j] for row in power] for j in range(dim)]
+            assert [list(v) for v in M._kernel(k)] == _kernel_basis(power, dim, p)
+            assert [list(v) for v in M._image(k).basis] == _independent_subset(cols, p)
+            assert M._image(k).rows == _span(cols, p).rows
+            power = reference_mul(power, M.T(), p) if dim else []
+
+
+def test_memos_are_not_fields():
+    M = random_nilpotent(3, 7, random.Random(2))
+    fresh = FptModule(M.p, M.dim, M.t_action)
+    before = (repr(M), hash(M), M.to_json())
+    decompose(M)
+    check_torsion_powers(M)
+    assert M == fresh and (repr(M), hash(M), M.to_json()) == before
+
+
+def test_mutating_results_leaves_the_module_unchanged():
+    rng = random.Random(8)
+    M = random_nilpotent(2, 9, rng)
+    twin = FptModule(M.p, M.dim, M.t_action)
+    dec = decompose(M)
+    for k in range(M.dim + 1):
+        for row in M.t_power(k):
+            row[:] = [1] * len(row)
+    for row in M.T():
+        row[0] = 1
+    for w in dec.witnesses:
+        for row in w["inclusion"] + w["retraction"]:
+            row[:] = [1] * len(row)
+    N = jordan_module(2, [1, 2])
+    ok, witness = satisfies_pn(N, 1)
+    witness[:] = [1] * len(witness)
+    assert satisfies_pn(N, 1) == satisfies_pn(jordan_module(2, [1, 2]), 1)
+    for k in range(M.dim + 1):
+        assert M.t_power(k) == twin.t_power(k)
+    assert decompose(M).to_json() == decompose(twin).to_json()
+    assert check_torsion_powers(M) == check_torsion_powers(twin)
+    assert all(check_u_sequence(M, 2, n) == check_u_sequence(twin, 2, n)
+               for n in range(4))

@@ -4,15 +4,18 @@
 series kernels compute beyond them: the antipode on the Gamma generators
 (the universal one is the compositional inverse of b(x), computed by
 `reversion`; the p-typical ones are solved degree by degree), and the
-universal law's exponential and F = exp(log x + log y).  The coefficients
-enter the digests through repr, so an int turning into an equal Fraction
-changes them too.
+universal law's exponential and F = exp(log x + log y), and the formal
+inverse i(x) of the universal law on the integral Lazard generators at
+bounds 6 and 10 (the digests were recorded from the solver that evaluated
+the whole F(x, i(x)) once per degree).  The coefficients enter the digests
+through repr, so an int turning into an equal Fraction changes them too.
 """
 
 import hashlib
 
 import pytest
 
+from stemcharts.fgl import fgl_series, universal_fgl
 from stemcharts.hopf import build_p_typical, build_universal
 
 ANTIPODE_DIGESTS = {
@@ -23,6 +26,10 @@ ANTIPODE_DIGESTS = {
 }
 EXP_DIGEST = "091843b88ace77be91d12957f4ff59933566a2ed3d74292d230cf890a6680746"
 F_DIGEST = "5299ec5465014e8ca01253dec9a57181cfe44753cfe5444cd372bd5b2c443604"
+INVERSE_DIGESTS = {
+    6: "3c8da455e484e86a8b5e558c8af6cb5037fabc8f4e58b11a7383137b947580be",
+    10: "3aadb1e662af4669abf4b5f7f81b0ec66733e7fcbf48ff2c094cd76ac03f8950",
+}
 
 
 def antipode_digest(alg) -> str:
@@ -65,3 +72,9 @@ def test_universal_exp_bound_10(universal10):
 
 def test_universal_formal_sum_bound_10(universal10):
     assert series_digest(universal10._universal_model.F) == F_DIGEST
+
+
+@pytest.mark.parametrize("bound", [6, 10])
+def test_universal_inverse(bound):
+    _, law = universal_fgl(bound)
+    assert series_digest(fgl_series(law, "inverse")) == INVERSE_DIGESTS[bound]

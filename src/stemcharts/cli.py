@@ -10,7 +10,8 @@ exhausted, 4 broken engine invariant (EngineError: a cobar differential
 that is not p-integral, leaves the basis, or has d o d != 0; an Ext chart
 with a free summand off (0,0); a Lazard quotient defect; a Hopf-algebroid
 axiom failure; a failed splitting or reassembly check of an F_p[[t]]
-decomposition; a defect of the engine, not of the input).  Inputs are
+decomposition; a synthetic chart class off its lane n + s = 2w; a defect
+of the engine, not of the input).  Inputs are
 validated before any work or cache access, and a rejected input is a usage
 error (exit 2): --prime and --complete must be prime, --smax and --tmax
 non-negative, --tmax even, --precision at least 2, --range two integers

@@ -11,8 +11,14 @@ The lattice step is integer linear algebra done once per degree d: the
 degree-d coefficients and decomposables, scaled by one common
 denominator, are put in Hermite normal form; the decomposables'
 coordinates in it come by forward substitution along the pivot columns,
-and their Smith form yields x_d.  to_x_coordinates eliminates each
-degree's x-monomial matrix once and then costs one mat-vec per call.
+and their Smith form yields x_d.
+
+to_x_coordinates needs no elimination.  The length of an m-monomial is
+its number of factors, and x_d = c_d m_d + (m-monomials of length >= 2),
+so an x-monomial x^e is c^e m^e plus longer m-monomials: the shortest
+m-monomials of an element give the coefficients of its shortest
+x-monomials, and peeling those off, length by length, gives the unique
+coordinates.
 """
 
 from __future__ import annotations
@@ -21,8 +27,9 @@ from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd, lcm
 
-from .poly import Poly, PolyRing, Monomial, mon_deg, format_poly
-from .series import Series, compose_univariate, reversion, integrate, multiplicative_inverse
+from .poly import ONE, Poly, PolyRing, Monomial, mon_deg, format_poly
+from .series import (Series, compose_univariate, generic_series, integrate,
+                     multiplicative_inverse, reversion)
 
 
 class EngineError(Exception):
@@ -137,35 +144,18 @@ class FormalGroupLaw:
 
 def _subst_two(F: Series, slot: int) -> Series:
     """F(F(x,y),z) for slot=0, F(x,F(y,z)) for slot=1, as trivariate series."""
-    ring = F.ring
-    order = F.order
-    x = Series.variable(ring, 3, order, 0)
-    y = Series.variable(ring, 3, order, 1)
-    z = Series.variable(ring, 3, order, 2)
-
-    def ev(a: Series, b: Series) -> Series:
-        out = Series.zero(ring, 3, order)
-        # evaluate F at (a, b) by monomial substitution with caches
-        pa: dict[int, Series] = {0: None}  # type: ignore
-        pb: dict[int, Series] = {}
-
-        def pw(s: Series, n: int, cache: dict) -> Series:
-            if n not in cache:
-                cache[n] = s.pow(n)
-            return cache[n]
-
-        for (i, j), c in F.terms.items():
-            term = Series(ring, 3, order, {(0, 0, 0): c})
-            if i:
-                term = term * pw(a, i, pa)
-            if j:
-                term = term * pw(b, j, pb)
-            out = out + term
-        return out
-
+    x, y, z = (Series.variable(F.ring, 3, F.order, i) for i in range(3))
     if slot == 0:
-        return ev(ev(x, y), z)
-    return ev(x, ev(y, z))
+        return _eval_bivariate(F, _eval_bivariate(F, x, y), z)
+    return _eval_bivariate(F, x, _eval_bivariate(F, y, z))
+
+
+def _sum_series(log: Series, exp: Series) -> Series:
+    """The formal sum F(x, y) = exp(log x + log y) of a logarithm."""
+    x = Series.variable(log.ring, 2, log.order, 0)
+    y = Series.variable(log.ring, 2, log.order, 1)
+    return compose_univariate(exp, compose_univariate(log, x)
+                              + compose_univariate(log, y))
 
 
 # ---------------------------------------------------------------------------
@@ -185,39 +175,13 @@ class UniversalFGL:
         self.bound = bound
         self.mring = PolyRing([f"m{i}" for i in range(1, bound + 1)],
                               list(range(1, bound + 1)), bound)
-        order = bound + 1
-        log_terms = {(1,): self.mring.one()}
-        for i in range(1, bound + 1):
-            log_terms[(i + 1,)] = self.mring.gen(i - 1)
-        self.log = Series(self.mring, 1, order, log_terms)
+        self.log = generic_series(self.mring, bound + 1, 0)
         self.exp = reversion(self.log)
-        x = Series.variable(self.mring, 2, order, 0)
-        y = Series.variable(self.mring, 2, order, 1)
-        lx = compose_univariate(self.log, x)
-        ly = compose_univariate(self.log, y)
-        self.F = compose_univariate(self.exp, lx + ly)
-        # per-degree caches (one entry per degree 0..bound): m-monomial
-        # basis with its index, and the eliminated x-monomial matrix
-        self._mbasis: dict[int, tuple[list[Monomial], dict[Monomial, int]]] = {}
-        self._xfactor: dict[int, tuple] = {}
+        self.F = _sum_series(self.log, self.exp)
         self._xgens: list[Poly] = []
         self._compute_integral_generators()
-
-    # -- lattice machinery over the m-monomial basis ------------------------
-
-    def _mon_basis(self, d: int) -> tuple[list[Monomial], dict[Monomial, int]]:
-        if d not in self._mbasis:
-            basis = self.mring.monomials_of_degree(d)
-            self._mbasis[d] = basis, {m: i for i, m in enumerate(basis)}
-        return self._mbasis[d]
-
-    def _vec(self, p: Poly, d: int, denom: int) -> list[int]:
-        """Coefficients of denom * p on the degree-d m-monomial basis."""
-        basis, idx = self._mon_basis(d)
-        v = [0] * len(basis)
-        for m, c in p.terms.items():
-            v[idx[m]] = int(c * denom)
-        return v
+        # x-monomials expanded in the m's, memoized for the peel
+        self._xmons: dict[Monomial, Poly] = {ONE: self.mring.one()}
 
     def _compute_integral_generators(self):
         coeffs_by_degree: dict[int, list[Poly]] = {d: [] for d in range(1, self.bound + 1)}
@@ -227,7 +191,8 @@ class UniversalFGL:
                 coeffs_by_degree[d].append(c)
         basis_elems: dict[int, list[Poly]] = {}
         for d in range(1, self.bound + 1):
-            basis, _ = self._mon_basis(d)
+            basis = self.mring.monomials_of_degree(d)
+            idx = {m: i for i, m in enumerate(basis)}
             polys: list[Poly] = []
             # decomposables: products of lattice basis elements of lower degrees
             for k in range(1, d):
@@ -239,7 +204,7 @@ class UniversalFGL:
             # one common denominator puts the lattice and the decomposables
             # on the integer lattice, where the HNF is computed once
             denom = _common_denominator(polys)
-            int_rows = [self._vec(p, d, denom) for p in polys]
+            int_rows = [_vec(p, idx, denom) for p in polys]
             hnf = _integer_hnf(int_rows)
             basis_elems[d] = [_poly_from_vec(self.mring, basis, r, denom) for r in hnf]
             # quotient by decomposables to find the Lazard generator
@@ -259,48 +224,44 @@ class UniversalFGL:
         return PolyRing([f"x{i}" for i in range(1, self.bound + 1)],
                         list(range(1, self.bound + 1)), self.bound)
 
-    def _x_factor(self, d: int) -> tuple:
-        """The degree-d x-monomial matrix, eliminated once and cached."""
-        if d not in self._xfactor:
-            xmons = self.x_ring().monomials_of_degree(d)
-            qs = []
-            for xm in xmons:
-                q = self.mring.one()
-                for g, e in xm:
-                    q = q * self._xgens[g].pow(e)
-                qs.append(q)
-            scale = _common_denominator(qs)
-            pivots, transform = _integer_gauss_jordan([self._vec(q, d, scale) for q in qs])
-            self._xfactor[d] = xmons, pivots, transform, scale
-        return self._xfactor[d]
+    def _x_monomial(self, xm: Monomial) -> Poly:
+        """The x-monomial xm (x_{g+1} has index g, as m_{g+1} does) in the m's."""
+        q = self._xmons.get(xm)
+        if q is None:
+            g, e = xm[0]
+            rest = xm[1:] if e == 1 else ((g, e - 1),) + xm[1:]
+            q = self._xmons[xm] = self._xgens[g] * self._x_monomial(rest)
+        return q
 
     def to_x_coordinates(self, p: Poly) -> Poly:
-        """Rewrite an integral element of Q[m] in the x-generators.
+        """Rewrite an integral element of Q[m] in the x-generators, by the
+        peel of the module docstring, one degree at a time.
 
-        Raises if the result is not integral (which would mean p is not in
-        the Lazard subring).
+        Raises ValueError for a part above the bound, which no x-monomial
+        reaches, and for non-integral coordinates (p is then not in the
+        Lazard subring).
         """
-        xr = self.x_ring()
-        out = xr.zero()
-        # by degree, peel off x-monomials
-        degrees = sorted({mon_deg(m, self.mring.degrees) for m in p.terms})
-        for d in degrees:
-            comp = p.degree_component(d)
-            if comp.is_zero():
-                continue
-            xmons, pivots, transform, scale = self._x_factor(d)
-            _, idx = self._mon_basis(d)
-            target = [(idx[m], c) for m, c in comp.terms.items()]
-            y = [sum(row[j] * c for j, c in target) for row in transform]
-            if any(y[len(pivots):]):
+        degs = self.mring.degrees
+        terms = {m: c for m, c in p.terms.items() if c}
+        out: dict[Monomial, int] = {}
+        for d in sorted({mon_deg(m, degs) for m in terms}):
+            if d > self.bound:
                 raise ValueError("element not in the span of x-monomials")
-            for (col, piv), yi in zip(pivots, y):
-                c = Fraction(yi) * scale / piv
-                if c:
+            rest = Poly(self.mring, {m: c for m, c in terms.items()
+                                     if mon_deg(m, degs) == d})
+            coords: dict[Monomial, int] = {}
+            while rest.terms:
+                short = min(map(_mon_len, rest.terms))
+                for m in [m for m in rest.terms if _mon_len(m) == short]:
+                    # x^m is the only x-monomial of this length reaching m
+                    q = self._x_monomial(m)
+                    c = Fraction(rest.terms[m]) / q.terms[m]
                     if c.denominator != 1:
                         raise ValueError("element is not integral in the x-basis")
-                    out = out + xr.monomial(xmons[col], int(c))
-        return out
+                    coords[m] = int(c)
+                    rest = rest - q.scale(coords[m])
+            out.update(sorted(coords.items()))
+        return Poly(self.x_ring(), out)
 
     def presentation(self) -> GradedRingPresentation:
         return GradedRingPresentation(
@@ -326,6 +287,19 @@ class UniversalFGL:
 
 def _reindex(p: Poly, ring: PolyRing) -> Poly:
     return Poly(ring, dict(p.terms))
+
+
+def _mon_len(m: Monomial) -> int:
+    """The number of factors of a monomial."""
+    return sum(e for _, e in m)
+
+
+def _vec(p: Poly, idx: dict[Monomial, int], denom: int) -> list[int]:
+    """Coefficients of denom * p on the basis with index idx."""
+    v = [0] * len(idx)
+    for m, c in p.terms.items():
+        v[idx[m]] = int(c * denom)
+    return v
 
 
 def _poly_from_vec(ring: PolyRing, basis: list[Monomial], v: list[int],
@@ -522,37 +496,6 @@ def _common_denominator(polys: list[Poly]) -> int:
     return lcm(*(Fraction(c).denominator for p in polys for c in p.terms.values()))
 
 
-def _integer_gauss_jordan(cols: list[list[int]]):
-    """Fraction-free Gauss-Jordan of the integer matrix A with these columns.
-
-    Returns (pivots, T): T is an integer matrix with T A in reduced echelon
-    form up to row scaling, and pivots lists (column, pivot entry) for its
-    first len(pivots) rows.  Then A c = t is solvable iff
-    (T t)[len(pivots):] vanishes, and the solution with zero free variables
-    has c[column] = (T t)[i] / pivot entry.
-    """
-    n, k = len(cols[0]), len(cols)
-    M = [[cols[j][i] for j in range(k)] + [int(i == t) for t in range(n)]
-         for i in range(n)]
-    piv_cols = []
-    for c in range(k):
-        r = len(piv_cols)
-        pr = next((i for i in range(r, n) if M[i][c]), None)
-        if pr is None:
-            continue
-        M[r], M[pr] = M[pr], M[r]
-        pv = M[r][c]
-        for i in range(n):
-            a = M[i][c]
-            if i != r and a:
-                row = [pv * x - a * y for x, y in zip(M[i], M[r])]
-                g = gcd(*row)
-                M[i] = [x // g for x in row]
-        piv_cols.append(c)
-    pivots = [(c, M[i][c]) for i, c in enumerate(piv_cols)]
-    return pivots, [row[k:] for row in M]
-
-
 # ---------------------------------------------------------------------------
 # public operations
 
@@ -741,15 +684,7 @@ def p_typical_reduction(F: FormalGroupLaw, p: int, bound: int
     if base not in (QQ, ZZ, zz_local(p)):
         raise ValueError(f"base {base} does not admit p-typification at {p}")
     pres, logser = p_typical_log(p, bound)
-    ring = pres.ring()
-    order = bound + 1
-    expser = reversion(logser)
-    x = Series.variable(ring, 2, order, 0)
-    y = Series.variable(ring, 2, order, 1)
-    lx = compose_univariate(logser, x)
-    ly = compose_univariate(logser, y)
-    Fser = compose_univariate(expser, lx + ly)
-    law = FormalGroupLaw(pres, dict(Fser.terms))
+    law = FormalGroupLaw(pres, dict(_sum_series(logser, reversion(logser)).terms))
     # denominators must clear: the law is defined over Z_(p)
     for (i, j), c in law.series.items():
         for mon, coeff in c.terms.items():

@@ -486,14 +486,18 @@ class Decomposition:
 
 
 def decompose(M: FptModule) -> Decomposition:
-    """Full decomposition into (F_p[t]/t^i)^{r_i}, with witness matrices."""
+    """Full decomposition into (F_p[t]/t^i)^{r_i}, with witness matrices.
+
+    Each stage splits off its free part F and goes on with M' = ker of the
+    retraction, so M is the direct sum of the free parts, and the
+    retraction onto a part is its block of coordinates in the basis formed
+    by the columns of all the inclusions.
+    """
     parts: list[tuple[int, int]] = []
-    witnesses: list[dict] = []
+    inclusions: list[Matrix] = []
     cur = M
     # inclusion of the current stage into the original module
     incl_chain: Matrix = [[1 if i == j else 0 for j in range(M.dim)]
-                          for i in range(M.dim)]
-    retr_chain: Matrix = [[1 if i == j else 0 for j in range(M.dim)]
                           for i in range(M.dim)]
     n = 0
     while cur.dim > 0:
@@ -501,54 +505,31 @@ def decompose(M: FptModule) -> Decomposition:
             raise FptError("decomposition failed to terminate")
         spl = extract_free(cur, n)
         if spl.free_rank:
-            incl = _mat_mul(incl_chain, spl.inclusion, M.p) if M.dim else []
-            retr = _mat_mul(spl.retraction, retr_chain, M.p)
             parts.append((n + 1, spl.free_rank))
-            witnesses.append({
-                "exponent": n + 1, "multiplicity": spl.free_rank,
-                "inclusion": incl, "retraction": retr,
-            })
-            comp = _mat_mul(retr, incl, M.p)
-            k = len(comp)
-            for i in range(k):
-                for j in range(k):
-                    if comp[i][j] != (1 if i == j else 0):
-                        raise FptError("composed witnesses are not a splitting")
+            inclusions.append(_mat_mul(incl_chain, spl.inclusion, M.p))
         incl_chain = _mat_mul(incl_chain, spl.quotient_inclusion, M.p) \
             if spl.quotient.dim else []
-        # retraction onto the new stage: solve through the quotient inclusion
-        retr_chain = _stage_retraction(spl, retr_chain, M.p)
         cur = spl.quotient
         n += 1
+    cols = [c for incl in inclusions for c in _columns(incl, len(incl[0]))]
+    basis = _span(cols, M.p)
+    if len(cols) != M.dim or len(basis.rows) != M.dim:
+        raise FptError("the free parts do not reassemble the module")
+    # column j of the inverse change of basis: coordinates of e_j
+    coords = [basis.coordinates([int(i == j) for i in range(M.dim)])
+              for j in range(M.dim)]
+    witnesses: list[dict] = []
+    start = 0
+    for (exponent, mult), incl in zip(parts, inclusions):
+        k = len(incl[0])
+        retr = [[coords[j][start + i] for j in range(M.dim)] for i in range(k)]
+        start += k
+        comp = _mat_mul(retr, incl, M.p)
+        if any(comp[i][j] != int(i == j) for i in range(k) for j in range(k)):
+            raise FptError("composed witnesses are not a splitting")
+        witnesses.append({"exponent": exponent, "multiplicity": mult,
+                          "inclusion": incl, "retraction": retr})
     return Decomposition(M.p, parts, 0, witnesses)
-
-
-def _stage_retraction(spl: Splitting, retr_chain: Matrix, p: int) -> Matrix:
-    """Retraction original -> new stage: project along F then restrict."""
-    dq = spl.quotient.dim
-    if dq == 0:
-        return []
-    d = len(spl.inclusion)
-    # projector onto M' along F: pi = 1 - iota_F rho
-    if spl.free_rank:
-        ir = _mat_mul(spl.inclusion, spl.retraction, p)
-        proj = [[(int(i == j) - x) % p for j, x in enumerate(row)]
-                for i, row in enumerate(ir)]
-    else:
-        proj = [[int(i == j) for j in range(d)] for i in range(d)]
-    # coordinates in the M'-basis
-    cols = _span(_columns(spl.quotient_inclusion, dq), p)
-    out = [[0] * len(retr_chain[0]) if retr_chain else [] for _ in range(dq)]
-    # build matrix: for each original basis vector, project then solve
-    src_dim = len(retr_chain[0]) if retr_chain else 0
-    for col in range(src_dim):
-        x = [retr_chain[i][col] for i in range(len(retr_chain))]
-        sol = cols.coordinates(_mat_vec(proj, x, p))
-        if sol is None:
-            raise FptError("projection does not land in the complement")
-        for i in range(dq):
-            out[i][col] = sol[i]
-    return out
 
 
 def reassemble(dec: Decomposition) -> FptModule:

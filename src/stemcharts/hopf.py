@@ -24,7 +24,7 @@ from fractions import Fraction
 from operator import itemgetter
 
 from .poly import Poly, PolyRing, Monomial, ONE, mon_mul, mon_deg
-from .series import Series, reversion
+from .series import compose_univariate, generic_series, reversion
 from .fgl import (EngineError, GradedRingPresentation, UniversalFGL,
                   hazewinkel_lambdas, p_typical_presentation, zz_local)
 
@@ -56,9 +56,12 @@ class HopfAlgebroid:
         self.eta_r_gen = eta_r          # A-generator index -> Gamma element
         self.coproduct_gen = coproduct  # Gamma-generator index -> Gamma^2 element
         self.antipode_gen = antipode    # Gamma-generator index -> Gamma element
-        self._eta_r_cache: dict[Monomial, Tensor] = {ONE: {(ONE, (ONE,)): 1}}
-        self._delta_cache: dict[Monomial, Tensor] = {ONE: {(ONE, (ONE, ONE)): 1}}
-        self._antipode_cache: dict[Monomial, Tensor] = {ONE: {(ONE, (ONE,)): 1}}
+        # per structure map: monomial -> product of its generators' images
+        self._images: dict[str, dict[Monomial, Tensor]] = {
+            "eta_r": {ONE: {(ONE, (ONE,)): 1}},
+            "delta": {ONE: {(ONE, (ONE, ONE)): 1}},
+            "antipode": {ONE: {(ONE, (ONE,)): 1}},
+        }
 
     # -- presentation-level views -------------------------------------------
 
@@ -169,16 +172,22 @@ class HopfAlgebroid:
 
     # -- structure maps on monomials ------------------------------------------
 
+    def _image(self, which: str, gen_images: dict[int, Tensor],
+               mon: Monomial) -> Tensor:
+        """A ring map on a monomial: the product of its generators' images,
+        memoized per map and monomial."""
+        memo = self._images[which]
+        out = memo.get(mon)
+        if out is None:
+            g, e = mon[0]
+            rest = mon[1:] if e == 1 else ((g, e - 1),) + mon[1:]
+            out = memo[mon] = self.tensor_mul(
+                gen_images[g], self._image(which, gen_images, rest))
+        return out
+
     def eta_r(self, amon: Monomial) -> Tensor:
         """eta_R of an A-monomial, as a Gamma element (1 slot)."""
-        cached = self._eta_r_cache.get(amon)
-        if cached is not None:
-            return cached
-        g, e = amon[0]
-        rest = amon[1:] if e == 1 else tuple([(g, e - 1)] + list(amon[1:]))
-        out = self.tensor_mul(self.eta_r_gen[g], self.eta_r(rest))
-        self._eta_r_cache[amon] = out
-        return out
+        return self._image("eta_r", self.eta_r_gen, amon)
 
     def eta_r_poly(self, q: Poly) -> Tensor:
         out: Tensor = {}
@@ -188,24 +197,10 @@ class HopfAlgebroid:
 
     def delta(self, tmon: Monomial) -> Tensor:
         """Coproduct of a Gamma monomial, as a Gamma^2 element."""
-        cached = self._delta_cache.get(tmon)
-        if cached is not None:
-            return cached
-        g, e = tmon[0]
-        rest = tmon[1:] if e == 1 else tuple([(g, e - 1)] + list(tmon[1:]))
-        out = self.tensor_mul(self.coproduct_gen[g], self.delta(rest))
-        self._delta_cache[tmon] = out
-        return out
+        return self._image("delta", self.coproduct_gen, tmon)
 
     def antipode_t(self, tmon: Monomial) -> Tensor:
-        cached = self._antipode_cache.get(tmon)
-        if cached is not None:
-            return cached
-        g, e = tmon[0]
-        rest = tmon[1:] if e == 1 else tuple([(g, e - 1)] + list(tmon[1:]))
-        out = self.tensor_mul(self.antipode_gen[g], self.antipode_t(rest))
-        self._antipode_cache[tmon] = out
-        return out
+        return self._image("antipode", self.antipode_gen, tmon)
 
     def antipode(self, elem: Tensor) -> Tensor:
         """Ring map c on a Gamma element: c(eta_L(a) tau) = eta_R(a) c(tau)."""
@@ -505,21 +500,13 @@ def build_universal(bound: int) -> HopfAlgebroid:
     bnames = [f"b{i}" for i in range(1, nb + 1)]
     bdegrees = list(range(1, nb + 1))
 
-    # eta_R(m_n): coefficient of x^{n+1} in sum_i m_i B(x)^{i+1} over Q[m, b]
+    # eta_R(m_n): coefficient of x^{n+1} in log(B(x)) over Q[m, b]
     mb = PolyRing([f"m{i}" for i in range(1, bound + 1)] + bnames,
                   list(range(1, bound + 1)) + bdegrees, bound)
     nm = bound
     order = bound + 1
-    B = Series(mb, 1, order,
-               {(1,): mb.one(),
-                **{(i + 1,): mb.gen(nm + i - 1) for i in range(1, nb + 1)}})
-    logr = Series.zero(mb, 1, order)
-    Bpow = {1: B}
-    for i in range(0, bound + 1):
-        if i + 1 not in Bpow:
-            Bpow[i + 1] = Bpow[i] * B
-        coeff = mb.one() if i == 0 else mb.gen(i - 1)
-        logr = logr + Bpow[i + 1].scale_poly(coeff)
+    logr = compose_univariate(generic_series(mb, order, 0),
+                              generic_series(mb, order, nm))
     eta_r_m: dict[int, Poly] = {}
     for n in range(1, bound + 1):
         eta_r_m[n] = logr.coefficient((n + 1,))
@@ -560,16 +547,8 @@ def build_universal(bound: int) -> HopfAlgebroid:
     b2 = PolyRing([f"bL{i}" for i in range(1, nb + 1)]
                   + [f"bR{i}" for i in range(1, nb + 1)],
                   bdegrees + bdegrees, bound)
-    inner = Series(b2, 1, order,
-                   {(1,): b2.one(),
-                    **{(i + 1,): b2.gen(nb + i - 1) for i in range(1, nb + 1)}})
-    comp = Series.zero(b2, 1, order)
-    ipow = {1: inner}
-    for j in range(0, bound + 1):
-        if j + 1 not in ipow:
-            ipow[j + 1] = ipow[j] * inner
-        coeff = b2.one() if j == 0 else b2.gen(j - 1)
-        comp = comp + ipow[j + 1].scale_poly(coeff)
+    comp = compose_univariate(generic_series(b2, order, 0),
+                              generic_series(b2, order, nb))
     coproduct_gen: dict[int, Tensor] = {}
     for n in range(1, nb + 1):
         poly = comp.coefficient((n + 1,))
@@ -585,10 +564,7 @@ def build_universal(bound: int) -> HopfAlgebroid:
 
     # antipode on b's: compositional inverse of B, in pure b's
     bring = PolyRing(bnames, bdegrees, bound)
-    Bb = Series(bring, 1, order,
-                {(1,): bring.one(),
-                 **{(i + 1,): bring.gen(i - 1) for i in range(1, nb + 1)}})
-    Binv = reversion(Bb)
+    Binv = reversion(generic_series(bring, order, 0))
     antipode_gen: dict[int, Tensor] = {}
     for n in range(1, nb + 1):
         poly = Binv.coefficient((n + 1,))

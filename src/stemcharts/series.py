@@ -112,6 +112,15 @@ class Series:
         return result
 
 
+def generic_series(ring: PolyRing, order: int, first: int) -> Series:
+    """x + g_first x^2 + g_{first+1} x^3 + ... through x^order, on the
+    generators of ring from index first on: a generic logarithm or
+    strict coordinate change."""
+    return Series(ring, 1, order,
+                  {(1,): ring.one(),
+                   **{(i + 1,): ring.gen(first + i - 1) for i in range(1, order)}})
+
+
 def compose_univariate(f: Series, g: Series) -> Series:
     """f(g(...)) where f is univariate with f(0)=0 and g has no constant term.
 

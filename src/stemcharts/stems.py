@@ -24,6 +24,7 @@ from .fields import FieldDescriptor, milnor_k
 from .kmw import complete_kmw, free_basis, milnor_witt
 from .hopf import build_algebroid
 from .extcharts import ext_chart
+from .fgl import EngineError
 
 
 class PreconditionError(Exception):
@@ -295,7 +296,7 @@ def _check_synthetic_invariants(syn: SyntheticChart):
     for (n, w), anns in syn.filtrations.items():
         for s, _ in anns:
             if s < 0 or (n + s) != 2 * w:
-                raise AssertionError(f"filtration annotation out of lane at {(n, w)}")
+                raise EngineError(f"filtration annotation out of lane at {(n, w)}")
 
 
 # ---------------------------------------------------------------------------

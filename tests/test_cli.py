@@ -93,6 +93,23 @@ def test_exit_code_hopf_axiom_failure(monkeypatch, tmp_path, capsys):
     assert not list(cache.glob("*.json"))
 
 
+def test_exit_code_synthetic_lane_failure(monkeypatch, capsys):
+    # an Ext entry at odd t sits off its lane n + s = 2w
+    from types import SimpleNamespace
+    from stemcharts import stems
+
+    def odd_t(*args, **kwargs):
+        return SimpleNamespace(chart=BigradedChart({(1, 3): cyclic(3)}))
+    monkeypatch.setattr(stems, "ext_chart", odd_t)
+    monkeypatch.delenv("STEMCHARTS_CACHE_DIR", raising=False)
+    code = main(["synthetic", "--prime", "3"])
+    captured = capsys.readouterr()
+    assert code == 4
+    assert captured.out == ""
+    assert "engine invariant broken: filtration annotation out of lane" \
+        in captured.err
+
+
 def test_decompose_command(tmp_path, capsys):
     mod = {"p": 2, "dim": 3, "t": [0, 0, 0, 1, 0, 0, 0, 1, 0]}
     path = tmp_path / "module.json"
@@ -118,6 +135,23 @@ def test_decompose_decomposes_once(monkeypatch, capsys):
     path = os.path.join(os.path.dirname(__file__), "golden", "module_p3_j9_3.json")
     code, _ = run(capsys, "decompose", "--module-file", path)
     assert code == 0 and len(calls) == 1
+
+
+def test_decompose_inclusions_that_do_not_span(monkeypatch, capsys):
+    import stemcharts.fpt
+    original = stemcharts.fpt.extract_free
+
+    def lossy(M, n):
+        spl = original(M, n)
+        spl.inclusion = [[0] * len(row) for row in spl.inclusion]
+        return spl
+    monkeypatch.setattr(stemcharts.fpt, "extract_free", lossy)
+    path = os.path.join(os.path.dirname(__file__), "golden", "module_p3_j9_3.json")
+    code = main(["decompose", "--module-file", path])
+    captured = capsys.readouterr()
+    assert code == 4
+    assert captured.out == ""
+    assert "the free parts do not reassemble the module" in captured.err
 
 
 def test_check_failure_is_reported(monkeypatch, capsys):

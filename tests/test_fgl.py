@@ -1,15 +1,18 @@
 import random
+import re
 from fractions import Fraction
 
 import pytest
 
-from stemcharts.fgl import (EngineError, FGLAxiomError, _echelon_coordinates,
-                            _integer_hnf, _integer_smith,
+from stemcharts.fgl import (QQ, EngineError, FGLAxiomError, FormalGroupLaw,
+                            GradedRingPresentation,
+                            _echelon_coordinates, _integer_hnf, _integer_smith,
                             _lattice_quotient_generator,
                             _pivot_columns, additive_fgl, fgl_series,
                             hazewinkel_lambdas, multiplicative_fgl,
                             p_typical_reduction, truncate_fgl, universal_fgl,
                             universal_model)
+from stemcharts.poly import Poly
 from stemcharts.series import compose_univariate, reversion
 
 
@@ -62,6 +65,19 @@ def test_truncation_consistency():
         assert trunc.series.keys() == law_small.series.keys()
         for key in trunc.series:
             assert trunc.series[key].terms == law_small.series[key].terms
+
+
+@pytest.mark.parametrize("bound,extra,message", [
+    (3, (2, 2), "associativity fails below the bound"),
+    (4, (1, 2), "a_12 != a_21"),
+    (4, (2, 0), "F(x,0) has stray term x^2"),
+], ids=["associativity", "commutativity", "unitality"])
+def test_axiom_failures_are_reported(bound, extra, message):
+    # x + y plus one more term: x^2 y^2 breaks only associativity
+    pres = GradedRingPresentation(QQ, [], [], bound)
+    one = pres.ring().one()
+    with pytest.raises(FGLAxiomError, match=re.escape(message)):
+        FormalGroupLaw(pres, {(1, 0): one, (0, 1): one, extra: one})
 
 
 def test_log_exp_roundtrip():
@@ -302,3 +318,31 @@ def test_x_coordinates_reject_non_integral(universal10):
     assert universal10.x_generator(1).terms == {((0, 1),): 2}
     with pytest.raises(ValueError, match="not integral"):
         universal10.to_x_coordinates(universal10.mring.gen(0))
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_x_coordinates_round_trip(universal10, seed):
+    # a random integral x-polynomial with several terms in every degree
+    rng = random.Random(seed)
+    xr, mring = universal10.x_ring(), universal10.mring
+    terms = {}
+    for d in range(11):
+        mons = xr.monomials_of_degree(d)
+        for xm in rng.sample(mons, min(len(mons), rng.randint(1, 4))):
+            terms[xm] = rng.choice([-1, 1]) * rng.randint(1, 30)
+    xpoly = Poly(xr, terms)
+    # expanded in the m's through the generators, independently of the peel
+    mpoly = mring.zero()
+    for xm, c in terms.items():
+        q = mring.const(c)
+        for g, e in xm:
+            q = q * universal10.x_generator(g + 1).pow(e)
+        mpoly = mpoly + q
+    assert universal10.to_x_coordinates(mpoly) == xpoly
+
+
+def test_x_coordinates_reject_above_bound():
+    # x_1^5 = 32 m_1^5 truncates to 0 at bound 4: no x-monomial reaches it
+    u = universal_model(4)
+    with pytest.raises(ValueError, match="not in the span of x-monomials"):
+        u.to_x_coordinates(Poly(u.mring, {((0, 5),): 32}))

@@ -7,8 +7,6 @@ use the chart JSON group schema ({"free_rank": r, "torsion": [...], ...}).
 
 from __future__ import annotations
 
-import json
-
 from .charts import INF
 from .fields import (FieldDescriptor, FieldError, algebraically_closed,
                      complex_like, finite_field, real_closed)
@@ -69,11 +67,14 @@ def default_catalog() -> dict[str, FieldDescriptor]:
     return fields
 
 
-def load_catalog(path: str | None) -> dict[str, FieldDescriptor]:
+def load_catalog(data: dict | None = None) -> dict[str, FieldDescriptor]:
+    """The built-in fields, plus those of `data` (a parsed catalog file).
+
+    A malformed descriptor, custom tables included, raises KeyError,
+    TypeError or ValueError here, when the catalog is loaded.
+    """
     fields = default_catalog()
-    if path:
-        with open(path, "r", encoding="utf-8") as fh:
-            data = json.load(fh)
+    if data is not None:
         for name, obj in data.get("fields", {}).items():
             fd = FieldDescriptor.from_json(obj)
             if not fd.name:
@@ -86,8 +87,10 @@ def catalog_to_json(fields: dict[str, FieldDescriptor]) -> dict:
     return {"fields": {name: fd.to_json() for name, fd in sorted(fields.items())}}
 
 
-def get_field(name: str, catalog_path: str | None = None) -> FieldDescriptor:
-    fields = load_catalog(catalog_path)
+def get_field(name: str, fields: dict[str, FieldDescriptor] | None = None
+              ) -> FieldDescriptor:
+    """The field `name` of a loaded catalog (default: the built-in one)."""
+    fields = load_catalog() if fields is None else fields
     if name not in fields:
         raise FieldError(
             f"unknown field {name!r}; available: {', '.join(sorted(fields))}")

@@ -13,14 +13,20 @@ axiom failure; a failed splitting or reassembly check of an F_p[[t]]
 decomposition; a synthetic chart class off its lane n + s = 2w; a defect
 of the engine, not of the input).  Inputs are
 validated before any work or cache access, and a rejected input is a usage
-error (exit 2): --prime and --complete must be prime, --smax and --tmax
-non-negative, --tmax even, --precision at least 2, --range two integers
-LO:HI with LO <= HI, and every input file (--module-file, --chart-file,
---table, --catalog) readable.  A module file that does not describe a
-module (a key missing, a matrix of the wrong shape, a t-action that is not
-nilpotent, a structure map that is not injective or not t-equivariant) or
-an ind-system whose profiles do not stabilize as declared is a
-precondition violation (exit 2).
+error (exit 2): --prime and --complete must be prime, --smax, --tmax and
+--stem-max non-negative, --tmax even, --precision at least 2, --range two
+integers LO:HI with LO <= HI, and every input file (--module-file,
+--chart-file, --table, --catalog) readable.  Each input file is read once,
+by `_read_input`, and one that is not JSON or does not describe what its
+option expects is a precondition violation (exit 2) naming the file: a
+module file with a key missing, a matrix of the wrong shape, a t-action
+that is not nilpotent or a structure map that is not injective or not
+t-equivariant; a chart entry without "i" or "j"; a catalog field without
+"variant" or with a malformed custom table; a table row that is not
+[weight, filtration >= 0, order].  So is an ind-system whose profiles do
+not stabilize as declared.  The cache key holds every parameter that
+changes the payload, including kmw --basis and the sha256 of the contents
+of the --table and --catalog files.
 Every command is deterministic given its inputs: re-running reproduces
 byte-identical output.
 
@@ -34,6 +40,7 @@ from __future__ import annotations
 
 import argparse
 import functools
+import hashlib
 import json
 import os
 import sys
@@ -49,7 +56,8 @@ from .fpt import FptError, FptModule, IndFptModule, IndSystemError, \
 from .hopf import build_algebroid
 from .kmw import NotFreeError, complete_kmw, free_basis, milnor_witt
 from .render import render_svg, render_text
-from .stems import PreconditionError, synthetic_stems, tensor_formula
+from .stems import PreconditionError, check_table, synthetic_stems, \
+    tensor_formula
 
 EXIT_OK = 0
 EXIT_PRECONDITION = 2
@@ -73,6 +81,26 @@ def _chart_output(chart: BigradedChart, fmt: str, view: str) -> str:
     if fmt == "svg":
         return render_svg(chart, view=view)
     raise ValueError(f"unknown format {fmt!r}")
+
+
+def _read_input(path: str | None, what: str, parse) -> tuple[object, str | None]:
+    """(parse(the JSON in the file), sha256 of the file's bytes), or
+    (None, None) without a path.
+
+    Every input file (module, chart, table, catalog) is read here, once:
+    a file that is not JSON or does not describe a `what` is a precondition
+    violation that names the file.
+    """
+    if path is None:
+        return None, None
+    with open(path, "rb") as fh:
+        data = fh.read()
+    try:
+        return parse(json.loads(data)), hashlib.sha256(data).hexdigest()
+    except (KeyError, TypeError, ValueError, AttributeError, FptError) as exc:
+        # ValueError covers json.JSONDecodeError and UnicodeDecodeError
+        raise PreconditionError(
+            f"{path} is not a {what} file ({type(exc).__name__}: {exc})") from exc
 
 
 def _with_cache(args, command: str, params: dict, compute):
@@ -120,9 +148,11 @@ def cmd_ext(args) -> int:
 
 
 def cmd_kmw(args) -> int:
-    k = get_field(args.field, args.catalog)
+    fields, catalog = _read_input(args.catalog, "catalog", load_catalog)
+    k = get_field(args.field, fields)
     lo, hi = args.range
-    params = {"field": args.field, "range": [lo, hi], "complete": args.complete}
+    params = {"field": args.field, "range": [lo, hi], "complete": args.complete,
+              "basis": args.basis, "catalog": catalog}
 
     def compute():
         chart = milnor_witt(k, lo, hi)
@@ -152,14 +182,17 @@ def _desc(g):
 
 
 def cmd_stems(args) -> int:
-    k = get_field(args.field, args.catalog)
+    fields, catalog = _read_input(args.catalog, "catalog", load_catalog)
+    k = get_field(args.field, fields)
+    table, table_sha = _read_input(args.table, "table", check_table)
     params = {"field": args.field, "prime": args.prime,
               "stem_max": args.stem_max, "source": args.source,
-              "table": bool(args.table), "precision": args.precision}
+              "table": table_sha, "catalog": catalog,
+              "precision": args.precision}
 
     def compute():
         chart = tensor_formula(k, args.prime, args.stem_max,
-                               source=args.source, table=args.table,
+                               source=args.source, table=table,
                                precision=args.precision)
         return chart.to_json()
 
@@ -167,35 +200,29 @@ def cmd_stems(args) -> int:
 
 
 def cmd_synthetic(args) -> int:
+    table, table_sha = _read_input(args.table, "table", check_table)
     params = {"prime": args.prime, "stem_max": args.stem_max,
-              "source": args.source, "table": bool(args.table),
+              "source": args.source, "table": table_sha,
               "precision": args.precision}
 
     def compute():
         syn = synthetic_stems(args.prime, args.stem_max, source=args.source,
-                              table=args.table, precision=args.precision)
+                              table=table, precision=args.precision)
         return syn.to_json()
 
     return _emit_chart(args, _with_cache(args, "synthetic", params, compute))
 
 
-def _read_module(path: str) -> FptModule | IndFptModule:
-    """The module or ind-system in a module file; a file that does not
-    describe one is a precondition violation."""
-    with open(path, "r", encoding="utf-8") as fh:
-        data = json.load(fh)
-    try:
-        if "modules" not in data:
-            return FptModule.from_json(data)
-        mods = [FptModule.from_json(m) for m in data["modules"]]
-        return IndFptModule(mods, data["maps"], data.get("stable_from", 0))
-    except (FptError, KeyError, TypeError) as exc:
-        raise PreconditionError(
-            f"{path} is not a module file ({type(exc).__name__}: {exc})") from exc
+def _module_from_json(data) -> FptModule | IndFptModule:
+    """The module or ind-system of a module file."""
+    if "modules" not in data:
+        return FptModule.from_json(data)
+    mods = [FptModule.from_json(m) for m in data["modules"]]
+    return IndFptModule(mods, data["maps"], data.get("stable_from", 0))
 
 
 def cmd_decompose(args) -> int:
-    M = _read_module(args.module_file)
+    M, _ = _read_input(args.module_file, "module", _module_from_json)
     try:
         report = _decompose_report(M)
     except IndSystemError as exc:
@@ -228,15 +255,14 @@ def _decompose_report(M: FptModule | IndFptModule) -> dict:
 
 
 def cmd_render(args) -> int:
-    with open(args.chart_file, "r", encoding="utf-8") as fh:
-        obj = json.load(fh)
-    chart = BigradedChart.from_json(obj)
+    chart, _ = _read_input(args.chart_file, "chart", BigradedChart.from_json)
     _emit(_chart_output(chart, args.format, args.view), args.out)
     return EXIT_OK
 
 
 def cmd_catalog(args) -> int:
-    fields = load_catalog(args.catalog)
+    fields, _ = _read_input(args.catalog, "catalog", load_catalog)
+    fields = load_catalog() if fields is None else fields
     if args.show:
         if args.show not in fields:
             raise FieldError(f"unknown field {args.show!r}")
@@ -340,7 +366,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("stems", help="motivic stable stems via the tensor formula")
     p.add_argument("--field", required=True)
     p.add_argument("--prime", type=_prime, required=True)
-    p.add_argument("--stem-max", type=int, default=12)
+    p.add_argument("--stem-max", type=_non_negative, default=12)
     p.add_argument("--source", choices=["auto", "computed", "table"],
                    default="auto")
     p.add_argument("--table", type=_readable_file, default=None,
@@ -351,7 +377,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("synthetic", help="synthetic stable stems chart")
     p.add_argument("--prime", type=_prime, required=True)
-    p.add_argument("--stem-max", type=int, default=12)
+    p.add_argument("--stem-max", type=_non_negative, default=12)
     p.add_argument("--source", choices=["computed", "table"], default="computed")
     p.add_argument("--table", type=_readable_file, default=None)
     p.add_argument("--precision", type=_precision, default=10)
@@ -395,7 +421,7 @@ def main(argv=None) -> int:
     except EngineError as exc:
         print(f"stemcharts: engine invariant broken: {exc}", file=sys.stderr)
         return EXIT_ENGINE
-    except (PreconditionError, FieldError, NotFreeError, ValueError) as exc:
+    except (PreconditionError, FieldError, NotFreeError) as exc:
         print(f"stemcharts: precondition violated: {exc}", file=sys.stderr)
         return EXIT_PRECONDITION
 

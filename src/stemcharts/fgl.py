@@ -92,12 +92,10 @@ class FormalGroupLaw:
 
     presentation: GradedRingPresentation
     series: dict[tuple[int, int], Poly]
-    check: bool = True
     classifying_images: list | None = None
 
     def __post_init__(self):
-        if self.check:
-            self.verify_axioms()
+        self.verify_axioms()
 
     @property
     def order(self) -> int:

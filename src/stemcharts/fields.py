@@ -131,7 +131,7 @@ class FieldDescriptor:
                 (int(p), tuple(sorted((int(n), _freeze(mod))
                                       for n, mod in table.items())))
                 for p, table in obj["galois_modules"].items()))
-        return FieldDescriptor(
+        fd = FieldDescriptor(
             variant=obj["variant"],
             name=obj.get("name", ""),
             q=obj.get("q"),
@@ -145,6 +145,13 @@ class FieldDescriptor:
             km_mod_p_dims=kmd,
             galois_modules=gal,
         )
+        # build the custom tables' group descriptors now, so that a malformed
+        # table fails when the catalog is read, not in the middle of a command
+        for _, g in (fd.km_table or ()) + (fd.kmw_table or ()):
+            _desc_from_frozen(g)
+        if fd.witt_table is not None:
+            _witt_from_table(fd.witt_table)
+        return fd
 
 
 def finite_field(q: int) -> FieldDescriptor:
@@ -278,13 +285,17 @@ def witt_data(k: FieldDescriptor, n_max: int = 6) -> WittData:
             km_mod2={0: cyclic(2), 1: cyclic(2)},
         )
     if k.witt_table is not None:
-        table = dict(k.witt_table)
-        fund = {int(n): _desc_from_frozen(g) for n, g in table.get("I", ())}
-        kmod = {int(n): _desc_from_frozen(g) for n, g in table.get("k", ())}
-        return WittData(gw=_desc_from_frozen(table["GW"]),
-                        w=_desc_from_frozen(table["W"]),
-                        fundamental=fund, km_mod2=kmod)
+        return _witt_from_table(k.witt_table)
     raise FieldError(f"no Witt rule for {k.describe()} (custom table required)")
+
+
+def _witt_from_table(witt_table: tuple) -> WittData:
+    table = dict(witt_table)
+    fund = {int(n): _desc_from_frozen(g) for n, g in table.get("I", ())}
+    kmod = {int(n): _desc_from_frozen(g) for n, g in table.get("k", ())}
+    return WittData(gw=_desc_from_frozen(table["GW"]),
+                    w=_desc_from_frozen(table["W"]),
+                    fundamental=fund, km_mod2=kmod)
 
 
 # ---------------------------------------------------------------------------

@@ -3,10 +3,11 @@
 A finite-length module is a finite-dimensional F_p-space with a nilpotent
 t-action matrix.  Property P_n (every t^n-torsion element is divisible by
 t) drives the constructive decomposition: extract_free splits off the free
-F_p[t]/t^{n+1} part exactly as in the structure-theory proofs, by splitting
-the t^{n+1}-torsion submodule against the t^{n+1}-cotorsion quotient, and
-decompose iterates from n = 0.  Divisible parts of ind-systems are counted
-in Prussian copies of F_p((t))/F_p[[t]].
+F_p[t]/t^{n+1} part as in the structure-theory proofs, reading it and its
+complement (the preimage of a free summand of M/t^{n+1}M) off ker t^{n+1}
+and im t, and decompose iterates from n = 0; stage and witness retractions
+are one projection along a direct sum.  Divisible parts of ind-systems are
+counted in Pruefer copies of F_p((t))/F_p[[t]].
 
 All F_p linear algebra goes through one incremental echelon basis, `_Span`:
 vectors are added in order, and each is either independent of the earlier
@@ -322,145 +323,71 @@ class Splitting:
     quotient_inclusion: Matrix        # dim(M) x dim(M')
 
 
+def _block_retractions(blocks: list[list[list[int]]], dim: int, p: int,
+                       failure: str) -> list[Matrix]:
+    """The projection onto each block along the others, as the block's rows
+    of the inverse change of basis; FptError(failure) unless the blocks
+    together form a basis of F_p^dim."""
+    cols = [v for block in blocks for v in block]
+    inv = _invert([list(r) for r in zip(*cols)], p) if len(cols) == dim else None
+    if inv is None:
+        raise FptError(failure)
+    out, start = [], 0
+    for block in blocks:
+        out.append(inv[start:start + len(block)])
+        start += len(block)
+    return out
+
+
 def extract_free(M: FptModule, n: int) -> Splitting:
     """Split off the free F_p[t]/t^{n+1}-part of a module satisfying P_n.
 
-    Follows the constructive proof: both A = M[t^{n+1}] and B = M/t^{n+1}
-    are free over F_p[t]/t^{n+1}; the canonical map A -> B is split
-    against bases adapted mod t, giving the summand F with explicit
-    inclusion/retraction, and the kernel M' of the retraction satisfies
-    P_{n+1}.
+    G_1 is the sublist of the lex-first basis of ker t^{n+1} independent
+    modulo im t, and F has the basis t^j g (g in G_1, j <= n).  M' is
+    t^{n+1}M plus the t-orbits of the unit vectors (the rows of T^0)
+    independent modulo im t + G_1; the retraction is the projection onto F
+    along M'.  This is the structure-theory splitting: P_n puts t^{n+1}M
+    inside tM, B = M/t^{n+1}M is free over F_p[t]/t^{n+1}, F maps onto its
+    summand N_1 on the image of G_1, and M' is the preimage of the
+    complementary summand N_2 on the chosen unit vectors.  The quotient is
+    M' on its lex-first basis; it satisfies P_{n+1}.
     """
     ok, _ = satisfies_pn(M, n)
     if not ok:
         raise FptError(f"module does not satisfy P_{n}")
     p, d = M.p, M.dim
-    if d == 0:
-        return Splitting(n + 1, 0, [], [[] for _ in range(0)], [],
-                         M, [[] for _ in range(0)])
-    T = M._power(1)
-    std = [[1 if i == j else 0 for i in range(d)] for j in range(d)]
+    im_t = M._image(1).basis
 
-    # A = ker(t^{n+1}) inside M
-    A_basis = M._kernel(n + 1)
-    # G: complement of t*A in A
-    tA = _independent_subset([_mat_vec(T, v, p) for v in A_basis], p)
-    G = _complement_basis(tA, A_basis, p)
+    def orbits(gens: list[list[int]]) -> list[list[int]]:
+        return [_mat_vec(M._power(j), g, p) for g in gens for j in range(n + 1)]
 
-    # W = im(t^{n+1}); quotient B = M/W with basis C (coset representatives)
-    W = M._image(n + 1).basis
-    C = _complement_basis(W, std, p)
-    CW = _span(C + W, p)
-
-    def proj_B(x: list[int]) -> list[int]:
-        sol = CW.coordinates(x)
-        if sol is None:
-            raise FptError("projection to the quotient failed")
-        return sol[:len(C)]
-
-    TB = [[0] * len(C) for _ in range(len(C))]
-    for j, c in enumerate(C):
-        col = proj_B(_mat_vec(T, c, p))
-        for i in range(len(C)):
-            TB[i][j] = col[i]
-
-    # tB and alpha(G): split G into G_2 = ker(G -> B/tB) and a complement G_1
-    tB_cols = _independent_subset(_columns(TB, len(C)), p)
-    std_B = [[1 if i == j else 0 for i in range(len(C))] for j in range(len(C))]
-    BmodT = _complement_basis(tB_cols, std_B, p)
-    BmodT_tB = _span(BmodT + tB_cols, p)
-
-    def mod_tB(xB: list[int]) -> list[int]:
-        return BmodT_tB.coordinates(xB)[:len(BmodT)]
-
-    gmat = [mod_tB(proj_B(g)) for g in G]
-    ker_coeffs = _kernel_basis([list(r) for r in zip(*gmat)] if gmat else [],
-                               len(G), p)
-    G2 = []
-    for coeffs in ker_coeffs:
-        v = [0] * d
-        for c, g in zip(coeffs, G):
-            if c:
-                for i in range(d):
-                    v[i] = (v[i] + c * g[i]) % p
-        G2.append(v)
-    # complement of G2 inside G
-    G1 = _complement_basis(G2, G, p)
-
-    # F = span{t^j g : g in G_1, 0 <= j <= n}
-    f_basis: list[list[int]] = []
-    for g in G1:
-        v = g
-        for _ in range(n + 1):
-            f_basis.append(v)
-            v = _mat_vec(T, v, p)
+    G1 = _complement_basis(im_t, M._kernel(n + 1), p)
+    f_basis = orbits(G1)
     if len(_independent_subset(f_basis, p)) != len(f_basis):
         raise FptError("free part basis is not independent")
+    complement = M._image(n + 1).basis + orbits(
+        _complement_basis(im_t + G1, M._power(0), p))
+    retraction, _ = _block_retractions([f_basis, complement], d, p,
+                                       "F (+) M' does not reassemble M")
 
-    # B decomposes as N_1 (+) N_2 on alpha(G_1) and a complement G_3
-    aG1 = [proj_B(g) for g in G1]
-    if len(_independent_subset(aG1, p)) != len(aG1):
-        raise FptError("alpha(G_1) not independent in the quotient")
-    G3 = _complement_basis(tB_cols + aG1, std_B, p)
-    n1_basis: list[list[int]] = []
-    n1_labels: list[tuple[int, int]] = []  # (generator index, power)
-    for gi, b in enumerate(aG1):
-        v = b
-        for j in range(n + 1):
-            n1_basis.append(v)
-            n1_labels.append((gi, j))
-            v = _mat_vec(TB, v, p)
-    n2_basis: list[list[int]] = []
-    for b in G3:
-        v = b
-        for j in range(n + 1):
-            n2_basis.append(v)
-            v = _mat_vec(TB, v, p)
-    n2_basis = [v for v in n2_basis if any(v)]
-    full = _span(n1_basis + n2_basis, p)
-    if len(full.rows) != len(C):
-        raise FptError("N_1 (+) N_2 does not exhaust the quotient")
-
-    # retraction: M -> B -> N_1 -> F
-    retraction = [[0] * d for _ in range(len(f_basis))]
-    for col in range(d):
-        sol = full.coordinates(proj_B(std[col]))
-        if sol is None:
-            raise FptError("quotient coordinates failed")
-        for idx, (gi, j) in enumerate(n1_labels):
-            c = sol[idx]
-            if c:
-                retraction[gi * (n + 1) + j][col] = c
-
-    inclusion = [[f_basis[j][i] for j in range(len(f_basis))] for i in range(d)]
-    # rho o iota = identity on F
+    inclusion = _columns(f_basis, d)
     comp = _mat_mul(retraction, inclusion, p)
-    for i in range(len(f_basis)):
-        for j in range(len(f_basis)):
-            if comp[i][j] != (1 if i == j else 0):
-                raise FptError("retraction does not split the inclusion")
+    k = len(f_basis)
+    if any(comp[i][j] != int(i == j) for i in range(k) for j in range(k)):
+        raise FptError("retraction does not split the inclusion")
 
-    # M' = ker(retraction), with induced t-action
-    MK = _kernel_basis(retraction, d, p) if f_basis else std
-    Mp_dim = len(MK)
-    TMp = [[0] * Mp_dim for _ in range(Mp_dim)]
+    # M' = ker(retraction) on its lex-first basis, with the induced t-action
+    MK = _kernel_basis(retraction, d, p)
     MK_span = _span(MK, p)
-    for j, v in enumerate(MK):
-        sol = MK_span.coordinates(_mat_vec(T, v, p))
-        if sol is None:
-            raise FptError("kernel of the retraction is not t-stable")
-        for i in range(Mp_dim):
-            TMp[i][j] = sol[i]
-    Mp = FptModule(p, Mp_dim, tuple(tuple(r) for r in TMp))
+    t_cols = [MK_span.coordinates(_mat_vec(M._power(1), v, p)) for v in MK]
+    if None in t_cols:
+        raise FptError("kernel of the retraction is not t-stable")
+    Mp = FptModule(p, len(MK), tuple(map(tuple, _columns(t_cols, len(MK)))))
     ok, _ = satisfies_pn(Mp, n + 1)
     if not ok:
         raise FptError("complement does not satisfy P_{n+1}")
-    quotient_inclusion = [[MK[j][i] for j in range(Mp_dim)] for i in range(d)]
-    # direct sum check: [inclusion | quotient_inclusion] invertible
-    if len(_independent_subset(f_basis + MK, p)) != d:
-        raise FptError("F (+) M' does not reassemble M")
-    return Splitting(n + 1, len(G1), [list(g) for g in G1], inclusion,
-                     retraction, Mp, quotient_inclusion)
+    return Splitting(n + 1, len(G1), G1, inclusion, retraction, Mp,
+                     _columns(MK, d))
 
 
 @dataclass
@@ -489,9 +416,9 @@ def decompose(M: FptModule) -> Decomposition:
     """Full decomposition into (F_p[t]/t^i)^{r_i}, with witness matrices.
 
     Each stage splits off its free part F and goes on with M' = ker of the
-    retraction, so M is the direct sum of the free parts, and the
-    retraction onto a part is its block of coordinates in the basis formed
-    by the columns of all the inclusions.
+    retraction, so M is the direct sum of the free parts, and the witness
+    retraction onto a part is the projection onto it along the others: the
+    same `_block_retractions` that gives each stage its retraction.
     """
     parts: list[tuple[int, int]] = []
     inclusions: list[Matrix] = []
@@ -511,19 +438,12 @@ def decompose(M: FptModule) -> Decomposition:
             if spl.quotient.dim else []
         cur = spl.quotient
         n += 1
-    cols = [c for incl in inclusions for c in _columns(incl, len(incl[0]))]
-    basis = _span(cols, M.p)
-    if len(cols) != M.dim or len(basis.rows) != M.dim:
-        raise FptError("the free parts do not reassemble the module")
-    # column j of the inverse change of basis: coordinates of e_j
-    coords = [basis.coordinates([int(i == j) for i in range(M.dim)])
-              for j in range(M.dim)]
+    retractions = _block_retractions(
+        [_columns(incl, len(incl[0])) for incl in inclusions], M.dim, M.p,
+        "the free parts do not reassemble the module")
     witnesses: list[dict] = []
-    start = 0
-    for (exponent, mult), incl in zip(parts, inclusions):
+    for (exponent, mult), incl, retr in zip(parts, inclusions, retractions):
         k = len(incl[0])
-        retr = [[coords[j][start + i] for j in range(M.dim)] for i in range(k)]
-        start += k
         comp = _mat_mul(retr, incl, M.p)
         if any(comp[i][j] != int(i == j) for i in range(k) for j in range(k)):
             raise FptError("composed witnesses are not a splitting")

@@ -170,11 +170,6 @@ class Poly:
             n >>= 1
         return result
 
-    def degree_component(self, d: int) -> "Poly":
-        degs = self.ring.degrees
-        return Poly(self.ring, {m: c for m, c in self.terms.items()
-                                if mon_deg(m, degs) == d})
-
     def coefficient(self, m: Monomial):
         return self.terms.get(m, 0)
 

@@ -16,7 +16,7 @@ in the eta-degree grading (twist -k) it carries Z_p[eta]-type data.
 
 from __future__ import annotations
 
-import json
+import math
 from dataclasses import dataclass, field as dc_field
 
 from .charts import AbGroupDesc, BigradedChart, complete_desc, cyclic, free_group
@@ -213,11 +213,12 @@ BUILTIN_TABLES: dict[int, dict] = {
 }
 
 
-def load_table(source) -> dict:
-    if isinstance(source, dict):
-        return source
-    with open(source, "r", encoding="utf-8") as fh:
-        return json.load(fh)
+def check_table(table: dict) -> dict:
+    """The table, once its whole chart is built: a malformed row (short, a
+    negative filtration, an order that is not "free" or an integer) raises
+    here, when the table is loaded."""
+    synthetic_from_table(table, math.inf).to_json()
+    return table
 
 
 def synthetic_from_table(table: dict, stem_max: int) -> SyntheticChart:
@@ -249,10 +250,11 @@ def synthetic_stems(p: int, stem_max: int, source: str = "computed",
     """Synthetic stable stems through the given stem.
 
     source "computed" runs the Ext engine (odd p, within the degeneration
-    range); source "table" loads a table file or the built-in table.
+    range); source "table" reads `table` (checked by `check_table`) or the
+    built-in table.
     """
     if source == "table":
-        data = load_table(table) if table is not None else BUILTIN_TABLES.get(p)
+        data = table if table is not None else BUILTIN_TABLES.get(p)
         if data is None:
             raise PreconditionError(f"no synthetic table available for p={p}")
         if data["p"] != p:

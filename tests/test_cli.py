@@ -413,3 +413,110 @@ def test_decompose_check_failure_is_engine_error(monkeypatch, capsys):
     assert code == 4 and captured.out == ""
     assert "engine invariant broken: F_p[[t]] decomposition: retraction does not " \
         "split the inclusion" in captured.err
+
+
+# -- the cache key covers every input that changes the payload --------------
+
+def warm_then_cold(tmp_path, capsys, first, second):
+    """(second's output after first warmed the cache, second without a cache)."""
+    cache = ["--cache-dir", str(tmp_path / "cache")]
+    assert run(capsys, *first, *cache)[0] == 0
+    code, warm = run(capsys, *second, *cache)
+    assert code == 0
+    code, cold = run(capsys, *second)
+    assert code == 0
+    return warm, cold
+
+
+def test_cache_key_includes_basis(monkeypatch, tmp_path, capsys):
+    monkeypatch.delenv("STEMCHARTS_CACHE_DIR", raising=False)
+    argv = ["kmw", "--field", "twogen", "--range=-2:2", "--complete", "3"]
+    warm, cold = warm_then_cold(tmp_path, capsys, argv, argv + ["--basis"])
+    assert "free_basis" in json.loads(cold) and warm == cold
+
+
+@pytest.mark.parametrize("argv", [
+    ["synthetic", "--prime", "2", "--stem-max", "7", "--source", "table"],
+    ["stems", "--field", "complex", "--prime", "2", "--stem-max", "7",
+     "--source", "table"]], ids=["synthetic", "stems"])
+def test_cache_key_includes_table_contents(monkeypatch, tmp_path, capsys, argv):
+    monkeypatch.delenv("STEMCHARTS_CACHE_DIR", raising=False)
+    tables = {"tA.json": {"p": 2, "stems": {"0": [[0, 0, "free"]]}},
+              "tB.json": {"p": 2, "stems": {"0": [[0, 0, "free"]], "1": [[1, 1, 2]]}}}
+    for name, table in tables.items():
+        (tmp_path / name).write_text(json.dumps(table))
+    warm, cold = warm_then_cold(tmp_path, capsys,
+                                argv + ["--table", str(tmp_path / "tA.json")],
+                                argv + ["--table", str(tmp_path / "tB.json")])
+    assert warm == cold
+    assert cold != run(capsys, *argv, "--table", str(tmp_path / "tA.json"))[1]
+
+
+@pytest.mark.parametrize("argv", [
+    ["kmw", "--field", "mine", "--range=-2:2", "--complete", "3", "--basis"],
+    ["stems", "--field", "mine", "--prime", "3", "--stem-max", "3"]],
+    ids=["kmw", "stems"])
+def test_cache_key_includes_catalog_contents(monkeypatch, tmp_path, capsys, argv):
+    from stemcharts.catalog import default_catalog
+    monkeypatch.delenv("STEMCHARTS_CACHE_DIR", raising=False)
+    for name, field in (("cA.json", "complex"), ("cB.json", "twogen")):
+        descriptor = default_catalog()[field].to_json()
+        (tmp_path / name).write_text(json.dumps({"fields": {"mine": descriptor}}))
+    warm, cold = warm_then_cold(tmp_path, capsys,
+                                argv + ["--catalog", str(tmp_path / "cA.json")],
+                                argv + ["--catalog", str(tmp_path / "cB.json")])
+    assert warm == cold
+    assert cold != run(capsys, *argv, "--catalog", str(tmp_path / "cA.json"))[1]
+
+
+# -- a malformed input file is a precondition violation ---------------------
+
+MALFORMED_INPUTS = {
+    "chart-entry-without-i": (
+        ["render", "--chart-file", "in.json"],
+        {"label": "x", "entries": [{"j": 0, "free_rank": 1}]}),
+    "chart-not-an-object": (["render", "--chart-file", "in.json"], [1]),
+    "chart-not-json": (["render", "--chart-file", "in.json"], "{ not json"),
+    "module-not-json": (["decompose", "--module-file", "in.json"], "{ not json"),
+    "catalog-field-without-variant": (
+        ["catalog", "--catalog", "in.json"], {"fields": {"x": {"q": 3}}}),
+    "catalog-not-json": (["catalog", "--catalog", "in.json"], "{ not json"),
+    "catalog-bad-custom-table": (
+        ["kmw", "--field", "x", "--catalog", "in.json"],
+        {"fields": {"x": {"variant": "custom",
+                          "km_table": {"1": {"torsion": [6]}}}}}),
+    "catalog-witt-table-without-gw": (
+        ["kmw", "--field", "x", "--catalog", "in.json"],
+        {"fields": {"x": {"variant": "custom", "witt_table": {"W": {}}}}}),
+    "table-short-row": (
+        ["synthetic", "--prime", "2", "--source", "table", "--table", "in.json"],
+        {"p": 2, "stems": {"0": [[0, 0]]}}),
+    "table-negative-filtration": (
+        ["synthetic", "--prime", "2", "--source", "table", "--table", "in.json"],
+        {"p": 2, "stems": {"9": [[0, -1, 2]]}}),
+    "table-not-json": (
+        ["stems", "--field", "complex", "--prime", "2", "--source", "table",
+         "--table", "in.json"], "{ not json"),
+    "stem-max-negative": (
+        ["stems", "--field", "complex", "--prime", "3", "--stem-max", "-3"], None),
+}
+
+
+@pytest.mark.parametrize("argv,content", MALFORMED_INPUTS.values(),
+                         ids=MALFORMED_INPUTS.keys())
+def test_malformed_input_is_precondition(monkeypatch, tmp_path, capsys, argv,
+                                         content):
+    cache = tmp_path / "cache"
+    monkeypatch.setenv("STEMCHARTS_CACHE_DIR", str(cache))
+    path = tmp_path / "in.json"
+    path.write_text(content if isinstance(content, str) else json.dumps(content))
+    argv = [str(path) if a == "in.json" else a for a in argv]
+    try:
+        code = main(argv)
+    except SystemExit as exc:  # rejected by the parser
+        code = exc.code
+    captured = capsys.readouterr()
+    assert code == 2 and captured.out == ""
+    assert not cache.exists()
+    if content is not None:
+        assert f"precondition violated: {path} is not a" in captured.err

@@ -1,3 +1,5 @@
+import hashlib
+import json
 import random
 
 import pytest
@@ -113,6 +115,40 @@ def test_decompose_witnesses_split():
         # (checked through the retraction idempotent)
         proj = _mat_mul(incl, retr, 3)
         assert _mat_mul(proj, proj, 3) == proj
+
+
+def test_decompose_digest():
+    # sha256 over the decomposition JSON of a seeded batch of conjugated
+    # Jordan types: pins every free part and witness matrix byte for byte
+    rng = random.Random(10)
+    digest = hashlib.sha256()
+    for p in (2, 3, 5):
+        for dim in range(13):
+            for _ in range(2):
+                M = random_nilpotent(p, dim, rng)
+                digest.update(json.dumps(decompose(M).to_json(),
+                                         sort_keys=True).encode())
+    assert digest.hexdigest() == \
+        "3dcf018c881fd71dffa61620f8fcd2a7fd2b515b71a8c6ec61d0595fc8c78319"
+
+
+@pytest.mark.parametrize("p", (2, 3, 5))
+def test_extract_free_stages_split(p):
+    rng = random.Random(p)
+    for dim in range(11):
+        cur, n = random_nilpotent(p, dim, rng), 0
+        while cur.dim:
+            spl = extract_free(cur, n)
+            k, q = spl.free_rank * (n + 1), spl.quotient.dim
+            assert k + q == cur.dim
+            assert _mat_mul(spl.retraction, spl.inclusion, p) == \
+                [[int(i == j) for j in range(k)] for i in range(k)]
+            assert _mat_mul(spl.retraction, spl.quotient_inclusion, p) == \
+                [[0] * q for _ in range(k)]
+            # the quotient's t-action is t restricted to M'
+            assert _mat_mul(cur.T(), spl.quotient_inclusion, p) == \
+                _mat_mul(spl.quotient_inclusion, spl.quotient.T(), p)
+            cur, n = spl.quotient, n + 1
 
 
 @given(st.integers(min_value=0, max_value=6), st.integers(min_value=0, max_value=3),

@@ -230,7 +230,7 @@ def test_catalog_roundtrip(tmp_path):
     cat = default_catalog()
     path = tmp_path / "catalog.json"
     path.write_text(json.dumps(catalog_to_json(cat)))
-    loaded = load_catalog(str(path))
+    loaded = load_catalog(json.loads(path.read_text()))
     assert set(loaded) >= set(cat)
     k = loaded["twogen"]
     ch = complete_kmw(milnor_witt(k, -4, 4), 3)

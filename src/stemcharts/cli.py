@@ -23,8 +23,8 @@ module file with a key missing, a matrix of the wrong shape, a t-action
 that is not nilpotent or a structure map that is not injective or not
 t-equivariant; a chart entry without "i" or "j"; a catalog field without
 "variant" or with a malformed custom table; a table row that is not
-[weight, filtration >= 0, order].  So is an ind-system whose profiles do
-not stabilize as declared.  The cache key holds every parameter that
+[weight, filtration >= 0, "free" or an order >= 1].  So is an ind-system
+whose profiles do not stabilize as declared.  The cache key holds every parameter that
 changes the payload, including kmw --basis and the sha256 of the contents
 of the --table and --catalog files.
 Every command is deterministic given its inputs: re-running reproduces
@@ -337,6 +337,8 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--out", default=None, help="write output to a file")
         p.add_argument("--cache-dir", default=None,
                        help="cache directory (default: $STEMCHARTS_CACHE_DIR)")
+
+    def catalog_option(p):
         p.add_argument("--catalog", type=_readable_file, default=None,
                        help="field catalog JSON")
 
@@ -361,6 +363,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--basis", action="store_true",
                    help="include the free basis over pi_0 synthetic")
     common(p)
+    catalog_option(p)
     p.set_defaults(func=cmd_kmw)
 
     p = sub.add_parser("stems", help="motivic stable stems via the tensor formula")
@@ -373,6 +376,7 @@ def build_parser() -> argparse.ArgumentParser:
                    help="synthetic table file")
     p.add_argument("--precision", type=_precision, default=10)
     common(p)
+    catalog_option(p)
     p.set_defaults(func=cmd_stems)
 
     p = sub.add_parser("synthetic", help="synthetic stable stems chart")
@@ -399,7 +403,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("catalog", help="list or show field descriptors")
     p.add_argument("--show", default=None)
     p.add_argument("--names-only", action="store_true")
-    p.add_argument("--catalog", type=_readable_file, default=None)
+    catalog_option(p)
     p.add_argument("--out", default=None)
     p.set_defaults(func=cmd_catalog)
 

@@ -8,6 +8,17 @@ drops every tuple containing an empty slot; it computes the same
 cohomology and is the default.  Differentials are built directly as sparse
 rows, never dense, and d o d = 0 is checked exactly, over Q, on every
 basis element produced (`check_composite_zero`).
+
+The normalized differential uses the reduced coproduct.  Each Gamma-
+monomial keeps the list of its coproduct terms (cm, u, w, c); migrating cm
+left only multiplies the slots left of the coproduct, and a product of
+positive-degree monomials is never 1, so a term lands on a degenerate tuple
+exactly when u or w is 1.  Those terms, eta_R terms with an empty new slot
+and the right-unit coface d^{s+1} are dropped before any migration; what
+is left is the differential of the normalized complex, written term by term
+into one accumulator.  The unnormalized complex keeps every term.  Bases
+are built slot by slot: the (s-1)-slot tuples are extended by the
+monomials of the nonempty slot degrees only.
 """
 
 from __future__ import annotations
@@ -44,8 +55,12 @@ class CobarComplex:
         self.alg = algebroid
         self.normalized = normalized
         self._basis_cache: dict[tuple[int, int], list[TensorKey]] = {}
+        # (s, e) -> the s-slot tuples of total slot degree e
+        self._tuples: dict[tuple[int, int], list[tuple[Monomial, ...]]] = {(0, 0): [()]}
         self._tmons_by_degree: dict[int, list[Monomial]] = {}
         self._amons_by_degree: dict[int, list[Monomial]] = {}
+        # Gamma-monomial -> its coproduct terms (cm, u, w, c), reduced if normalized
+        self._coproducts: dict[Monomial, list[tuple[Monomial, Monomial, Monomial, object]]] = {}
 
     # -- bases ---------------------------------------------------------------
 
@@ -59,6 +74,22 @@ class CobarComplex:
             self._amons_by_degree[d] = self.alg.a_monomials(d)
         return self._amons_by_degree[d]
 
+    def _slot_tuples(self, s: int, e: int) -> list[tuple[Monomial, ...]]:
+        """The s-slot tuples of total degree e: the (s-1)-slot tuples
+        extended by a monomial of each nonempty slot degree."""
+        key = (s, e)
+        out = self._tuples.get(key)
+        if out is None:
+            out = []
+            if s:
+                for d in range(1 if self.normalized else 0, e + 1):
+                    tms = self._tmons(d)
+                    if tms:
+                        for head in self._slot_tuples(s - 1, e - d):
+                            out.extend(head + (tm,) for tm in tms)
+            self._tuples[key] = out
+        return out
+
     def basis(self, s: int, degree: int) -> list[TensorKey]:
         """Basis of C^s in algebraic degree `degree`, sorted canonically."""
         key = (s, degree)
@@ -68,51 +99,49 @@ class CobarComplex:
         if degree > self.alg.bound:
             raise CobarError("degree exceeds the algebroid bound")
         out: list[TensorKey] = []
-        min_slot = 1 if self.normalized else 0
-
-        def slots(rem: int, k: int, acc: list[Monomial]):
-            if k == 0:
-                for am in self._amons(rem):
-                    out.append((am, tuple(acc)))
-                return
-            for d in range(min_slot, rem + 1):
-                for tm in self._tmons(d):
-                    acc.append(tm)
-                    slots(rem - d, k - 1, acc)
-                    acc.pop()
-
-        slots(degree, s, [])
+        for e in range(degree + 1):
+            amons = self._amons(degree - e)
+            if amons:
+                out.extend((am, tup) for tup in self._slot_tuples(s, e) for am in amons)
         out.sort()
         self._basis_cache[key] = out
         return out
 
     # -- differential --------------------------------------------------------
 
+    def _coproduct(self, tmon: Monomial) -> list[tuple[Monomial, Monomial, Monomial, object]]:
+        """Coproduct terms (cm, u, w, c) of a Gamma-monomial; in the
+        normalized complex only those with u and w both nonempty."""
+        out = self._coproducts.get(tmon)
+        if out is None:
+            out = self._coproducts[tmon] = [
+                (cm, u, w, c) for (cm, (u, w)), c in self.alg.delta(tmon).items()
+                if not self.normalized or (u != ONE and w != ONE)]
+        return out
+
     def differential_element(self, key: TensorKey) -> Tensor:
         """Total differential of a basis element of C^s, as a C^{s+1} tensor."""
         alg = self.alg
+        normalized = self.normalized
         amon, tmons = key
         s = len(tmons)
         out: Tensor = {}
-
-        def add(terms, sign: int):
-            for k, c in terms:
-                if self.normalized and ONE in k[1]:
-                    continue  # a degenerate tuple, outside the normalized complex
-                c = out.get(k, 0) + sign * c
-                if c:
-                    out[k] = c
-                else:
-                    out.pop(k, None)
-
         # d^0: eta_R of the coefficient lands in a new left slot
-        add((((cm, (sigma,) + tmons), c) for (cm, (sigma,)), c in alg.eta_r(amon).items()), 1)
+        for (cm, (sigma,)), c in alg.eta_r(amon).items():
+            if sigma != ONE or not normalized:
+                k = (cm, (sigma,) + tmons)
+                out[k] = out.get(k, 0) + c
         # d^i: coproduct on slot i, coefficient migrated left
         for i in range(1, s + 1):
-            add(alg.apply_delta_slot({key: 1}, i).items(), (-1) ** i)
-        # d^{s+1}: unit in a new right slot
-        add([((amon, tmons + (ONE,)), 1)], (-1) ** (s + 1))
-        return out
+            sign = -1 if i & 1 else 1
+            head, tail = tmons[:i - 1], tmons[i:]
+            for cm, u, w, c in self._coproduct(tmons[i - 1]):
+                alg.migrate_into(out, amon, cm, i, head + (u, w) + tail, sign * c)
+        # d^{s+1}: unit in a new right slot, a degenerate tuple when normalized
+        if not normalized:
+            k = (amon, tmons + (ONE,))
+            out[k] = out.get(k, 0) + (1 if s & 1 else -1)
+        return {k: c for k, c in out.items() if c}
 
     def differential_matrix(self, s: int, degree: int) -> list[dict[int, object]]:
         """Matrix of d: C^s -> C^{s+1} in algebraic degree `degree`, sparse.

@@ -11,17 +11,27 @@ elementary divisors of d^{s-1} (Ravenel, Complex Cobordism and Stable
 Homotopy Groups of Spheres, ch. 4 and 7).  Each differential is built once
 as sparse rows, checked against d o d = 0 exactly over Q, reduced once mod
 p^(2K), and its elementary divisors (`zpk.elementary_divisors`) give r_s
-and the torsion of H^(s+1).  As d^s o d^{s-1} = 0, rank_{F_p}(d^s) <= r_s
-<= n_s - r_{s-1}: when the F_p rank meets that bound, every divisor is a
-unit and the elimination over Z/p^(2K) is skipped.  The cobar complex of
-BP_*BP (x) Q is acyclic in positive degree, so a free summand off (0,0),
-e.g. from a divisor of valuation >= 2K read as zero, is an EngineError.
+and the torsion of H^(s+1).
+
+The divisors come from a modulus ladder (`_divisor_exponents`): eliminate
+mod p^k for k = 1, 2, 4, ... capped at 2K, and stop at the first rung
+whose divisor count meets n_s - r_{s-1}.  Over Z/p^k the divisors of
+valuation < k are exactly those of the Z_(p) matrix, and d o d = 0 is
+checked exactly, so r_s <= n_s - r_{s-1}: a rung that meets the bound has
+found every divisor at its exact valuation, the one an elimination mod
+p^(2K) would give.  Most differentials stop at k = 1 (all divisors units)
+or k = 2, where the matrix stays sparse; only deep torsion reaches 2K.
+The cobar complex of BP_*BP (x) Q is acyclic in positive degree, so a
+free summand off (0,0), e.g. from a divisor of valuation >= 2K read as
+zero (no rung meets the bound then), is an EngineError; so is an Ext^1
+row that differs from its closed form (`ext1_exponent`).
 
 Precision contract: orders are certified below p^K.  A valuation a of d^s
 in [K, 2K) is torsion that p^(2K) sees but p^K cannot certify, and raises
-PrecisionExhausted.  The chart equals the image of H(C/p^(2K)) in
-H(C/p^K), i.e. H(C) (x) Z/p^K with the universal-coefficient artifacts
-removed: free summands have order p^K there, torsion is certified below it.
+PrecisionExhausted, with the same (s, t) whichever rung finds it.  The
+chart equals the image of H(C/p^(2K)) in H(C/p^K), i.e. H(C) (x) Z/p^K
+with the universal-coefficient artifacts removed: free summands have order
+p^K there, torsion is certified below it.
 """
 
 from __future__ import annotations
@@ -85,11 +95,19 @@ def _reduce_rows(rows, p: int, m: int) -> list[dict[int, int]]:
 
 def _divisor_exponents(rows, p: int, m: int, rank_bound: int) -> list[int]:
     """Elementary divisor exponents over Z/p^m of rows whose rank over
-    Z_(p) is at most rank_bound: all units when the F_p rank meets it."""
-    rank = len(elementary_divisors(rows, p, 1))
-    if rank == rank_bound:
-        return [0] * rank
-    return elementary_divisors(rows, p, m)
+    Z_(p) is at most rank_bound.
+
+    Eliminates mod p^k for k = 1, 2, 4, ... capped at m, and stops at the
+    first rung whose divisor count meets rank_bound: over Z/p^k the
+    divisors of valuation < k are exactly those of the Z_(p) matrix, so
+    such a rung has found every divisor at its exact valuation.
+    """
+    k = 1
+    while True:
+        vals = elementary_divisors(rows, p, k)
+        if k == m or len(vals) == rank_bound:
+            return vals
+        k = min(2 * k, m)
 
 
 def ext_chart(algebroid: HopfAlgebroid, p: int, K: int, s_max: int, t_max: int,
@@ -136,6 +154,27 @@ def ext_chart(algebroid: HopfAlgebroid, p: int, K: int, s_max: int, t_max: int,
     return ec
 
 
+def ext1_exponent(p: int, t: int) -> int:
+    """a with Ext^{1,t} = Z/p^a (0: the zero group), t > 0 even.
+
+    Ravenel, Complex Cobordism, Thm 5.2.6 (Novikov; Miller, Ravenel and
+    Wilson 1977): for odd p and q = 2(p-1), Ext^{1,qk} = Z/p^(1+nu_p(k))
+    and Ext^{1,t} = 0 off multiples of q; for p = 2, Ext^{1,2k} is Z/2 for
+    k odd, Z/4 for k = 2 and Z/2^(nu_2(k)+2) for even k >= 4.
+    """
+    q = 2 if p == 2 else 2 * (p - 1)
+    if t % q:
+        return 0
+    k = t // q
+    nu = 0
+    while k % p == 0:
+        k //= p
+        nu += 1
+    if p == 2 and nu:
+        return 2 if t == 4 else nu + 2
+    return 1 + nu
+
+
 def _check_ext_invariants(ec: ExtChart):
     g00 = ec.group(0, 0)
     if g00.free_rank != 1 or g00.torsion:
@@ -146,6 +185,12 @@ def _check_ext_invariants(ec: ExtChart):
         if g.free_rank and (s, t) != (0, 0):
             raise EngineError(f"free rank {g.free_rank} at (s,t)=({s},{t}) "
                               "contradicts rational acyclicity")
+    if ec.s_max >= 1:
+        p = ec.p
+        for t in range(2, ec.t_max + 1, 2):
+            a = ext1_exponent(p, t)
+            if ec.group(1, t).torsion != ((p ** a,) if a else ()):
+                raise EngineError(f"Ext^(1,{t}) is not Z/{p}^{a} (Ravenel 5.2.6)")
 
 
 def stable_stems_reference(p: int) -> dict[int, tuple[int, ...]]:

@@ -220,38 +220,39 @@ class HopfAlgebroid:
 
     # -- slotwise operations with left migration ------------------------------
 
+    def migrate_into(self, out: Tensor, amon: Monomial, cmon: Monomial,
+                     pos: int, tmons: tuple[Monomial, ...], coeff) -> None:
+        """Add coeff * amon * (cmon at slot `pos`, 1-based) to `out`, with
+        cmon moved to the left through eta_R; entries may cancel to 0."""
+        if pos == 1 or cmon == ONE:
+            key = (mon_mul(amon, cmon), tmons)
+            out[key] = out.get(key, 0) + coeff
+            return
+        j = pos - 2
+        before, slot, after = tmons[:j], tmons[j], tmons[j + 1:]
+        for (dmon, (tau,)), c in self.eta_r(cmon).items():
+            self.migrate_into(out, amon, dmon, pos - 1,
+                              before + (mon_mul(slot, tau),) + after, coeff * c)
+
     def migrate(self, cmon: Monomial, pos: int,
                 tmons: tuple[Monomial, ...]) -> Tensor:
         """Move an A-coefficient sitting at slot `pos` (1-based) to the left.
 
         Returns a normal-form tensor with the same slot count.
         """
-        if pos == 1 or cmon == ONE:
-            return {(cmon, tmons): 1}
         out: Tensor = {}
-        for (dmon, (tau,)), c in self.eta_r(cmon).items():
-            new = list(tmons)
-            new[pos - 2] = mon_mul(new[pos - 2], tau)
-            sub = self.migrate(dmon, pos - 1, tuple(new))
-            out = self.tensor_add(out, sub, scale=c)
-        return out
+        self.migrate_into(out, ONE, cmon, pos, tmons, 1)
+        return {k: c for k, c in out.items() if c}
 
     def apply_delta_slot(self, elem: Tensor, slot: int) -> Tensor:
         """Replace slot `slot` (1-based) by its coproduct; slots increase by 1.
         Delta and eta_R are homogeneous (`verify`), so nothing is truncated."""
         out: Tensor = {}
         for (am, tmons), c in elem.items():
+            head, tail = tmons[:slot - 1], tmons[slot:]
             for (cm, (u, w)), c2 in self.delta(tmons[slot - 1]).items():
-                new_t = tmons[:slot - 1] + (u, w) + tmons[slot:]
-                moved = self.migrate(cm, slot, new_t)
-                for (em, fin), c3 in moved.items():
-                    key = (mon_mul(am, em), fin)
-                    s = out.get(key, 0) + c * c2 * c3
-                    if s:
-                        out[key] = s
-                    else:
-                        del out[key]
-        return out
+                self.migrate_into(out, am, cm, slot, head + (u, w) + tail, c * c2)
+        return {k: c for k, c in out.items() if c}
 
     def counit_slot(self, elem: Tensor, slot: int) -> Tensor:
         """Apply the counit in slot `slot`; slots decrease by 1."""

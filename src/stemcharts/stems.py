@@ -215,8 +215,8 @@ BUILTIN_TABLES: dict[int, dict] = {
 
 def check_table(table: dict) -> dict:
     """The table, once its whole chart is built: a malformed row (short, a
-    negative filtration, an order that is not "free" or an integer) raises
-    here, when the table is loaded."""
+    negative filtration, an order that is not "free" or a positive integer)
+    raises here, when the table is loaded."""
     synthetic_from_table(table, math.inf).to_json()
     return table
 
@@ -235,7 +235,10 @@ def synthetic_from_table(table: dict, stem_max: int) -> SyntheticChart:
             if order == "free":
                 g = free_group(1, completed_at=p)
             else:
-                g = cyclic(int(order))
+                q = int(order)
+                if q < 1:
+                    raise ValueError(f"order {order} in table is not positive")
+                g = cyclic(q)
             cur = entries.get((n, w))
             entries[(n, w)] = g if cur is None else cur.direct_sum(g)
             filtr.setdefault((n, w), ())

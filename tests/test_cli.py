@@ -306,6 +306,21 @@ def test_invalid_input_is_usage_error(tmp_path, capsys, argv):
     assert not cache.exists()
 
 
+@pytest.mark.parametrize("argv", [
+    ["ext", "--prime", "3", "--tmax", "4"],
+    ["synthetic", "--prime", "3", "--stem-max", "4"],
+], ids=["ext", "synthetic"])
+def test_catalog_option_only_where_read(tmp_path, capsys, argv):
+    bad = tmp_path / "bad.json"
+    bad.write_text("{ not json")
+    with pytest.raises(SystemExit) as exc:
+        main(argv + ["--catalog", str(bad)])
+    assert exc.value.code == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "unrecognized arguments: --catalog" in captured.err
+
+
 @pytest.mark.parametrize("command,flag", [("decompose", "--module-file"),
                                           ("render", "--chart-file")])
 def test_missing_input_file_is_usage_error(tmp_path, capsys, command, flag):
@@ -494,6 +509,12 @@ MALFORMED_INPUTS = {
     "table-negative-filtration": (
         ["synthetic", "--prime", "2", "--source", "table", "--table", "in.json"],
         {"p": 2, "stems": {"9": [[0, -1, 2]]}}),
+    "table-zero-order": (
+        ["synthetic", "--prime", "2", "--source", "table", "--table", "in.json"],
+        {"p": 2, "stems": {"0": [[1, 1, 0]]}}),
+    "table-negative-order": (
+        ["synthetic", "--prime", "2", "--source", "table", "--table", "in.json"],
+        {"p": 2, "stems": {"1": [[1, 0, -4]]}}),
     "table-not-json": (
         ["stems", "--field", "complex", "--prime", "2", "--source", "table",
          "--table", "in.json"], "{ not json"),

@@ -3,7 +3,8 @@
 Golden files in tests/golden/ hold `json.dumps(ec.to_json(), indent=1)`
 (plus a newline) of charts computed by the kernel/subquotient engine that
 preceded the elementary-divisor one (ext_p3_t48.json by the elementary-
-divisor engine before the sparse builder and the F_p rank shortcut), and
+divisor engine before the sparse builder and the F_p rank shortcut,
+ext_p2_t22.json by the engine before the modulus ladder), and
 the grid output of `stemcharts ext --prime 3 --tmax 24 --format grid`;
 they must be reproduced byte for byte.  The oracles are sympy's Smith normal form over
 Z (for `zpk.elementary_divisors`) and the kernel/subquotient computation
@@ -20,7 +21,8 @@ import pytest
 
 from stemcharts import cli, cobar, extcharts
 from stemcharts.cobar import CobarComplex, CobarError, EngineError
-from stemcharts.extcharts import PrecisionExhausted, _reduce_rows, ext_chart
+from stemcharts.extcharts import (PrecisionExhausted, _reduce_rows, ext1_exponent,
+                                  ext_chart)
 from stemcharts.hopf import build_algebroid
 from stemcharts.zpk import SmithForm, elementary_divisors, subquotient_structure
 
@@ -33,6 +35,7 @@ GOLDEN = os.path.join(os.path.dirname(os.path.abspath(__file__)), "golden")
     ("ext_p5_t60.json", 5, 60, True),
     ("ext_p3_t18_unnormalized.json", 3, 18, False),
     ("ext_p3_t48.json", 3, 48, True),
+    ("ext_p2_t22.json", 2, 22, True),
 ])
 def test_golden_chart(name, p, t_max, normalized):
     alg = build_algebroid("p_typical", (t_max + 1) // 2, p=p)
@@ -223,7 +226,44 @@ def test_cli_lost_divisor_exit_code(monkeypatch, capsys):
     assert "rational acyclicity" in captured.err
 
 
-# -- the F_p rank shortcut ------------------------------------------------------
+def lower_one_valuation(monkeypatch):
+    """Make the elimination report its largest non-unit divisor one
+    valuation too low, leaving the rank alone."""
+    original = extcharts.elementary_divisors
+
+    def patched(rows, p, m):
+        vals = original(rows, p, m)
+        if vals and vals[-1]:
+            vals[-1] -= 1
+        return vals
+    monkeypatch.setattr("stemcharts.extcharts.elementary_divisors", patched)
+
+
+def test_lowered_valuation_breaks_ext1_oracle(monkeypatch):
+    alg = build_algebroid("p_typical", 2, p=3)
+    lower_one_valuation(monkeypatch)
+    with pytest.raises(EngineError, match=r"Ext\^\(1,4\) is not Z/3\^1"):
+        ext_chart(alg, 3, 4, 2, 4)
+
+
+def test_cli_lowered_valuation_exit_code(monkeypatch, capsys):
+    lower_one_valuation(monkeypatch)
+    code = cli.main(["ext", "--prime", "3", "--tmax", "4", "--smax", "2"])
+    captured = capsys.readouterr()
+    assert code == cli.EXIT_ENGINE
+    assert captured.out == ""
+    assert "Ravenel 5.2.6" in captured.err
+
+
+def test_ext1_exponent_examples():
+    # p = 2: alpha_1, alpha_{2/2}, alpha_3, alpha_{4/4}, alpha_{6/3}, alpha_{8/5}
+    assert [ext1_exponent(2, t) for t in (2, 4, 6, 8, 12, 16)] == [1, 2, 1, 4, 3, 5]
+    # p = 3, q = 4: alpha_1, alpha_{3/2}, alpha_{9/3}, and nothing off q
+    assert [ext1_exponent(3, t) for t in (4, 12, 36, 6, 2)] == [1, 2, 3, 0, 0]
+    assert [ext1_exponent(5, t) for t in (8, 40, 200, 12)] == [1, 2, 3, 0]
+
+
+# -- the modulus ladder -----------------------------------------------------------
 
 @pytest.mark.parametrize("p,t_max", [(2, 16), (3, 36)])
 @pytest.mark.parametrize("normalized", [True, False])
@@ -242,6 +282,28 @@ def test_fp_shortcut_leaves_chart_unchanged(monkeypatch, p, t_max, normalized):
                         lambda rows, p, m, rank_bound: original(rows, p, m))
     slow = ext_chart(alg, p, 10, 6, t_max, normalized=normalized)
     assert json.dumps(fast.to_json()) == json.dumps(slow.to_json())
+
+
+def test_ladder_stops_between_rungs(monkeypatch):
+    """At p=2 t<=16 some differential has a divisor of valuation 1 or more
+    and stops on a rung k with 1 < k < 2K, below the full modulus."""
+    alg = build_algebroid("p_typical", 8, p=2)
+    calls = []  # the moduli each _divisor_exponents call eliminated at
+    original_ed = extcharts.elementary_divisors
+    original_de = extcharts._divisor_exponents
+
+    def counted(rows, p, m):
+        calls[-1].append(m)
+        return original_ed(rows, p, m)
+
+    def ladder(rows, p, m, rank_bound):
+        calls.append([])
+        return original_de(rows, p, m, rank_bound)
+    monkeypatch.setattr("stemcharts.extcharts.elementary_divisors", counted)
+    monkeypatch.setattr("stemcharts.extcharts._divisor_exponents", ladder)
+    ext_chart(alg, 2, 10, 6, 16)
+    assert all(rungs[0] == 1 for rungs in calls)
+    assert any(1 < rungs[-1] < 20 for rungs in calls)
 
 
 # PrecisionExhausted messages, and sha256 prefixes of json.dumps(to_json())

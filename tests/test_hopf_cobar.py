@@ -5,7 +5,7 @@ from stemcharts.cobar import CobarComplex
 from stemcharts.fgl import GradedRingPresentation
 from stemcharts.hopf import (HopfAxiomError, adams_projection,
                              adams_summand_coefficients, build_algebroid)
-from stemcharts.poly import ONE
+from stemcharts.poly import ONE, mon_mul
 
 
 @pytest.fixture(scope="module")
@@ -101,6 +101,74 @@ def test_universal_d_squared(uni):
     for d in range(0, 6):
         for s in range(0, 3):
             cx.check_d_squared(s, d)
+
+
+# -- the builder against every coface ----------------------------------------
+
+def reference_migrate(alg, cmon, pos, tmons):
+    """{(a_monomial, tuple): coefficient} of cmon at slot `pos`, moved to
+    the left slot by slot through eta_R."""
+    if pos == 1 or cmon == ONE:
+        return {(cmon, tmons): 1}
+    out = {}
+    for (dmon, (tau,)), c in alg.eta_r(cmon).items():
+        new = tmons[:pos - 2] + (mon_mul(tmons[pos - 2], tau),) + tmons[pos - 1:]
+        for k, c2 in reference_migrate(alg, dmon, pos - 1, new).items():
+            out[k] = out.get(k, 0) + c * c2
+    return out
+
+
+def reference_differential(cx, s, degree):
+    """d^s as sparse rows: all s + 2 cofaces summed with their signs, and
+    only then the degenerate tuples dropped (in the normalized complex)."""
+    alg = cx.alg
+    index = {k: i for i, k in enumerate(cx.basis(s + 1, degree))}
+    rows = [{} for _ in index]
+    for j, (amon, tmons) in enumerate(cx.basis(s, degree)):
+        total = {}
+
+        def add(key, c):
+            total[key] = total.get(key, 0) + c
+        for (cm, (sigma,)), c in alg.eta_r(amon).items():
+            add((cm, (sigma,) + tmons), c)
+        for i in range(1, s + 1):
+            for (cm, (u, w)), c in alg.delta(tmons[i - 1]).items():
+                new = tmons[:i - 1] + (u, w) + tmons[i:]
+                for (em, fin), c2 in reference_migrate(alg, cm, i, new).items():
+                    add((mon_mul(amon, em), fin), (-1) ** i * c * c2)
+        add((amon, tmons + (ONE,)), (-1) ** (s + 1))
+        for key, c in total.items():
+            if c and not (cx.normalized and ONE in key[1]):
+                rows[index[key]][j] = c
+    return rows
+
+
+def reference_basis(cx, s, degree):
+    """Basis of C^s by a recursion over every slot degree, empty or not."""
+    out = []
+    low = 1 if cx.normalized else 0
+
+    def slots(rem, k, acc):
+        if k == 0:
+            out.extend((am, tuple(acc)) for am in cx.alg.a_monomials(rem))
+            return
+        for d in range(low, rem + 1):
+            for tm in cx.alg.tensor_monomials(d):
+                slots(rem - d, k - 1, acc + [tm])
+    slots(degree, s, [])
+    return sorted(out)
+
+
+@pytest.mark.parametrize("p,t_max", [(2, 12), (3, 24)])
+@pytest.mark.parametrize("normalized", [True, False])
+def test_builder_matches_every_coface(p, t_max, normalized):
+    alg = build_algebroid("p_typical", t_max // 2, p=p)
+    cx = CobarComplex(alg, normalized=normalized)
+    for degree in range(t_max // 2 + 1):
+        for s in range(6):
+            assert cx.basis(s, degree) == reference_basis(cx, s, degree)
+            assert cx.differential_matrix(s, degree) == \
+                reference_differential(cx, s, degree), (s, degree)
 
 
 def test_adams_summand_coefficients():

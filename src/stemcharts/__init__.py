@@ -13,9 +13,8 @@ from .charts import (AbGroupDesc, BigradedChart, INF, WeightFunction,
                      cyclic, fd_weight, free_group, truncate_chart, weight_eval)
 from .fgl import (FormalGroupLaw, GradedRingPresentation, additive_fgl,
                   fgl_series, multiplicative_fgl, p_typical_reduction,
-                  universal_fgl, universal_model)
-from .hopf import (HopfAlgebroid, HopfAxiomError, adams_projection,
-                   adams_summand_coefficients, build_algebroid)
+                  universal_fgl)
+from .hopf import HopfAlgebroid, HopfAxiomError, build_algebroid
 from .cobar import CobarComplex, CobarError, EngineError
 from .extcharts import ExtChart, PrecisionExhausted, ext_chart
 from .fields import (FieldDescriptor, FieldError, WittData,
@@ -26,7 +25,7 @@ from .kmw import (KMWChart, NotFreeError, complete_kmw, fiber_product_order_chec
 from .fpt import (Decomposition, FptModule, IndFptModule, Splitting,
                   check_torsion_powers, check_u_sequence, classify_divisible,
                   decompose, extract_free, jordan_module, jordan_type,
-                  satisfies_pn)
+                  reassemble, satisfies_pn)
 from .stems import (Box, PreconditionError, SyntheticChart, anss_e1,
                     degeneration_range, mgl_homotopy, morel_zero_line,
                     synthetic_stems, tensor_formula)

@@ -2,8 +2,9 @@
 
 Cache keys hash (command, parameters, engine version); payloads round-trip
 byte-identically.  Entries from other engine versions are never reused.
-Writes go through a temporary file and an atomic rename; corrupt entries
-are reported and evicted, never silently served.
+Writes go through a temporary file and an atomic rename; a write that
+fails is reported and skipped.  Corrupt entries are reported and evicted,
+never silently served.
 """
 
 from __future__ import annotations
@@ -32,8 +33,9 @@ def _path(cache_dir: str, key: str) -> str:
     return os.path.join(cache_dir, f"{key}.json")
 
 
-def cache_store(cache_dir: str, key: str, payload: str) -> str:
-    os.makedirs(cache_dir, exist_ok=True)
+def cache_store(cache_dir: str, key: str, payload: str) -> str | None:
+    """Write an entry and return its path; a directory that cannot be
+    written is reported on stderr, and nothing is stored (None)."""
     entry = {
         "key": key,
         "engine_version": ENGINE_VERSION,
@@ -42,9 +44,15 @@ def cache_store(cache_dir: str, key: str, payload: str) -> str:
     }
     path = _path(cache_dir, key)
     tmp = path + f".tmp.{os.getpid()}"
-    with open(tmp, "w", encoding="utf-8") as fh:
-        json.dump(entry, fh)
-    os.replace(tmp, path)
+    try:
+        os.makedirs(cache_dir, exist_ok=True)
+        with open(tmp, "w", encoding="utf-8") as fh:
+            json.dump(entry, fh)
+        os.replace(tmp, path)
+    except OSError as exc:
+        print(f"stemcharts: cannot write cache entry {path}: {exc}",
+              file=sys.stderr)
+        return None
     return path
 
 

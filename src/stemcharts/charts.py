@@ -10,8 +10,8 @@ zero group; zero descriptors are never stored.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field as dc_field
-from typing import Callable, Iterable, Optional
+from dataclasses import dataclass
+from typing import Optional
 
 INF = "inf"  # countably-infinite marker for ranks and multiplicities
 
@@ -389,9 +389,6 @@ class BigradedChart:
 
     def support(self) -> list[tuple[int, int]]:
         return sorted(self._entries, key=lambda ij: (ij[1], ij[0]))
-
-    def is_empty(self) -> bool:
-        return not self._entries
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, BigradedChart):

@@ -15,18 +15,21 @@ of the engine, not of the input).  Inputs are
 validated before any work or cache access, and a rejected input is a usage
 error (exit 2): --prime and --complete must be prime, --smax, --tmax and
 --stem-max non-negative, --tmax even, --precision at least 2, --range two
-integers LO:HI with LO <= HI, and every input file (--module-file,
---chart-file, --table, --catalog) readable.  Each input file is read once,
+integers LO:HI with LO <= HI, every input file (--module-file,
+--chart-file, --table, --catalog) readable, and --out a path that is not
+a directory, in a directory that exists.  Each input file is read once,
 by `_read_input`, and one that is not JSON or does not describe what its
 option expects is a precondition violation (exit 2) naming the file: a
 module file with a key missing, a matrix of the wrong shape, a t-action
 that is not nilpotent or a structure map that is not injective or not
 t-equivariant; a chart entry without "i" or "j"; a catalog field without
-"variant" or with a malformed custom table; a table row that is not
+"variant", with a malformed custom table or, for a finite field, with a q
+that is not a prime power; a table row that is not
 [weight, filtration >= 0, "free" or an order >= 1].  So is an ind-system
 whose profiles do not stabilize as declared.  The cache key holds every parameter that
 changes the payload, including kmw --basis and the sha256 of the contents
-of the --table and --catalog files.
+of the --table and --catalog files.  A cache entry that cannot be written
+is reported on stderr, and the command still emits its output (exit 0).
 Every command is deterministic given its inputs: re-running reproduces
 byte-identical output.
 
@@ -46,7 +49,7 @@ import os
 import sys
 
 from .cache import ENGINE_VERSION, cache_key, cache_load, cache_store
-from .charts import BigradedChart, _is_prime
+from .charts import AbGroupDesc, BigradedChart, _is_prime
 from .catalog import catalog_to_json, get_field, load_catalog
 from .cobar import EngineError
 from .extcharts import PrecisionExhausted, ext_chart
@@ -97,7 +100,8 @@ def _read_input(path: str | None, what: str, parse) -> tuple[object, str | None]
         data = fh.read()
     try:
         return parse(json.loads(data)), hashlib.sha256(data).hexdigest()
-    except (KeyError, TypeError, ValueError, AttributeError, FptError) as exc:
+    except (KeyError, TypeError, ValueError, AttributeError, FptError,
+            FieldError) as exc:
         # ValueError covers json.JSONDecodeError and UnicodeDecodeError
         raise PreconditionError(
             f"{path} is not a {what} file ({type(exc).__name__}: {exc})") from exc
@@ -169,16 +173,11 @@ def cmd_kmw(args) -> int:
         _emit(payload, args.out)
     else:
         obj = json.loads(payload)
-        chart = BigradedChart({(int(n), 0): _desc(g)
+        chart = BigradedChart({(int(n), 0): AbGroupDesc.from_json(g)
                                for n, g in obj["kmw"].items()},
                               label=f"K^MW of {obj['field']}")
         _emit(_chart_output(chart, args.format, "ij"), args.out)
     return EXIT_OK
-
-
-def _desc(g):
-    from .charts import AbGroupDesc
-    return AbGroupDesc.from_json(g)
 
 
 def cmd_stems(args) -> int:
@@ -307,6 +306,14 @@ def _readable_file(path: str) -> str:
     return path
 
 
+def _output_file(path: str) -> str:
+    """argparse type: a path that is not a directory, in a directory that
+    exists."""
+    if os.path.isdir(path) or not os.path.isdir(os.path.dirname(path) or "."):
+        raise argparse.ArgumentTypeError(f"cannot write file {path!r}")
+    return path
+
+
 def _degree_range(text: str) -> tuple[int, int]:
     """argparse type: LO:HI with integers LO <= HI."""
     lo, _, hi = text.partition(":")
@@ -334,7 +341,8 @@ def build_parser() -> argparse.ArgumentParser:
                        default="json")
         p.add_argument("--view", choices=["ij", "stem-weight"],
                        default=view_default)
-        p.add_argument("--out", default=None, help="write output to a file")
+        p.add_argument("--out", type=_output_file, default=None,
+                       help="write output to a file")
         p.add_argument("--cache-dir", default=None,
                        help="cache directory (default: $STEMCHARTS_CACHE_DIR)")
 
@@ -390,21 +398,21 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("decompose", help="decompose an F_p[[t]]-module file")
     p.add_argument("--module-file", type=_readable_file, required=True)
-    p.add_argument("--out", default=None)
+    p.add_argument("--out", type=_output_file, default=None)
     p.set_defaults(func=cmd_decompose)
 
     p = sub.add_parser("render", help="render a saved chart JSON")
     p.add_argument("--chart-file", type=_readable_file, required=True)
     p.add_argument("--format", choices=["grid", "svg", "json"], default="grid")
     p.add_argument("--view", choices=["ij", "stem-weight"], default="ij")
-    p.add_argument("--out", default=None)
+    p.add_argument("--out", type=_output_file, default=None)
     p.set_defaults(func=cmd_render)
 
     p = sub.add_parser("catalog", help="list or show field descriptors")
     p.add_argument("--show", default=None)
     p.add_argument("--names-only", action="store_true")
     catalog_option(p)
-    p.add_argument("--out", default=None)
+    p.add_argument("--out", type=_output_file, default=None)
     p.set_defaults(func=cmd_catalog)
 
     p = sub.add_parser("check", help="run a validation suite")

@@ -27,9 +27,10 @@ from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd, lcm
 
-from .poly import ONE, Poly, PolyRing, Monomial, mon_deg, format_poly
+from .poly import ONE, Poly, PolyRing, Monomial, mon_deg
 from .series import (Series, compose_univariate, generic_series, integrate,
                      multiplicative_inverse, reversion)
+from .zpk import identity
 
 
 class EngineError(Exception):
@@ -66,15 +67,6 @@ class GradedRingPresentation:
             "relations": list(self.relations),
             "degree_bound": self.degree_bound,
         }
-
-    @staticmethod
-    def from_json(obj: dict) -> "GradedRingPresentation":
-        return GradedRingPresentation(
-            base=obj["base"],
-            generators=[(g["name"], g["degree"]) for g in obj["generators"]],
-            relations=list(obj.get("relations", [])),
-            degree_bound=obj["degree_bound"],
-        )
 
 
 class FGLAxiomError(Exception):
@@ -129,15 +121,6 @@ class FormalGroupLaw:
         right = _subst_two(F, 1)  # F(x, F(y,z))
         if left != right:
             raise FGLAxiomError("associativity fails below the bound")
-
-    def to_json(self) -> dict:
-        ring = self.presentation.ring()
-        coeffs = []
-        for (i, j) in sorted(self.series):
-            c = self.series[(i, j)]
-            if not c.is_zero():
-                coeffs.append({"i": i, "j": j, "value": format_poly(c)})
-        return {"presentation": self.presentation.to_json(), "coefficients": coeffs}
 
 
 def _subst_two(F: Series, slot: int) -> Series:
@@ -408,7 +391,7 @@ def _lattice_quotient_generator(hnf: list[list[int]],
         if k != 1:
             raise ValueError("quotient not cyclic")
         return hnf[0]
-    diag, _, v_inv_rows = _integer_smith(dmat, k)
+    diag, v_inv_rows = _integer_smith(dmat, k)
     # quotient = Z^k / row span; invariant factors diag (padded with 0)
     free_idx = [i for i in range(k) if i >= len(diag) or diag[i] == 0]
     nontrivial = [d for d in diag if d not in (0, 1)]
@@ -422,7 +405,7 @@ def _lattice_quotient_generator(hnf: list[list[int]],
 def _integer_smith(rows: list[list[int]], ncols: int):
     """Diagonal form over Z, without the divisibility chain of Smith's.
 
-    Returns (diagonal, None, Vinv_rows): unimodular row and column
+    Returns (diagonal, Vinv_rows): unimodular row and column
     operations bring A to D = diag(diagonal) padded with zeros, where
     diagonal holds rank(A) positive integers, and the rows diagonal[i] *
     Vinv_rows[i] span the row lattice of A.  The diagonal is not
@@ -432,7 +415,7 @@ def _integer_smith(rows: list[list[int]], ncols: int):
     """
     A = [list(r) for r in rows]
     m, n = len(A), ncols
-    Vinv = [[1 if i == j else 0 for j in range(n)] for i in range(n)]
+    Vinv = identity(n)
 
     def col_op(j1, j2, q):
         for r in A:
@@ -487,7 +470,7 @@ def _integer_smith(rows: list[list[int]], ncols: int):
                 break
         diag.append(abs(A[r0][c0]))
         r0 += 1
-    return diag, None, Vinv
+    return diag, Vinv
 
 
 def _common_denominator(polys: list[Poly]) -> int:
@@ -502,10 +485,6 @@ def universal_fgl(bound: int) -> tuple[GradedRingPresentation, FormalGroupLaw]:
     u = UniversalFGL(bound)
     law = u.fgl_in_x()
     return law.presentation, law
-
-
-def universal_model(bound: int) -> UniversalFGL:
-    return UniversalFGL(bound)
 
 
 def additive_fgl(bound: int) -> FormalGroupLaw:
@@ -710,25 +689,3 @@ def p_typical_reduction(F: FormalGroupLaw, p: int, bound: int
         v_images.append(acc)
     law.classifying_images = v_images
     return pres, law
-
-
-def truncate_fgl(F: FormalGroupLaw, bound: int) -> FormalGroupLaw:
-    """Forget generators and coefficients above a smaller bound."""
-    if bound > F.presentation.degree_bound:
-        raise ValueError("can only truncate downwards")
-    gens = [(n, d) for n, d in F.presentation.generators if d <= bound]
-    pres = GradedRingPresentation(F.presentation.base, gens, [], bound)
-    ring = pres.ring()
-    keep = set(range(len(gens)))
-    series = {}
-    for (i, j), c in F.series.items():
-        if i + j > bound + 1:
-            continue
-        terms = {}
-        for m, co in c.terms.items():
-            if all(g in keep for g, _ in m) and mon_deg(m, ring.degrees) <= bound:
-                terms[m] = co
-        cc = Poly(ring, terms)
-        if not cc.is_zero():
-            series[(i, j)] = cc
-    return FormalGroupLaw(pres, series)

@@ -10,17 +10,25 @@ formal square-class data.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field as dc_field
+from dataclasses import dataclass
 from math import gcd
 from typing import Optional
 
-from .charts import AbGroupDesc, INF, cyclic, free_group
+from .charts import AbGroupDesc, INF, _is_prime_power, cyclic, free_group
 
 DIVISIBLE = AbGroupDesc(divisible=True)
 
 
 class FieldError(Exception):
     pass
+
+
+def _prime_and_exponent(q) -> tuple[int, int]:
+    """(p, e) with q = p^e; FieldError unless q is a prime power."""
+    pe = _is_prime_power(q) if isinstance(q, int) else None
+    if pe is None:
+        raise FieldError(f"{q} is not a prime power")
+    return pe
 
 
 @dataclass(frozen=True)
@@ -39,6 +47,10 @@ class FieldDescriptor:
     km_mod_p_dims: Optional[tuple] = None      # ((p, ((degree, dim|"inf"), ...)), ...)
     galois_modules: Optional[tuple] = None     # ((p, ((degree, ind-module-json), ...)), ...)
 
+    def __post_init__(self):
+        if self.variant == "finite":
+            _prime_and_exponent(self.q)
+
     def describe(self) -> str:
         if self.variant == "finite":
             return f"F_{self.q}"
@@ -46,11 +58,7 @@ class FieldDescriptor:
 
     def characteristic(self) -> int:
         if self.variant == "finite":
-            q = self.q
-            p = 2
-            while q % p:
-                p += 1
-            return p
+            return _prime_and_exponent(self.q)[0]
         return self.char
 
     def roots_of_unity(self, p: int):
@@ -155,8 +163,6 @@ class FieldDescriptor:
 
 
 def finite_field(q: int) -> FieldDescriptor:
-    if q < 2 or _prime_power_base(q) is None:
-        raise FieldError(f"{q} is not a prime power")
     return FieldDescriptor("finite", q=q, name=f"F_{q}")
 
 
@@ -171,17 +177,6 @@ def real_closed() -> FieldDescriptor:
 
 def complex_like() -> FieldDescriptor:
     return FieldDescriptor("complex_like", name="complex")
-
-
-def _prime_power_base(q: int) -> Optional[int]:
-    p = 2
-    while p * p <= q:
-        if q % p == 0:
-            while q % p == 0:
-                q //= p
-            return p if q == 1 else None
-        p += 1
-    return q  # prime
 
 
 # ---------------------------------------------------------------------------
@@ -305,16 +300,9 @@ class SmallFiniteField:
     """F_q as polynomials over F_p modulo a found irreducible polynomial."""
 
     def __init__(self, q: int):
-        p = _prime_power_base(q)
-        if p is None:
-            raise FieldError(f"{q} is not a prime power")
-        e = 0
-        qq = q
-        while qq > 1:
-            qq //= p
-            e += 1
-        self.p, self.e, self.q = p, e, q
-        self.modpoly = self._find_irreducible() if e > 1 else (1,)
+        self.p, self.e = _prime_and_exponent(q)
+        self.q = q
+        self.modpoly = self._find_irreducible() if self.e > 1 else (1,)
         self.elements = self._enumerate()
 
     def _polmul(self, a, b):

@@ -9,7 +9,7 @@ and im t, and decompose iterates from n = 0; stage and witness retractions
 are one projection along a direct sum.  Divisible parts of ind-systems are
 counted in Pruefer copies of F_p((t))/F_p[[t]].
 
-All F_p linear algebra goes through one incremental echelon basis, `_Span`:
+All F_p elimination goes through one incremental echelon basis, `_Span`:
 vectors are added in order, and each is either independent of the earlier
 ones (it becomes a row) or yields its dependency coefficients.  Every query
 on a fixed set of vectors builds the span once and reduces each vector in
@@ -18,7 +18,8 @@ reproducible: a basis is the sublist of the vectors that are independent of
 those before them, a solution is the unique one with zeros on the dependent
 vectors, and the kernel vector of a dependent column is the unique one with
 1 there and 0 at every other dependent column.  Ranks of t-powers for the
-Jordan-type oracle come from `zpk.elementary_divisors`, not from `_Span`.
+Jordan-type oracle come from `zpk.elementary_divisors`, not from `_Span`,
+and matrix products and identities from `zpk.mat_mul` and `zpk.identity`.
 
 Each module computes its t-powers T^0..T^e once, on construction, and
 memoizes the lex-first basis of ker t^k and the span of the columns of t^k
@@ -37,29 +38,13 @@ from operator import mul
 from typing import Optional
 
 from .charts import _is_prime
-from .zpk import elementary_divisors
+from .zpk import elementary_divisors, identity, mat_mul
 
 Matrix = list[list[int]]
 
 
 # ---------------------------------------------------------------------------
 # F_p linear algebra (lex-first)
-
-def _mat_mul(A: Matrix, B: Matrix, p: int) -> Matrix:
-    if not A or not B:
-        return [[] for _ in A] if A else []
-    n, k, m = len(A), len(B), len(B[0])
-    out = [[0] * m for _ in range(n)]
-    for i in range(n):
-        for t in range(k):
-            a = A[i][t]
-            if a:
-                Bt = B[t]
-                Oi = out[i]
-                for j in range(m):
-                    Oi[j] = (Oi[j] + a * Bt[j]) % p
-    return out
-
 
 def _mat_vec(A: Matrix, v: list[int], p: int) -> list[int]:
     return [sum(map(mul, row, v)) % p for row in A]
@@ -207,23 +192,17 @@ class FptModule:
             raise FptError("t-action entries must be integers")
         T = tuple(tuple(x % self.p for x in r) for r in T)
         object.__setattr__(self, "t_action", T)
-        powers = [tuple(tuple(int(i == j) for j in range(self.dim))
-                        for i in range(self.dim))]
+        powers = [tuple(map(tuple, identity(self.dim)))]
         while any(map(any, powers[-1])):
             if len(powers) > self.dim:
                 raise FptError("t-action is not nilpotent")
-            powers.append(tuple(map(tuple, _mat_mul(powers[-1], T, self.p))))
+            powers.append(tuple(map(tuple, mat_mul(powers[-1], T, self.p))))
         object.__setattr__(self, "_powers", powers)
         object.__setattr__(self, "_kernels", {})
         object.__setattr__(self, "_images", {})
 
     def T(self) -> Matrix:
         return [list(r) for r in self.t_action]
-
-    def t_power(self, k: int) -> Matrix:
-        if k < 0:
-            raise ValueError("k must be >= 0")
-        return [list(r) for r in self._power(k)]
 
     def _power(self, k: int) -> tuple[tuple[int, ...], ...]:
         """T^k as stored (shared: read it, never write it)."""
@@ -371,9 +350,7 @@ def extract_free(M: FptModule, n: int) -> Splitting:
                                        "F (+) M' does not reassemble M")
 
     inclusion = _columns(f_basis, d)
-    comp = _mat_mul(retraction, inclusion, p)
-    k = len(f_basis)
-    if any(comp[i][j] != int(i == j) for i in range(k) for j in range(k)):
+    if mat_mul(retraction, inclusion, p) != identity(len(f_basis)):
         raise FptError("retraction does not split the inclusion")
 
     # M' = ker(retraction) on its lex-first basis, with the induced t-action
@@ -400,9 +377,6 @@ class Decomposition:
     def profile(self) -> dict[int, int]:
         return {i: r for i, r in self.free_parts}
 
-    def total_dim(self) -> int:
-        return sum(i * r for i, r in self.free_parts)
-
     def to_json(self) -> dict:
         return {
             "p": self.p,
@@ -424,8 +398,7 @@ def decompose(M: FptModule) -> Decomposition:
     inclusions: list[Matrix] = []
     cur = M
     # inclusion of the current stage into the original module
-    incl_chain: Matrix = [[1 if i == j else 0 for j in range(M.dim)]
-                          for i in range(M.dim)]
+    incl_chain: Matrix = identity(M.dim)
     n = 0
     while cur.dim > 0:
         if n + 1 > M.dim:
@@ -433,8 +406,8 @@ def decompose(M: FptModule) -> Decomposition:
         spl = extract_free(cur, n)
         if spl.free_rank:
             parts.append((n + 1, spl.free_rank))
-            inclusions.append(_mat_mul(incl_chain, spl.inclusion, M.p))
-        incl_chain = _mat_mul(incl_chain, spl.quotient_inclusion, M.p) \
+            inclusions.append(mat_mul(incl_chain, spl.inclusion, M.p))
+        incl_chain = mat_mul(incl_chain, spl.quotient_inclusion, M.p) \
             if spl.quotient.dim else []
         cur = spl.quotient
         n += 1
@@ -443,9 +416,7 @@ def decompose(M: FptModule) -> Decomposition:
         "the free parts do not reassemble the module")
     witnesses: list[dict] = []
     for (exponent, mult), incl, retr in zip(parts, inclusions, retractions):
-        k = len(incl[0])
-        comp = _mat_mul(retr, incl, M.p)
-        if any(comp[i][j] != int(i == j) for i in range(k) for j in range(k)):
+        if mat_mul(retr, incl, M.p) != identity(len(incl[0])):
             raise FptError("composed witnesses are not a splitting")
         witnesses.append({"exponent": exponent, "multiplicity": mult,
                           "inclusion": incl, "retraction": retr})
@@ -570,8 +541,8 @@ class IndFptModule:
             cols = [[f[i][j] for i in range(tgt.dim)] for j in range(src.dim)]
             if len(_independent_subset(cols, src.p)) != src.dim:
                 raise FptError(f"structure map {k} is not injective")
-            left = _mat_mul(tgt.T(), f, src.p)
-            right = _mat_mul(f, src.T(), src.p)
+            left = mat_mul(tgt.T(), f, src.p)
+            right = mat_mul(f, src.T(), src.p)
             if left != right:
                 raise FptError(f"structure map {k} is not t-equivariant")
 
@@ -636,7 +607,7 @@ def random_nilpotent(p: int, dim: int, rng) -> FptModule:
     while Ginv is None:
         G = [[rng.randrange(p) for _ in range(dim)] for _ in range(dim)]
         Ginv = _invert(G, p)
-    T = _mat_mul(_mat_mul(G, base.T(), p), Ginv, p)
+    T = mat_mul(mat_mul(G, base.T(), p), Ginv, p)
     return FptModule(p, dim, tuple(tuple(r) for r in T))
 
 
@@ -646,6 +617,5 @@ def _invert(G: Matrix, p: int) -> Optional[Matrix]:
     span = _span(_columns(G, n), p)
     if len(span.rows) != n:
         return None
-    inv_cols = [span.coordinates([1 if i == j else 0 for i in range(n)])
-                for j in range(n)]
+    inv_cols = [span.coordinates(e) for e in identity(n)]
     return [list(r) for r in zip(*inv_cols)]

@@ -26,12 +26,23 @@ from operator import itemgetter
 from .poly import Poly, PolyRing, Monomial, ONE, mon_mul, mon_deg
 from .series import compose_univariate, generic_series, reversion
 from .fgl import (EngineError, GradedRingPresentation, UniversalFGL,
-                  hazewinkel_lambdas, p_typical_presentation, zz_local)
+                  hazewinkel_lambdas, p_typical_presentation)
 
 TensorKey = tuple[Monomial, tuple[Monomial, ...]]
 Tensor = dict[TensorKey, object]
 
 _first = itemgetter(0)
+
+
+def _add_into(out: Tensor, terms, scale=1) -> None:
+    """out += scale * terms, an iterable of (key, coefficient) pairs, in
+    place; an entry that cancels to zero is dropped."""
+    for key, c in terms:
+        s = out.get(key, 0) + scale * c
+        if s:
+            out[key] = s
+        else:
+            out.pop(key, None)
 
 
 class HopfAxiomError(EngineError):
@@ -95,16 +106,6 @@ class HopfAlgebroid:
         return self.aring.monomials_of_degree(degree)
 
     # -- tensor arithmetic ----------------------------------------------------
-
-    def tensor_add(self, a: Tensor, b: Tensor, scale=1) -> Tensor:
-        out = dict(a)
-        for k, c in b.items():
-            s = out.get(k, 0) + scale * c
-            if s:
-                out[k] = s
-            else:
-                out.pop(k, None)
-        return out
 
     def key_deg(self, key: TensorKey) -> int:
         am, tmons = key
@@ -192,7 +193,7 @@ class HopfAlgebroid:
     def eta_r_poly(self, q: Poly) -> Tensor:
         out: Tensor = {}
         for m, c in q.terms.items():
-            out = self.tensor_add(out, self.eta_r(m), scale=c)
+            _add_into(out, self.eta_r(m).items(), c)
         return out
 
     def delta(self, tmon: Monomial) -> Tensor:
@@ -207,7 +208,7 @@ class HopfAlgebroid:
         out: Tensor = {}
         for (am, (tm,)), c in elem.items():
             piece = self.tensor_mul(self.eta_r(am), self.antipode_t(tm))
-            out = self.tensor_add(out, piece, scale=c)
+            _add_into(out, piece.items(), c)
         return out
 
     def counit(self, elem: Tensor) -> Poly:
@@ -234,16 +235,6 @@ class HopfAlgebroid:
             self.migrate_into(out, amon, dmon, pos - 1,
                               before + (mon_mul(slot, tau),) + after, coeff * c)
 
-    def migrate(self, cmon: Monomial, pos: int,
-                tmons: tuple[Monomial, ...]) -> Tensor:
-        """Move an A-coefficient sitting at slot `pos` (1-based) to the left.
-
-        Returns a normal-form tensor with the same slot count.
-        """
-        out: Tensor = {}
-        self.migrate_into(out, ONE, cmon, pos, tmons, 1)
-        return {k: c for k, c in out.items() if c}
-
     def apply_delta_slot(self, elem: Tensor, slot: int) -> Tensor:
         """Replace slot `slot` (1-based) by its coproduct; slots increase by 1.
         Delta and eta_R are homogeneous (`verify`), so nothing is truncated."""
@@ -257,15 +248,9 @@ class HopfAlgebroid:
     def counit_slot(self, elem: Tensor, slot: int) -> Tensor:
         """Apply the counit in slot `slot`; slots decrease by 1."""
         out: Tensor = {}
-        for (am, tmons), c in elem.items():
-            if tmons[slot - 1] != ONE:
-                continue
-            key = (am, tmons[:slot - 1] + tmons[slot:])
-            s = out.get(key, 0) + c
-            if s:
-                out[key] = s
-            else:
-                del out[key]
+        _add_into(out, (((am, tmons[:slot - 1] + tmons[slot:]), c)
+                        for (am, tmons), c in elem.items()
+                        if tmons[slot - 1] == ONE))
         return out
 
     # -- axiom verification ----------------------------------------------------
@@ -330,9 +315,8 @@ class HopfAlgebroid:
             left = self.apply_delta_slot(er, 1)
             right: Tensor = {}
             for (am, (sigma,)), c in er.items():
-                ins = self.migrate(am, 2, (ONE, sigma))
-                right = self.tensor_add(right, ins, scale=c)
-            if left != right:
+                self.migrate_into(right, ONE, am, 2, (ONE, sigma), c)
+            if left != {k: c for k, c in right.items() if c}:
                 raise HopfAxiomError(
                     f"Delta o eta_R != 1 (x) eta_R at {aring.names[i]}")
 
@@ -342,7 +326,7 @@ class HopfAlgebroid:
         for (am, (u, w)), c in elem2.items():
             piece = self.tensor_mul(self.eta_r(am), self.antipode_t(u))
             piece = self.tensor_mul(piece, {(ONE, (w,)): 1})
-            out = self.tensor_add(out, piece, scale=c)
+            _add_into(out, piece.items(), c)
         return out
 
     def fold_antipode_right(self, elem2: Tensor) -> Tensor:
@@ -350,7 +334,7 @@ class HopfAlgebroid:
         out: Tensor = {}
         for (am, (u, w)), c in elem2.items():
             piece = self.tensor_mul({(am, (u,)): 1}, self.antipode_t(w))
-            out = self.tensor_add(out, piece, scale=c)
+            _add_into(out, piece.items(), c)
         return out
 
 
@@ -396,13 +380,7 @@ def build_p_typical(p: int, bound: int) -> HopfAlgebroid:
             tpart: Monomial = ONE if j == 0 else ((j - 1, p ** i),)
             if helper.tdeg(tpart) > bound:
                 continue
-            for m, c in li.terms.items():
-                key = (m, (tpart,))
-                s = out.get(key, 0) + c
-                if s:
-                    out[key] = s
-                else:
-                    del out[key]
+            _add_into(out, (((m, (tpart,)), c) for m, c in li.terms.items()))
         return out
 
     eta_r_v: dict[int, Tensor] = {}
@@ -413,7 +391,7 @@ def build_p_typical(p: int, bound: int) -> HopfAlgebroid:
             term = helper.tensor_mul(
                 eta_r_lambda(i),
                 helper.tensor_pow(eta_r_v[n - i], p ** i, 1))
-            acc = helper.tensor_add(acc, term, scale=-1)
+            _add_into(acc, term.items(), -1)
         eta_r_v[n] = acc
         eta_r_gen[n - 1] = acc
     _check_p_integral(eta_r_gen, p, "eta_R")
@@ -435,20 +413,13 @@ def build_p_typical(p: int, bound: int) -> HopfAlgebroid:
                 w: Monomial = ONE if k == 0 else ((k - 1, p ** (i + j)),)
                 if helper.tdeg(u) + helper.tdeg(w) > bound:
                     continue
-                for m, c in li.terms.items():
-                    key = (m, (u, w))
-                    s = lhs.get(key, 0) + c
-                    if s:
-                        lhs[key] = s
-                    else:
-                        del lhs[key]
+                _add_into(lhs, (((m, (u, w)), c) for m, c in li.terms.items()))
         for h in range(1, n + 1):
             lh = lam(h)
             if lh.is_zero():
                 continue
             pw = helper.tensor_pow(delta_t[n - h], p ** h, 2)
-            lhs = helper.tensor_add(lhs, helper.tensor_scale_poly(pw, lh),
-                                    scale=-1)
+            _add_into(lhs, helper.tensor_scale_poly(pw, lh).items(), -1)
         delta_t[n] = lhs
         coproduct_gen[n - 1] = lhs
     _check_p_integral(coproduct_gen, p, "coproduct")
@@ -474,7 +445,7 @@ def build_p_typical(p: int, bound: int) -> HopfAlgebroid:
                     {(ONE, (u,)): 1},
                     helper.tensor_pow(c_t[k], p ** (i + j), 1))
                 term = helper.tensor_scale_poly(term, li)
-                acc = helper.tensor_add(acc, term, scale=-1)
+                _add_into(acc, term.items(), -1)
         c_t[n] = acc
         antipode_gen[n - 1] = acc
     _check_p_integral(antipode_gen, p, "antipode")
@@ -533,13 +504,8 @@ def build_universal(bound: int) -> HopfAlgebroid:
             if mpoly.is_zero():
                 continue
             xpoly = u.to_x_coordinates(mpoly)
-            for xm, xc in xpoly.terms.items():
-                key = (xm, (bmon,))
-                s = elem.get(key, 0) + xc
-                if s:
-                    elem[key] = s
-                else:
-                    del elem[key]
+            _add_into(elem, (((xm, (bmon,)), xc)
+                             for xm, xc in xpoly.terms.items()))
         eta_r_gen[n - 1] = elem
 
     # coproduct: Delta(B)-series = (b x 1) o (1 x b); the universal strict
@@ -554,13 +520,8 @@ def build_universal(bound: int) -> HopfAlgebroid:
     for n in range(1, nb + 1):
         poly = comp.coefficient((n + 1,))
         elem: Tensor = {}
-        for lpart, rpart, c in _series_coefficient_split(poly, nb):
-            key = (ONE, (lpart, rpart))
-            s = elem.get(key, 0) + c
-            if s:
-                elem[key] = s
-            else:
-                del elem[key]
+        _add_into(elem, (((ONE, (lpart, rpart)), c) for lpart, rpart, c
+                         in _series_coefficient_split(poly, nb)))
         coproduct_gen[n - 1] = elem
 
     # antipode on b's: compositional inverse of B, in pure b's
@@ -591,47 +552,3 @@ def build_algebroid(kind: str, bound: int, p: int | None = None) -> HopfAlgebroi
         raise ValueError(f"unknown algebroid kind {kind!r}")
     alg.verify()
     return alg
-
-
-# ---------------------------------------------------------------------------
-# Adams summands and projections
-
-def adams_summand_coefficients(ell: int, bound: int) -> GradedRingPresentation:
-    """Coefficients of the degree-zero Adams summand of ell-local cobordism:
-    a polynomial ring on one generator in algebraic degree i(ell-1) per i."""
-    if ell == 2 or ell % 2 == 0:
-        raise ValueError("Adams summands require an odd prime")
-    gens = []
-    i = 1
-    while i * (ell - 1) <= bound:
-        gens.append((f"x{i}", i * (ell - 1)))
-        i += 1
-    return GradedRingPresentation(zz_local(ell), gens, [], bound)
-
-
-def adams_projection(obj, alpha: int, ell: int):
-    """Project to homotopy degrees 2n with n = alpha mod (ell-1).
-
-    Charts are filtered on the first (homotopy) index; polynomial
-    presentations are supported for alpha = 0 when all generators already
-    lie in degrees divisible by ell-1.
-    """
-    from .charts import BigradedChart
-    if ell == 2 or ell % 2 == 0:
-        raise ValueError("Adams idempotents require an odd prime")
-    alpha = alpha % (ell - 1)
-    if isinstance(obj, BigradedChart):
-        out = {}
-        for (i, j), g in obj.entries.items():
-            if i % 2 == 0 and (i // 2) % (ell - 1) == alpha:
-                out[(i, j)] = g
-        return BigradedChart(out, obj.label, obj.prime)
-    if isinstance(obj, GradedRingPresentation):
-        if alpha != 0:
-            raise ValueError("only the degree-zero summand of a ring is a ring")
-        bad = [n for n, d in obj.generators if d % (ell - 1) != 0]
-        if bad:
-            raise ValueError(f"generators {bad} not concentrated in the summand")
-        return GradedRingPresentation(obj.base, list(obj.generators),
-                                      list(obj.relations), obj.degree_bound)
-    raise TypeError("adams_projection expects a chart or a ring presentation")

@@ -14,8 +14,8 @@ from __future__ import annotations
 from dataclasses import dataclass, field as dc_field
 from typing import Optional
 
-from .charts import AbGroupDesc, INF, add_ranks, complete_desc, cyclic, free_group
-from .fields import FieldDescriptor, FieldError, WittData, milnor_k, witt_data, km_mod_p
+from .charts import AbGroupDesc, INF, complete_desc, cyclic, free_group
+from .fields import FieldDescriptor, FieldError, milnor_k, witt_data
 
 
 class NotFreeError(Exception):

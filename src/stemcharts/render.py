@@ -6,7 +6,7 @@ walked in the canonical (j, i) order and coordinates are integers).
 
 from __future__ import annotations
 
-from .charts import AbGroupDesc, BigradedChart
+from .charts import BigradedChart
 
 
 def _cells(chart: BigradedChart, view: str):

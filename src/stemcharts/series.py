@@ -76,10 +76,6 @@ class Series:
         return Series(self.ring, self.nvars, self.order,
                       {e: p.scale(c) for e, p in self.terms.items()})
 
-    def scale_poly(self, q: Poly) -> "Series":
-        return Series(self.ring, self.nvars, self.order,
-                      {e: p * q for e, p in self.terms.items()})
-
     def __mul__(self, other: "Series") -> "Series":
         out: dict[tuple[int, ...], Poly] = {}
         for e1, c1 in self.terms.items():

@@ -160,15 +160,6 @@ class SyntheticChart:
     def group(self, n: int, w: int) -> AbGroupDesc:
         return self.chart.group(n, w)
 
-    def milnor_witt_row(self, m: int = 0) -> dict[int, AbGroupDesc]:
-        """The m-th Milnor-Witt stem as a singly graded row, keyed by the
-        eta-degree twist (the diagonal entry (k+m, k) appears at twist -k)."""
-        out = {}
-        for (n, w), g in self.chart.entries.items():
-            if n - w == m:
-                out[-w] = g
-        return out
-
     def to_json(self) -> dict:
         obj = self.chart.to_json()
         obj["axes"] = ["stem", "weight"]

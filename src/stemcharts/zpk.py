@@ -7,7 +7,10 @@ all the Ext engine needs), and the Smith form with tracked transforms,
 kernels, and the structure of subquotients span(G)/im(B) presented by
 generators and relations, which serve as an independent oracle for it.
 
-Dense matrices are lists of row lists of ints reduced mod p^m.
+Dense matrices are lists of row lists of ints reduced mod p^m.  `mat_mul`
+and `identity` are the package's one dense matrix product and identity:
+`fpt` multiplies with them over F_p (m = 1) and `fgl` starts its integer
+elimination from `identity`.
 """
 
 from __future__ import annotations
@@ -39,8 +42,7 @@ def identity(n: int) -> Matrix:
 
 
 def mat_mul(A: Matrix, B: Matrix, mod: int) -> Matrix:
-    if not A or not B:
-        return []
+    """A B with entries reduced mod `mod`; an empty B gives len(A) empty rows."""
     n, k, m = len(A), len(B), len(B[0]) if B else 0
     out = [[0] * m for _ in range(n)]
     for i in range(n):

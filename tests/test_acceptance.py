@@ -92,13 +92,13 @@ def test_criterion_4_tensor_formula():
 
 def test_criterion_5_pi0_rows():
     syn2 = synthetic_stems(2, 7, source="table")
-    row = syn2.milnor_witt_row(0)
+    row = {-w: g for (n, w), g in syn2.chart.entries.items() if n == w}
     assert row[0].free_rank == 1 and row[0].completed_at == 2
     for twist in (-1, -2, -3, -4, -5):
         assert row[twist].torsion == (2,) and row[twist].free_rank == 0
     for p, stem_max in ((3, 12), (5, 16)):
         syn = synthetic_stems(p, stem_max)
-        row = syn.milnor_witt_row(0)
+        row = {-w: g for (n, w), g in syn.chart.entries.items() if n == w}
         assert set(row) == {0} and row[0].free_rank == 1
     report(5, "pi_0 synthetic: Z_2[eta]/2eta at p=2 (5 negative twists), "
               "Z_p at weight 0 for p=3,5")

@@ -294,11 +294,13 @@ def test_empty_chart_render():
     ["synthetic", "--prime", "2", "--source", "table", "--table", "missing.json"],
     ["catalog", "--catalog", "missing.json"],
     ["kmw", "--field", "complex", "--range=5"],
+    ["ext", "--prime", "3", "--tmax", "4", "--out", "missing.json/x.json"],
+    ["ext", "--prime", "3", "--tmax", "4", "--out", "."],
 ])
 def test_invalid_input_is_usage_error(tmp_path, capsys, argv):
     cache = tmp_path / "cache"
     cached = [] if argv[0] == "catalog" else ["--cache-dir", str(cache)]
-    argv = [str(tmp_path / a) if a == "missing.json" else a for a in argv]
+    argv = [a.replace("missing.json", str(tmp_path / "missing.json")) for a in argv]
     with pytest.raises(SystemExit) as exc:
         main(argv + cached)
     assert exc.value.code == 2
@@ -500,6 +502,12 @@ MALFORMED_INPUTS = {
         ["kmw", "--field", "x", "--catalog", "in.json"],
         {"fields": {"x": {"variant": "custom",
                           "km_table": {"1": {"torsion": [6]}}}}}),
+    "catalog-finite-q-one": (
+        ["kmw", "--field", "x", "--catalog", "in.json"],
+        {"fields": {"x": {"variant": "finite", "q": 1}}}),
+    "catalog-finite-q-six": (
+        ["kmw", "--field", "x", "--catalog", "in.json"],
+        {"fields": {"x": {"variant": "finite", "q": 6}}}),
     "catalog-witt-table-without-gw": (
         ["kmw", "--field", "x", "--catalog", "in.json"],
         {"fields": {"x": {"variant": "custom", "witt_table": {"W": {}}}}}),
@@ -541,3 +549,34 @@ def test_malformed_input_is_precondition(monkeypatch, tmp_path, capsys, argv,
     assert not cache.exists()
     if content is not None:
         assert f"precondition violated: {path} is not a" in captured.err
+
+
+def test_finite_field_of_large_prime_order(tmp_path, capsys):
+    q = 2 ** 61 - 1
+    catalog = tmp_path / "big.json"
+    catalog.write_text(json.dumps({"fields": {"big": {"variant": "finite",
+                                                      "q": q}}}))
+    code, out = run(capsys, "kmw", "--field", "big", "--range=0:1",
+                    "--catalog", str(catalog))
+    assert code == 0
+    obj = json.loads(out)
+    assert obj["field"] == f"F_{q}"
+    assert obj["km"]["1"]["torsion"] == list(cyclic(q - 1).torsion)
+
+
+@pytest.mark.parametrize("via", ["option", "environment"])
+def test_unwritable_cache_dir_still_emits(monkeypatch, tmp_path, capsys, via):
+    argv = ["ext", "--prime", "3", "--smax", "2", "--tmax", "8"]
+    monkeypatch.delenv("STEMCHARTS_CACHE_DIR", raising=False)
+    expected = run(capsys, *argv)
+    blocker = tmp_path / "a-file"
+    blocker.write_text("")
+    if via == "option":
+        argv += ["--cache-dir", str(blocker)]
+    else:
+        monkeypatch.setenv("STEMCHARTS_CACHE_DIR", str(blocker))
+    code = main(argv)
+    captured = capsys.readouterr()
+    assert (code, captured.out) == expected
+    assert f"cannot write cache entry {blocker}" in captured.err
+    assert blocker.read_text() == ""

@@ -1,10 +1,7 @@
 import pytest
 
-from stemcharts.charts import BigradedChart, cyclic, free_group
 from stemcharts.cobar import CobarComplex
-from stemcharts.fgl import GradedRingPresentation
-from stemcharts.hopf import (HopfAxiomError, adams_projection,
-                             adams_summand_coefficients, build_algebroid)
+from stemcharts.hopf import HopfAxiomError, build_algebroid
 from stemcharts.poly import ONE, mon_mul
 
 
@@ -169,47 +166,3 @@ def test_builder_matches_every_coface(p, t_max, normalized):
             assert cx.basis(s, degree) == reference_basis(cx, s, degree)
             assert cx.differential_matrix(s, degree) == \
                 reference_differential(cx, s, degree), (s, degree)
-
-
-def test_adams_summand_coefficients():
-    pres = adams_summand_coefficients(3, 4)
-    assert [d for _, d in pres.generators] == [2, 4]
-    pres5 = adams_summand_coefficients(5, 3)
-    assert len(pres5.generators) == 0
-    pres5b = adams_summand_coefficients(5, 4)
-    assert [d for _, d in pres5b.generators] == [4]
-    pres7 = adams_summand_coefficients(7, 5)
-    assert len(pres7.generators) == 0
-    with pytest.raises(ValueError):
-        adams_summand_coefficients(2, 4)
-
-
-def test_adams_projection_ku_chart():
-    # KU-style chart: Z in every even homotopy degree
-    ku = BigradedChart({(2 * n, 0): free_group(1) for n in range(-8, 9)})
-    proj = adams_projection(ku, 0, 5)
-    assert set(proj.entries) == {(8 * n, 0) for n in range(-2, 3)}
-    # partition of degrees: summing all residues recovers the chart
-    from stemcharts.charts import chart_combine
-    total = adams_projection(ku, 0, 5)
-    for alpha in range(1, 4):
-        total = chart_combine(total, adams_projection(ku, alpha, 5),
-                              "direct_sum")
-    assert total == ku
-    assert adams_projection(BigradedChart({}), 0, 5).is_empty()
-
-
-def test_adams_projection_presentation():
-    pres = GradedRingPresentation("ZZ_(3)", [("x1", 2), ("x2", 4)], [], 6)
-    out = adams_projection(pres, 0, 3)
-    assert out.generators == pres.generators
-    with pytest.raises(ValueError):
-        adams_projection(pres, 1, 3)
-    bad = GradedRingPresentation("ZZ_(3)", [("y", 3)], [], 6)
-    with pytest.raises(ValueError):
-        adams_projection(bad, 0, 3)
-
-
-def test_adams_projection_rejects_two():
-    with pytest.raises(ValueError):
-        adams_projection(BigradedChart({}), 0, 2)

@@ -1,9 +1,11 @@
 """Golden guard for the Lazard lattice: integral generators and the
-universal Hopf algebroid at bound 10, pinned byte for byte.
+universal Hopf algebroid at bound 10, pinned byte for byte, and eta_R and
+Delta of the p-typical algebroids at bound 10 for p = 2, 3, 5.
 
-The expected values were recorded from the Fraction Gauss-Jordan
+The universal values were recorded from the Fraction Gauss-Jordan
 implementation of the lattice step; any rewrite of that step must
-reproduce them exactly.
+reproduce them exactly.  The p-typical digests were recorded before the
+sparse tensors of `hopf` were accumulated in place.
 """
 
 import hashlib
@@ -11,7 +13,7 @@ from fractions import Fraction
 
 import pytest
 
-from stemcharts.hopf import build_universal
+from stemcharts.hopf import build_p_typical, build_universal
 from stemcharts.poly import format_poly
 
 X_GENERATORS = {
@@ -28,6 +30,12 @@ X_GENERATORS = {
 }
 
 STRUCTURE_DIGEST = "559e556629d795b96839a4eb7e452ac8315c92f40b3826c9743a5655cf456a07"
+
+P_TYPICAL_DIGESTS = {
+    2: "9ddd6eb12e544a686f98a866640876763a4f854d9b589cafd15e9780dfed9c4d",
+    3: "5f459eb703065526b5d7d7dfe4d4dc433a365fd4c30766a2e6fdb78ea01c4993",
+    5: "bb7ca45c543778063f4bf1cb1bddbbffdff77c37c6daa7bada57546dee14d5a7",
+}
 
 
 def structure_digest(alg) -> str:
@@ -53,3 +61,8 @@ def test_x_generators_bound_10(universal10):
 
 def test_universal_structure_digest_bound_10(universal10):
     assert structure_digest(universal10) == STRUCTURE_DIGEST
+
+
+@pytest.mark.parametrize("p", sorted(P_TYPICAL_DIGESTS))
+def test_p_typical_structure_digest_bound_10(p):
+    assert structure_digest(build_p_typical(p, 10)) == P_TYPICAL_DIGESTS[p]

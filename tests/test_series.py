@@ -51,7 +51,8 @@ def _exponents(nvars, order):
 def naive_compose(f: Series, g: Series) -> Series:
     out = Series.zero(g.ring, g.nvars, g.order)
     for (k,), c in f.terms.items():
-        out = out + g.pow(k).scale_poly(c)
+        out = out + Series(g.ring, g.nvars, g.order,
+                           {e: q * c for e, q in g.pow(k).terms.items()})
     return out
 
 

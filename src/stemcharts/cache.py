@@ -3,8 +3,9 @@
 Cache keys hash (command, parameters, engine version); payloads round-trip
 byte-identically.  Entries from other engine versions are never reused.
 Writes go through a temporary file and an atomic rename; a write that
-fails is reported and skipped.  Corrupt entries are reported and evicted,
-never silently served.
+fails is reported and skipped.  Corrupt entries, whatever their bytes,
+are reported and evicted, never silently served, and the caller
+recomputes.
 """
 
 from __future__ import annotations
@@ -57,14 +58,18 @@ def cache_store(cache_dir: str, key: str, payload: str) -> str | None:
 
 
 def cache_load(cache_dir: str, key: str) -> str | None:
-    """Return the cached payload, or None on miss.  Corrupt or stale
-    entries are evicted with a report on stderr."""
+    """Return the cached payload, or None on miss.  A corrupt entry (bytes
+    that are not UTF-8, text that is not JSON, JSON that is not an object,
+    a wrong key or a payload that is not a string) is reported on stderr
+    and evicted; an entry of another engine version is ignored."""
     path = _path(cache_dir, key)
     if not os.path.exists(path):
         return None
     try:
         with open(path, "r", encoding="utf-8") as fh:
             entry = json.load(fh)
+        if not isinstance(entry, dict):
+            raise CacheCorrupt("entry is not a JSON object")
         if entry.get("key") != key:
             raise CacheCorrupt("key mismatch")
         if entry.get("engine_version") != ENGINE_VERSION:
@@ -73,7 +78,8 @@ def cache_load(cache_dir: str, key: str) -> str | None:
         if not isinstance(payload, str):
             raise CacheCorrupt("payload is not a string")
         return payload
-    except (json.JSONDecodeError, KeyError, OSError, CacheCorrupt) as exc:
+    except (json.JSONDecodeError, UnicodeDecodeError, KeyError, OSError,
+            CacheCorrupt) as exc:
         print(f"stemcharts: evicting corrupt cache entry {path}: {exc}",
               file=sys.stderr)
         try:

@@ -323,13 +323,6 @@ class WeightFunction:
                     return False
         return True
 
-    def describe(self) -> str:
-        if self.kind == "chow":
-            return "chow"
-        if self.kind == "fd":
-            return f"fd({self.d})"
-        return "custom"
-
 
 def chow_weight() -> WeightFunction:
     return WeightFunction("chow")

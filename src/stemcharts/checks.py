@@ -131,7 +131,7 @@ def check_fpt(scale: Scale) -> Lines:
     for _ in range(count):
         p = rng.choice([2, 3])
         M = random_nilpotent(p, rng.randrange(0, dim_below), rng)
-        useq = all(check_u_sequence(M, p, n)
+        useq = all(check_u_sequence(M, n)
                    for n in range(0, dim_below) if p ** n <= max(M.dim, 1))
         tp, _ = check_torsion_powers(M)
         implied &= tp or not useq

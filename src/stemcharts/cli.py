@@ -242,7 +242,7 @@ def _decompose_report(M: FptModule | IndFptModule) -> dict:
         useq = {}
         n = 0
         while M.p ** n <= max(M.dim, 1) and M.dim:
-            useq[str(M.p ** n)] = check_u_sequence(M, M.p, n)
+            useq[str(M.p ** n)] = check_u_sequence(M, n)
             n += 1
         report = dec.to_json()
         report["kind"] = "module"

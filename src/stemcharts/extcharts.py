@@ -59,7 +59,6 @@ class ExtChart:
     s_max: int
     t_max: int
     kind: str
-    normalized: bool = True
 
     def group(self, s: int, t: int) -> AbGroupDesc:
         return self.chart.group(s, t)
@@ -149,7 +148,7 @@ def ext_chart(algebroid: HopfAlgebroid, p: int, K: int, s_max: int, t_max: int,
             prev = vals
     label = f"Ext {algebroid.kind} p={p} K={K}"
     chart = BigradedChart(entries, label=label, prime=p)
-    ec = ExtChart(chart, p, K, s_max, t_max, algebroid.kind, normalized)
+    ec = ExtChart(chart, p, K, s_max, t_max, algebroid.kind)
     _check_ext_invariants(ec)
     return ec
 

@@ -512,37 +512,19 @@ def fgl_exp(F: FormalGroupLaw) -> Series:
 
 
 def fgl_inverse(F: FormalGroupLaw) -> Series:
-    """The formal inverse series i(x) with F(x, i(x)) = 0.
+    """The formal inverse series i(x) = exp(-log x), with F(x, i(x)) = 0.
 
-    One pass over a power table P[j][m] = [x^m] i(x)^j: from
-    F(x, i(x)) = x + i(x) + sum_{i,j>=1} a_ij x^i i(x)^j,
-    i_n = -sum_{i,j>=1} a_ij P[j][n-i], whose entries need only
-    i_1..i_{n-1}.  The result is checked against F(x, i(x)) = 0.
+    log and exp are taken over the base (x) Q, so an integral base gets
+    its i(x) through fractions; every coefficient that is an integer is
+    returned as int.  The result is checked against F(x, i(x)) = 0.
     """
-    ring = F.presentation.ring()
-    order = F.order
-    zero = ring.zero()
-    inv = [zero, ring.const(-1)] + [zero] * (order - 1)
-    # power[j][m] for j <= m <= n - 1 before i_n is solved; power[1] is inv
-    power = [None, inv] + [[zero] * (order + 1) for _ in range(2, order + 1)]
-    mixed = [(i, j, c) for (i, j), c in F.series.items()
-             if i and j and not c.is_zero()]
-    for n in range(2, order + 1):
-        m = n - 1
-        for j in range(2, m + 1):
-            # i^j = i * i^{j-1}; the i_1 = -1 term needs no product
-            acc = -power[j - 1][m - 1]
-            for k in range(2, m - j + 2):
-                if not inv[k].is_zero() and not power[j - 1][m - k].is_zero():
-                    acc = acc + inv[k] * power[j - 1][m - k]
-            power[j][m] = acc
-        acc = zero
-        for i, j, c in mixed:
-            if i + j <= n and not power[j][n - i].is_zero():
-                acc = acc + c * power[j][n - i]
-        inv[n] = -acc
-    out = Series(ring, 1, order, {(n,): inv[n] for n in range(1, order + 1)})
-    x1 = Series.variable(ring, 1, order, 0)
+    log = _log_over_char_zero(F)
+    inv = compose_univariate(reversion(log), log.scale(-1))
+    out = Series(inv.ring, 1, inv.order, {
+        e: Poly(q.ring, {m: int(c) if Fraction(c).denominator == 1 else c
+                         for m, c in q.terms.items()})
+        for e, q in inv.terms.items()})
+    x1 = Series.variable(out.ring, 1, out.order, 0)
     if not _eval_bivariate(F.as_series(), x1, out).is_zero():
         raise FGLAxiomError("formal inverse construction failed")
     return out

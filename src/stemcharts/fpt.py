@@ -474,14 +474,14 @@ def _is_p_power(i: int, p: int) -> bool:
     return i == 1
 
 
-def check_u_sequence(M: FptModule, p: Optional[int] = None, n: int = 0) -> bool:
+def check_u_sequence(M: FptModule, n: int = 0) -> bool:
     """Exactness of the u-sequence at the middle term, u = t^{p^n}.
 
     Odd p: M[u^p] --(u^{p-1})--> M[u] --> M/u exact at M[u], i.e.
     M[u] n uM = u^{p-1} M[u^p].  p = 2: M[u^2] (+) M[u^4] --> M[u^4]
     --(u^3)--> M[u] exact at M[u^4], i.e. M[u^3] = M[u^2] + u M[u^4].
     """
-    p = p or M.p
+    p = M.p
     d = M.dim
     if d == 0:
         return True

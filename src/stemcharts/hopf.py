@@ -23,7 +23,7 @@ from __future__ import annotations
 from fractions import Fraction
 from operator import itemgetter
 
-from .poly import Poly, PolyRing, Monomial, ONE, mon_mul, mon_deg
+from .poly import Poly, PolyRing, Monomial, ONE, mon_mul, mon_deg, power
 from .series import compose_univariate, generic_series, reversion
 from .fgl import (EngineError, GradedRingPresentation, UniversalFGL,
                   hazewinkel_lambdas, p_typical_presentation)
@@ -138,35 +138,7 @@ class HopfAlgebroid:
         return out
 
     def tensor_pow(self, a: Tensor, n: int, slots: int) -> Tensor:
-        result: Tensor = {(ONE, (ONE,) * slots): 1}
-        base = a
-        while n:
-            if n & 1:
-                result = self.tensor_mul(result, base)
-            n >>= 1
-            if n:
-                base = self.tensor_mul(base, base)
-        return result
-
-    def tensor_scale_poly(self, a: Tensor, q: Poly) -> Tensor:
-        """Multiply by an A-polynomial through the left unit."""
-        out: Tensor = {}
-        bound = self.bound
-        right = sorted(((self.adeg(qm), qm, qc) for qm, qc in q.terms.items()),
-                       key=_first)
-        for key1, c in a.items():
-            am, tm = key1
-            room = bound - self.key_deg(key1)
-            for dq, qm, qc in right:
-                if dq > room:
-                    break
-                key = (mon_mul(am, qm), tm)
-                s = out.get(key, 0) + c * qc
-                if s:
-                    out[key] = s
-                else:
-                    del out[key]
-        return out
+        return power(a, n, {(ONE, (ONE,) * slots): 1}, self.tensor_mul)
 
     def poly_to_tensor(self, q: Poly, slots: int = 1) -> Tensor:
         return {(m, (ONE,) * slots): c for m, c in q.terms.items()}
@@ -352,107 +324,78 @@ def _series_coefficient_split(p: Poly, a_names: int) -> list[tuple[Monomial, Mon
 
 
 def build_p_typical(p: int, bound: int) -> HopfAlgebroid:
+    """The p-typical algebroid, its structure maps solved degree by degree
+    from the lambda-identities of Ravenel, Complex Cobordism, Thm A2.1.27.
+
+    Each term of the identity for index n has degree p^n - 1 <= bound, so
+    nothing in them is truncated.
+    """
     a_pres = p_typical_presentation(p, bound)
-    aring = a_pres.ring()
-    nv = len(aring.names)
-    tnames = [f"t{i}" for i in range(1, nv + 1)]
-    tdegrees = [p ** i - 1 for i in range(1, nv + 1)]
+    nv = len(a_pres.generators)
+    alg = HopfAlgebroid("p_typical", bound, p, a_pres,
+                        [f"t{i}" for i in range(1, nv + 1)],
+                        [p ** i - 1 for i in range(1, nv + 1)], {}, {}, {})
+    eta_r, delta, anti = alg.eta_r_gen, alg.coproduct_gen, alg.antipode_gen
     # lambda_n in Q[v]: p * lambda_n = sum_{i<n} lambda_i v_{n-i}^{p^i}
-    nlam = nv
-    lams = hazewinkel_lambdas(aring, p, nlam)
+    lams = hazewinkel_lambdas(alg.aring, p, nv)
 
-    def lam(i: int) -> Poly:
-        return lams[i] if i < len(lams) else aring.zero()
+    def t_pow(j: int, i: int) -> Monomial:
+        """t_j^{p^i}, with t_0 = 1."""
+        return ONE if j == 0 else ((j - 1, p ** i),)
 
-    # eta_R(lambda_n) = sum_{i+j=n} lambda_i t_j^{p^i}  (t_0 = 1)
-    # solved for eta_R(v_n) through the Hazewinkel recursion
-    eta_r_gen: dict[int, Tensor] = {}
-    helper = HopfAlgebroid("p_typical", bound, p, a_pres, tnames, tdegrees,
-                           eta_r_gen, {}, {})
+    def image(gen_map: dict[int, Tensor], k: int, slots: int) -> Tensor:
+        """The image of t_k under a structure map, with t_0 = 1."""
+        return gen_map[k - 1] if k else {(ONE, (ONE,) * slots): 1}
 
     def eta_r_lambda(n: int) -> Tensor:
+        """eta_R(lambda_n) = sum_{i+j=n} lambda_i t_j^{p^i}."""
         out: Tensor = {}
         for i in range(n + 1):
-            j = n - i
-            li = lam(i)
-            if li.is_zero():
-                continue
-            tpart: Monomial = ONE if j == 0 else ((j - 1, p ** i),)
-            if helper.tdeg(tpart) > bound:
-                continue
-            _add_into(out, (((m, (tpart,)), c) for m, c in li.terms.items()))
+            _add_into(out, (((m, (t_pow(n - i, i),)), c)
+                            for m, c in lams[i].terms.items()))
         return out
 
-    eta_r_v: dict[int, Tensor] = {}
+    # eta_R(v_n) = p eta_R(lambda_n)
+    #             - sum_{i=1}^{n-1} eta_R(lambda_i) eta_R(v_{n-i})^{p^i}
     for n in range(1, nv + 1):
-        # eta_R(v_n) = p eta_R(lambda_n) - sum_{i=1}^{n-1} eta_R(lambda_i) eta_R(v_{n-i})^{p^i}
         acc = {k: p * c for k, c in eta_r_lambda(n).items()}
         for i in range(1, n):
-            term = helper.tensor_mul(
-                eta_r_lambda(i),
-                helper.tensor_pow(eta_r_v[n - i], p ** i, 1))
-            _add_into(acc, term.items(), -1)
-        eta_r_v[n] = acc
-        eta_r_gen[n - 1] = acc
-    _check_p_integral(eta_r_gen, p, "eta_R")
+            pw = alg.tensor_pow(eta_r[n - i - 1], p ** i, 1)
+            _add_into(acc, alg.tensor_mul(eta_r_lambda(i), pw).items(), -1)
+        eta_r[n - 1] = acc
+    _check_p_integral(eta_r, p, "eta_R")
 
     # coproduct: sum_{i+j+k=n} lambda_i t_j^{p^i} (x) t_k^{p^{i+j}}
     #          = sum_{h<=n} lambda_h Delta(t_{n-h})^{p^h}
-    coproduct_gen: dict[int, Tensor] = {}
-    helper.coproduct_gen = coproduct_gen
-    delta_t: dict[int, Tensor] = {0: {(ONE, (ONE, ONE)): 1}}
     for n in range(1, nv + 1):
-        lhs: Tensor = {}
+        acc: Tensor = {}
         for i in range(n + 1):
-            li = lam(i)
-            if li.is_zero():
-                continue
             for j in range(n - i + 1):
-                k = n - i - j
-                u: Monomial = ONE if j == 0 else ((j - 1, p ** i),)
-                w: Monomial = ONE if k == 0 else ((k - 1, p ** (i + j)),)
-                if helper.tdeg(u) + helper.tdeg(w) > bound:
-                    continue
-                _add_into(lhs, (((m, (u, w)), c) for m, c in li.terms.items()))
+                _add_into(acc, (((m, (t_pow(j, i), t_pow(n - i - j, i + j))), c)
+                                for m, c in lams[i].terms.items()))
         for h in range(1, n + 1):
-            lh = lam(h)
-            if lh.is_zero():
-                continue
-            pw = helper.tensor_pow(delta_t[n - h], p ** h, 2)
-            _add_into(lhs, helper.tensor_scale_poly(pw, lh).items(), -1)
-        delta_t[n] = lhs
-        coproduct_gen[n - 1] = lhs
-    _check_p_integral(coproduct_gen, p, "coproduct")
+            pw = alg.tensor_pow(image(delta, n - h, 2), p ** h, 2)
+            _add_into(acc, alg.tensor_mul(
+                pw, alg.poly_to_tensor(lams[h], 2)).items(), -1)
+        delta[n - 1] = acc
+    _check_p_integral(delta, p, "coproduct")
 
-    # antipode: sum_{i+j+k=n} lambda_i t_j^{p^i} c(t_k)^{p^{i+j}} = lambda_n
-    antipode_gen: dict[int, Tensor] = {}
-    helper.antipode_gen = antipode_gen
-    c_t: dict[int, Tensor] = {0: {(ONE, (ONE,)): 1}}
+    # antipode: sum_{i+j+k=n} lambda_i t_j^{p^i} c(t_k)^{p^{i+j}} = lambda_n,
+    # solved for the k = n term c(t_n)
     for n in range(1, nv + 1):
-        acc = helper.poly_to_tensor(lam(n))
+        acc = alg.poly_to_tensor(lams[n])
         for i in range(n + 1):
-            li = lam(i)
-            if li.is_zero():
-                continue
             for j in range(n - i + 1):
                 k = n - i - j
                 if k == n:
-                    continue  # the unknown c(t_n) term
-                u: Monomial = ONE if j == 0 else ((j - 1, p ** i),)
-                if helper.tdeg(u) > bound:
                     continue
-                term = helper.tensor_mul(
-                    {(ONE, (u,)): 1},
-                    helper.tensor_pow(c_t[k], p ** (i + j), 1))
-                term = helper.tensor_scale_poly(term, li)
-                _add_into(acc, term.items(), -1)
-        c_t[n] = acc
-        antipode_gen[n - 1] = acc
-    _check_p_integral(antipode_gen, p, "antipode")
-
-    out = HopfAlgebroid("p_typical", bound, p, a_pres, tnames, tdegrees,
-                        eta_r_gen, coproduct_gen, antipode_gen)
-    return out
+                pw = alg.tensor_pow(image(anti, k, 1), p ** (i + j), 1)
+                term = alg.tensor_mul({(ONE, (t_pow(j, i),)): 1}, pw)
+                _add_into(acc, alg.tensor_mul(
+                    term, alg.poly_to_tensor(lams[i])).items(), -1)
+        anti[n - 1] = acc
+    _check_p_integral(anti, p, "antipode")
+    return alg
 
 
 def _check_p_integral(gen_map: dict[int, Tensor], p: int, what: str):

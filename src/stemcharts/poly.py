@@ -34,6 +34,21 @@ def mon_deg(m: Monomial, degrees: list[int]) -> int:
     return sum(degrees[g] * e for g, e in m)
 
 
+def power(base, n: int, one, mul):
+    """base^n by square-and-multiply: `one` is the unit and mul(a, b) the
+    product, applied as result * base and base * base."""
+    if n < 0:
+        raise ValueError("negative power")
+    result = one
+    while n:
+        if n & 1:
+            result = mul(result, base)
+        n >>= 1
+        if n:
+            base = mul(base, base)
+    return result
+
+
 class PolyRing:
     """Weighted polynomial ring Q[g_0, g_1, ...] truncated at `bound`."""
 
@@ -159,16 +174,7 @@ class Poly:
         return Poly(ring, out)
 
     def pow(self, n: int) -> "Poly":
-        if n < 0:
-            raise ValueError("negative power")
-        result = self.ring.one()
-        base = self
-        while n:
-            if n & 1:
-                result = result * base
-            base = base * base if n > 1 else base
-            n >>= 1
-        return result
+        return power(self, n, self.ring.one(), Poly.__mul__)
 
     def coefficient(self, m: Monomial):
         return self.terms.get(m, 0)

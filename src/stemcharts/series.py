@@ -19,7 +19,7 @@ only g_1..g_{n-1}.
 
 from __future__ import annotations
 
-from .poly import Poly, PolyRing
+from .poly import Poly, PolyRing, power
 
 
 class Series:
@@ -96,16 +96,9 @@ class Series:
         return Series(self.ring, self.nvars, self.order, out)
 
     def pow(self, n: int) -> "Series":
-        result = Series(self.ring, self.nvars, self.order,
-                        {(0,) * self.nvars: self.ring.one()})
-        base = self
-        while n:
-            if n & 1:
-                result = result * base
-            n >>= 1
-            if n:
-                base = base * base
-        return result
+        one = Series(self.ring, self.nvars, self.order,
+                     {(0,) * self.nvars: self.ring.one()})
+        return power(self, n, one, Series.__mul__)
 
 
 def generic_series(ring: PolyRing, order: int, first: int) -> Series:

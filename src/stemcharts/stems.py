@@ -179,6 +179,7 @@ BUILTIN_TABLES: dict[int, dict] = {
     # cobordism Ext chart in this range.
     2: {
         "p": 2,
+        "last_stem": 7,
         "stems": {
             "0": [[0, 0, "free"]],
             "1": [[1, 1, 2]],
@@ -193,6 +194,7 @@ BUILTIN_TABLES: dict[int, dict] = {
     # p = 3 table: frozen from the verified E_2 computation, stems <= 12.
     3: {
         "p": 3,
+        "last_stem": 12,
         "stems": {
             "0": [[0, 0, "free"]],
             "3": [[2, 1, 3]],
@@ -244,8 +246,9 @@ def synthetic_stems(p: int, stem_max: int, source: str = "computed",
     """Synthetic stable stems through the given stem.
 
     source "computed" runs the Ext engine (odd p, within the degeneration
-    range); source "table" reads `table` (checked by `check_table`) or the
-    built-in table.
+    range); source "table" reads `table` (checked by `check_table`), whose
+    absent stems are zero, or the built-in table, which answers only
+    through its `last_stem`.
     """
     if source == "table":
         data = table if table is not None else BUILTIN_TABLES.get(p)
@@ -253,6 +256,10 @@ def synthetic_stems(p: int, stem_max: int, source: str = "computed",
             raise PreconditionError(f"no synthetic table available for p={p}")
         if data["p"] != p:
             raise PreconditionError("table prime mismatch")
+        if table is None and stem_max > data["last_stem"]:
+            raise PreconditionError(
+                f"stem_max {stem_max} exceeds the built-in p={p} table, "
+                f"which ends at stem {data['last_stem']}")
         return synthetic_from_table(data, stem_max)
     if source != "computed":
         raise ValueError(f"unknown source {source!r}")

@@ -72,6 +72,17 @@ def test_exit_code_precondition(capsys):
     assert code == 2
 
 
+@pytest.mark.parametrize("argv,last_stem", [
+    (["synthetic", "--prime", "3", "--source", "table", "--stem-max", "20"], 12),
+    (["stems", "--field", "complex", "--prime", "2"], 7)],
+    ids=["synthetic", "stems"])
+def test_builtin_table_ends_at_its_last_stem(capsys, argv, last_stem):
+    assert main(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert f"ends at stem {last_stem}" in captured.err
+
+
 def test_exit_code_precision(capsys):
     code, _ = run(capsys, "ext", "--prime", "2", "--smax", "2", "--tmax", "8",
                   "--precision", "2")
@@ -264,6 +275,21 @@ def test_cached_recompute_after_corruption(tmp_path, capsys):
     victim.write_text("garbage")
     code, out2 = run(capsys, *argv)
     assert code == 0 and out1 == out2
+
+
+@pytest.mark.parametrize("content", [b"[]", b'"x"', b"7", b"\xff\xfe{}"],
+                         ids=["list", "string", "number", "not-utf8"])
+def test_cache_entry_of_any_shape_is_evicted(tmp_path, capsys, content):
+    cache = tmp_path / "c"
+    argv = ["ext", "--prime", "3", "--tmax", "4", "--cache-dir", str(cache)]
+    _, out1 = run(capsys, *argv)
+    victim = next(cache.glob("*.json"))
+    victim.write_bytes(content)
+    code = main(argv)
+    captured = capsys.readouterr()
+    assert code == 0 and captured.out == out1
+    assert "evicting corrupt cache entry" in captured.err
+    assert json.loads(victim.read_text())["payload"] == out1
 
 
 def test_render_is_read_only():

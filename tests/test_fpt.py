@@ -183,15 +183,15 @@ def test_u_sequence_examples():
     # free over F_p[t]/t^{p^{n+1}} is exact
     for p, n in ((3, 0), (2, 0), (2, 1)):
         M = jordan_module(p, [p ** (n + 1)] * 2)
-        assert check_u_sequence(M, p, n) is True
+        assert check_u_sequence(M, n) is True
     # F_2[t]/t^3 at u = t fails
-    assert check_u_sequence(jordan_module(2, [3]), 2, 0) is False
-    assert check_u_sequence(FptModule(3, 0, ()), 3, 0) is True
+    assert check_u_sequence(jordan_module(2, [3]), 0) is False
+    assert check_u_sequence(FptModule(3, 0, ()), 0) is True
 
 
 def test_u_sequence_guard():
     with pytest.raises(ValueError):
-        check_u_sequence(jordan_module(3, [2]), 3, 5)
+        check_u_sequence(jordan_module(3, [2]), 5)
 
 
 def test_u_sequence_implies_torsion_powers():
@@ -199,7 +199,7 @@ def test_u_sequence_implies_torsion_powers():
     for _ in range(120):
         p = rng.choice([2, 3])
         M = random_nilpotent(p, rng.randrange(0, 13), rng)
-        all_exact = all(check_u_sequence(M, p, n)
+        all_exact = all(check_u_sequence(M, n)
                         for n in range(0, 12) if p ** n <= max(M.dim, 1))
         holds, _ = check_torsion_powers(M)
         if all_exact:
@@ -443,5 +443,5 @@ def test_mutating_results_leaves_the_module_unchanged():
         assert M._power(k) == twin._power(k)
     assert decompose(M).to_json() == decompose(twin).to_json()
     assert check_torsion_powers(M) == check_torsion_powers(twin)
-    assert all(check_u_sequence(M, 2, n) == check_u_sequence(twin, 2, n)
+    assert all(check_u_sequence(M, n) == check_u_sequence(twin, n)
                for n in range(4))

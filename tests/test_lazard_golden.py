@@ -5,7 +5,9 @@ Delta of the p-typical algebroids at bound 10 for p = 2, 3, 5.
 The universal values were recorded from the Fraction Gauss-Jordan
 implementation of the lattice step; any rewrite of that step must
 reproduce them exactly.  The p-typical digests were recorded before the
-sparse tensors of `hopf` were accumulated in place.
+sparse tensors of `hopf` were accumulated in place; those at (p, bound) =
+(2, 15), (3, 26) and (5, 24), the first bounds that reach v_4, v_3 and v_2,
+before `build_p_typical` solved straight into the generator maps.
 """
 
 import hashlib
@@ -35,6 +37,11 @@ P_TYPICAL_DIGESTS = {
     2: "9ddd6eb12e544a686f98a866640876763a4f854d9b589cafd15e9780dfed9c4d",
     3: "5f459eb703065526b5d7d7dfe4d4dc433a365fd4c30766a2e6fdb78ea01c4993",
     5: "bb7ca45c543778063f4bf1cb1bddbbffdff77c37c6daa7bada57546dee14d5a7",
+}
+DEEP_P_TYPICAL_DIGESTS = {
+    (2, 15): "5364f08e9225075bcb7f47cd600d7b9877513ccd666403220185dc3e6a9a9fd4",
+    (3, 26): "d6f4a5d195142cfe7e2b2fdb6f777a01716de80572aee4f55ca0808670be6cf8",
+    (5, 24): "adc060f78a7bfcb73b3b005ce8d995b14b2cc398fdbe41bb24359a3c7a9ae044",
 }
 
 
@@ -66,3 +73,8 @@ def test_universal_structure_digest_bound_10(universal10):
 @pytest.mark.parametrize("p", sorted(P_TYPICAL_DIGESTS))
 def test_p_typical_structure_digest_bound_10(p):
     assert structure_digest(build_p_typical(p, 10)) == P_TYPICAL_DIGESTS[p]
+
+
+@pytest.mark.parametrize("p,bound", sorted(DEEP_P_TYPICAL_DIGESTS))
+def test_p_typical_structure_digest_deep(p, bound):
+    assert structure_digest(build_p_typical(p, bound)) == DEEP_P_TYPICAL_DIGESTS[p, bound]

@@ -13,6 +13,7 @@ from fractions import Fraction
 
 import pytest
 
+from stemcharts.hopf import build_p_typical
 from stemcharts.poly import Poly, PolyRing
 from stemcharts.series import Series, compose_univariate, reversion
 
@@ -118,3 +119,13 @@ def test_compose_rejects_constant_term():
 def test_compose_rejects_multivariate_outer_series():
     with pytest.raises(ValueError, match="outer series must be univariate"):
         compose_univariate(Series.variable(RING, 2, 4, 0), x_series(4))
+
+
+def test_powers_reject_negative_exponents():
+    # one square-and-multiply serves Poly, Series and the algebroid tensors
+    alg = build_p_typical(3, 4)
+    t1 = {((), (((0, 1),),)): 1}
+    for pw in (RING.gen(0).pow, Series.variable(RING, 1, 4, 0).pow,
+               lambda n: alg.tensor_pow(t1, n, 1)):
+        with pytest.raises(ValueError, match="negative power"):
+            pw(-1)

@@ -9,13 +9,23 @@ inverse i(x) of the universal law on the integral Lazard generators at
 bounds 6 and 10 (the digests were recorded from the solver that evaluated
 the whole F(x, i(x)) once per degree).  The coefficients enter the digests
 through repr, so an int turning into an equal Fraction changes them too.
+
+The p-typical antipodes at (p, bound) = (2, 15), (3, 26) and (5, 24), the
+first bounds that reach v_4, v_3 and v_2, and i(x) of the 2-typical
+multiplicative law at bound 10 were recorded from the power-table solvers
+that `build_p_typical` and `fgl_inverse` used before.  That i(x) is hashed
+on Fraction values: its integer coefficients were Fraction(n, 1) then and
+are int now.
 """
 
 import hashlib
 
 import pytest
 
-from stemcharts.fgl import fgl_series, universal_fgl
+from fractions import Fraction
+
+from stemcharts.fgl import (fgl_series, multiplicative_fgl, p_typical_reduction,
+                            universal_fgl)
 from stemcharts.hopf import build_p_typical, build_universal
 
 ANTIPODE_DIGESTS = {
@@ -30,6 +40,13 @@ INVERSE_DIGESTS = {
     6: "3c8da455e484e86a8b5e558c8af6cb5037fabc8f4e58b11a7383137b947580be",
     10: "3aadb1e662af4669abf4b5f7f81b0ec66733e7fcbf48ff2c094cd76ac03f8950",
 }
+DEEP_ANTIPODE_DIGESTS = {
+    (2, 15): "61e48c84ce04277cabfdee59b61ff9c9a26d316995e5433c8d245a8b126f3786",
+    (3, 26): "7c5f34bf948f772217988b88f307e8b31e9603ea50c31302c8ddc6fa379f3ffa",
+    (5, 24): "e3b2ef218d49819995d61e14dfa0299e0e7596a84be59746bea6a981cd953adf",
+}
+P_TYPICAL_INVERSE_DIGEST = (
+    "91d03f640025dbc63bce008c683cf420d82ce63d7e76db1fe9aaf3366e673915")
 
 
 def antipode_digest(alg) -> str:
@@ -42,13 +59,13 @@ def antipode_digest(alg) -> str:
     return h.hexdigest()
 
 
-def series_digest(s) -> str:
+def series_digest(s, value=repr) -> str:
     """sha256 over a series' terms, in sorted exponent and monomial order."""
     h = hashlib.sha256()
     for e in sorted(s.terms):
         poly = s.terms[e]
         for m in sorted(poly.terms):
-            h.update(f"{e!r} {m!r} {poly.terms[m]!r}\n".encode())
+            h.update(f"{e!r} {m!r} {value(poly.terms[m])}\n".encode())
     return h.hexdigest()
 
 
@@ -78,3 +95,14 @@ def test_universal_formal_sum_bound_10(universal10):
 def test_universal_inverse(bound):
     _, law = universal_fgl(bound)
     assert series_digest(fgl_series(law, "inverse")) == INVERSE_DIGESTS[bound]
+
+
+@pytest.mark.parametrize("p,bound", sorted(DEEP_ANTIPODE_DIGESTS))
+def test_p_typical_antipode_deep(p, bound):
+    assert antipode_digest(build_p_typical(p, bound)) == DEEP_ANTIPODE_DIGESTS[p, bound]
+
+
+def test_p_typical_multiplicative_inverse():
+    _, law = p_typical_reduction(multiplicative_fgl(10), 2, 10)
+    inverse = fgl_series(law, "inverse")
+    assert series_digest(inverse, Fraction) == P_TYPICAL_INVERSE_DIGEST

@@ -1,7 +1,8 @@
 """Content-addressed chart cache.
 
-Cache keys hash (command, parameters, engine version); payloads round-trip
-byte-identically.  Entries from other engine versions are never reused.
+Cache keys hash (command, parameters, engine version, sha256 of the
+engine's own sources); payloads round-trip byte-identically.  Entries
+written by another engine, a changed source included, are never reused.
 Writes go through a temporary file and an atomic rename; a write that
 fails is reported and skipped.  Corrupt entries, whatever their bytes,
 are reported and evicted, never silently served, and the caller
@@ -10,6 +11,7 @@ recomputes.
 
 from __future__ import annotations
 
+import functools
 import hashlib
 import json
 import os
@@ -23,9 +25,21 @@ class CacheCorrupt(Exception):
     pass
 
 
+@functools.cache
+def source_digest() -> str:
+    """sha256 of the package's *.py files, computed once per process."""
+    package = os.path.dirname(os.path.abspath(__file__))
+    h = hashlib.sha256()
+    for name in sorted(n for n in os.listdir(package) if n.endswith(".py")):
+        with open(os.path.join(package, name), "rb") as fh:
+            h.update(name.encode() + b"\0" + fh.read() + b"\0")
+    return h.hexdigest()
+
+
 def cache_key(command: str, params: dict) -> str:
     blob = json.dumps({"command": command, "params": params,
-                       "engine_version": ENGINE_VERSION},
+                       "engine_version": ENGINE_VERSION,
+                       "source": source_digest()},
                       sort_keys=True, separators=(",", ":"))
     return hashlib.sha256(blob.encode("utf-8")).hexdigest()
 

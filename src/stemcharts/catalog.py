@@ -2,14 +2,18 @@
 
 Catalog file schema: {"fields": {name: descriptor}} with one descriptor
 per variant (see `default_catalog` for an example of each).  Custom tables
-use the chart JSON group schema ({"free_rank": r, "torsion": [...], ...}).
+use the chart JSON group schema ({"free_rank": r, "torsion": [...], ...}),
+and `catalog_to_json` writes the schema that `load_catalog` reads.
 """
 
 from __future__ import annotations
 
-from .charts import INF
-from .fields import (FieldDescriptor, FieldError, algebraically_closed,
-                     complex_like, finite_field, real_closed)
+from dataclasses import replace
+
+from .charts import INF, AbGroupDesc, cyclic, free_group
+from .fields import (FieldDescriptor, FieldError, WittData,
+                     algebraically_closed, complex_like, finite_field,
+                     real_closed)
 
 
 def default_catalog() -> dict[str, FieldDescriptor]:
@@ -21,48 +25,34 @@ def default_catalog() -> dict[str, FieldDescriptor]:
     }
     for q in (3, 4, 5, 7, 9, 25, 49):
         fields[f"F{q}"] = finite_field(q)
+    # both custom fields share the Witt data of F_q with q = 1 mod 4
+    witt = WittData(gw=AbGroupDesc(free_rank=1, torsion=(2,)),
+                    w=AbGroupDesc(torsion=(2, 2)), fundamental={1: cyclic(2)},
+                    km_mod2={0: cyclic(2), 1: cyclic(2)})
     # cyclotomic tower over F7 at p = 3: the K-theory of the colimit is
     # supplied as data (units become 3-divisible up the tower), together
     # with a small declared Galois-module handle for the fpt pipeline
     fields["F7_cyclo3"] = FieldDescriptor(
         variant="cyclotomic_tower", name="F7_cyclo3", base_name="F7",
         tower_prime=3, char=7,
-        km_table=(
-            (0, (("free_rank", 1), ("torsion", ()))),
-            (1, (("divisible", True), ("free_rank", 0), ("torsion", ()))),
-        ),
-        witt_table=(
-            ("GW", (("free_rank", 1), ("torsion", (2,)))),
-            ("W", (("free_rank", 0), ("torsion", (2, 2)))),
-            ("I", ((1, (("free_rank", 0), ("torsion", (2,)))),)),
-            ("k", ((0, (("free_rank", 0), ("torsion", (2,)))),
-                   (1, (("free_rank", 0), ("torsion", (2,)))))),
-        ),
-        km_mod_p_dims=((3, ((0, 1),)),),
-        galois_modules=(
-            (3, ((1, (("stable_from", 0),
-                      ("modules", ((("p", 3), ("dim", 1), ("t", (0,))),
-                                   (("p", 3), ("dim", 3),
-                                    ("t", (0, 0, 0, 1, 0, 0, 0, 1, 0))))),
-                      ("maps", (((0,), (0,), (1,)),)))),)),
-        ),
+        km_table={0: free_group(1), 1: AbGroupDesc(divisible=True)},
+        witt_table=witt,
+        km_mod_p_dims={3: {0: 1}},
+        galois_modules={"3": {"1": {
+            "stable_from": 0,
+            "modules": [{"p": 3, "dim": 1, "t": [0]},
+                        {"p": 3, "dim": 3, "t": [0, 0, 0, 1, 0, 0, 0, 1, 0]}],
+            "maps": [[[0], [0], [1]]]}}},
     )
     # Tate-orientable custom field whose completed Milnor-Witt chart is
     # free on two generators in shifts {0, -1} (a unit-class generator in
     # K^M_1 survives completion at every prime)
-    z = (("free_rank", 1), ("torsion", ()))
     fields["twogen"] = FieldDescriptor(
         variant="custom", name="twogen", char=0,
-        roots=((2, INF), (3, INF), (5, INF)),
-        km_table=((0, z), (1, z)),
-        kmw_table=((0, (("free_rank", 1), ("torsion", (2,)))), (1, z)),
-        witt_table=(
-            ("GW", (("free_rank", 1), ("torsion", (2,)))),
-            ("W", (("free_rank", 0), ("torsion", (2, 2)))),
-            ("I", ((1, (("free_rank", 0), ("torsion", (2,)))),)),
-            ("k", ((0, (("free_rank", 0), ("torsion", (2,)))),
-                   (1, (("free_rank", 0), ("torsion", (2,)))))),
-        ),
+        roots={2: INF, 3: INF, 5: INF},
+        km_table={0: free_group(1), 1: free_group(1)},
+        kmw_table={0: AbGroupDesc(free_rank=1, torsion=(2,)), 1: free_group(1)},
+        witt_table=witt,
     )
     return fields
 
@@ -71,15 +61,13 @@ def load_catalog(data: dict | None = None) -> dict[str, FieldDescriptor]:
     """The built-in fields, plus those of `data` (a parsed catalog file).
 
     A malformed descriptor, custom tables included, raises KeyError,
-    TypeError or ValueError here, when the catalog is loaded.
+    TypeError, ValueError or AttributeError here, when the catalog is loaded.
     """
     fields = default_catalog()
     if data is not None:
         for name, obj in data.get("fields", {}).items():
             fd = FieldDescriptor.from_json(obj)
-            if not fd.name:
-                fd = FieldDescriptor(**{**fd.__dict__, "name": name})
-            fields[name] = fd
+            fields[name] = fd if fd.name else replace(fd, name=name)
     return fields
 
 

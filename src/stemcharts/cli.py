@@ -11,11 +11,11 @@ that is not p-integral, leaves the basis, or has d o d != 0; an Ext chart
 with a free summand off (0,0); a Lazard quotient defect; a Hopf-algebroid
 axiom failure; a failed splitting or reassembly check of an F_p[[t]]
 decomposition; a synthetic chart class off its lane n + s = 2w; a defect
-of the engine, not of the input).  Inputs are
-validated before any work or cache access, and a rejected input is a usage
-error (exit 2): --prime and --complete must be prime, --smax, --tmax and
---stem-max non-negative, --tmax even, --precision at least 2, --range two
-integers LO:HI with LO <= HI, every input file (--module-file,
+of the engine, not of the input).  Inputs are validated before any work
+or cache access, and a rejected input is a usage error (exit 2): --prime
+and --complete must be prime, --smax, --tmax and --stem-max non-negative,
+--tmax even, --precision at least 2, --range two integers LO:HI with LO <=
+HI, kmw --basis only with --complete, every input file (--module-file,
 --chart-file, --table, --catalog) readable, and --out a path that is not
 a directory, in a directory that exists.  Each input file is read once,
 by `_read_input`, and one that is not JSON or does not describe what its
@@ -24,14 +24,15 @@ module file with a key missing, a matrix of the wrong shape, a t-action
 that is not nilpotent or a structure map that is not injective or not
 t-equivariant; a chart entry without "i" or "j"; a catalog field without
 "variant", with a malformed custom table or, for a finite field, with a q
-that is not a prime power; a table row that is not
-[weight, filtration >= 0, "free" or an order >= 1].  So is an ind-system
-whose profiles do not stabilize as declared.  The cache key holds every parameter that
-changes the payload, including kmw --basis and the sha256 of the contents
-of the --table and --catalog files.  A cache entry that cannot be written
-is reported on stderr, and the command still emits its output (exit 0).
-Every command is deterministic given its inputs: re-running reproduces
-byte-identical output.
+that is not a prime power; a table row that is not [weight, filtration >=
+0, "free" or an order >= 1].  So is an ind-system whose profiles do not
+stabilize as declared.  The cache key holds the command, every option but
+--format, --view, --out and --cache-dir, each --table or --catalog file by
+the sha256 of its bytes, and the sha256 of the engine's sources (see
+`cache`).  A cache entry that cannot be written is reported on stderr,
+and the command still emits its output (exit 0).  Every command is
+deterministic given its inputs: re-running reproduces byte-identical
+output.
 
 The argument parser is built once per process (`build_parser` is cached),
 so in-process callers of `main`, such as the tests, pay for it on their
@@ -107,19 +108,22 @@ def _read_input(path: str | None, what: str, parse) -> tuple[object, str | None]
             f"{path} is not a {what} file ({type(exc).__name__}: {exc})") from exc
 
 
-def _with_cache(args, command: str, params: dict, compute):
-    """Cache the canonical JSON payload; render from the cached payload."""
+_OUTPUT_ONLY = ("func", "format", "view", "out", "cache_dir")
+
+
+def _with_cache(args, compute, **files):
+    """Cache the canonical JSON payload; render from the cached payload.
+    The key is the command and every option but the output-only ones, with
+    the input files by `files` (option -> sha256 of the file's bytes)."""
     cache_dir = args.cache_dir or os.environ.get("STEMCHARTS_CACHE_DIR")
-    payload = None
-    key = None
-    if cache_dir:
-        key = cache_key(command, params)
-        payload = cache_load(cache_dir, key)
+    if not cache_dir:
+        return json.dumps(compute(), indent=1) + "\n"
+    params = {k: v for k, v in vars(args).items() if k not in _OUTPUT_ONLY}
+    key = cache_key(params.pop("command"), {**params, **files})
+    payload = cache_load(cache_dir, key)
     if payload is None:
-        obj = compute()
-        payload = json.dumps(obj, indent=1) + "\n"
-        if cache_dir and key:
-            cache_store(cache_dir, key, payload)
+        payload = json.dumps(compute(), indent=1) + "\n"
+        cache_store(cache_dir, key, payload)
     return payload
 
 
@@ -134,12 +138,6 @@ def _emit_chart(args, payload: str) -> int:
 
 
 def cmd_ext(args) -> int:
-    params = {
-        "kind": args.kind, "prime": args.prime, "smax": args.smax,
-        "tmax": args.tmax, "precision": args.precision,
-        "normalized": not args.unnormalized,
-    }
-
     def compute():
         bound = max((args.tmax + 1) // 2, 1)
         alg = build_algebroid(args.kind, bound,
@@ -148,27 +146,27 @@ def cmd_ext(args) -> int:
                        normalized=not args.unnormalized)
         return ec.to_json()
 
-    return _emit_chart(args, _with_cache(args, "ext", params, compute))
+    return _emit_chart(args, _with_cache(args, compute))
 
 
 def cmd_kmw(args) -> int:
-    fields, catalog = _read_input(args.catalog, "catalog", load_catalog)
+    if args.basis and not args.complete:
+        raise PreconditionError("--basis needs --complete")
+    fields, catalog_sha = _read_input(args.catalog, "catalog", load_catalog)
     k = get_field(args.field, fields)
     lo, hi = args.range
-    params = {"field": args.field, "range": [lo, hi], "complete": args.complete,
-              "basis": args.basis, "catalog": catalog}
 
     def compute():
         chart = milnor_witt(k, lo, hi)
         if args.complete:
             chart = complete_kmw(chart, args.complete)
         obj = chart.to_json()
-        if args.complete and args.basis:
+        if args.basis:
             basis = free_basis(chart, args.complete, field=k)
             obj["free_basis"] = {str(n): m for n, m in basis.items()}
         return obj
 
-    payload = _with_cache(args, "kmw", params, compute)
+    payload = _with_cache(args, compute, catalog=catalog_sha)
     if args.format == "json":
         _emit(payload, args.out)
     else:
@@ -181,13 +179,9 @@ def cmd_kmw(args) -> int:
 
 
 def cmd_stems(args) -> int:
-    fields, catalog = _read_input(args.catalog, "catalog", load_catalog)
+    fields, catalog_sha = _read_input(args.catalog, "catalog", load_catalog)
     k = get_field(args.field, fields)
     table, table_sha = _read_input(args.table, "table", check_table)
-    params = {"field": args.field, "prime": args.prime,
-              "stem_max": args.stem_max, "source": args.source,
-              "table": table_sha, "catalog": catalog,
-              "precision": args.precision}
 
     def compute():
         chart = tensor_formula(k, args.prime, args.stem_max,
@@ -195,21 +189,19 @@ def cmd_stems(args) -> int:
                                precision=args.precision)
         return chart.to_json()
 
-    return _emit_chart(args, _with_cache(args, "stems", params, compute))
+    return _emit_chart(args, _with_cache(args, compute, table=table_sha,
+                                         catalog=catalog_sha))
 
 
 def cmd_synthetic(args) -> int:
     table, table_sha = _read_input(args.table, "table", check_table)
-    params = {"prime": args.prime, "stem_max": args.stem_max,
-              "source": args.source, "table": table_sha,
-              "precision": args.precision}
 
     def compute():
         syn = synthetic_stems(args.prime, args.stem_max, source=args.source,
                               table=table, precision=args.precision)
         return syn.to_json()
 
-    return _emit_chart(args, _with_cache(args, "synthetic", params, compute))
+    return _emit_chart(args, _with_cache(args, compute, table=table_sha))
 
 
 def _module_from_json(data) -> FptModule | IndFptModule:
@@ -339,8 +331,9 @@ def build_parser() -> argparse.ArgumentParser:
     def common(p, view_default="ij"):
         p.add_argument("--format", choices=["json", "grid", "svg"],
                        default="json")
-        p.add_argument("--view", choices=["ij", "stem-weight"],
-                       default=view_default)
+        if view_default:
+            p.add_argument("--view", choices=["ij", "stem-weight"],
+                           default=view_default)
         p.add_argument("--out", type=_output_file, default=None,
                        help="write output to a file")
         p.add_argument("--cache-dir", default=None,
@@ -369,8 +362,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--complete", type=_prime, default=None,
                    help="(p, eta)-complete at this prime")
     p.add_argument("--basis", action="store_true",
-                   help="include the free basis over pi_0 synthetic")
-    common(p)
+                   help="include the free basis over pi_0 synthetic "
+                        "(needs --complete)")
+    common(p, view_default=None)
     catalog_option(p)
     p.set_defaults(func=cmd_kmw)
 

@@ -6,6 +6,10 @@ symbol quotients for K_2 of finite fields, quadratic-form enumeration for
 Witt data).  Values for variants that cannot be enumerated (real closed,
 quadratically closed) come from rank/signature classification oracles over
 formal square-class data.
+
+A custom field's tables are held as what they describe: degree ->
+`AbGroupDesc`, a `WittData`, or int mappings with INF allowed.  They are
+parsed once, by `FieldDescriptor.from_json`, and shared read-only.
 """
 
 from __future__ import annotations
@@ -31,6 +35,44 @@ def _prime_and_exponent(q) -> tuple[int, int]:
     return pe
 
 
+def _count(n):
+    return n if n == INF else int(n)
+
+
+def _table(obj: dict, parse=_count) -> dict:
+    """{int(key): parse(value)} of a JSON object, in increasing key order."""
+    parsed = {int(k): parse(v) for k, v in obj.items()}
+    return {k: parsed[k] for k in sorted(parsed)}
+
+
+def _groups(obj: dict) -> dict[int, AbGroupDesc]:
+    return _table(obj, AbGroupDesc.from_json)
+
+
+def _table_json(table: dict, encode=lambda v: v) -> dict:
+    return {str(k): encode(v) for k, v in table.items()}
+
+
+@dataclass
+class WittData:
+    gw: AbGroupDesc
+    w: AbGroupDesc
+    fundamental: dict[int, AbGroupDesc]   # I^n for n >= 1
+    km_mod2: dict[int, AbGroupDesc]       # I^n/I^{n+1} = k^M_n
+
+    def to_json(self) -> dict:
+        return {"GW": self.gw.to_json(), "W": self.w.to_json(),
+                "I": _table_json(self.fundamental, AbGroupDesc.to_json),
+                "k": _table_json(self.km_mod2, AbGroupDesc.to_json)}
+
+    @staticmethod
+    def from_json(obj: dict) -> "WittData":
+        return WittData(gw=AbGroupDesc.from_json(obj["GW"]),
+                        w=AbGroupDesc.from_json(obj["W"]),
+                        fundamental=_groups(obj.get("I", {})),
+                        km_mod2=_groups(obj.get("k", {})))
+
+
 @dataclass(frozen=True)
 class FieldDescriptor:
     variant: str                      # finite | algebraically_closed | real_closed
@@ -40,12 +82,12 @@ class FieldDescriptor:
     char: int = 0
     base_name: Optional[str] = None   # cyclotomic tower base (catalog key)
     tower_prime: Optional[int] = None
-    km_table: Optional[tuple] = None          # ((degree, desc_json), ...)
-    witt_table: Optional[tuple] = None         # (("GW", json), ("W", json), ("I", ((n, json), ...)))
-    kmw_table: Optional[tuple] = None
-    roots: Optional[tuple] = None              # ((p, n|"inf"), ...)
-    km_mod_p_dims: Optional[tuple] = None      # ((p, ((degree, dim|"inf"), ...)), ...)
-    galois_modules: Optional[tuple] = None     # ((p, ((degree, ind-module-json), ...)), ...)
+    km_table: Optional[dict[int, AbGroupDesc]] = None   # degree -> K^M_n
+    witt_table: Optional[WittData] = None
+    kmw_table: Optional[dict[int, AbGroupDesc]] = None  # degree -> K^MW_n
+    roots: Optional[dict[int, object]] = None           # p -> n or INF
+    km_mod_p_dims: Optional[dict[int, dict[int, object]]] = None  # p -> degree -> dim
+    galois_modules: Optional[dict] = None               # the catalog's JSON, as given
 
     def __post_init__(self):
         if self.variant == "finite":
@@ -76,13 +118,9 @@ class FieldDescriptor:
             return INF
         if self.variant == "real_closed":
             return 1 if p == 2 else 0
-        if self.variant == "cyclotomic_tower":
-            if p == self.tower_prime:
-                return INF
-            return 0 if self.roots is None else dict(self.roots).get(p, 0)
-        if self.roots is not None:
-            return dict(self.roots).get(p, 0)
-        return 0
+        if self.variant == "cyclotomic_tower" and p == self.tower_prime:
+            return INF
+        return (self.roots or {}).get(p, 0)
 
     def tate_orientable(self, p: int) -> bool:
         return self.characteristic() != p and self.roots_of_unity(p) == INF
@@ -91,75 +129,43 @@ class FieldDescriptor:
         out = {"variant": self.variant}
         for key in ("name", "q", "char", "base_name", "tower_prime"):
             v = getattr(self, key)
-            if v not in (None, "", 0) or (key == "char" and v != 0):
+            if v not in (None, "", 0):
                 out[key] = v
         if self.km_table is not None:
-            out["km_table"] = {str(n): g for n, g in self.km_table}
+            out["km_table"] = _table_json(self.km_table, AbGroupDesc.to_json)
         if self.witt_table is not None:
-            out["witt_table"] = {k: v for k, v in self.witt_table}
+            out["witt_table"] = self.witt_table.to_json()
         if self.kmw_table is not None:
-            out["kmw_table"] = {str(n): g for n, g in self.kmw_table}
+            out["kmw_table"] = _table_json(self.kmw_table, AbGroupDesc.to_json)
         if self.roots is not None:
-            out["roots_of_unity"] = {str(p): n for p, n in self.roots}
+            out["roots_of_unity"] = _table_json(self.roots)
         if self.km_mod_p_dims is not None:
-            out["km_mod_p_dims"] = {str(p): {str(n): d for n, d in table}
-                                    for p, table in self.km_mod_p_dims}
+            out["km_mod_p_dims"] = _table_json(self.km_mod_p_dims, _table_json)
         if self.galois_modules is not None:
-            out["galois_modules"] = {str(p): {str(n): mod for n, mod in table}
-                                     for p, table in self.galois_modules}
+            out["galois_modules"] = self.galois_modules
         return out
 
     @staticmethod
     def from_json(obj: dict) -> "FieldDescriptor":
-        def freeze_table(d):
-            if d is None:
-                return None
-            return tuple(sorted((int(k), _freeze(v)) for k, v in d.items()))
+        """Parse `to_json`'s schema; a malformed table raises KeyError,
+        TypeError, ValueError or AttributeError here, not in a command."""
+        def table(key, parse=_table):
+            return parse(obj[key]) if key in obj else None
 
-        def _freeze(v):
-            if isinstance(v, dict):
-                return tuple(sorted((k, _freeze(x)) for k, x in v.items()))
-            if isinstance(v, list):
-                return tuple(_freeze(x) for x in v)
-            return v
-
-        roots = None
-        if "roots_of_unity" in obj:
-            roots = tuple(sorted((int(p), n if n == INF else int(n))
-                                 for p, n in obj["roots_of_unity"].items()))
-        kmd = None
-        if "km_mod_p_dims" in obj:
-            kmd = tuple(sorted(
-                (int(p), tuple(sorted((int(n), d if d == INF else int(d))
-                                      for n, d in table.items())))
-                for p, table in obj["km_mod_p_dims"].items()))
-        gal = None
-        if "galois_modules" in obj:
-            gal = tuple(sorted(
-                (int(p), tuple(sorted((int(n), _freeze(mod))
-                                      for n, mod in table.items())))
-                for p, table in obj["galois_modules"].items()))
-        fd = FieldDescriptor(
+        return FieldDescriptor(
             variant=obj["variant"],
             name=obj.get("name", ""),
             q=obj.get("q"),
             char=obj.get("char", 0),
             base_name=obj.get("base_name"),
             tower_prime=obj.get("tower_prime"),
-            km_table=freeze_table(obj.get("km_table")),
-            witt_table=_freeze(obj["witt_table"]) if "witt_table" in obj else None,
-            kmw_table=freeze_table(obj.get("kmw_table")),
-            roots=roots,
-            km_mod_p_dims=kmd,
-            galois_modules=gal,
+            km_table=table("km_table", _groups),
+            witt_table=table("witt_table", WittData.from_json),
+            kmw_table=table("kmw_table", _groups),
+            roots=table("roots_of_unity"),
+            km_mod_p_dims=table("km_mod_p_dims", lambda t: _table(t, _table)),
+            galois_modules=obj.get("galois_modules"),
         )
-        # build the custom tables' group descriptors now, so that a malformed
-        # table fails when the catalog is read, not in the middle of a command
-        for _, g in (fd.km_table or ()) + (fd.kmw_table or ()):
-            _desc_from_frozen(g)
-        if fd.witt_table is not None:
-            _witt_from_table(fd.witt_table)
-        return fd
 
 
 def finite_field(q: int) -> FieldDescriptor:
@@ -198,33 +204,17 @@ def milnor_k(k: FieldDescriptor, n_max: int) -> dict[int, AbGroupDesc]:
             out[n] = AbGroupDesc(torsion=(2,), divisible=True)
         return out
     if k.km_table is not None:
-        for n, g in k.km_table:
-            if 0 <= n <= n_max:
-                out[n] = g if isinstance(g, AbGroupDesc) else _desc_from_frozen(g)
+        out.update((n, g) for n, g in k.km_table.items() if 0 <= n <= n_max)
         return out
     raise FieldError(
         f"no Milnor K-theory rule for {k.describe()} (custom table required)")
 
 
-def _desc_from_frozen(frozen) -> AbGroupDesc:
-    return AbGroupDesc.from_json({k: _thaw(v) for k, v in frozen})
-
-
-def _thaw(v):
-    if isinstance(v, tuple):
-        if v and all(isinstance(x, tuple) and len(x) == 2 and isinstance(x[0], str)
-                     for x in v):
-            return {k: _thaw(x) for k, x in v}
-        return [_thaw(x) for x in v]
-    return v
-
-
 def km_mod_p(k: FieldDescriptor, p: int, n_max: int) -> dict[int, object]:
     """Dimensions of K^M_n(k)/p over F_p (INF marker allowed)."""
-    if k.km_mod_p_dims is not None:
-        table = dict(k.km_mod_p_dims)
-        if p in table:
-            return {n: d for n, d in table[p] if n <= n_max}
+    table = (k.km_mod_p_dims or {}).get(p)
+    if table is not None:
+        return {n: d for n, d in table.items() if n <= n_max}
     km = milnor_k(k, n_max)
     out: dict[int, object] = {}
     for n, g in km.items():
@@ -245,14 +235,6 @@ def km_mod_p(k: FieldDescriptor, p: int, n_max: int) -> dict[int, object]:
 
 # ---------------------------------------------------------------------------
 # Witt data
-
-@dataclass
-class WittData:
-    gw: AbGroupDesc
-    w: AbGroupDesc
-    fundamental: dict[int, AbGroupDesc]   # I^n for n >= 1
-    km_mod2: dict[int, AbGroupDesc]       # I^n/I^{n+1} = k^M_n
-
 
 def witt_data(k: FieldDescriptor, n_max: int = 6) -> WittData:
     if k.characteristic() == 2:
@@ -280,17 +262,8 @@ def witt_data(k: FieldDescriptor, n_max: int = 6) -> WittData:
             km_mod2={0: cyclic(2), 1: cyclic(2)},
         )
     if k.witt_table is not None:
-        return _witt_from_table(k.witt_table)
+        return k.witt_table
     raise FieldError(f"no Witt rule for {k.describe()} (custom table required)")
-
-
-def _witt_from_table(witt_table: tuple) -> WittData:
-    table = dict(witt_table)
-    fund = {int(n): _desc_from_frozen(g) for n, g in table.get("I", ())}
-    kmod = {int(n): _desc_from_frozen(g) for n, g in table.get("k", ())}
-    return WittData(gw=_desc_from_frozen(table["GW"]),
-                    w=_desc_from_frozen(table["W"]),
-                    fundamental=fund, km_mod2=kmod)
 
 
 # ---------------------------------------------------------------------------

@@ -95,14 +95,9 @@ def milnor_witt(k: FieldDescriptor, lo: int, hi: int) -> KMWChart:
     wd = witt_data(k, n_max)
     kmw: dict[int, AbGroupDesc] = {}
     eta: dict[int, str] = {}
-    if k.kmw_table is not None:
-        from .fields import _desc_from_frozen
-        table = {n: _desc_from_frozen(g) if not isinstance(g, AbGroupDesc) else g
-                 for n, g in k.kmw_table}
-    else:
-        table = None
+    table = k.kmw_table or {}
     for n in range(lo, hi + 1):
-        if table is not None and n in table:
+        if n in table:
             g = table[n]
         elif n < 0:
             g = wd.w

@@ -322,6 +322,7 @@ def test_empty_chart_render():
     ["kmw", "--field", "complex", "--range=5"],
     ["ext", "--prime", "3", "--tmax", "4", "--out", "missing.json/x.json"],
     ["ext", "--prime", "3", "--tmax", "4", "--out", "."],
+    ["kmw", "--field", "complex", "--view", "stem-weight"],
 ])
 def test_invalid_input_is_usage_error(tmp_path, capsys, argv):
     cache = tmp_path / "cache"
@@ -478,6 +479,23 @@ def test_cache_key_includes_basis(monkeypatch, tmp_path, capsys):
     assert "free_basis" in json.loads(cold) and warm == cold
 
 
+def test_cache_key_includes_engine_sources(monkeypatch, tmp_path, capsys):
+    import stemcharts.cache
+    monkeypatch.delenv("STEMCHARTS_CACHE_DIR", raising=False)
+    computed, ext_chart = [], cli.ext_chart
+
+    def counted(*args, **kwargs):
+        computed.append(args)
+        return ext_chart(*args, **kwargs)
+    monkeypatch.setattr(cli, "ext_chart", counted)
+    cache = tmp_path / "cache"
+    argv = ["ext", "--prime", "3", "--tmax", "4", "--cache-dir", str(cache)]
+    _, out = run(capsys, *argv)
+    monkeypatch.setattr(stemcharts.cache, "source_digest", lambda: "edited")
+    assert run(capsys, *argv) == (0, out)
+    assert len(computed) == 2 and len(list(cache.glob("*.json"))) == 2
+
+
 @pytest.mark.parametrize("argv", [
     ["synthetic", "--prime", "2", "--stem-max", "7", "--source", "table"],
     ["stems", "--field", "complex", "--prime", "2", "--stem-max", "7",
@@ -554,6 +572,7 @@ MALFORMED_INPUTS = {
          "--table", "in.json"], "{ not json"),
     "stem-max-negative": (
         ["stems", "--field", "complex", "--prime", "3", "--stem-max", "-3"], None),
+    "kmw-basis-without-complete": (["kmw", "--field", "twogen", "--basis"], None),
 }
 
 

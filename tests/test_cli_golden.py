@@ -40,6 +40,12 @@ CASES = [
       "--format", "grid"], "cli_kmw_twogen_c3_grid.txt"),
     (["ext", "--kind", "universal", "--prime", "2", "--tmax", "16",
       "--format", "json"], "cli_ext_universal_p2_t16.json"),
+    (["kmw", "--field", "F7_cyclo3", "--range=-5:5", "--complete", "3", "--basis",
+      "--format", "json"], "cli_kmw_f7cyclo3_c3_basis.json"),
+    (["stems", "--field", "F7_cyclo3", "--prime", "3", "--stem-max", "12",
+      "--format", "json"], "cli_stems_f7cyclo3_p3_s12.json"),
+    (["stems", "--field", "twogen", "--prime", "2", "--stem-max", "7",
+      "--format", "json"], "cli_stems_twogen_p2_s7.json"),
 ]
 
 

@@ -50,8 +50,8 @@ def test_milnor_k_algclosed_divisible():
 
 def test_milnor_k_custom_echo():
     fd = FieldDescriptor("custom", name="echo",
-                         km_table=((0, (("free_rank", 1), ("torsion", ()))),
-                                   (2, (("free_rank", 0), ("torsion", (7,))))))
+                         km_table={0: AbGroupDesc(free_rank=1),
+                                   2: AbGroupDesc(torsion=(7,))})
     km = milnor_k(fd, 3)
     assert km[2].torsion == (7,)
 
@@ -232,6 +232,8 @@ def test_catalog_roundtrip(tmp_path):
     path.write_text(json.dumps(catalog_to_json(cat)))
     loaded = load_catalog(json.loads(path.read_text()))
     assert set(loaded) >= set(cat)
+    for name, fd in cat.items():
+        assert loaded[name] == fd, name
     k = loaded["twogen"]
     ch = complete_kmw(milnor_witt(k, -4, 4), 3)
     assert free_basis(ch, 3, field=k) == {0: 1, -1: 1}
@@ -240,13 +242,8 @@ def test_catalog_roundtrip(tmp_path):
 def test_galois_module_handle_loads():
     from stemcharts.fpt import FptModule, IndFptModule, classify_divisible
     tower = default_catalog()["F7_cyclo3"]
-    data = dict(tower.galois_modules)[3]
-    degree1 = dict(data)[1]
-    entry = dict(degree1)
-    mods = [FptModule.from_json({k: (list(v) if isinstance(v, tuple) else v)
-                                 for k, v in dict(m).items()})
-            for m in entry["modules"]]
-    maps = [[list(r) for r in m] for m in entry["maps"]]
-    ind = IndFptModule(mods, maps, entry["stable_from"])
+    entry = tower.galois_modules["3"]["1"]
+    mods = [FptModule.from_json(m) for m in entry["modules"]]
+    ind = IndFptModule(mods, entry["maps"], entry["stable_from"])
     dec = classify_divisible(ind)
     assert dec.divisible_rank in (0, 1)

@@ -20,8 +20,8 @@ from .extcharts import ExtChart, PrecisionExhausted, ext_chart
 from .fields import (FieldDescriptor, FieldError, WittData,
                      algebraically_closed, complex_like, finite_field,
                      km_mod_p, milnor_k, real_closed, witt_data)
-from .kmw import (KMWChart, NotFreeError, complete_kmw, fiber_product_order_check,
-                  free_basis, milnor_witt)
+from .kmw import (KMWChart, NotFreeError, complete_kmw, completed_milnor_witt,
+                  fiber_product_order_check, free_basis, milnor_witt)
 from .fpt import (Decomposition, FptModule, IndFptModule, Splitting,
                   check_torsion_powers, check_u_sequence, classify_divisible,
                   decompose, extract_free, jordan_module, jordan_type,

@@ -30,19 +30,13 @@ def default_catalog() -> dict[str, FieldDescriptor]:
                     w=AbGroupDesc(torsion=(2, 2)), fundamental={1: cyclic(2)},
                     km_mod2={0: cyclic(2), 1: cyclic(2)})
     # cyclotomic tower over F7 at p = 3: the K-theory of the colimit is
-    # supplied as data (units become 3-divisible up the tower), together
-    # with a small declared Galois-module handle for the fpt pipeline
+    # supplied as data (units become 3-divisible up the tower)
     fields["F7_cyclo3"] = FieldDescriptor(
         variant="cyclotomic_tower", name="F7_cyclo3", base_name="F7",
         tower_prime=3, char=7,
         km_table={0: free_group(1), 1: AbGroupDesc(divisible=True)},
         witt_table=witt,
         km_mod_p_dims={3: {0: 1}},
-        galois_modules={"3": {"1": {
-            "stable_from": 0,
-            "modules": [{"p": 3, "dim": 1, "t": [0]},
-                        {"p": 3, "dim": 3, "t": [0, 0, 0, 1, 0, 0, 0, 1, 0]}],
-            "maps": [[[0], [0], [1]]]}}},
     )
     # Tate-orientable custom field whose completed Milnor-Witt chart is
     # free on two generators in shifts {0, -1} (a unit-class generator in

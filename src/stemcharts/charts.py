@@ -274,6 +274,17 @@ def _pollard_rho(n: int) -> int:
             return d
 
 
+def sum_groups(pairs) -> dict:
+    """{position: direct sum of the groups at it} of (position, group)
+    pairs, in first-seen order; zero groups are skipped."""
+    out: dict = {}
+    for pos, g in pairs:
+        if not g.is_zero():
+            cur = out.get(pos)
+            out[pos] = g if cur is None else cur.direct_sum(g)
+    return out
+
+
 def complete_desc(g: AbGroupDesc, p: int) -> AbGroupDesc:
     """Naive p-completion on descriptors.
 
@@ -431,10 +442,7 @@ def chart_combine(a: BigradedChart, b: Optional[BigradedChart], op: str,
             raise ValueError("direct_sum needs two charts")
         if a.prime is not None and b.prime is not None and a.prime != b.prime:
             raise ChartError(f"prime mismatch: {a.prime} vs {b.prime}")
-        out = a.entries
-        for (i, j), g in b.entries.items():
-            cur = out.get((i, j))
-            out[(i, j)] = g if cur is None else cur.direct_sum(g)
+        out = sum_groups([*a.entries.items(), *b.entries.items()])
         return BigradedChart(out, a.label or b.label, a.prime or b.prime)
     raise ValueError(f"unknown combine op {op!r}")
 

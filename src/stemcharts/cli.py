@@ -23,9 +23,11 @@ option expects is a precondition violation (exit 2) naming the file: a
 module file with a key missing, a matrix of the wrong shape, a t-action
 that is not nilpotent or a structure map that is not injective or not
 t-equivariant; a chart entry without "i" or "j"; a catalog field without
-"variant", with a malformed custom table or, for a finite field, with a q
-that is not a prime power; a table row that is not [weight, filtration >=
-0, "free" or an order >= 1].  So is an ind-system whose profiles do not
+"variant", with a key outside the schema `catalog` prints (in the
+descriptor or its witt_table), with a malformed custom table or, for a
+finite field, with a q that is not a prime power; a table row that is not
+[weight, filtration >= 0, "free" or an order >= 1] or lies off its lane
+n + s = 2w.  So is an ind-system whose profiles do not
 stabilize as declared.  The cache key holds the command, every option but
 --format, --view, --out and --cache-dir, each --table or --catalog file by
 the sha256 of its bytes, and the sha256 of the engine's sources (see
@@ -58,7 +60,7 @@ from .fields import FieldError
 from .fpt import FptError, FptModule, IndFptModule, IndSystemError, \
     classify_divisible, check_torsion_powers, check_u_sequence, decompose
 from .hopf import build_algebroid
-from .kmw import NotFreeError, complete_kmw, free_basis, milnor_witt
+from .kmw import NotFreeError, completed_milnor_witt, free_basis, milnor_witt
 from .render import render_svg, render_text
 from .stems import PreconditionError, check_table, synthetic_stems, \
     tensor_formula
@@ -157,9 +159,10 @@ def cmd_kmw(args) -> int:
     lo, hi = args.range
 
     def compute():
-        chart = milnor_witt(k, lo, hi)
         if args.complete:
-            chart = complete_kmw(chart, args.complete)
+            chart = completed_milnor_witt(k, lo, hi, args.complete)
+        else:
+            chart = milnor_witt(k, lo, hi)
         obj = chart.to_json()
         if args.basis:
             basis = free_basis(chart, args.complete, field=k)

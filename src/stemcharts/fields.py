@@ -53,6 +53,12 @@ def _table_json(table: dict, encode=lambda v: v) -> dict:
     return {str(k): encode(v) for k, v in table.items()}
 
 
+def _check_keys(obj: dict, schema: tuple[str, ...], what: str) -> None:
+    """ValueError naming the keys of obj outside `schema`."""
+    if set(obj) - set(schema):
+        raise ValueError(f"unknown {what} keys {sorted(set(obj) - set(schema))}")
+
+
 @dataclass
 class WittData:
     gw: AbGroupDesc
@@ -67,6 +73,7 @@ class WittData:
 
     @staticmethod
     def from_json(obj: dict) -> "WittData":
+        _check_keys(obj, ("GW", "W", "I", "k"), "Witt table")
         return WittData(gw=AbGroupDesc.from_json(obj["GW"]),
                         w=AbGroupDesc.from_json(obj["W"]),
                         fundamental=_groups(obj.get("I", {})),
@@ -87,7 +94,6 @@ class FieldDescriptor:
     kmw_table: Optional[dict[int, AbGroupDesc]] = None  # degree -> K^MW_n
     roots: Optional[dict[int, object]] = None           # p -> n or INF
     km_mod_p_dims: Optional[dict[int, dict[int, object]]] = None  # p -> degree -> dim
-    galois_modules: Optional[dict] = None               # the catalog's JSON, as given
 
     def __post_init__(self):
         if self.variant == "finite":
@@ -141,14 +147,17 @@ class FieldDescriptor:
             out["roots_of_unity"] = _table_json(self.roots)
         if self.km_mod_p_dims is not None:
             out["km_mod_p_dims"] = _table_json(self.km_mod_p_dims, _table_json)
-        if self.galois_modules is not None:
-            out["galois_modules"] = self.galois_modules
         return out
 
     @staticmethod
     def from_json(obj: dict) -> "FieldDescriptor":
-        """Parse `to_json`'s schema; a malformed table raises KeyError,
-        TypeError, ValueError or AttributeError here, not in a command."""
+        """Parse `to_json`'s schema; a key outside it or a malformed table
+        raises KeyError, TypeError, ValueError or AttributeError here, not in
+        a command."""
+        _check_keys(obj, ("variant", "name", "q", "char", "base_name",
+                          "tower_prime", "km_table", "witt_table", "kmw_table",
+                          "roots_of_unity", "km_mod_p_dims"), "field descriptor")
+
         def table(key, parse=_table):
             return parse(obj[key]) if key in obj else None
 
@@ -164,7 +173,6 @@ class FieldDescriptor:
             kmw_table=table("kmw_table", _groups),
             roots=table("roots_of_unity"),
             km_mod_p_dims=table("km_mod_p_dims", lambda t: _table(t, _table)),
-            galois_modules=obj.get("galois_modules"),
         )
 
 

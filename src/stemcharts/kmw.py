@@ -14,7 +14,8 @@ from __future__ import annotations
 from dataclasses import dataclass, field as dc_field
 from typing import Optional
 
-from .charts import AbGroupDesc, INF, complete_desc, cyclic, free_group
+from .charts import (AbGroupDesc, INF, complete_desc, cyclic, free_group,
+                     sum_groups)
 from .fields import FieldDescriptor, FieldError, milnor_k, witt_data
 
 
@@ -84,15 +85,20 @@ def _pullback_desc(km_n: AbGroupDesc, in_n: AbGroupDesc,
     raise FieldError("no pullback rule for these descriptor shapes")
 
 
-def milnor_witt(k: FieldDescriptor, lo: int, hi: int) -> KMWChart:
-    """K^MW chart of a catalog field on degrees lo <= n <= hi."""
+def _milnor_k_window(k: FieldDescriptor, lo: int, hi: int
+                     ) -> dict[int, AbGroupDesc]:
+    """K^M_n(k) on lo <= n <= hi, the Milnor leg of every K^MW chart."""
     if k.characteristic() == 2:
         raise FieldError("Milnor-Witt charts need characteristic != 2")
     if lo > hi:
         raise ValueError("empty range")
-    n_max = max(hi, 1)
-    km = milnor_k(k, n_max)
-    wd = witt_data(k, n_max)
+    return {n: g for n, g in milnor_k(k, max(hi, 1)).items() if lo <= n <= hi}
+
+
+def milnor_witt(k: FieldDescriptor, lo: int, hi: int) -> KMWChart:
+    """K^MW chart of a catalog field on degrees lo <= n <= hi."""
+    km = _milnor_k_window(k, lo, hi)
+    wd = witt_data(k, max(hi, 1))
     kmw: dict[int, AbGroupDesc] = {}
     eta: dict[int, str] = {}
     table = k.kmw_table or {}
@@ -113,8 +119,7 @@ def milnor_witt(k: FieldDescriptor, lo: int, hi: int) -> KMWChart:
         if not g.is_zero():
             kmw[n] = g
     return KMWChart(
-        field_name=k.describe(), lo=lo, hi=hi, kmw=kmw,
-        km={n: g for n, g in km.items() if lo <= n <= hi},
+        field_name=k.describe(), lo=lo, hi=hi, kmw=kmw, km=km,
         fundamental={n: g for n, g in wd.fundamental.items() if lo <= n <= hi},
         km_mod2={n: g for n, g in wd.km_mod2.items() if lo <= n <= hi},
         eta=eta)
@@ -147,14 +152,11 @@ def complete_kmw(chart: KMWChart, p: int) -> KMWChart:
             g = complete_desc(chart.group(n), 2)
             if n < 0:
                 eta[n] = "iso"
-        else:
-            if n < 0:
-                continue
-            if n == 0:
-                g = complete_desc(chart.km.get(0, free_group(1)), p)
-            else:
-                g = complete_desc(chart.km.get(n, AbGroupDesc()), p)
+        elif n >= 0:
+            g = complete_desc(chart.km.get(n, AbGroupDesc()), p)
             eta[n] = "zero"
+        else:
+            continue
         if not g.is_zero():
             kmw[n] = g
     return KMWChart(
@@ -164,6 +166,18 @@ def complete_kmw(chart: KMWChart, p: int) -> KMWChart:
         fundamental=dict(chart.fundamental),
         km_mod2=dict(chart.km_mod2),
         eta=eta, completed_at=p)
+
+
+def completed_milnor_witt(k: FieldDescriptor, lo: int, hi: int,
+                          p: int) -> KMWChart:
+    """`complete_kmw` of the K^MW chart of k on lo..hi.  At odd p that reads
+    only completed Milnor K-theory, so it is built from K^M alone and a field
+    without Witt data is charted too (its fiber-product legs stay empty)."""
+    if p == 2:
+        return complete_kmw(milnor_witt(k, lo, hi), p)
+    km = _milnor_k_window(k, lo, hi)
+    return complete_kmw(KMWChart(k.describe(), lo, hi, kmw={}, km=km,
+                                 fundamental={}, km_mod2={}), p)
 
 
 def pi0_synthetic_pattern(p: int, shift: int, lo: int, hi: int
@@ -183,13 +197,9 @@ def pi0_synthetic_pattern(p: int, shift: int, lo: int, hi: int
 def rebuild_from_basis(basis: dict[int, object], p: int, lo: int, hi: int
                        ) -> dict[int, AbGroupDesc]:
     """Direct sum of shifted zeroth-synthetic copies; completed descriptors."""
-    out: dict[int, AbGroupDesc] = {}
-    for shift, mult in sorted(basis.items()):
-        pattern = pi0_synthetic_pattern(p, shift, lo, hi)
-        for n, g in pattern.items():
-            piece = g.scaled(mult)
-            out[n] = out.get(n, AbGroupDesc()).direct_sum(piece)
-    return {n: g for n, g in out.items() if not g.is_zero()}
+    return sum_groups((n, g.scaled(mult))
+                      for shift, mult in sorted(basis.items())
+                      for n, g in pi0_synthetic_pattern(p, shift, lo, hi).items())
 
 
 def free_basis(chart: KMWChart, p: int,

@@ -10,22 +10,15 @@ from .charts import BigradedChart
 
 
 def _cells(chart: BigradedChart, view: str):
-    """(x, y, desc) triples in the selected view.
+    """{(x, y): desc} in the selected view.
 
     view "ij": x = i, y = j.  view "stem-weight": interpret (i, j) as
-    (s, t) Ext coordinates and plot x = stem t - s, y = s.
+    (s, t) Ext coordinates and plot x = stem t - s, y = s.  Both maps are
+    one-to-one, so no two entries share a cell.
     """
-    out = {}
-    for (i, j), g in chart.entries.items():
-        if view == "stem-weight":
-            x, y = j - i, i
-        else:
-            x, y = i, j
-        if (x, y) in out:
-            out[(x, y)] = out[(x, y)].direct_sum(g)
-        else:
-            out[(x, y)] = g
-    return out
+    if view == "stem-weight":
+        return {(j - i, i): g for (i, j), g in chart.entries.items()}
+    return chart.entries
 
 
 def render_text(chart: BigradedChart, view: str = "ij") -> str:

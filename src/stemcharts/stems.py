@@ -19,9 +19,10 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field as dc_field
 
-from .charts import AbGroupDesc, BigradedChart, complete_desc, cyclic, free_group
+from .charts import (AbGroupDesc, BigradedChart, complete_chart, complete_desc,
+                     cyclic, free_group, sum_groups)
 from .fields import FieldDescriptor, milnor_k
-from .kmw import complete_kmw, free_basis, milnor_witt
+from .kmw import completed_milnor_witt, free_basis, milnor_witt
 from .hopf import build_algebroid
 from .extcharts import ext_chart
 from .fgl import EngineError
@@ -113,26 +114,14 @@ def _mgl_like(k: FieldDescriptor, ell: int, box: Box, levels: int,
     cmax = box.i_max - 2 * box.j_min
     if cmax < 0:
         return BigradedChart({}, label=label, prime=ell)
-    n_top = cmax
-    km = milnor_k(k, n_top)
-    completed = {n: complete_desc(g, ell) for n, g in km.items()}
-    dmax = (box.i_max + n_top) // 2 + 1
+    completed = {n: complete_desc(g, ell) for n, g in milnor_k(k, cmax).items()}
+    dmax = (box.i_max + cmax) // 2 + 1
     counts = _colored_partition_counts(levels, max(dmax, 0))
-    entries: dict[tuple[int, int], AbGroupDesc] = {}
-    for n, g in completed.items():
-        if g.is_zero():
-            continue
-        for e in range(0, (cmax - n) // 2 + 1):
-            for d in range(0, dmax + 1):
-                i = 2 * d - n
-                j = d - e - n
-                if not box.contains(i, j):
-                    continue
-                piece = g.scaled(counts[d]) if d <= len(counts) - 1 else None
-                if piece is None or piece.is_zero():
-                    continue
-                cur = entries.get((i, j))
-                entries[(i, j)] = piece if cur is None else cur.direct_sum(piece)
+    entries = sum_groups(((2 * d - n, d - e - n), g.scaled(counts[d]))
+                         for n, g in completed.items() if not g.is_zero()
+                         for e in range((cmax - n) // 2 + 1)
+                         for d in range(dmax + 1)
+                         if box.contains(2 * d - n, d - e - n))
     return BigradedChart(entries, label=label, prime=ell)
 
 
@@ -206,18 +195,34 @@ BUILTIN_TABLES: dict[int, dict] = {
 }
 
 
+def _synthetic_chart(rows: list, p: int, stem_max: int, source: str,
+                     label: str, off_lane: type[Exception]) -> SyntheticChart:
+    """The chart of rows (n, w, s, group, order): the groups summed at each
+    (n, w), whose filtrations are the rows' (s, order) there, in row order.
+    A row with s < 0 or off its lane n + s = 2w raises `off_lane`."""
+    filtr: dict[tuple[int, int], tuple] = {}
+    for n, w, s, _, order in rows:
+        if s < 0 or n + s != 2 * w:
+            raise off_lane(f"filtration annotation out of lane at {(n, w)}: "
+                           f"{(s, order)} breaks n + s = 2w")
+        filtr[(n, w)] = filtr.get((n, w), ()) + ((s, order),)
+    chart = BigradedChart(sum_groups(((n, w), g) for n, w, _, g, _ in rows),
+                          label=label, prime=p)
+    return SyntheticChart(chart, p, stem_max, filtr, source=source)
+
+
 def check_table(table: dict) -> dict:
     """The table, once its whole chart is built: a malformed row (short, a
-    negative filtration, an order that is not "free" or a positive integer)
-    raises here, when the table is loaded."""
-    synthetic_from_table(table, math.inf).to_json()
+    negative filtration, an order that is not "free" or a positive integer;
+    then a row off its lane n + s = 2w) raises here, when the table is
+    loaded."""
+    synthetic_from_table(table, math.inf)
     return table
 
 
 def synthetic_from_table(table: dict, stem_max: int) -> SyntheticChart:
     p = table["p"]
-    entries: dict[tuple[int, int], AbGroupDesc] = {}
-    filtr: dict[tuple[int, int], tuple] = {}
+    rows = []
     for stem_str, items in table["stems"].items():
         n = int(stem_str)
         if n > stem_max:
@@ -232,13 +237,9 @@ def synthetic_from_table(table: dict, stem_max: int) -> SyntheticChart:
                 if q < 1:
                     raise ValueError(f"order {order} in table is not positive")
                 g = cyclic(q)
-            cur = entries.get((n, w))
-            entries[(n, w)] = g if cur is None else cur.direct_sum(g)
-            filtr.setdefault((n, w), ())
-            filtr[(n, w)] = filtr[(n, w)] + ((s, order),)
-    chart = BigradedChart(entries, label=f"synthetic stems p={p} (table)",
-                          prime=p)
-    return SyntheticChart(chart, p, stem_max, filtr, source="table")
+            rows.append((n, w, s, g, order))
+    return _synthetic_chart(rows, p, stem_max, "table",
+                            f"synthetic stems p={p} (table)", ValueError)
 
 
 def synthetic_stems(p: int, stem_max: int, source: str = "computed",
@@ -277,29 +278,12 @@ def synthetic_stems(p: int, stem_max: int, source: str = "computed",
     bound = t_max // 2
     alg = build_algebroid("p_typical", bound, p=p)
     ec = ext_chart(alg, p, precision, s_max=s_max, t_max=t_max)
-    entries: dict[tuple[int, int], AbGroupDesc] = {}
-    filtr: dict[tuple[int, int], tuple] = {}
-    for (s, t), g in ec.chart.entries.items():
-        n = t - s
-        if n > stem_max:
-            continue
-        w = t // 2
-        cur = entries.get((n, w))
-        entries[(n, w)] = g if cur is None else cur.direct_sum(g)
-        ordr = "free" if g.free_rank else g.order()
-        filtr.setdefault((n, w), ())
-        filtr[(n, w)] = filtr[(n, w)] + ((s, ordr),)
-    chart = BigradedChart(entries, label=f"synthetic stems p={p}", prime=p)
-    syn = SyntheticChart(chart, p, stem_max, filtr, source="computed")
-    _check_synthetic_invariants(syn)
-    return syn
-
-
-def _check_synthetic_invariants(syn: SyntheticChart):
-    for (n, w), anns in syn.filtrations.items():
-        for s, _ in anns:
-            if s < 0 or (n + s) != 2 * w:
-                raise EngineError(f"filtration annotation out of lane at {(n, w)}")
+    return _synthetic_chart([(t - s, t // 2, s, g,
+                              "free" if g.free_rank else g.order())
+                             for (s, t), g in ec.chart.entries.items()
+                             if t - s <= stem_max],
+                            p, stem_max, "computed", f"synthetic stems p={p}",
+                            EngineError)
 
 
 # ---------------------------------------------------------------------------
@@ -322,21 +306,13 @@ def tensor_formula(k: FieldDescriptor, p: int, stem_max: int,
     if source == "auto":
         source = "table" if p == 2 else "computed"
     window = stem_max + 2
-    kmw = milnor_witt(k, -window, window)
-    completed = complete_kmw(kmw, p)
+    completed = completed_milnor_witt(k, -window, window, p)
     basis = free_basis(completed, p, field=k)
     syn = synthetic_stems(p, stem_max, source=source, table=table,
                           precision=precision)
-    out: dict[tuple[int, int], AbGroupDesc] = {}
-    for shift, mult in sorted(basis.items()):
-        for (n, w), g in syn.chart.entries.items():
-            pos = (n + shift, w + shift)
-            piece = g.scaled(mult)
-            if piece.is_zero():
-                continue
-            cur = out.get(pos)
-            out[pos] = piece if cur is None else cur.direct_sum(piece)
+    out = sum_groups(((n + shift, w + shift), g.scaled(mult))
+                     for shift, mult in sorted(basis.items())
+                     for (n, w), g in syn.chart.entries.items())
     # degreewise completion pass (idempotent on already complete entries)
-    completed_entries = {pos: complete_desc(g, p) for pos, g in out.items()}
-    return BigradedChart(completed_entries,
-                         label=f"stems of {k.describe()} at p={p}", prime=p)
+    return complete_chart(BigradedChart(
+        out, label=f"stems of {k.describe()} at p={p}"), p)

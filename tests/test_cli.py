@@ -8,7 +8,8 @@ import pytest
 
 from stemcharts import cli
 from stemcharts.cache import cache_key, cache_load, cache_store
-from stemcharts.charts import AbGroupDesc, BigradedChart, cyclic, free_group
+from stemcharts.charts import (AbGroupDesc, BigradedChart, charts_same_groups,
+                               cyclic, free_group)
 from stemcharts.cli import main
 from stemcharts.render import render_svg, render_text
 
@@ -555,6 +556,17 @@ MALFORMED_INPUTS = {
     "catalog-witt-table-without-gw": (
         ["kmw", "--field", "x", "--catalog", "in.json"],
         {"fields": {"x": {"variant": "custom", "witt_table": {"W": {}}}}}),
+    "catalog-galois-modules": (
+        ["catalog", "--catalog", "in.json", "--show", "x"],
+        {"fields": {"x": {"variant": "custom", "galois_modules": {"3": 5}}}}),
+    "catalog-misspelt-key": (
+        ["stems", "--field", "x", "--prime", "3", "--catalog", "in.json"],
+        {"fields": {"x": {"variant": "custom", "roots": {"3": "inf"},
+                          "km_table": {"0": {"free_rank": 1}}}}}),
+    "catalog-witt-table-unknown-key": (
+        ["kmw", "--field", "x", "--catalog", "in.json"],
+        {"fields": {"x": {"variant": "custom", "witt_table": {
+            "GW": {"free_rank": 1}, "W": {}, "fundamental": {}}}}}),
     "table-short-row": (
         ["synthetic", "--prime", "2", "--source", "table", "--table", "in.json"],
         {"p": 2, "stems": {"0": [[0, 0]]}}),
@@ -567,6 +579,9 @@ MALFORMED_INPUTS = {
     "table-negative-order": (
         ["synthetic", "--prime", "2", "--source", "table", "--table", "in.json"],
         {"p": 2, "stems": {"1": [[1, 0, -4]]}}),
+    "table-off-lane": (
+        ["synthetic", "--prime", "2", "--source", "table", "--table", "in.json"],
+        {"p": 2, "stems": {"0": [[0, 0, "free"]], "3": [[1, 1, 2]]}}),
     "table-not-json": (
         ["stems", "--field", "complex", "--prime", "2", "--source", "table",
          "--table", "in.json"], "{ not json"),
@@ -594,6 +609,27 @@ def test_malformed_input_is_precondition(monkeypatch, tmp_path, capsys, argv,
     assert not cache.exists()
     if content is not None:
         assert f"precondition violated: {path} is not a" in captured.err
+
+
+def test_km_only_custom_field_at_odd_prime(monkeypatch, tmp_path, capsys):
+    # at odd p the completed chart reads only completed K^M: no Witt data
+    monkeypatch.delenv("STEMCHARTS_CACHE_DIR", raising=False)
+    catalog = tmp_path / "km.json"
+    catalog.write_text(json.dumps({"fields": {"mine": {
+        "variant": "custom", "roots_of_unity": {"3": "inf"},
+        "km_table": {"0": {"free_rank": 1}, "1": {"divisible": True}}}}}))
+    mine = ["--field", "mine", "--catalog", str(catalog)]
+    assert run(capsys, "kmw", *mine, "--complete", "3", "--basis")[0] == 0
+    code, out = run(capsys, "stems", *mine, "--prime", "3")
+    assert code == 0
+    code, ref = run(capsys, "stems", "--field", "complex", "--prime", "3")
+    assert code == 0
+    assert charts_same_groups(BigradedChart.from_json(json.loads(out)),
+                              BigradedChart.from_json(json.loads(ref)))
+    # p = 2 and the uncompleted chart still need Witt data
+    for extra in (["--complete", "2"], []):
+        assert main(["kmw", *mine, *extra]) == 2
+        assert "no Witt rule for mine" in capsys.readouterr().err
 
 
 def test_finite_field_of_large_prime_order(tmp_path, capsys):

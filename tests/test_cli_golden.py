@@ -46,6 +46,8 @@ CASES = [
       "--format", "json"], "cli_stems_f7cyclo3_p3_s12.json"),
     (["stems", "--field", "twogen", "--prime", "2", "--stem-max", "7",
       "--format", "json"], "cli_stems_twogen_p2_s7.json"),
+    (["synthetic", "--prime", "2", "--stem-max", "7", "--source", "table",
+      "--format", "json"], "cli_synthetic_p2_s7_table.json"),
 ]
 
 

@@ -237,13 +237,3 @@ def test_catalog_roundtrip(tmp_path):
     k = loaded["twogen"]
     ch = complete_kmw(milnor_witt(k, -4, 4), 3)
     assert free_basis(ch, 3, field=k) == {0: 1, -1: 1}
-
-
-def test_galois_module_handle_loads():
-    from stemcharts.fpt import FptModule, IndFptModule, classify_divisible
-    tower = default_catalog()["F7_cyclo3"]
-    entry = tower.galois_modules["3"]["1"]
-    mods = [FptModule.from_json(m) for m in entry["modules"]]
-    ind = IndFptModule(mods, entry["maps"], entry["stable_from"])
-    dec = classify_divisible(ind)
-    assert dec.divisible_rank in (0, 1)

@@ -60,6 +60,36 @@ def test_mgl_finite_field_torsion():
     assert ch.group(1, 0).torsion == (3,)  # x_1-shift of the K_1 class
 
 
+# sha256 of the sorted-key JSON of mgl_homotopy (level None) and of the
+# ANSS E_1 levels 0-2, completed at 3
+MGL_DIGESTS = {
+    ("F7", None): "6fe7c12f41a08158e5e922c99791a1134b44fbb436ed2b4bc7bdc625cfe8cf65",
+    ("F7", 0): "94ef95794329bb76c56d78ce9bc3f859d152895456857d5f9076f0982d53a3c1",
+    ("F7", 1): "20dcee1a4249fca9ff44c5df89598116e183c249103acbaf48a71085a215065d",
+    ("F7", 2): "85841ff6c3d647572d78de7ffb3a71fd573287b0c37428af341139c6ddbaa038",
+    ("algclosed0", None):
+        "a2ce3a86c65120dcd3007971f43fc6171b111cf983e65bb64f3f26eaaae97f01",
+    ("algclosed0", 0):
+        "bf22825d57f1d5eaac37702857a2afce2b1305c476001aed8c7ab0837cc3e451",
+    ("algclosed0", 1):
+        "822472345050e68aaf4c6719dc1eb0649c28c7ccb52a88a4cf11f0debe97d356",
+    ("algclosed0", 2):
+        "0b4e3975ae95abeebbd4218935fa7c3a5ed480d509505b33639832affe7b56f3",
+}
+
+
+@pytest.mark.parametrize("field,level", MGL_DIGESTS, ids=str)
+def test_mgl_and_anss_pinned(field, level):
+    import hashlib
+    import json
+    from stemcharts.fields import finite_field
+    k, box = {"F7": (finite_field(7), Box(-4, 4, -3, 3)),
+              "algclosed0": (algebraically_closed(0), Box(0, 10, 0, 5))}[field]
+    ch = mgl_homotopy(k, 3, box) if level is None else anss_e1(k, 3, level, box)
+    text = json.dumps(ch.to_json(), sort_keys=True)
+    assert hashlib.sha256(text.encode()).hexdigest() == MGL_DIGESTS[field, level]
+
+
 def test_mgl_char_guard():
     with pytest.raises(PreconditionError):
         mgl_homotopy(algebraically_closed(3), 3, Box(0, 2, 0, 2))

@@ -11,9 +11,15 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Optional
+from typing import Iterable, Optional
 
 INF = "inf"  # countably-infinite marker for ranks and multiplicities
+
+
+def _check_keys(obj: dict, schema: Iterable[str], what: str) -> None:
+    """ValueError naming the keys of obj outside `schema`."""
+    if set(obj) - set(schema):
+        raise ValueError(f"unknown {what} keys {sorted(set(obj) - set(schema))}")
 
 
 _SMALL_PRIMES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
@@ -193,6 +199,8 @@ class AbGroupDesc:
 
     @staticmethod
     def from_json(obj: dict) -> "AbGroupDesc":
+        """Parse `to_json`'s schema; a key outside it raises ValueError."""
+        _check_keys(obj, AbGroupDesc.__dataclass_fields__, "group")
         return AbGroupDesc(
             free_rank=obj.get("free_rank", 0),
             torsion=tuple(obj.get("torsion", ())),
@@ -411,7 +419,8 @@ class BigradedChart:
     def from_json(obj: dict) -> "BigradedChart":
         entries = {}
         for ent in obj.get("entries", []):
-            entries[(ent["i"], ent["j"])] = AbGroupDesc.from_json(ent)
+            entries[(ent["i"], ent["j"])] = AbGroupDesc.from_json(
+                {k: v for k, v in ent.items() if k not in ("i", "j")})
         return BigradedChart(entries, obj.get("label", ""), obj.get("prime"))
 
 

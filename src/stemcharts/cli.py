@@ -22,11 +22,12 @@ by `_read_input`, and one that is not JSON or does not describe what its
 option expects is a precondition violation (exit 2) naming the file: a
 module file with a key missing, a matrix of the wrong shape, a t-action
 that is not nilpotent or a structure map that is not injective or not
-t-equivariant; a chart entry without "i" or "j"; a catalog field without
-"variant", with a key outside the schema `catalog` prints (in the
-descriptor or its witt_table), with a malformed custom table or, for a
-finite field, with a q that is not a prime power; a table row that is not
-[weight, filtration >= 0, "free" or an order >= 1] or lies off its lane
+t-equivariant; a chart entry without "i" or "j", or with another key
+outside the chart schema; a catalog field without "variant", with a key
+outside the schema `catalog` prints (in the descriptor, its witt_table or
+one of its groups), with a malformed custom table or, for a finite field,
+with a q that is not a prime power; a table row that is not [integer
+weight, filtration >= 0, "free" or an order >= 1] or lies off its lane
 n + s = 2w.  So is an ind-system whose profiles do not
 stabilize as declared.  The cache key holds the command, every option but
 --format, --view, --out and --cache-dir, each --table or --catalog file by

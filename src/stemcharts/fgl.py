@@ -11,7 +11,12 @@ The lattice step is integer linear algebra done once per degree d: the
 degree-d coefficients and decomposables, scaled by one common
 denominator, are put in Hermite normal form; the decomposables'
 coordinates in it come by forward substitution along the pivot columns,
-and their Smith form yields x_d.
+and their Smith form yields x_d, after checking L_d / D_d = Z (Lazard's
+theorem).  The decomposables D_d are spanned by the x-monomials of degree
+d with at least two factors: the check at each k < d certified L_k =
+D_k + Z x_k, so by induction on k the x-monomials of degree k span L_k,
+and D_d, the sum of the products L_k L_{d-k}, is spanned by their
+products.  The x_k found below d thus feed the check at d.
 
 to_x_coordinates needs no elimination.  The length of an m-monomial is
 its number of factors, and x_d = c_d m_d + (m-monomials of length >= 2),
@@ -160,9 +165,10 @@ class UniversalFGL:
         self.exp = reversion(self.log)
         self.F = _sum_series(self.log, self.exp)
         self._xgens: list[Poly] = []
-        self._compute_integral_generators()
-        # x-monomials expanded in the m's, memoized for the peel
+        # x-monomials expanded in the m's, memoized for the lattice step
+        # and the peel
         self._xmons: dict[Monomial, Poly] = {ONE: self.mring.one()}
+        self._compute_integral_generators()
 
     def _compute_integral_generators(self):
         coeffs_by_degree: dict[int, list[Poly]] = {d: [] for d in range(1, self.bound + 1)}
@@ -170,16 +176,13 @@ class UniversalFGL:
             d = i + j - 1
             if i >= 1 and j >= 1 and 1 <= d <= self.bound and not c.is_zero():
                 coeffs_by_degree[d].append(c)
-        basis_elems: dict[int, list[Poly]] = {}
         for d in range(1, self.bound + 1):
             basis = self.mring.monomials_of_degree(d)
             idx = {m: i for i, m in enumerate(basis)}
-            polys: list[Poly] = []
-            # decomposables: products of lattice basis elements of lower degrees
-            for k in range(1, d):
-                for pl in basis_elems.get(k, []):
-                    for pr in basis_elems.get(d - k, []):
-                        polys.append(pl * pr)
+            # decomposables: the x-monomials of length >= 2, which span D_d
+            # by the induction of the module docstring; m_d alone has
+            # length 1 (x_{g+1} has index g, as m_{g+1} does)
+            polys = [self._x_monomial(m) for m in basis if m != ((d - 1, 1),)]
             n_dec = len(polys)
             polys.extend(coeffs_by_degree[d])
             # one common denominator puts the lattice and the decomposables
@@ -187,7 +190,6 @@ class UniversalFGL:
             denom = _common_denominator(polys)
             int_rows = [_vec(p, idx, denom) for p in polys]
             hnf = _integer_hnf(int_rows)
-            basis_elems[d] = [_poly_from_vec(self.mring, basis, r, denom) for r in hnf]
             # quotient by decomposables to find the Lazard generator
             gen_vec = _lattice_quotient_generator(hnf, int_rows[:n_dec])
             xp = _poly_from_vec(self.mring, basis, gen_vec, denom)
@@ -387,10 +389,6 @@ def _lattice_quotient_generator(hnf: list[list[int]],
     k = len(hnf)
     pivots = _pivot_columns(hnf)
     dmat = [_echelon_coordinates(hnf, pivots, r) for r in dec_rows]
-    if not dmat:
-        if k != 1:
-            raise ValueError("quotient not cyclic")
-        return hnf[0]
     diag, v_inv_rows = _integer_smith(dmat, k)
     # quotient = Z^k / row span; invariant factors diag (padded with 0)
     free_idx = [i for i in range(k) if i >= len(diag) or diag[i] == 0]

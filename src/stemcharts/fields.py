@@ -18,7 +18,8 @@ from dataclasses import dataclass
 from math import gcd
 from typing import Optional
 
-from .charts import AbGroupDesc, INF, _is_prime_power, cyclic, free_group
+from .charts import (AbGroupDesc, INF, _check_keys, _is_prime_power, cyclic,
+                     free_group)
 
 DIVISIBLE = AbGroupDesc(divisible=True)
 
@@ -51,12 +52,6 @@ def _groups(obj: dict) -> dict[int, AbGroupDesc]:
 
 def _table_json(table: dict, encode=lambda v: v) -> dict:
     return {str(k): encode(v) for k, v in table.items()}
-
-
-def _check_keys(obj: dict, schema: tuple[str, ...], what: str) -> None:
-    """ValueError naming the keys of obj outside `schema`."""
-    if set(obj) - set(schema):
-        raise ValueError(f"unknown {what} keys {sorted(set(obj) - set(schema))}")
 
 
 @dataclass

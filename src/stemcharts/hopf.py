@@ -176,11 +176,22 @@ class HopfAlgebroid:
         return self._image("antipode", self.antipode_gen, tmon)
 
     def antipode(self, elem: Tensor) -> Tensor:
-        """Ring map c on a Gamma element: c(eta_L(a) tau) = eta_R(a) c(tau)."""
-        out: Tensor = {}
+        """Ring map c on a Gamma element: c(eta_L(a) tau) = eta_R(a) c(tau).
+
+        tensor_mul is bilinear and truncates term by term, so c(sum a tau)
+        = sum_tau (sum_a eta_R(a)) c(tau): the eta_R images are summed per
+        Gamma-monomial tau first, and each tau takes one product.
+        """
+        by_tau: dict[Monomial, Tensor] = {}
         for (am, (tm,)), c in elem.items():
-            piece = self.tensor_mul(self.eta_r(am), self.antipode_t(tm))
-            _add_into(out, piece.items(), c)
+            _add_into(by_tau.setdefault(tm, {}), self.eta_r(am).items(), c)
+        return self._times_antipode(by_tau)
+
+    def _times_antipode(self, by_tau: dict[Monomial, Tensor]) -> Tensor:
+        """The sum over tau of by_tau[tau] * c(tau), one product per tau."""
+        out: Tensor = {}
+        for tm, left in by_tau.items():
+            _add_into(out, self.tensor_mul(left, self.antipode_t(tm)).items())
         return out
 
     def counit(self, elem: Tensor) -> Poly:
@@ -293,13 +304,17 @@ class HopfAlgebroid:
                     f"Delta o eta_R != 1 (x) eta_R at {aring.names[i]}")
 
     def fold_antipode_left(self, elem2: Tensor) -> Tensor:
-        """mu o (c x 1) on a Gamma^2 element; empty dict means zero."""
-        out: Tensor = {}
+        """mu o (c x 1) on a Gamma^2 element; empty dict means zero.
+
+        Grouped by the left Gamma-monomial u, as in `antipode`: the terms
+        eta_R(a) w are summed per u, and each u takes one product with c(u).
+        """
+        by_u: dict[Monomial, Tensor] = {}
         for (am, (u, w)), c in elem2.items():
-            piece = self.tensor_mul(self.eta_r(am), self.antipode_t(u))
-            piece = self.tensor_mul(piece, {(ONE, (w,)): 1})
-            _add_into(out, piece.items(), c)
-        return out
+            _add_into(by_u.setdefault(u, {}),
+                      (((dm, (mon_mul(tau, w),)), c2)
+                       for (dm, (tau,)), c2 in self.eta_r(am).items()), c)
+        return self._times_antipode(by_u)
 
     def fold_antipode_right(self, elem2: Tensor) -> Tensor:
         """mu o (1 x c) on a Gamma^2 element."""

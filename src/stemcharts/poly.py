@@ -20,14 +20,26 @@ ONE: Monomial = ()
 
 
 def mon_mul(a: Monomial, b: Monomial) -> Monomial:
+    """The product of two monomials, by one merge of their sorted pairs."""
     if not a:
         return b
     if not b:
         return a
-    out = dict(a)
-    for g, e in b:
-        out[g] = out.get(g, 0) + e
-    return tuple(sorted(out.items()))
+    out = []
+    i = j = 0
+    while i < len(a) and j < len(b):
+        x, y = a[i], b[j]
+        if x[0] < y[0]:
+            out.append(x)
+            i += 1
+        elif y[0] < x[0]:
+            out.append(y)
+            j += 1
+        else:
+            out.append((x[0], x[1] + y[1]))
+            i += 1
+            j += 1
+    return (*out, *a[i:], *b[j:])
 
 
 def mon_deg(m: Monomial, degrees: list[int]) -> int:

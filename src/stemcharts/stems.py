@@ -213,9 +213,9 @@ def _synthetic_chart(rows: list, p: int, stem_max: int, source: str,
 
 def check_table(table: dict) -> dict:
     """The table, once its whole chart is built: a malformed row (short, a
-    negative filtration, an order that is not "free" or a positive integer;
-    then a row off its lane n + s = 2w) raises here, when the table is
-    loaded."""
+    weight that is not an integer, a negative filtration, an order that is
+    not "free" or a positive integer; then a row off its lane n + s = 2w)
+    raises here, when the table is loaded."""
     synthetic_from_table(table, math.inf)
     return table
 
@@ -228,6 +228,8 @@ def synthetic_from_table(table: dict, stem_max: int) -> SyntheticChart:
         if n > stem_max:
             continue
         for w, s, order in items:
+            if not isinstance(w, int):
+                raise ValueError(f"weight {w!r} in table is not an integer")
             if s < 0:
                 raise ValueError("negative filtration in table")
             if order == "free":

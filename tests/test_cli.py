@@ -567,6 +567,10 @@ MALFORMED_INPUTS = {
         ["kmw", "--field", "x", "--catalog", "in.json"],
         {"fields": {"x": {"variant": "custom", "witt_table": {
             "GW": {"free_rank": 1}, "W": {}, "fundamental": {}}}}}),
+    "catalog-misspelt-group-key": (
+        ["kmw", "--field", "x", "--complete", "3", "--catalog", "in.json"],
+        {"fields": {"x": {"variant": "custom", "km_table": {
+            "1": {"free_rank": 0, "torsoin": [3]}}}}}),
     "table-short-row": (
         ["synthetic", "--prime", "2", "--source", "table", "--table", "in.json"],
         {"p": 2, "stems": {"0": [[0, 0]]}}),
@@ -579,6 +583,9 @@ MALFORMED_INPUTS = {
     "table-negative-order": (
         ["synthetic", "--prime", "2", "--source", "table", "--table", "in.json"],
         {"p": 2, "stems": {"1": [[1, 0, -4]]}}),
+    "table-fractional-weight": (
+        ["synthetic", "--prime", "2", "--source", "table", "--table", "in.json"],
+        {"p": 2, "stems": {"1": [[0.5, 0, 2]]}}),
     "table-off-lane": (
         ["synthetic", "--prime", "2", "--source", "table", "--table", "in.json"],
         {"p": 2, "stems": {"0": [[0, 0, "free"]], "3": [[1, 1, 2]]}}),

@@ -4,6 +4,7 @@ from fractions import Fraction
 
 import pytest
 
+from stemcharts import fgl
 from stemcharts.fgl import (QQ, EngineError, FGLAxiomError, FormalGroupLaw,
                             GradedRingPresentation,
                             _echelon_coordinates, _integer_hnf, _integer_smith,
@@ -316,6 +317,23 @@ def test_lattice_quotient_generator():
         _lattice_quotient_generator(lattice, [[2, 0]])
     with pytest.raises(ValueError, match="not in lattice"):
         _lattice_quotient_generator(_integer_hnf([[1, 0, 0], [0, 1, 0]]), [[0, 0, 1]])
+
+
+def test_wrong_generator_shows_as_later_quotient_defect(monkeypatch):
+    # the decomposables of degree d are the x-monomials of x_1..x_{d-1}, so
+    # the products of a doubled x_2 fall short of them at a later degree
+    degrees = []
+    real = fgl._lattice_quotient_generator
+
+    def doubled_x2(hnf, dec_rows):
+        degrees.append(len(degrees) + 1)
+        gen = real(hnf, dec_rows)
+        return [2 * a for a in gen] if degrees[-1] == 2 else gen
+
+    monkeypatch.setattr(fgl, "_lattice_quotient_generator", doubled_x2)
+    with pytest.raises(EngineError, match="Lazard quotient defect"):
+        UniversalFGL(4)
+    assert degrees[-1] > 2
 
 
 @pytest.fixture(scope="module")

@@ -1,7 +1,8 @@
 import pytest
 
 from stemcharts.cobar import CobarComplex
-from stemcharts.hopf import HopfAxiomError, build_algebroid
+from stemcharts.hopf import (HopfAxiomError, _add_into, build_algebroid,
+                             build_universal)
 from stemcharts.poly import ONE, mon_mul
 
 
@@ -56,6 +57,47 @@ def test_non_homogeneous_term_fails_verify(structure, name, term):
     getattr(alg, structure)[0][term] = 1
     with pytest.raises(HopfAxiomError, match=f"{name} is not homogeneous at"):
         alg.verify()
+
+
+@pytest.mark.parametrize("g,key", [
+    (1, (ONE, (((0, 2),),))),              # b1^2 in c(b2)
+    (4, (((0, 1),), (((3, 1),),))),        # x1 b4 in c(b5)
+])
+def test_wrong_antipode_term_fails_verify(g, key):
+    alg = build_universal(5)
+    alg.antipode_gen[g][key] = alg.antipode_gen[g].get(key, 0) + 1
+    with pytest.raises(HopfAxiomError):
+        alg.verify()
+
+
+def test_grouped_antipode_matches_per_term_reference(uni):
+    # c and mu(c x 1) sum eta_R(a) per Gamma-monomial before multiplying;
+    # the reference multiplies term by term
+    def antipode(elem):
+        out = {}
+        for (am, (tm,)), c in elem.items():
+            _add_into(out, uni.tensor_mul(uni.eta_r(am),
+                                          uni.antipode_t(tm)).items(), c)
+        return out
+
+    def fold_left(elem2):
+        out = {}
+        for (am, (u, w)), c in elem2.items():
+            piece = uni.tensor_mul(uni.eta_r(am), uni.antipode_t(u))
+            _add_into(out, uni.tensor_mul(piece, {(ONE, (w,)): 1}).items(), c)
+        return out
+
+    amons = [m for d in range(3) for m in uni.a_monomials(d)]
+    tmons = [m for d in range(3) for m in uni.tensor_monomials(d)]
+    folds = []
+    for k, am in enumerate(amons):
+        elem = {(am, (tm,)): k - j for j, tm in enumerate(tmons)}
+        assert uni.antipode(elem) == antipode(elem)
+        elem2 = {(am, (u, w)): k + j + 1 for j, (u, w)
+                 in enumerate(zip(tmons, reversed(tmons)))}
+        folds.append(uni.fold_antipode_left(elem2))
+        assert folds[-1] == fold_left(elem2)
+    assert all(folds)
 
 
 def test_gamma_free_on_monomials(bp3):

@@ -5,7 +5,8 @@ computed in full, and `reversion` by f(g) = x and g(f) = x under that
 naive composition.  Inputs are seeded random series over a small graded
 ring (generators of degree 1 and 2, truncated at degree 4), with int or
 Fraction coefficients, sparse outer series with gaps, and univariate or
-bivariate inner series.
+bivariate inner series.  `mon_mul`, the monomial product under them, is
+checked against the dict-and-sort product on seeded random monomials.
 """
 
 import random
@@ -14,7 +15,7 @@ from fractions import Fraction
 import pytest
 
 from stemcharts.hopf import build_p_typical
-from stemcharts.poly import Poly, PolyRing
+from stemcharts.poly import Poly, PolyRing, mon_mul
 from stemcharts.series import Series, compose_univariate, reversion
 
 RING = PolyRing(["a", "b"], [1, 2], 4)
@@ -129,3 +130,26 @@ def test_powers_reject_negative_exponents():
                lambda n: alg.tensor_pow(t1, n, 1)):
         with pytest.raises(ValueError, match="negative power"):
             pw(-1)
+
+
+def test_mon_mul_matches_dict_reference():
+    def reference(a, b):
+        out = dict(a)
+        for g, e in b:
+            out[g] = out.get(g, 0) + e
+        return tuple(sorted(out.items()))
+
+    rng = random.Random(0)
+
+    def monomial():
+        gens = rng.sample(range(8), rng.randint(0, 5))
+        return tuple(sorted((g, rng.randint(1, 4)) for g in gens))
+
+    x, y = ((0, 1), (2, 3)), ((1, 2), (4, 1))
+    cases = [((), ()), ((), x), (x, ()), (x, y), (y, x), (x, x),
+             (x, ((2, 1), (5, 2)))]
+    for _ in range(500):
+        a = monomial()
+        cases += [(a, monomial()), (a, a)]
+    for a, b in cases:
+        assert mon_mul(a, b) == reference(a, b)

@@ -21,6 +21,32 @@ checked exactly, so r_s <= n_s - r_{s-1}: a rung that meets the bound has
 found every divisor at its exact valuation, the one an elimination mod
 p^(2K) would give.  Most differentials stop at k = 1 (all divisors units)
 or k = 2, where the matrix stays sparse; only deep torsion reaches 2K.
+
+Rung 1 also shrinks the other eliminations (`_slice_divisors`), by the
+cancellation lemma of Kaczynski, Mrozek and Slusarek (Homology computation
+by reduction of chain complexes, Comput. Math. Appl. 35, 1998): if d^s has
+a unit entry at row b (in C^{s+1}) and column a (in C^s), the complex is
+homotopy equivalent to the one without a and b, in which d^s becomes its
+Schur complement at that entry, d^{s-1} loses row a and d^{s+1} loses
+column b.  Since d o d = 0, a unimodular change of basis makes that row
+and that column zero, so every differential keeps its rank and its
+non-unit divisors.  Rung 1 pivots on a unit of each successive Schur
+complement (`zpk.elementary_divisors` reports where), so its u_s unit
+pivots are such pairs, in the whole d^s too when it saw only some
+columns; the pivots of d^{s-1} and of d^{s+1} share no basis element, so
+they cancel together.  Hence:
+
+  - rung 1 of d^s runs on n_{s+1} x (n_s - u_{s-1}), without the columns
+    that rung 1 of d^{s-1} cancelled;
+  - a d^s that rung 1 leaves short of its bound climbs the ladder on
+    (n_{s+1} - u_{s+1}) x (n_s - u_{s-1}), also without the rows that
+    rung 1 of d^{s+1} cancelled.
+
+Each is d^s in a complex reduced by the pivots of its neighbours, so it
+has every divisor of d^s, units included, and the ladder stops at the
+same rung with the same exponents.  With little torsion both sides
+of the second are about r_s, against n_{s+1} x n_s.
+
 The cobar complex of BP_*BP (x) Q is acyclic in positive degree, so a
 free summand off (0,0), e.g. from a divisor of valuation >= 2K read as
 zero (no rung meets the bound then), is an EngineError; so is an Ext^1
@@ -42,7 +68,7 @@ from fractions import Fraction
 from .charts import AbGroupDesc, BigradedChart
 from .cobar import CobarComplex, EngineError, check_composite_zero
 from .hopf import HopfAlgebroid
-from .zpk import elementary_divisors
+from .zpk import Divisors, elementary_divisors
 
 
 class PrecisionExhausted(Exception):
@@ -73,13 +99,16 @@ class ExtChart:
         return obj
 
 
-def _reduce_rows(rows, p: int, m: int) -> list[dict[int, int]]:
-    """Sparse exact rows reduced mod p^m; EngineError unless p-integral."""
+def _reduce_rows(rows, p: int, m: int, drop=()) -> list[dict[int, int]]:
+    """Sparse exact rows reduced mod p^m, without the columns in drop;
+    EngineError unless p-integral."""
     mod = p ** m
     out = []
     for row in rows:
         r = {}
         for j, c in row.items():
+            if j in drop:
+                continue
             if type(c) is not int:
                 fr = Fraction(c)
                 if fr.denominator % p == 0:
@@ -100,6 +129,13 @@ def _divisor_exponents(rows, p: int, m: int, rank_bound: int) -> list[int]:
     first rung whose divisor count meets rank_bound: over Z/p^k the
     divisors of valuation < k are exactly those of the Z_(p) matrix, so
     such a rung has found every divisor at its exact valuation.
+
+    rows may be d^s pruned by the cancellation lemma of Kaczynski, Mrozek
+    and Slusarek (module docstring): n_{s+1} x (n_s - u_{s-1}) for rung 1
+    alone, (n_{s+1} - u_{s+1}) x (n_s - u_{s-1}) for the whole ladder, u
+    counting the unit pivots of a neighbour's rung 1.  Either is d^s in a
+    homotopy equivalent complex, with every divisor of the whole d^s, so
+    the ladder stops at the same rung with the same exponents.
     """
     k = 1
     while True:
@@ -107,6 +143,42 @@ def _divisor_exponents(rows, p: int, m: int, rank_bound: int) -> list[int]:
         if k == m or len(vals) == rank_bound:
             return vals
         k = min(2 * k, m)
+
+
+def _slice_divisors(mats, ns: list[int], p: int, m: int):
+    """Yield the divisor exponents over Z/p^m of d^0, d^1, ... in turn.
+
+    mats[s]: the exact sparse rows of d^s (rows C^{s+1}, columns C^s);
+    ns[s] = n_s.  Rung 1 of d^s runs without the columns that the unit
+    pivots of d^{s-1} cancelled; a d^s that it leaves short of its rank
+    bound n_s - r_{s-1} climbs the ladder after rung 1 of d^{s+1}, without
+    the rows that its unit pivots cancelled.  An elimination that reports
+    no unit pivots cancels nothing.
+    """
+    cancelled: set[int] = set()  # elements of C^s paired by a unit pivot of d^{s-1}
+    held = None                  # (rows, rank bound) of a d^{s-1} short of its bound
+    rank = 0                     # r_{s-1}
+    for s in range(len(mats) + 1):
+        units = []
+        if s < len(mats):
+            rows = _reduce_rows(mats[s], p, m, cancelled)
+            first = _divisor_exponents(rows, p, 1, ns[s])
+            if isinstance(first, Divisors):
+                units = first.units
+        if held:
+            paired = {j for _, j in units}
+            vals = _divisor_exponents(
+                [row for i, row in enumerate(held[0]) if i not in paired], p, m, held[1])
+            rank = len(vals)
+            held = None
+            yield vals
+        if s < len(mats):
+            if len(first) == ns[s] - rank:
+                rank = len(first)
+                yield first
+            else:
+                held = (rows, ns[s] - rank)
+            cancelled = {i for i, _ in units}
 
 
 def ext_chart(algebroid: HopfAlgebroid, p: int, K: int, s_max: int, t_max: int,
@@ -131,10 +203,10 @@ def ext_chart(algebroid: HopfAlgebroid, p: int, K: int, s_max: int, t_max: int,
         mats = [cx.differential_matrix(s, d) for s in range(s_max + 1)]
         for s in range(s_max):
             check_composite_zero(mats[s], mats[s + 1], s, d)
+        ns = [len(cx.basis(s, d)) for s in range(s_max + 1)]
         prev: list[int] = []  # valuations of d^{s-1}
-        for s in range(s_max + 1):
-            n = len(cx.basis(s, d))
-            vals = _divisor_exponents(_reduce_rows(mats[s], p, m2), p, m2, n - len(prev))
+        for s, vals in enumerate(_slice_divisors(mats, ns, p, m2)):
+            n = ns[s]
             bad = [a for a in vals if a >= K]
             if bad:
                 raise PrecisionExhausted(

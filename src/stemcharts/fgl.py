@@ -98,9 +98,6 @@ class FormalGroupLaw:
     def order(self) -> int:
         return self.presentation.degree_bound + 1
 
-    def coefficient(self, i: int, j: int) -> Poly:
-        return self.series.get((i, j), self.presentation.ring().zero())
-
     def as_series(self) -> Series:
         ring = self.presentation.ring()
         return Series(ring, 2, self.order,

@@ -73,6 +73,7 @@ class HopfAlgebroid:
             "delta": {ONE: {(ONE, (ONE, ONE)): 1}},
             "antipode": {ONE: {(ONE, (ONE,)): 1}},
         }
+        self._key_degs: dict[TensorKey, int] = {}
 
     # -- presentation-level views -------------------------------------------
 
@@ -92,12 +93,6 @@ class HopfAlgebroid:
 
     # -- degree helpers ------------------------------------------------------
 
-    def adeg(self, amon: Monomial) -> int:
-        return mon_deg(amon, self.aring.degrees)
-
-    def tdeg(self, tmon: Monomial) -> int:
-        return mon_deg(tmon, self.gamma_degrees)
-
     def tensor_monomials(self, degree: int) -> list[Monomial]:
         ring = PolyRing(self.gamma_names, self.gamma_degrees, self.bound)
         return ring.monomials_of_degree(degree)
@@ -108,8 +103,13 @@ class HopfAlgebroid:
     # -- tensor arithmetic ----------------------------------------------------
 
     def key_deg(self, key: TensorKey) -> int:
-        am, tmons = key
-        return self.adeg(am) + sum(self.tdeg(t) for t in tmons)
+        """Total degree of a tensor key, memoized per key."""
+        d = self._key_degs.get(key)
+        if d is None:
+            am, tmons = key
+            d = self._key_degs[key] = mon_deg(am, self.aring.degrees) + sum(
+                mon_deg(t, self.gamma_degrees) for t in tmons)
+        return d
 
     def tensor_mul(self, a: Tensor, b: Tensor) -> Tensor:
         """Componentwise product; both sides in normal form, same slot count.

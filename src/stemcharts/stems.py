@@ -19,7 +19,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field as dc_field
 
-from .charts import (AbGroupDesc, BigradedChart, complete_chart, complete_desc,
+from .charts import (BigradedChart, complete_chart, complete_desc,
                      cyclic, free_group, sum_groups)
 from .fields import FieldDescriptor, milnor_k
 from .kmw import completed_milnor_witt, free_basis, milnor_witt
@@ -145,9 +145,6 @@ class SyntheticChart:
     degeneration_max: int
     filtrations: dict[tuple[int, int], tuple] = dc_field(default_factory=dict)
     source: str = "computed"
-
-    def group(self, n: int, w: int) -> AbGroupDesc:
-        return self.chart.group(n, w)
 
     def to_json(self) -> dict:
         obj = self.chart.to_json()

@@ -57,17 +57,29 @@ def mat_mul(A: Matrix, B: Matrix, mod: int) -> Matrix:
     return out
 
 
-def elementary_divisors(rows, p: int, m: int) -> list[int]:
+class Divisors(list):
+    """Elementary divisor exponents, nondecreasing, with `units`: the
+    (row, column) of each unit pivot in the order it was eliminated."""
+
+    def __init__(self):
+        super().__init__()
+        self.units: list[tuple[int, int]] = []
+
+
+def elementary_divisors(rows, p: int, m: int) -> Divisors:
     """Exponents a_i of the Smith form diag(p^{a_i}) of a matrix over Z/p^m.
 
     rows: sparse rows {column: integer entry}.  Returns the exponents
     a_i < m of the nonzero diagonal entries, nondecreasing; their number is
-    the rank over Z/p^m.  No transform is kept.  Elimination goes one
-    valuation level v at a time: every remaining entry is divisible by p^v,
-    so a pivot of valuation v has minimal valuation, clears its column by
-    row operations, and splits off with its row as a summand p^v.  Among
-    the rows with an entry of valuation v the shortest is taken, and in it
-    the column with the fewest entries, which keeps the rows sparse.
+    the rank over Z/p^m.  No transform is kept, only the position of each
+    unit pivot: each is a unit of the Schur complement left by the ones
+    before it, so they are a sequence of cancellations in the sense of
+    `extcharts`.  Elimination goes one valuation level v at a time: every
+    remaining entry is divisible by p^v, so a pivot of valuation v has
+    minimal valuation, clears its column by row operations, and splits off
+    with its row as a summand p^v.  Among the rows with an entry of
+    valuation v the shortest is taken, and in it the column with the fewest
+    entries, which keeps the rows sparse.
     """
     mod = p ** m
     live: dict[int, dict[int, int]] = {}   # row index -> {column: entry}
@@ -78,7 +90,7 @@ def elementary_divisors(rows, p: int, m: int) -> list[int]:
             live[i] = red
             for c in red:
                 holders.setdefault(c, set()).add(i)
-    vals: list[int] = []
+    vals = Divisors()
     pv = 1
     for v in range(m):
         if not live:
@@ -120,6 +132,8 @@ def elementary_divisors(rows, p: int, m: int) -> list[int]:
                     holders[c].discard(i)
             del live[i]
             vals.append(v)
+            if not v:
+                vals.units.append((i, j))
         pv *= p
     return vals
 

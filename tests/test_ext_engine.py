@@ -4,11 +4,13 @@ Golden files in tests/golden/ hold `json.dumps(ec.to_json(), indent=1)`
 (plus a newline) of charts computed by the kernel/subquotient engine that
 preceded the elementary-divisor one (ext_p3_t48.json by the elementary-
 divisor engine before the sparse builder and the F_p rank shortcut,
-ext_p2_t22.json by the engine before the modulus ladder), and
-the grid output of `stemcharts ext --prime 3 --tmax 24 --format grid`;
-they must be reproduced byte for byte.  The oracles are sympy's Smith normal form over
-Z (for `zpk.elementary_divisors`) and the kernel/subquotient computation
-over Z/p^(2K) with its image at p^K (for `ext_chart`).
+ext_p2_t22.json by the engine before the modulus ladder, ext_p2_t24.json
+by the engine before the pivot cancellation), and the grid output of
+`stemcharts ext --prime 3 --tmax 24 --format grid`; they must be reproduced
+byte for byte.  The oracles are sympy's Smith normal form over Z (for
+`zpk.elementary_divisors`), the kernel/subquotient computation over
+Z/p^(2K) with its image at p^K (for `ext_chart`), and complexes with
+planted divisors (for the pivot cancellation).
 """
 
 import hashlib
@@ -36,6 +38,7 @@ GOLDEN = os.path.join(os.path.dirname(os.path.abspath(__file__)), "golden")
     ("ext_p3_t18_unnormalized.json", 3, 18, False),
     ("ext_p3_t48.json", 3, 48, True),
     ("ext_p2_t22.json", 2, 22, True),
+    ("ext_p2_t24.json", 2, 24, True),
 ])
 def test_golden_chart(name, p, t_max, normalized):
     alg = build_algebroid("p_typical", (t_max + 1) // 2, p=p)
@@ -112,6 +115,13 @@ def test_elementary_divisors_examples():
     assert elementary_divisors([{0: 9, 1: 3}, {0: 3}], 3, 4) == [1, 1]
     # diag(2, 3) over Z/2^3 has the single divisor 2 and a unit
     assert elementary_divisors([{0: 2}, {1: 3}], 2, 3) == [0, 1]
+
+
+def test_elementary_divisors_report_unit_pivots():
+    # (row, column) of each unit pivot, in elimination order
+    assert elementary_divisors([{0: 2}, {1: 3}], 2, 3).units == [(1, 1)]
+    assert elementary_divisors([{0: 1, 1: 1}, {0: 1, 1: 2}], 3, 1).units == [(0, 0), (1, 1)]
+    assert elementary_divisors([{0: 4}], 2, 2).units == []
 
 
 # -- ext_chart against the kernel/subquotient oracle ------------------------
@@ -304,6 +314,85 @@ def test_ladder_stops_between_rungs(monkeypatch):
     ext_chart(alg, 2, 10, 6, 16)
     assert all(rungs[0] == 1 for rungs in calls)
     assert any(1 < rungs[-1] < 20 for rungs in calls)
+
+
+# -- cancelling unit pivots across the complex ---------------------------------
+
+def unimodular(rng, n):
+    """A random U in SL_n(Z) and its inverse, from elementary operations."""
+    U, V = [[int(i == j) for j in range(n)] for i in range(n)], \
+        [[int(i == j) for j in range(n)] for i in range(n)]
+    for _ in range(3 * n if n > 1 else 0):
+        i, j = rng.sample(range(n), 2)
+        c = rng.randint(-2, 2)
+        U[i] = [x + c * y for x, y in zip(U[i], U[j])]  # U <- (1 + c e_ij) U
+        for row in V:                                    # V <- V (1 - c e_ij)
+            row[j] -= c * row[i]
+    return U, V
+
+
+def planted_complex(rng, p, m, length):
+    """d^0, ..., d^(length-1) of a cochain complex over Z: a direct sum of
+    pieces Z --p^a--> Z and lone Z's, conjugated in each degree by a random
+    unimodular matrix.  Returns the sparse rows of each d^s, the ranks n_s
+    and the planted exponents a of each d^s, sorted."""
+    dims, pieces = [0] * (length + 1), []
+    for s in range(length):
+        pieces.append([])
+        for _ in range(rng.randint(0, 5)):
+            pieces[s].append((dims[s], dims[s + 1], rng.choice([0, 0, 0, 1, 2, m - 1])))
+            dims[s] += 1
+            dims[s + 1] += 1
+    dims = [n + (rng.random() < 0.5 or not n) for n in dims]
+    bases = [unimodular(rng, n) for n in dims]
+    mats = []
+    for s in range(length):
+        D = [[0] * dims[s] for _ in range(dims[s + 1])]
+        for i, j, a in pieces[s]:
+            D[j][i] = p ** a
+        U, V = bases[s + 1][0], bases[s][1]
+        UD = [[sum(u * x for u, x in zip(row, col)) for col in zip(*D)] for row in U]
+        mats.append(sparse([[sum(x * v for x, v in zip(row, col)) for col in zip(*V)]
+                            for row in UD]))
+    return mats, dims[:length], [sorted(a for _, _, a in ps) for ps in pieces]
+
+
+@pytest.mark.parametrize("p,m", [(2, 6), (3, 4), (5, 4)])
+def test_cancellation_keeps_planted_divisors(p, m):
+    """The pruned path finds exactly the planted exponents, the divisors of
+    each differential eliminated whole mod p^m."""
+    rng = random.Random(p)
+    for trial in range(60):
+        mats, ns, planted = planted_complex(rng, p, m, rng.randint(2, 5))
+        got = list(extcharts._slice_divisors(mats, ns, p, m))
+        assert got == planted, (trial, got, planted)
+        assert got == [elementary_divisors(rows, p, m) for rows in mats], trial
+
+
+def test_cancellation_narrows_eliminations(monkeypatch):
+    """At p=2 t<=16 rung 1 is handed fewer columns, and the higher rungs
+    fewer rows, than when the eliminations report no unit pivots and so
+    cancel nothing."""
+    alg = build_algebroid("p_typical", 8, p=2)
+    original = extcharts.elementary_divisors
+    charts, handed = [], []
+    for strip in (False, True):
+        columns = rows_above = 0
+
+        def counted(rows, p, m):
+            nonlocal columns, rows_above
+            if m == 1:
+                columns += len({j for row in rows for j in row})
+            else:
+                rows_above += sum(1 for row in rows if row)
+            vals = original(rows, p, m)
+            return list(vals) if strip else vals
+        monkeypatch.setattr("stemcharts.extcharts.elementary_divisors", counted)
+        charts.append(json.dumps(ext_chart(alg, 2, 10, 6, 16).to_json()))
+        handed.append((columns, rows_above))
+    assert charts[0] == charts[1]
+    (columns, rows_above), (all_columns, all_rows) = handed
+    assert columns < all_columns and rows_above < all_rows
 
 
 # PrecisionExhausted messages, and sha256 prefixes of json.dumps(to_json())

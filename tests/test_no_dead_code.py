@@ -25,13 +25,10 @@ USED = {module: {n.id if isinstance(n, ast.Name) else n.attr for n in ast.walk(t
 ACCEPTED_COLLISIONS = {
     "_image": {"fpt.FptModule", "hopf.HopfAlgebroid"},
     "add": {"fields.SmallFiniteField", "fpt._Span"},
-    # FormalGroupLaw.coefficient: called by tests only
-    "coefficient": {"fgl.FormalGroupLaw", "poly.Poly", "series.Series"},
+    "coefficient": {"poly.Poly", "series.Series"},
     "from_json": {"charts.AbGroupDesc", "charts.BigradedChart",
                   "fields.FieldDescriptor", "fields.WittData", "fpt.FptModule"},
-    # SyntheticChart.group: called by tests only
-    "group": {"charts.BigradedChart", "extcharts.ExtChart", "kmw.KMWChart",
-              "stems.SyntheticChart"},
+    "group": {"charts.BigradedChart", "extcharts.ExtChart", "kmw.KMWChart"},
     "is_zero": {"charts.AbGroupDesc", "poly.Poly", "series.Series"},
     "one": {"fields.SmallFiniteField", "poly.PolyRing"},
     "order": {"charts.AbGroupDesc", "fgl.FormalGroupLaw"},

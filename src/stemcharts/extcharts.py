@@ -45,7 +45,10 @@ they cancel together.  Hence:
 Each is d^s in a complex reduced by the pivots of its neighbours, so it
 has every divisor of d^s, units included, and the ladder stops at the
 same rung with the same exponents.  With little torsion both sides
-of the second are about r_s, against n_{s+1} x n_s.
+of the second are about r_s, against n_{s+1} x n_s.  The second starts
+at rung 2: rung 1 on the wider matrix already counted every unit divisor
+and fell short of the bound, and pruning keeps the divisors, so rung 1
+cannot meet it on the pruned matrix either.
 
 The cobar complex of BP_*BP (x) Q is acyclic in positive degree, so a
 free summand off (0,0), e.g. from a divisor of valuation >= 2K read as
@@ -121,14 +124,16 @@ def _reduce_rows(rows, p: int, m: int, drop=()) -> list[dict[int, int]]:
     return out
 
 
-def _divisor_exponents(rows, p: int, m: int, rank_bound: int) -> list[int]:
+def _divisor_exponents(rows, p: int, m: int, rank_bound: int,
+                       k: int = 1) -> list[int]:
     """Elementary divisor exponents over Z/p^m of rows whose rank over
     Z_(p) is at most rank_bound.
 
     Eliminates mod p^k for k = 1, 2, 4, ... capped at m, and stops at the
     first rung whose divisor count meets rank_bound: over Z/p^k the
     divisors of valuation < k are exactly those of the Z_(p) matrix, so
-    such a rung has found every divisor at its exact valuation.
+    such a rung has found every divisor at its exact valuation.  A ladder
+    that rung 1 is already known to leave short starts at k = 2.
 
     rows may be d^s pruned by the cancellation lemma of Kaczynski, Mrozek
     and Slusarek (module docstring): n_{s+1} x (n_s - u_{s-1}) for rung 1
@@ -137,7 +142,6 @@ def _divisor_exponents(rows, p: int, m: int, rank_bound: int) -> list[int]:
     homotopy equivalent complex, with every divisor of the whole d^s, so
     the ladder stops at the same rung with the same exponents.
     """
-    k = 1
     while True:
         vals = elementary_divisors(rows, p, k)
         if k == m or len(vals) == rank_bound:
@@ -151,9 +155,9 @@ def _slice_divisors(mats, ns: list[int], p: int, m: int):
     mats[s]: the exact sparse rows of d^s (rows C^{s+1}, columns C^s);
     ns[s] = n_s.  Rung 1 of d^s runs without the columns that the unit
     pivots of d^{s-1} cancelled; a d^s that it leaves short of its rank
-    bound n_s - r_{s-1} climbs the ladder after rung 1 of d^{s+1}, without
-    the rows that its unit pivots cancelled.  An elimination that reports
-    no unit pivots cancels nothing.
+    bound n_s - r_{s-1} climbs the ladder from rung 2 after rung 1 of
+    d^{s+1}, without the rows that its unit pivots cancelled.  An
+    elimination that reports no unit pivots cancels nothing.
     """
     cancelled: set[int] = set()  # elements of C^s paired by a unit pivot of d^{s-1}
     held = None                  # (rows, rank bound) of a d^{s-1} short of its bound
@@ -167,8 +171,11 @@ def _slice_divisors(mats, ns: list[int], p: int, m: int):
                 units = first.units
         if held:
             paired = {j for _, j in units}
+            # rung 1 counted every unit divisor of the held d^s and fell
+            # short; pruning keeps the divisors, so its ladder starts at 2
             vals = _divisor_exponents(
-                [row for i, row in enumerate(held[0]) if i not in paired], p, m, held[1])
+                [row for i, row in enumerate(held[0]) if i not in paired], p, m,
+                held[1], k=2)
             rank = len(vals)
             held = None
             yield vals

@@ -30,7 +30,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import gcd, lcm
+from math import comb, gcd, lcm
 
 from .poly import ONE, Poly, PolyRing, Monomial, mon_deg
 from .series import (Series, compose_univariate, generic_series, integrate,
@@ -134,11 +134,61 @@ def _subst_two(F: Series, slot: int) -> Series:
 
 
 def _sum_series(log: Series, exp: Series) -> Series:
-    """The formal sum F(x, y) = exp(log x + log y) of a logarithm."""
-    x = Series.variable(log.ring, 2, log.order, 0)
-    y = Series.variable(log.ring, 2, log.order, 1)
-    return compose_univariate(exp, compose_univariate(log, x)
-                              + compose_univariate(log, y))
+    """The formal sum F(x, y) = exp(l(x) + l(y)) of a logarithm l.
+
+    With e = exp, P[i][a] = [x^a] l^i (P[0][a] = 1 at a = 0 only) and
+    (l(x) + l(y))^k expanded by the binomial theorem, the coefficient of
+    x^a y^b is
+
+        a_ab = sum_{i <= a, j <= b} C(i + j, i) e_{i+j} P[i][a] P[j][b].
+
+    l(x) and l(y) share no mixed term, so each coefficient is a short sum
+    of products of two univariate coefficients; no bivariate series is
+    convolved.  For b = 0 the sum is [x^a] exp(l(x)), computed like the
+    others, so verify_axioms still sees an exp that does not invert l.
+
+    The sum is symmetric under (a, i) <-> (b, j), since C(k, i) =
+    C(k, k - i); only a <= b is computed, and a_ba is the same
+    coefficient.  verify_axioms still checks commutativity.  Zero
+    coefficients of l (a p-typical logarithm has few) and zero powers are
+    skipped.
+    """
+    ring, order = log.ring, log.order
+    zero = ring.zero()
+    terms = [(c, q) for (c,), q in log.terms.items()]
+    # power[i][a] = [x^a] l^i for i <= a <= order, zeros left out, by
+    # l^i = l * l^{i-1}
+    power: list[dict[int, Poly]] = [{0: ring.one()}, dict(terms)]
+    for i in range(2, order + 1):
+        prev, row = power[i - 1], {}
+        for a in range(i, order + 1):
+            acc = zero
+            for c, q in terms:
+                r = prev.get(a - c)
+                if r is not None:
+                    acc = acc + q * r
+            if acc.terms:
+                row[a] = acc
+        power.append(row)
+    out = {}
+    for a in range(order // 2 + 1):
+        for b in range(max(a, 1), order - a + 1):
+            coeff = zero
+            # e_0 = 0: exp has no constant term
+            for k in range(1, a + b + 1):
+                e = exp.terms.get((k,))
+                if e is None:
+                    continue
+                inner = zero
+                for i in range(max(0, k - b), min(a, k) + 1):
+                    pa, pb = power[i].get(a), power[k - i].get(b)
+                    if pa is not None and pb is not None:
+                        inner = inner + (pa * pb).scale(comb(k, i))
+                if inner.terms:
+                    coeff = coeff + e * inner
+            if coeff.terms:
+                out[(a, b)] = out[(b, a)] = coeff
+    return Series(ring, 2, order, out)
 
 
 # ---------------------------------------------------------------------------

@@ -5,6 +5,11 @@ and the series identities defining Hopf-algebroid structure maps.  A series
 in n variables is a dict exponent-tuple -> Poly, kept to total variable
 degree <= order.
 
+Formal sums exp(l(x) + l(y)) no longer go through composition: the
+bivariate law is summed coefficient by coefficient from the binomial
+expansion of (l(x) + l(y))^k (`fgl._sum_series`).  Every composition left
+in the engine is of univariate series.
+
 Composition f(g) runs Horner's scheme over the coefficients of f.  Once
 f_n is added, the accumulator is multiplied by g (no constant term) n more
 times, so only its terms of total degree <= order - n reach the result:

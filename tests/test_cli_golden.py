@@ -5,8 +5,9 @@ torsion-power witness vector), which depend on the lex-first pivoting of
 the F_p linear algebra, not only on the module's isomorphism type.  The
 module inputs, stored next to their reports, are the Jordan type [3, 1] at
 p = 2 and four conjugated Jordan types at p = 2, 3, 5 of dimension 9 to 12.
-The universal Ext chart (p = 2, t <= 16, algebroid bound 8) is the only
-end-to-end run of the Lazard algebroid through the CLI.
+The universal Ext charts (p = 2, t <= 16, algebroid bound 8, and p = 3,
+t <= 20, algebroid bound 10) are the end-to-end runs of the Lazard
+algebroid through the CLI; the second sums the universal law at bound 10.
 """
 
 import json
@@ -40,6 +41,8 @@ CASES = [
       "--format", "grid"], "cli_kmw_twogen_c3_grid.txt"),
     (["ext", "--kind", "universal", "--prime", "2", "--tmax", "16",
       "--format", "json"], "cli_ext_universal_p2_t16.json"),
+    (["ext", "--kind", "universal", "--prime", "3", "--tmax", "20",
+      "--format", "json"], "cli_ext_universal_p3_t20.json"),
     (["kmw", "--field", "F7_cyclo3", "--range=-5:5", "--complete", "3", "--basis",
       "--format", "json"], "cli_kmw_f7cyclo3_c3_basis.json"),
     (["stems", "--field", "F7_cyclo3", "--prime", "3", "--stem-max", "12",

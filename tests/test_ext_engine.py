@@ -289,31 +289,63 @@ def test_fp_shortcut_leaves_chart_unchanged(monkeypatch, p, t_max, normalized):
     fast = ext_chart(alg, p, 10, 6, t_max, normalized=normalized)
     assert moduli.count(20) < moduli.count(1)  # the shortcut did skip eliminations
     monkeypatch.setattr("stemcharts.extcharts._divisor_exponents",
-                        lambda rows, p, m, rank_bound: original(rows, p, m))
+                        lambda rows, p, m, rank_bound, k=1: original(rows, p, m))
     slow = ext_chart(alg, p, 10, 6, t_max, normalized=normalized)
     assert json.dumps(fast.to_json()) == json.dumps(slow.to_json())
 
 
 def test_ladder_stops_between_rungs(monkeypatch):
     """At p=2 t<=16 some differential has a divisor of valuation 1 or more
-    and stops on a rung k with 1 < k < 2K, below the full modulus."""
+    and stops on a rung k with 1 < k < 2K, below the full modulus; every
+    ladder eliminates first at the rung it was asked to start on."""
     alg = build_algebroid("p_typical", 8, p=2)
-    calls = []  # the moduli each _divisor_exponents call eliminated at
+    calls = []  # (first rung, the moduli each _divisor_exponents call eliminated at)
     original_ed = extcharts.elementary_divisors
     original_de = extcharts._divisor_exponents
 
     def counted(rows, p, m):
-        calls[-1].append(m)
+        calls[-1][1].append(m)
         return original_ed(rows, p, m)
 
-    def ladder(rows, p, m, rank_bound):
-        calls.append([])
-        return original_de(rows, p, m, rank_bound)
+    def ladder(rows, p, m, rank_bound, k=1):
+        calls.append((k, []))
+        return original_de(rows, p, m, rank_bound, k)
     monkeypatch.setattr("stemcharts.extcharts.elementary_divisors", counted)
     monkeypatch.setattr("stemcharts.extcharts._divisor_exponents", ladder)
     ext_chart(alg, 2, 10, 6, 16)
-    assert all(rungs[0] == 1 for rungs in calls)
-    assert any(1 < rungs[-1] < 20 for rungs in calls)
+    assert all(rungs[0] == k for k, rungs in calls)
+    assert any(1 < rungs[-1] < 20 for _, rungs in calls)
+
+
+@pytest.mark.parametrize("name,p,t_max", [("ext_p2_t16.json", 2, 16),
+                                          ("ext_p3_t36.json", 3, 36)])
+def test_held_ladders_skip_rung_one(monkeypatch, name, p, t_max):
+    """A differential that rung 1 leaves short of its bound climbs from
+    rung 2: each differential is eliminated mod p exactly once, and the
+    charts are unchanged."""
+    alg = build_algebroid("p_typical", (t_max + 1) // 2, p=p)
+    calls = []  # (modulus the ladder runs to, moduli it eliminated at)
+    original_ed = extcharts.elementary_divisors
+    original_de = extcharts._divisor_exponents
+
+    def counted(rows, p, m):
+        calls[-1][1].append(m)
+        return original_ed(rows, p, m)
+
+    def ladder(rows, p, m, rank_bound, k=1):
+        calls.append((m, []))
+        return original_de(rows, p, m, rank_bound, k)
+    monkeypatch.setattr("stemcharts.extcharts.elementary_divisors", counted)
+    monkeypatch.setattr("stemcharts.extcharts._divisor_exponents", ladder)
+    ec = ext_chart(alg, p, 10, 6, t_max)
+    # rung 1 of every differential runs alone (m = 1); the held ladders
+    # are the ones that run to 2K = 20
+    held = [rungs for m, rungs in calls if m == 20]
+    assert held and all(1 not in rungs for rungs in held)
+    differentials = (t_max // 2 + 1) * (6 + 1)  # d^0..d^6 in each degree
+    assert sum(rungs.count(1) for _, rungs in calls) == differentials
+    with open(os.path.join(GOLDEN, name), encoding="utf-8") as fh:
+        assert json.dumps(ec.to_json(), indent=1) + "\n" == fh.read()
 
 
 # -- cancelling unit pivots across the complex ---------------------------------

@@ -11,9 +11,10 @@ from stemcharts.fgl import (QQ, EngineError, FGLAxiomError, FormalGroupLaw,
                             _lattice_quotient_generator,
                             _pivot_columns, additive_fgl, fgl_series,
                             hazewinkel_lambdas, multiplicative_fgl,
-                            p_typical_reduction, universal_fgl, UniversalFGL)
-from stemcharts.poly import Poly, mon_deg
-from stemcharts.series import compose_univariate, reversion
+                            p_typical_log, p_typical_reduction, universal_fgl,
+                            UniversalFGL)
+from stemcharts.poly import Poly, PolyRing, mon_deg
+from stemcharts.series import Series, compose_univariate, generic_series, reversion
 
 
 def nu(k: int) -> int:
@@ -154,6 +155,65 @@ def test_universal_log_linearizes():
         lhs = lhs + Series(u.mring, 2, order,
                            {e: q * c for e, q in fp(n).terms.items()})
     assert lhs == lx + ly
+
+
+# -- the formal sum, coefficient by coefficient -------------------------------
+
+def horner_sum(log, exp):
+    """exp(log x + log y) by Horner composition over bivariate series, the
+    construction the binomial expansion in fgl._sum_series replaced."""
+    x = Series.variable(log.ring, 2, log.order, 0)
+    y = Series.variable(log.ring, 2, log.order, 1)
+    return compose_univariate(exp, compose_univariate(log, x)
+                              + compose_univariate(log, y))
+
+
+def coefficient_reprs(series):
+    """Each coefficient as repr of its sorted terms: ints and equal
+    Fractions tell apart, dict insertion order does not."""
+    return {e: repr(sorted(c.terms.items())) for e, c in series.terms.items()}
+
+
+def universal_log(bound):
+    u_ring = PolyRing([f"m{i}" for i in range(1, bound + 1)],
+                      list(range(1, bound + 1)), bound)
+    return generic_series(u_ring, bound + 1, 0)
+
+
+@pytest.mark.parametrize("bound", range(1, 9))
+def test_formal_sum_matches_horner_universal(bound):
+    log = universal_log(bound)
+    exp = reversion(log)
+    assert coefficient_reprs(fgl._sum_series(log, exp)) == \
+        coefficient_reprs(horner_sum(log, exp))
+
+
+@pytest.mark.parametrize("p,bound", [(2, 15), (3, 26), (5, 24)])
+def test_formal_sum_matches_horner_p_typical(p, bound):
+    # the first bounds that reach v_4, v_3 and v_2: a sparse logarithm
+    _, log = p_typical_log(p, bound)
+    exp = reversion(log)
+    assert coefficient_reprs(fgl._sum_series(log, exp)) == \
+        coefficient_reprs(horner_sum(log, exp))
+
+
+@pytest.mark.parametrize("wrong", range(2, 8))
+def test_formal_sum_sees_a_planted_log_coefficient(wrong):
+    """One log coefficient off by 1 changes the law; summed against the
+    true exp, F(x, 0) is no longer x and the axiom check refuses it."""
+    bound = 6
+    log = universal_log(bound)
+    exp = reversion(log)
+    true = coefficient_reprs(fgl._sum_series(log, exp))
+    planted = Series(log.ring, 1, log.order, dict(log.terms))
+    planted.terms[(wrong,)] = log.terms[(wrong,)] + log.ring.one()
+    assert coefficient_reprs(fgl._sum_series(planted, reversion(planted))) != true
+    law = fgl._sum_series(planted, exp)
+    assert coefficient_reprs(law) != true
+    pres = GradedRingPresentation(QQ, [(f"m{i}", i) for i in range(1, bound + 1)],
+                                  [], bound)
+    with pytest.raises(FGLAxiomError, match="F\\(x,0\\)"):
+        FormalGroupLaw(pres, dict(law.terms))
 
 
 @pytest.mark.parametrize("p,bound,expected_degrees", [

@@ -25,10 +25,12 @@ Each module computes its t-powers T^0..T^e once, on construction, and
 memoizes the lex-first basis of ker t^k and the span of the columns of t^k
 on first use (k past e reads T^e = 0).  P_n, free extraction, the
 torsion-power scan and the u-sequence all read these, so a decomposition
-report computes each of them once.  The memos are shared and read-only:
-spans are only queried (`coordinates`, `basis`), never extended, and
-whatever a public function returns is a fresh copy.  A memo is stored only
-once computed, so threads sharing a module at worst compute it twice.
+report computes each of them once.  A stage that splits off nothing keeps
+its module, memos included, as its quotient.  The memos are shared and
+read-only: spans are only queried (`coordinates`, `basis`) or extended
+through a `copy`, and whatever a public function returns is a fresh copy,
+except that a stage's quotient may be its module itself.  A memo is stored
+only once computed, so threads sharing a module at worst compute it twice.
 """
 
 from __future__ import annotations
@@ -100,6 +102,14 @@ class _Span:
         residual, comb = self.reduce(v)
         return None if any(residual) else comb
 
+    def copy(self) -> "_Span":
+        """A span to extend without changing this one; no row is ever
+        mutated, so the two share them."""
+        out = _Span(self.p)
+        out.rows, out.basis, out.count = list(self.rows), list(self.basis), \
+            self.count
+        return out
+
 
 def _span(vecs: list[list[int]], p: int) -> _Span:
     span = _Span(p)
@@ -122,16 +132,6 @@ def _kernel_basis(A: Matrix, ncols: int, p: int) -> list[list[int]]:
         if dep is not None:
             out.append([(-c) % p for c in dep] + [1] + [0] * (ncols - j - 1))
     return out
-
-
-def _complement_basis(inside: list[list[int]], whole: list[list[int]], p: int
-                      ) -> list[list[int]]:
-    """Extend a basis of span(inside) to span(whole); return the new vectors.
-
-    Candidates are taken from `whole` in order (lex-first determinism).
-    """
-    span = _span(inside, p)
-    return [list(c) for c in whole if span.add(c) is None]
 
 
 def _intersect(cols_a: list[list[int]], cols_b: list[list[int]], p: int,
@@ -165,6 +165,16 @@ class FptError(Exception):
     pass
 
 
+def _is_int(x) -> bool:
+    """An int that is not a bool (JSON's true and false read as bools)."""
+    return isinstance(x, int) and not isinstance(x, bool)
+
+
+def _check_dim(dim) -> None:
+    if not _is_int(dim) or dim < 0:
+        raise FptError("dim must be a non-negative integer")
+
+
 class IndSystemError(FptError):
     """An ind-system whose profiles do not stabilize as declared."""
 
@@ -183,12 +193,13 @@ class FptModule:
     t_action: tuple[tuple[int, ...], ...]
 
     def __post_init__(self):
-        if not isinstance(self.p, int) or not _is_prime(self.p):
+        if not _is_int(self.p) or not _is_prime(self.p):
             raise FptError("p must be prime")
+        _check_dim(self.dim)
         T = [list(r) for r in self.t_action]
         if len(T) != self.dim or any(len(r) != self.dim for r in T):
             raise FptError("t-action must be dim x dim")
-        if not all(isinstance(x, int) for r in T for x in r):
+        if not all(_is_int(x) for r in T for x in r):
             raise FptError("t-action entries must be integers")
         T = tuple(tuple(x % self.p for x in r) for r in T)
         object.__setattr__(self, "t_action", T)
@@ -231,6 +242,7 @@ class FptModule:
     @staticmethod
     def from_json(obj: dict) -> "FptModule":
         p, dim = obj["p"], obj["dim"]
+        _check_dim(dim)
         flat = obj["t"]
         if len(flat) != dim * dim:
             raise FptError("row-major t-matrix has the wrong length")
@@ -325,27 +337,30 @@ def extract_free(M: FptModule, n: int) -> Splitting:
     modulo im t, and F has the basis t^j g (g in G_1, j <= n).  M' is
     t^{n+1}M plus the t-orbits of the unit vectors (the rows of T^0)
     independent modulo im t + G_1; the retraction is the projection onto F
-    along M'.  This is the structure-theory splitting: P_n puts t^{n+1}M
-    inside tM, B = M/t^{n+1}M is free over F_p[t]/t^{n+1}, F maps onto its
-    summand N_1 on the image of G_1, and M' is the preimage of the
+    along M'.  One span, a copy of im t's, is extended by G_1 and then by
+    the unit vectors.  This is the structure-theory splitting: P_n puts
+    t^{n+1}M inside tM, B = M/t^{n+1}M is free over F_p[t]/t^{n+1}, F maps
+    onto its summand N_1 on the image of G_1, and M' is the preimage of the
     complementary summand N_2 on the chosen unit vectors.  The quotient is
-    M' on its lex-first basis; it satisfies P_{n+1}.
+    M' on its lex-first basis; it satisfies P_{n+1}.  With G_1 empty the
+    retraction has no rows, so M' = M on the unit vectors: the quotient is
+    M itself, with an identity inclusion.
     """
     ok, _ = satisfies_pn(M, n)
     if not ok:
         raise FptError(f"module does not satisfy P_{n}")
     p, d = M.p, M.dim
-    im_t = M._image(1).basis
 
     def orbits(gens: list[list[int]]) -> list[list[int]]:
         return [_mat_vec(M._power(j), g, p) for g in gens for j in range(n + 1)]
 
-    G1 = _complement_basis(im_t, M._kernel(n + 1), p)
+    span = M._image(1).copy()
+    G1 = [list(v) for v in M._kernel(n + 1) if span.add(v) is None]
     f_basis = orbits(G1)
     if len(_independent_subset(f_basis, p)) != len(f_basis):
         raise FptError("free part basis is not independent")
     complement = M._image(n + 1).basis + orbits(
-        _complement_basis(im_t + G1, M._power(0), p))
+        [list(e) for e in M._power(0) if span.add(e) is None])
     retraction, _ = _block_retractions([f_basis, complement], d, p,
                                        "F (+) M' does not reassemble M")
 
@@ -353,18 +368,22 @@ def extract_free(M: FptModule, n: int) -> Splitting:
     if mat_mul(retraction, inclusion, p) != identity(len(f_basis)):
         raise FptError("retraction does not split the inclusion")
 
-    # M' = ker(retraction) on its lex-first basis, with the induced t-action
-    MK = _kernel_basis(retraction, d, p)
-    MK_span = _span(MK, p)
-    t_cols = [MK_span.coordinates(_mat_vec(M._power(1), v, p)) for v in MK]
-    if None in t_cols:
-        raise FptError("kernel of the retraction is not t-stable")
-    Mp = FptModule(p, len(MK), tuple(map(tuple, _columns(t_cols, len(MK)))))
+    if G1:
+        # M' = ker(retraction) on its lex-first basis, with the induced t-action
+        MK = _kernel_basis(retraction, d, p)
+        MK_span = _span(MK, p)
+        t_cols = [MK_span.coordinates(_mat_vec(M._power(1), v, p)) for v in MK]
+        if None in t_cols:
+            raise FptError("kernel of the retraction is not t-stable")
+        Mp = FptModule(p, len(MK), tuple(map(tuple, _columns(t_cols, len(MK)))))
+        Mp_inclusion = _columns(MK, d)
+    else:
+        Mp, Mp_inclusion = M, identity(d)
     ok, _ = satisfies_pn(Mp, n + 1)
     if not ok:
         raise FptError("complement does not satisfy P_{n+1}")
     return Splitting(n + 1, len(G1), G1, inclusion, retraction, Mp,
-                     _columns(MK, d))
+                     Mp_inclusion)
 
 
 @dataclass
@@ -392,7 +411,9 @@ def decompose(M: FptModule) -> Decomposition:
     Each stage splits off its free part F and goes on with M' = ker of the
     retraction, so M is the direct sum of the free parts, and the witness
     retraction onto a part is the projection onto it along the others: the
-    same `_block_retractions` that gives each stage its retraction.
+    same `_block_retractions` that gives each stage its retraction.  A
+    stage with no free part goes on with the same module, its inclusion
+    into M unchanged.
     """
     parts: list[tuple[int, int]] = []
     inclusions: list[Matrix] = []
@@ -407,8 +428,9 @@ def decompose(M: FptModule) -> Decomposition:
         if spl.free_rank:
             parts.append((n + 1, spl.free_rank))
             inclusions.append(mat_mul(incl_chain, spl.inclusion, M.p))
-        incl_chain = mat_mul(incl_chain, spl.quotient_inclusion, M.p) \
-            if spl.quotient.dim else []
+        if spl.quotient is not cur:
+            incl_chain = mat_mul(incl_chain, spl.quotient_inclusion, M.p) \
+                if spl.quotient.dim else []
         cur = spl.quotient
         n += 1
     retractions = _block_retractions(
@@ -528,7 +550,7 @@ class IndFptModule:
     def __post_init__(self):
         if len({M.p for M in self.modules}) > 1:
             raise FptError("the modules must share one prime")
-        if self.modules and not (isinstance(self.stable_from, int)
+        if self.modules and not (_is_int(self.stable_from)
                                  and 0 <= self.stable_from < len(self.modules)):
             raise FptError(f"stable_from={self.stable_from!r} is not a stage "
                            "of the prefix")
@@ -538,6 +560,8 @@ class IndFptModule:
             src, tgt = self.modules[k], self.modules[k + 1]
             if len(f) != tgt.dim or (f and any(len(r) != src.dim for r in f)):
                 raise FptError(f"map {k} has the wrong shape")
+            if not all(_is_int(x) for r in f for x in r):
+                raise FptError(f"map {k} entries must be integers")
             cols = [[f[i][j] for i in range(tgt.dim)] for j in range(src.dim)]
             if len(_independent_subset(cols, src.p)) != src.dim:
                 raise FptError(f"structure map {k} is not injective")

@@ -24,7 +24,7 @@ from fractions import Fraction
 from operator import itemgetter
 
 from .poly import Poly, PolyRing, Monomial, ONE, mon_mul, mon_deg, power
-from .series import compose_univariate, generic_series, reversion
+from .series import compose_univariate, generic_series
 from .fgl import (EngineError, GradedRingPresentation, UniversalFGL,
                   hazewinkel_lambdas, p_typical_presentation)
 
@@ -468,26 +468,23 @@ def build_universal(bound: int) -> HopfAlgebroid:
 
     # coproduct: Delta(B)-series = (b x 1) o (1 x b); the universal strict
     # isomorphism runs from the eta_R law to the eta_L law, so the left
-    # tensor factor provides the outer coefficients
-    b2 = PolyRing([f"bL{i}" for i in range(1, nb + 1)]
-                  + [f"bR{i}" for i in range(1, nb + 1)],
-                  bdegrees + bdegrees, bound)
-    comp = compose_univariate(generic_series(b2, order, 0),
-                              generic_series(b2, order, nb))
+    # tensor factor provides the outer coefficients.  That composite of two
+    # generic series on generators of degrees 1..bound is logr, read with
+    # its m's as the left b's and its b's as the right ones.
     coproduct_gen: dict[int, Tensor] = {}
     for n in range(1, nb + 1):
-        poly = comp.coefficient((n + 1,))
+        poly = logr.coefficient((n + 1,))
         elem: Tensor = {}
         _add_into(elem, (((ONE, (lpart, rpart)), c) for lpart, rpart, c
                          in _series_coefficient_split(poly, nb)))
         coproduct_gen[n - 1] = elem
 
-    # antipode on b's: compositional inverse of B, in pure b's
-    bring = PolyRing(bnames, bdegrees, bound)
-    Binv = reversion(generic_series(bring, order, 0))
+    # antipode on b's: compositional inverse of B, in pure b's; that is the
+    # reversion of the generic series on generators of degrees 1..bound,
+    # u.exp, read with its m's as the b's
     antipode_gen: dict[int, Tensor] = {}
     for n in range(1, nb + 1):
-        poly = Binv.coefficient((n + 1,))
+        poly = u.exp.coefficient((n + 1,))
         antipode_gen[n - 1] = {(ONE, (m,)): c for m, c in poly.terms.items()}
 
     out = HopfAlgebroid("universal", bound, None, a_pres, bnames, bdegrees,

@@ -540,6 +540,13 @@ MALFORMED_INPUTS = {
     "chart-not-an-object": (["render", "--chart-file", "in.json"], [1]),
     "chart-not-json": (["render", "--chart-file", "in.json"], "{ not json"),
     "module-not-json": (["decompose", "--module-file", "in.json"], "{ not json"),
+    "module-boolean-entry": (
+        ["decompose", "--module-file", "in.json"],
+        {"p": 2, "dim": 2, "t": [False, False, True, False]}),
+    "ind-map-float-entry": (
+        ["decompose", "--module-file", "in.json"],
+        {"modules": [{"p": 3, "dim": 1, "t": [0]}, {"p": 3, "dim": 1, "t": [0]}],
+         "maps": [[[1.0]]]}),
     "catalog-field-without-variant": (
         ["catalog", "--catalog", "in.json"], {"fields": {"x": {"q": 3}}}),
     "catalog-not-json": (["catalog", "--catalog", "in.json"], "{ not json"),

@@ -1,5 +1,6 @@
 import hashlib
 import json
+import os
 import random
 
 import pytest
@@ -14,6 +15,8 @@ from stemcharts.fpt import (FptModule, FptError, IndFptModule, check_torsion_pow
                             _span)
 from stemcharts.zpk import mat_mul
 
+GOLDEN = os.path.join(os.path.dirname(os.path.abspath(__file__)), "golden")
+
 
 def test_module_validation():
     with pytest.raises(FptError, match="^t-action is not nilpotent$"):
@@ -26,6 +29,14 @@ def test_module_validation():
         FptModule(4, 1, ((0,),))
     with pytest.raises(FptError, match="^t-action entries must be integers$"):
         FptModule(2, 1, ((0.5,),))
+    # JSON's true reads as a bool, which Python counts as the int 1
+    with pytest.raises(FptError, match="^t-action entries must be integers$"):
+        FptModule(2, 1, ((True,),))
+    for dim in (True, 1.0, -1):
+        with pytest.raises(FptError, match="^dim must be a non-negative integer$"):
+            FptModule(2, dim, ((0,),))
+    with pytest.raises(FptError, match="^dim must be a non-negative integer$"):
+        FptModule.from_json({"p": 2, "dim": 2.0, "t": [0, 0, 0, 0]})
     M = FptModule(3, 2, ((0, 0), (1, 0)))
     assert M.dim == 2
 
@@ -147,7 +158,31 @@ def test_extract_free_stages_split(p):
             # the quotient's t-action is t restricted to M'
             assert mat_mul(cur.T(), spl.quotient_inclusion, p) == \
                 mat_mul(spl.quotient_inclusion, spl.quotient.T(), p)
+            # a stage with no free part keeps its module
+            if not spl.free_rank:
+                assert spl.quotient is cur
+                assert spl.quotient_inclusion == \
+                    [[int(i == j) for j in range(q)] for i in range(q)]
+            # the stage extended a copy of the memoized span of im t
+            assert cur._image(1).rows == _span(list(zip(*cur.T())), p).rows
             cur, n = spl.quotient, n + 1
+
+
+@pytest.mark.parametrize("name", ("module_p3_j9_3", "module_p2_j8_2_1_1"))
+def test_decompose_builds_a_module_per_free_part(name, monkeypatch):
+    # stages that split off nothing build no quotient module
+    with open(os.path.join(GOLDEN, name + ".json"), encoding="utf-8") as fh:
+        M = FptModule.from_json(json.load(fh))
+    built = []
+    init = FptModule.__post_init__
+
+    def counted(self):
+        built.append(self.dim)
+        init(self)
+
+    monkeypatch.setattr(FptModule, "__post_init__", counted)
+    dec = decompose(M)
+    assert len(built) == len(dec.free_parts)
 
 
 @given(st.integers(min_value=0, max_value=6), st.integers(min_value=0, max_value=3),
@@ -215,9 +250,12 @@ def test_ind_validation():
     bad_equiv = [[[1], [0]]]  # e -> generator (not t-equivariant)
     with pytest.raises(FptError):
         IndFptModule(mods, bad_equiv)
-    for stable_from in (2, -1, "0"):
+    for stable_from in (2, -1, "0", False):
         with pytest.raises(FptError, match="is not a stage of the prefix"):
             IndFptModule(mods, good, stable_from)
+    for entry in (1.0, True):
+        with pytest.raises(FptError, match="^map 0 entries must be integers$"):
+            IndFptModule(mods, [[[0], [entry]]])
     with pytest.raises(FptError, match="share one prime"):
         IndFptModule([jordan_module(2, [1]), jordan_module(3, [2])], good)
 

@@ -86,13 +86,16 @@ CLASSICAL_STEM_MAX = 12
 
 
 def check_milnor(scale: Scale) -> Lines:
-    from .fields import (element_order, finite_field_square_model,
-                         quadratically_closed_square_model,
+    from .charts import cyclic
+    from .fields import (element_order, finite_field, finite_field_square_model,
+                         milnor_k, quadratically_closed_square_model,
                          real_closed_square_model, steinberg_k1,
                          steinberg_k2, witt_group_table)
     pps = [q for q in range(2, scale.q_below) if _is_prime_power(q)]
     yield (f"Steinberg: K2(F_q)=0 for q in {pps}",
-           all(steinberg_k2(q) == 1 and steinberg_k1(q) == q - 1 for q in pps))
+           all(steinberg_k2(q) == 1
+               and milnor_k(finite_field(q), 1)[1] == cyclic(steinberg_k1(q))
+               for q in pps))
     for q in scale.witt_fields:
         reps, add = witt_group_table(finite_field_square_model(q))
         binaries = [r for r in reps if len(r) == 2]

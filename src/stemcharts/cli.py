@@ -17,19 +17,24 @@ and --complete must be prime, --smax, --tmax and --stem-max non-negative,
 --tmax even, --precision at least 2, --range two integers LO:HI with LO <=
 HI, kmw --basis only with --complete, every input file (--module-file,
 --chart-file, --table, --catalog) readable, and --out a path that is not
-a directory, in a directory that exists.  Each input file is read once,
+a directory, in a directory that exists.  --table needs --source table:
+the computed source (which auto means at odd p) reads no table, so
+`synthetic_stems` rejects a table under it (exit 2) before anything is
+computed or stored.  Each input file is read once,
 by `_read_input`, and one that is not JSON or does not describe what its
 option expects is a precondition violation (exit 2) naming the file: a
-module file with a key missing, a matrix of the wrong shape, a t-action
+module file with a key missing or a key outside the module schema (p,
+dim, t) or the ind-system schema (modules, maps, stable_from), a matrix
+of the wrong shape or a structure-map row that is not a list, a t-action
 that is not nilpotent or a structure map that is not injective or not
 t-equivariant; a chart entry without "i" or "j", or with another key
 outside the chart schema; a catalog field without "variant", with a key
 outside the schema `catalog` prints (in the descriptor, its witt_table or
 one of its groups), with a malformed custom table or, for a finite field,
-with a q that is not a prime power; a table row that is not [integer
-weight, filtration >= 0, "free" or an order >= 1] or lies off its lane
-n + s = 2w.  So is an ind-system whose profiles do not
-stabilize as declared.  The cache key holds the command, every option but
+with a q that is not a prime power; a table with a key other than p and
+stems, or a row that is not [integer weight, filtration >= 0, "free" or
+an order >= 1] or lies off its lane n + s = 2w.  So is an ind-system
+whose profiles do not stabilize as declared.  The cache key holds the command, every option but
 --format, --view, --out and --cache-dir, each --table or --catalog file by
 the sha256 of its bytes, and the sha256 of the engine's sources (see
 `cache`).  A cache entry that cannot be written is reported on stderr,
@@ -53,7 +58,7 @@ import os
 import sys
 
 from .cache import ENGINE_VERSION, cache_key, cache_load, cache_store
-from .charts import AbGroupDesc, BigradedChart, _is_prime
+from .charts import AbGroupDesc, BigradedChart, _check_keys, _is_prime
 from .catalog import catalog_to_json, get_field, load_catalog
 from .cobar import EngineError
 from .extcharts import PrecisionExhausted, ext_chart
@@ -212,6 +217,7 @@ def _module_from_json(data) -> FptModule | IndFptModule:
     """The module or ind-system of a module file."""
     if "modules" not in data:
         return FptModule.from_json(data)
+    _check_keys(data, ("modules", "maps", "stable_from"), "ind-system")
     mods = [FptModule.from_json(m) for m in data["modules"]]
     return IndFptModule(mods, data["maps"], data.get("stable_from", 0))
 

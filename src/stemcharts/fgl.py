@@ -34,7 +34,7 @@ from math import comb, gcd, lcm
 
 from .poly import ONE, Poly, PolyRing, Monomial, mon_deg
 from .series import (Series, compose_univariate, generic_series, integrate,
-                     multiplicative_inverse, reversion)
+                     multiplicative_inverse, powers, reversion)
 from .zpk import identity
 
 
@@ -136,9 +136,10 @@ def _subst_two(F: Series, slot: int) -> Series:
 def _sum_series(log: Series, exp: Series) -> Series:
     """The formal sum F(x, y) = exp(l(x) + l(y)) of a logarithm l.
 
-    With e = exp, P[i][a] = [x^a] l^i (P[0][a] = 1 at a = 0 only) and
-    (l(x) + l(y))^k expanded by the binomial theorem, the coefficient of
-    x^a y^b is
+    With e = exp and P[i][a] = [x^a] l^i, a row per power of the table
+    `powers(l, order)` (P[0][a] = 1 at a = 0 only; l^i starts at x^i),
+    and (l(x) + l(y))^k expanded by the binomial theorem, the coefficient
+    of x^a y^b is
 
         a_ab = sum_{i <= a, j <= b} C(i + j, i) e_{i+j} P[i][a] P[j][b].
 
@@ -155,21 +156,8 @@ def _sum_series(log: Series, exp: Series) -> Series:
     """
     ring, order = log.ring, log.order
     zero = ring.zero()
-    terms = [(c, q) for (c,), q in log.terms.items()]
-    # power[i][a] = [x^a] l^i for i <= a <= order, zeros left out, by
-    # l^i = l * l^{i-1}
-    power: list[dict[int, Poly]] = [{0: ring.one()}, dict(terms)]
-    for i in range(2, order + 1):
-        prev, row = power[i - 1], {}
-        for a in range(i, order + 1):
-            acc = zero
-            for c, q in terms:
-                r = prev.get(a - c)
-                if r is not None:
-                    acc = acc + q * r
-            if acc.terms:
-                row[a] = acc
-        power.append(row)
+    power = [{0: ring.one()}] + [{a: q for (a,), q in li.terms.items()}
+                                 for li in powers(log, order)]
     out = {}
     for a in range(order // 2 + 1):
         for b in range(max(a, 1), order - a + 1):
@@ -576,25 +564,15 @@ def fgl_inverse(F: FormalGroupLaw) -> Series:
 
 
 def _eval_bivariate(F: Series, a: Series, b: Series) -> Series:
-    ring = a.ring
-    order = a.order
-    nv = a.nvars
+    """F(a, b) = sum_ij a_ij a^i b^j, over the successive powers of a and b."""
+    ring, order, nv = a.ring, a.order, a.nvars
+    one = Series(ring, nv, order, {(0,) * nv: ring.one()})
+    pa = [one, *powers(a, max((i for i, _ in F.terms), default=0))]
+    pb = [one, *powers(b, max((j for _, j in F.terms), default=0))]
     out = Series.zero(ring, nv, order)
-    pa: dict[int, Series] = {}
-    pb: dict[int, Series] = {}
-
-    def pw(s, n, cache):
-        if n not in cache:
-            cache[n] = s.pow(n)
-        return cache[n]
-
     for (i, j), c in F.terms.items():
-        term = Series(ring, nv, order, {(0,) * nv: c})
-        if i:
-            term = term * pw(a, i, pa)
-        if j:
-            term = term * pw(b, j, pb)
-        out = out + term
+        out = out + Series(ring, nv, order, {e: c * q for e, q in
+                                             (pa[i] * pb[j]).terms.items()})
     return out
 
 

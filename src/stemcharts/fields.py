@@ -378,17 +378,20 @@ class SmallFiniteField:
     def units(self):
         return [x for x in self.elements if x != (0,)]
 
+    def unit_order(self, g) -> int:
+        """The multiplicative order of the unit g."""
+        seen = g
+        order = 1
+        while seen != (1,):
+            seen = self.mul(seen, g)
+            order += 1
+            if order > self.q - 1:
+                raise FieldError("order overflow")
+        return order
+
     def multiplicative_generator(self):
-        m = self.q - 1
         for g in self.units():
-            seen = g
-            order = 1
-            while seen != (1,):
-                seen = self.mul(seen, g)
-                order += 1
-                if order > m:
-                    raise FieldError("order overflow")
-            if order == m:
+            if self.unit_order(g) == self.q - 1:
                 return g
         raise FieldError("no generator found")
 
@@ -423,7 +426,11 @@ def steinberg_k2(q: int) -> int:
 
 
 def steinberg_k1(q: int) -> int:
-    return q - 1
+    """The exponent of F_q^x in SmallFiniteField(q), the largest
+    multiplicative order of a unit: q - 1 exactly when the group is
+    cyclic, as K_1(F_q) = F_q^x is."""
+    F = SmallFiniteField(q)
+    return max(F.unit_order(g) for g in F.units())
 
 
 class SquareClassModel:

@@ -39,7 +39,7 @@ from dataclasses import dataclass, field as dc_field
 from operator import mul
 from typing import Optional
 
-from .charts import _is_prime
+from .charts import _check_keys, _is_prime
 from .zpk import elementary_divisors, identity, mat_mul
 
 Matrix = list[list[int]]
@@ -241,6 +241,7 @@ class FptModule:
 
     @staticmethod
     def from_json(obj: dict) -> "FptModule":
+        _check_keys(obj, ("p", "dim", "t"), "module")
         p, dim = obj["p"], obj["dim"]
         _check_dim(dim)
         flat = obj["t"]
@@ -558,7 +559,8 @@ class IndFptModule:
             raise FptError("need one structure map per adjacent pair")
         for k, f in enumerate(self.maps):
             src, tgt = self.modules[k], self.modules[k + 1]
-            if len(f) != tgt.dim or (f and any(len(r) != src.dim for r in f)):
+            if not isinstance(f, list) or len(f) != tgt.dim or any(
+                    not isinstance(r, list) or len(r) != src.dim for r in f):
                 raise FptError(f"map {k} has the wrong shape")
             if not all(_is_int(x) for r in f for x in r):
                 raise FptError(f"map {k} entries must be integers")

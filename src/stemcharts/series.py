@@ -5,26 +5,20 @@ and the series identities defining Hopf-algebroid structure maps.  A series
 in n variables is a dict exponent-tuple -> Poly, kept to total variable
 degree <= order.
 
-Formal sums exp(l(x) + l(y)) no longer go through composition: the
-bivariate law is summed coefficient by coefficient from the binomial
-expansion of (l(x) + l(y))^k (`fgl._sum_series`).  Every composition left
-in the engine is of univariate series.
+Every composition f(g) = sum_n f_n g^n, formal sum (`fgl._sum_series`,
+`fgl._eval_bivariate`) and inverse 1/f reads one table of successive
+powers, `powers`: g^n is g^{n-1} g, truncated at g's order.
 
-Composition f(g) runs Horner's scheme over the coefficients of f.  Once
-f_n is added, the accumulator is multiplied by g (no constant term) n more
-times, so only its terms of total degree <= order - n reach the result:
-those are kept, and the product is kept to degree order - n + 1, which is
-what the next step reads after adding f_{n-1}.
-
-Reversion solves f(g) = x in one pass over a power table
-P[k][n] = [x^n] g^k (Brent and Kung, J. ACM 25, 1978): for n >= 2,
+Reversion solves f(g) = x for g, so it cannot read `powers` of a g it
+does not know yet: it fills its own table P[k][n] = [x^n] g^k (Brent and
+Kung, J. ACM 25, 1978) as g's coefficients are found.  For n >= 2,
 g_n = -sum_{k=2..n} f_k P[k][n], and for k >= 2 the entry P[k][n] needs
 only g_1..g_{n-1}.
 """
 
 from __future__ import annotations
 
-from .poly import Poly, PolyRing, power
+from .poly import Poly, PolyRing
 
 
 class Series:
@@ -100,10 +94,14 @@ class Series:
                     out[e] = s
         return Series(self.ring, self.nvars, self.order, out)
 
-    def pow(self, n: int) -> "Series":
-        one = Series(self.ring, self.nvars, self.order,
-                     {(0,) * self.nvars: self.ring.one()})
-        return power(self, n, one, Series.__mul__)
+
+def powers(g: Series, k: int) -> list[Series]:
+    """[g, g^2, ..., g^k], each power the product of the one before it and
+    g, truncated at g's order."""
+    out = [g] if k > 0 else []
+    while len(out) < k:
+        out.append(out[-1] * g)
+    return out
 
 
 def generic_series(ring: PolyRing, order: int, first: int) -> Series:
@@ -128,14 +126,12 @@ def compose_univariate(f: Series, g: Series) -> Series:
     ring, nv, order = g.ring, g.nvars, g.order
     acc = Series.zero(ring, nv, order)
     # f_n with n > order meets g at least n times and contributes nothing
-    for n in range(min(max((e[0] for e in f.terms), default=0), order), 0, -1):
+    top = min(max((e[0] for e in f.terms), default=0), order)
+    for n, gn in enumerate(powers(g, top), 1):
         c = f.coefficient((n,))
         if not c.is_zero():
-            acc = acc + Series(ring, nv, order, {zero_e: c})
-        # acc meets g n more times: drop what cannot reach degree order
-        keep = order - n
-        acc = Series(ring, nv, keep + 1,
-                     {e: p for e, p in acc.terms.items() if sum(e) <= keep}) * g
+            acc = acc + Series(ring, nv, order,
+                               {e: c * q for e, q in gn.terms.items()})
     return acc
 
 
@@ -179,23 +175,22 @@ def integrate(f: Series) -> Series:
 
 
 def multiplicative_inverse(f: Series) -> Series:
-    """1/f for a series with invertible (unit Poly) constant term."""
+    """1/f for a series with invertible (unit Poly) constant term c.
+
+    f = c (1 - h) with h = 1 - f/c, which has no constant term, so 1/f is
+    the geometric series (1/c) sum_k h^k; h^k starts in degree k, and the
+    sum through k = order is exact at the order.
+    """
+    from fractions import Fraction
     nv = f.nvars
     zero_e = (0,) * nv
     c0 = f.coefficient(zero_e)
     if list(c0.terms.keys()) != [()]:
         raise ValueError("constant term must be a scalar unit")
-    from fractions import Fraction
     inv0 = Fraction(1, 1) / Fraction(c0.constant_term())
-    g = Series(f.ring, nv, f.order, {zero_e: f.ring.const(inv0)})
-    # iterate g <- g*(2 - f*g); quadratic convergence in the adic filtration
-    two = Series(f.ring, nv, f.order, {zero_e: f.ring.const(2)})
-    steps = 1
-    n = 1
-    while n < f.order + 1:
-        g = g * (two - f * g)
-        n *= 2
-        steps += 1
-        if steps > 40:
-            break
-    return g
+    h = Series(f.ring, nv, f.order,
+               {e: q.scale(-inv0) for e, q in f.terms.items() if e != zero_e})
+    acc = Series(f.ring, nv, f.order, {zero_e: f.ring.one()})
+    for hk in powers(h, f.order):
+        acc = acc + hk
+    return acc.scale(inv0)

@@ -19,8 +19,8 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field as dc_field
 
-from .charts import (BigradedChart, complete_chart, complete_desc,
-                     cyclic, free_group, sum_groups)
+from .charts import (BigradedChart, _check_keys, complete_chart,
+                     complete_desc, cyclic, free_group, sum_groups)
 from .fields import FieldDescriptor, milnor_k
 from .kmw import completed_milnor_witt, free_basis, milnor_witt
 from .hopf import build_algebroid
@@ -212,7 +212,9 @@ def check_table(table: dict) -> dict:
     """The table, once its whole chart is built: a malformed row (short, a
     weight that is not an integer, a negative filtration, an order that is
     not "free" or a positive integer; then a row off its lane n + s = 2w)
-    raises here, when the table is loaded."""
+    or a key other than "p" and "stems" raises here, when the table is
+    loaded."""
+    _check_keys(table, ("p", "stems"), "table")
     synthetic_from_table(table, math.inf)
     return table
 
@@ -246,9 +248,9 @@ def synthetic_stems(p: int, stem_max: int, source: str = "computed",
     """Synthetic stable stems through the given stem.
 
     source "computed" runs the Ext engine (odd p, within the degeneration
-    range); source "table" reads `table` (checked by `check_table`), whose
-    absent stems are zero, or the built-in table, which answers only
-    through its `last_stem`.
+    range) and takes no table; source "table" reads `table` (checked by
+    `check_table`), whose absent stems are zero, or the built-in table,
+    which answers only through its `last_stem`.
     """
     if source == "table":
         data = table if table is not None else BUILTIN_TABLES.get(p)
@@ -263,6 +265,8 @@ def synthetic_stems(p: int, stem_max: int, source: str = "computed",
         return synthetic_from_table(data, stem_max)
     if source != "computed":
         raise ValueError(f"unknown source {source!r}")
+    if table is not None:
+        raise PreconditionError("--table needs --source table")
     if p == 2:
         raise PreconditionError(
             "p=2 synthetic stems require a table file (no computed source)")
@@ -304,11 +308,11 @@ def tensor_formula(k: FieldDescriptor, p: int, stem_max: int,
             "the tensor-product formula does not apply")
     if source == "auto":
         source = "table" if p == 2 else "computed"
+    syn = synthetic_stems(p, stem_max, source=source, table=table,
+                          precision=precision)
     window = stem_max + 2
     completed = completed_milnor_witt(k, -window, window, p)
     basis = free_basis(completed, p, field=k)
-    syn = synthetic_stems(p, stem_max, source=source, table=table,
-                          precision=precision)
     out = sum_groups(((n + shift, w + shift), g.scaled(mult))
                      for shift, mult in sorted(basis.items())
                      for (n, w), g in syn.chart.entries.items())

@@ -533,6 +533,10 @@ def test_cache_key_includes_catalog_contents(monkeypatch, tmp_path, capsys, argv
 
 # -- a malformed input file is a precondition violation ---------------------
 
+with open(os.path.join(os.path.dirname(os.path.abspath(__file__)), "golden",
+                       "ind_p3_pruefer.json"), encoding="utf-8") as fh:
+    PRUEFER_SYSTEM = json.load(fh)
+
 MALFORMED_INPUTS = {
     "chart-entry-without-i": (
         ["render", "--chart-file", "in.json"],
@@ -543,6 +547,16 @@ MALFORMED_INPUTS = {
     "module-boolean-entry": (
         ["decompose", "--module-file", "in.json"],
         {"p": 2, "dim": 2, "t": [False, False, True, False]}),
+    "module-unknown-key": (
+        ["decompose", "--module-file", "in.json"],
+        {"p": 2, "dim": 2, "t": [0, 0, 1, 0], "dimm": 5}),
+    "ind-misspelt-stable-from": (
+        ["decompose", "--module-file", "in.json"],
+        {**PRUEFER_SYSTEM, "stable_form": 9}),
+    "ind-map-int-row": (
+        ["decompose", "--module-file", "in.json"],
+        {"modules": [{"p": 3, "dim": 1, "t": [0]}, {"p": 3, "dim": 1, "t": [0]}],
+         "maps": [[1]]}),
     "ind-map-float-entry": (
         ["decompose", "--module-file", "in.json"],
         {"modules": [{"p": 3, "dim": 1, "t": [0]}, {"p": 3, "dim": 1, "t": [0]}],
@@ -596,6 +610,9 @@ MALFORMED_INPUTS = {
     "table-off-lane": (
         ["synthetic", "--prime", "2", "--source", "table", "--table", "in.json"],
         {"p": 2, "stems": {"0": [[0, 0, "free"]], "3": [[1, 1, 2]]}}),
+    "table-unknown-key": (
+        ["synthetic", "--prime", "2", "--source", "table", "--table", "in.json"],
+        {"p": 2, "stems": {"0": [[0, 0, "free"]]}, "stemz": {}}),
     "table-not-json": (
         ["stems", "--field", "complex", "--prime", "2", "--source", "table",
          "--table", "in.json"], "{ not json"),
@@ -603,6 +620,27 @@ MALFORMED_INPUTS = {
         ["stems", "--field", "complex", "--prime", "3", "--stem-max", "-3"], None),
     "kmw-basis-without-complete": (["kmw", "--field", "twogen", "--basis"], None),
 }
+
+
+@pytest.mark.parametrize("argv", [
+    ["synthetic", "--prime", "3", "--stem-max", "3"],
+    ["stems", "--field", "complex", "--prime", "3"]])
+def test_table_needs_table_source(monkeypatch, tmp_path, capsys, argv):
+    # a table under a computed source (auto is computed at odd p) would be
+    # read, validated and hashed, then dropped: Z/3 charted at (3, 2), not Z/9
+    cache = tmp_path / "cache"
+    monkeypatch.setenv("STEMCHARTS_CACHE_DIR", str(cache))
+    table = tmp_path / "t.json"
+    table.write_text(json.dumps(
+        {"p": 3, "stems": {"0": [[0, 0, "free"]], "3": [[2, 1, 9]]}}))
+    code = main([*argv, "--table", str(table)])
+    captured = capsys.readouterr()
+    assert code == 2 and captured.out == ""
+    assert "--table needs --source table" in captured.err
+    assert not cache.exists()
+    code, out = run(capsys, *argv, "--table", str(table), "--source", "table")
+    entries = {(e["i"], e["j"]): e for e in json.loads(out)["entries"]}
+    assert code == 0 and entries[(3, 2)]["torsion"] == [9]
 
 
 @pytest.mark.parametrize("argv,content", MALFORMED_INPUTS.values(),

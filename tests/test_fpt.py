@@ -256,6 +256,10 @@ def test_ind_validation():
     for entry in (1.0, True):
         with pytest.raises(FptError, match="^map 0 entries must be integers$"):
             IndFptModule(mods, [[[0], [entry]]])
+    # a map or row that is not a list, or a row of the wrong length
+    for bad in ([0, 1], [[0], 1], 7, [[0], [1, 0]]):
+        with pytest.raises(FptError, match="^map 0 has the wrong shape$"):
+            IndFptModule(mods, [bad])
     with pytest.raises(FptError, match="share one prime"):
         IndFptModule([jordan_module(2, [1]), jordan_module(3, [2])], good)
 

@@ -32,7 +32,6 @@ ACCEPTED_COLLISIONS = {
     "is_zero": {"charts.AbGroupDesc", "poly.Poly", "series.Series"},
     "one": {"fields.SmallFiniteField", "poly.PolyRing"},
     "order": {"charts.AbGroupDesc", "fgl.FormalGroupLaw"},
-    "pow": {"poly.Poly", "series.Series"},
     "reduce": {"fields.SquareClassModel", "fpt._Span"},
     "scale": {"poly.Poly", "series.Series"},
     # GradedRingPresentation.to_json, HopfAlgebroid.to_json: reached only

@@ -1,8 +1,10 @@
 """The series kernels against naive references.
 
-`compose_univariate` is checked against sum_k f_k g^k with every power
-computed in full, and `reversion` by f(g) = x and g(f) = x under that
-naive composition.  Inputs are seeded random series over a small graded
+`powers` is checked against square-and-multiply (`poly.power`),
+`compose_univariate` against sum_k f_k g^k with every power computed that
+way, `reversion` by f(g) = x and g(f) = x under that naive composition,
+and `multiplicative_inverse` by f * (1/f) = 1 on a bivariate series.
+Inputs are seeded random series over a small graded
 ring (generators of degree 1 and 2, truncated at degree 4), with int or
 Fraction coefficients, sparse outer series with gaps, and univariate or
 bivariate inner series.  `mon_mul`, the monomial product under them, is
@@ -15,8 +17,9 @@ from fractions import Fraction
 import pytest
 
 from stemcharts.hopf import build_p_typical
-from stemcharts.poly import Poly, PolyRing, mon_mul
-from stemcharts.series import Series, compose_univariate, reversion
+from stemcharts.poly import Poly, PolyRing, mon_mul, power
+from stemcharts.series import (Series, compose_univariate, multiplicative_inverse,
+                               powers, reversion)
 
 RING = PolyRing(["a", "b"], [1, 2], 4)
 MONOMIALS = [m for d in range(RING.bound + 1) for m in RING.monomials_of_degree(d)]
@@ -50,11 +53,17 @@ def _exponents(nvars, order):
             for k in range(order + 1) if sum(e) + k <= order]
 
 
+def naive_power(g: Series, k: int) -> Series:
+    """g^k by square-and-multiply, independent of the `powers` table."""
+    one = Series(g.ring, g.nvars, g.order, {(0,) * g.nvars: g.ring.one()})
+    return power(g, k, one, Series.__mul__)
+
+
 def naive_compose(f: Series, g: Series) -> Series:
     out = Series.zero(g.ring, g.nvars, g.order)
     for (k,), c in f.terms.items():
         out = out + Series(g.ring, g.nvars, g.order,
-                           {e: q * c for e, q in g.pow(k).terms.items()})
+                           {e: q * c for e, q in naive_power(g, k).terms.items()})
     return out
 
 
@@ -73,6 +82,32 @@ def test_compose_matches_naive(order, nvars, fractions):
     f = random_series(rng, 1, order + 2, fractions, density=0.5)
     g = random_series(rng, nvars, order, fractions)
     assert compose_univariate(f, g) == naive_compose(f, g)
+
+
+@pytest.mark.parametrize("order,nvars,fractions", CASES)
+def test_powers_match_square_and_multiply(order, nvars, fractions):
+    rng = random.Random(1000 * order + 10 * nvars + fractions + 5)
+    g = random_series(rng, nvars, order, fractions)
+    table = powers(g, order)
+    assert len(table) == order
+    for k, gk in enumerate(table, 1):
+        assert gk == naive_power(g, k)
+    assert powers(g, 0) == []
+
+
+@pytest.mark.parametrize("order", range(1, 9))
+def test_multiplicative_inverse_of_bivariate_series(order):
+    # 2 + x - 3a xy + y^2: a constant unit 2 and a Poly coefficient
+    f = Series(RING, 2, order, {(0, 0): RING.const(2), (1, 0): RING.one(),
+                                (1, 1): RING.gen(0).scale(-3), (0, 2): RING.one()})
+    one = Series(RING, 2, order, {(0, 0): RING.one()})
+    assert f * multiplicative_inverse(f) == one
+
+
+def test_multiplicative_inverse_rejects_non_scalar_constant():
+    f = Series(RING, 1, 4, {(0,): RING.gen(0), (1,): RING.one()})
+    with pytest.raises(ValueError, match="scalar unit"):
+        multiplicative_inverse(f)
 
 
 @pytest.mark.parametrize("order", range(1, 13))
@@ -123,11 +158,10 @@ def test_compose_rejects_multivariate_outer_series():
 
 
 def test_powers_reject_negative_exponents():
-    # one square-and-multiply serves Poly, Series and the algebroid tensors
+    # one square-and-multiply serves Poly and the algebroid tensors
     alg = build_p_typical(3, 4)
     t1 = {((), (((0, 1),),)): 1}
-    for pw in (RING.gen(0).pow, Series.variable(RING, 1, 4, 0).pow,
-               lambda n: alg.tensor_pow(t1, n, 1)):
+    for pw in (RING.gen(0).pow, lambda n: alg.tensor_pow(t1, n, 1)):
         with pytest.raises(ValueError, match="negative power"):
             pw(-1)
 

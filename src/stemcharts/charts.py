@@ -5,6 +5,10 @@ or the countably-infinite marker), a multiset of prime-power torsion orders,
 optional precision and completion flags, and a divisibility marker for the
 large unit groups showing up in K-theory.  Absent chart entries mean the
 zero group; zero descriptors are never stored.
+
+`valuation` is the package's one p-adic valuation: every exponent of a
+prime in an integer (Smith pivots, Ext^1 orders, roots of unity in F_q,
+prime-power tests) is read through it.
 """
 
 from __future__ import annotations
@@ -16,10 +20,17 @@ from typing import Iterable, Optional
 INF = "inf"  # countably-infinite marker for ranks and multiplicities
 
 
-def _check_keys(obj: dict, schema: Iterable[str], what: str) -> None:
-    """ValueError naming the keys of obj outside `schema`."""
+def _check_keys(obj: object, schema: Iterable[str], what: str,
+                required: Iterable[str] = ()) -> None:
+    """ValueError unless obj is a JSON object with every key of `required`
+    and none outside `schema`; the message names the wrong type or key."""
+    if not isinstance(obj, dict):
+        raise ValueError(f"{what} is a {type(obj).__name__}, not an object")
     if set(obj) - set(schema):
         raise ValueError(f"unknown {what} keys {sorted(set(obj) - set(schema))}")
+    for key in required:
+        if key not in obj:
+            raise ValueError(f"{what} without {key!r}")
 
 
 _SMALL_PRIMES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
@@ -29,9 +40,8 @@ def _is_prime(n: int) -> bool:
     """Miller-Rabin on the first twelve prime bases: exact below 3.3e24."""
     if n < 2 or n in _SMALL_PRIMES or any(n % b == 0 for b in _SMALL_PRIMES):
         return n in _SMALL_PRIMES
-    d, s = n - 1, 0
-    while d % 2 == 0:
-        d, s = d // 2, s + 1
+    s = valuation(n - 1, 2)
+    d = (n - 1) >> s
     for a in _SMALL_PRIMES:
         x = pow(a, d, n)
         if x != 1 and all(pow(x, 2 ** r, n) != n - 1 for r in range(s)):
@@ -49,6 +59,16 @@ def _integer_root(n: int, k: int) -> int:
         x = y
 
 
+def valuation(n: int, p: int) -> int:
+    """The exponent of the prime p in the integer n, which must be nonzero
+    (the loop never ends at n = 0)."""
+    k = 0
+    while n % p == 0:
+        n //= p
+        k += 1
+    return k
+
+
 def _is_prime_power(n: int) -> Optional[tuple[int, int]]:
     """(p, k) with n = p^k and p prime, else None.
 
@@ -61,11 +81,8 @@ def _is_prime_power(n: int) -> Optional[tuple[int, int]]:
         return None
     for b in _SMALL_PRIMES:
         if n % b == 0:
-            k = 0
-            while n % b == 0:
-                n //= b
-                k += 1
-            return (b, k) if n == 1 else None
+            k = valuation(n, b)
+            return (b, k) if n == b ** k else None
     for k in range(1, n.bit_length() // 5 + 1):
         r = _integer_root(n, k)
         if r ** k == n and _is_prime(r):
@@ -242,9 +259,9 @@ def cyclic(q: int) -> AbGroupDesc:
     factors: dict[int, int] = {}
     n = q
     for p in _SMALL_PRIMES:
-        while n > 1 and n % p == 0:
-            factors[p] = factors.get(p, 0) + 1
-            n //= p
+        if n > 1 and n % p == 0:
+            factors[p] = valuation(n, p)
+            n //= p ** factors[p]
     _factor_into(n, factors)
     return AbGroupDesc(torsion=tuple(sorted(p ** k for p, k in factors.items())))
 
@@ -417,8 +434,15 @@ class BigradedChart:
 
     @staticmethod
     def from_json(obj: dict) -> "BigradedChart":
+        """Parse `to_json`'s schema (other top-level keys are ignored); an
+        entry without "i" or "j" or with a key outside the group schema
+        raises ValueError."""
+        if not isinstance(obj, dict):
+            raise ValueError(f"chart is a {type(obj).__name__}, not an object")
         entries = {}
         for ent in obj.get("entries", []):
+            _check_keys(ent, ("i", "j", *AbGroupDesc.__dataclass_fields__),
+                        "chart entry", required=("i", "j"))
             entries[(ent["i"], ent["j"])] = AbGroupDesc.from_json(
                 {k: v for k, v in ent.items() if k not in ("i", "j")})
         return BigradedChart(entries, obj.get("label", ""), obj.get("prime"))

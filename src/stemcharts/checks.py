@@ -278,14 +278,21 @@ SUITES = {
 
 def run_suite(name: str) -> bool:
     """Print a [PASS]/[FAIL] line per check of the suite (or of every suite
-    for "all") at desk scale; True when every line passes."""
+    for "all") at desk scale; True when every line passes.  A suite that
+    raises (a broken oracle, not a rejected input) gets one more line,
+    "[FAIL] <suite>: <exception type>: <message>", and the next suite
+    still runs."""
     if name != "all" and name not in SUITES:
         raise ValueError(f"unknown suite {name!r}")
     ok = True
     for key in SUITES if name == "all" else (name,):
         if name == "all":
             print(f"-- suite {key}")
-        for line, good in SUITES[key](DESK):
-            print(f"[{'PASS' if good else 'FAIL'}] {line}")
-            ok &= good
+        try:
+            for line, good in SUITES[key](DESK):
+                print(f"[{'PASS' if good else 'FAIL'}] {line}")
+                ok &= good
+        except Exception as exc:  # loud failure is the point
+            print(f"[FAIL] {key}: {type(exc).__name__}: {exc}")
+            ok = False
     return ok

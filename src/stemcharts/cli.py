@@ -34,7 +34,14 @@ one of its groups), with a malformed custom table or, for a finite field,
 with a q that is not a prime power; a table with a key other than p and
 stems, or a row that is not [integer weight, filtration >= 0, "free" or
 an order >= 1] or lies off its lane n + s = 2w.  So is an ind-system
-whose profiles do not stabilize as declared.  The cache key holds the command, every option but
+whose profiles do not stabilize as declared.  The message names the
+missing key or the wrong type or shape ("chart entry without 'i'",
+"chart is a list, not an object", "field descriptor without 'variant'",
+"Witt table without 'GW'", "row [0, 0] in table is not [weight,
+filtration, order]"), not a raw KeyError or unpacking error.  `check`
+exits 1 when a claim fails; a suite that raises prints "[FAIL] <suite>:
+<exception type>: <message>" and the next suite still runs.  The cache
+key holds the command, every option but
 --format, --view, --out and --cache-dir, each --table or --catalog file by
 the sha256 of its bytes, and the sha256 of the engine's sources (see
 `cache`).  A cache entry that cannot be written is reported on stderr,
@@ -217,7 +224,8 @@ def _module_from_json(data) -> FptModule | IndFptModule:
     """The module or ind-system of a module file."""
     if "modules" not in data:
         return FptModule.from_json(data)
-    _check_keys(data, ("modules", "maps", "stable_from"), "ind-system")
+    _check_keys(data, ("modules", "maps", "stable_from"), "ind-system",
+                required=("modules", "maps"))
     mods = [FptModule.from_json(m) for m in data["modules"]]
     return IndFptModule(mods, data["maps"], data.get("stable_from", 0))
 

@@ -68,7 +68,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .charts import AbGroupDesc, BigradedChart
+from .charts import AbGroupDesc, BigradedChart, valuation
 from .cobar import CobarComplex, EngineError, check_composite_zero
 from .hopf import HopfAlgebroid
 from .zpk import Divisors, elementary_divisors
@@ -243,11 +243,7 @@ def ext1_exponent(p: int, t: int) -> int:
     q = 2 if p == 2 else 2 * (p - 1)
     if t % q:
         return 0
-    k = t // q
-    nu = 0
-    while k % p == 0:
-        k //= p
-        nu += 1
+    nu = valuation(t // q, p)
     if p == 2 and nu:
         return 2 if t == 4 else nu + 2
     return 1 + nu
@@ -289,10 +285,7 @@ def stable_stems_reference(p: int) -> dict[int, tuple[int, ...]]:
     for n, q in orders.items():
         if q == 0:
             continue
-        k = 0
-        while q % p == 0:
-            q //= p
-            k += 1
+        k = valuation(q, p)
         if k:
             out[n] = (p ** k,)
     return out

@@ -5,7 +5,11 @@ backed by an independent brute-force oracle on small instances (Steinberg
 symbol quotients for K_2 of finite fields, quadratic-form enumeration for
 Witt data).  Values for variants that cannot be enumerated (real closed,
 quadratically closed) come from rank/signature classification oracles over
-formal square-class data.
+formal square-class data.  The F_q oracle, `SmallFiniteField`, holds an
+element of F_q = F_p[x]/(f), q = p^e, as its tuple of e coefficients over
+F_p (constant term first); one remainder by a monic polynomial serves both
+its product and the search for f.  `steinberg_k1` measures the exponent
+of F_q^x rather than assuming the group cyclic.
 
 A custom field's tables are held as what they describe: degree ->
 `AbGroupDesc`, a `WittData`, or int mappings with INF allowed.  They are
@@ -15,11 +19,12 @@ parsed once, by `FieldDescriptor.from_json`, and shared read-only.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import combinations_with_replacement, product
 from math import gcd
 from typing import Optional
 
 from .charts import (AbGroupDesc, INF, _check_keys, _is_prime_power, cyclic,
-                     free_group)
+                     free_group, valuation)
 
 DIVISIBLE = AbGroupDesc(divisible=True)
 
@@ -68,7 +73,8 @@ class WittData:
 
     @staticmethod
     def from_json(obj: dict) -> "WittData":
-        _check_keys(obj, ("GW", "W", "I", "k"), "Witt table")
+        _check_keys(obj, ("GW", "W", "I", "k"), "Witt table",
+                    required=("GW", "W"))
         return WittData(gw=AbGroupDesc.from_json(obj["GW"]),
                         w=AbGroupDesc.from_json(obj["W"]),
                         fundamental=_groups(obj.get("I", {})),
@@ -110,11 +116,7 @@ class FieldDescriptor:
         if p == ch:
             return 0
         if self.variant == "finite":
-            n, q = 0, self.q - 1
-            while q % p == 0:
-                q //= p
-                n += 1
-            return n
+            return valuation(self.q - 1, p)
         if self.variant in ("algebraically_closed", "complex_like"):
             return INF
         if self.variant == "real_closed":
@@ -146,12 +148,13 @@ class FieldDescriptor:
 
     @staticmethod
     def from_json(obj: dict) -> "FieldDescriptor":
-        """Parse `to_json`'s schema; a key outside it or a malformed table
-        raises KeyError, TypeError, ValueError or AttributeError here, not in
-        a command."""
+        """Parse `to_json`'s schema; a missing "variant" or a key outside the
+        schema raises a ValueError naming it, and a malformed table raises
+        ValueError, TypeError or AttributeError, here and not in a command."""
         _check_keys(obj, ("variant", "name", "q", "char", "base_name",
                           "tower_prime", "km_table", "witt_table", "kmw_table",
-                          "roots_of_unity", "km_mod_p_dims"), "field descriptor")
+                          "roots_of_unity", "km_mod_p_dims"), "field descriptor",
+                    required=("variant",))
 
         def table(key, parse=_table):
             return parse(obj[key]) if key in obj else None
@@ -273,116 +276,64 @@ def witt_data(k: FieldDescriptor, n_max: int = 6) -> WittData:
 # oracles: Steinberg symbol quotient and quadratic-form enumeration
 
 class SmallFiniteField:
-    """F_q as polynomials over F_p modulo a found irreducible polynomial."""
+    """F_q = F_p[x]/(f), f the first monic polynomial of degree e (by its
+    coefficients, constant term first, in lexicographic order) with no
+    monic factor of degree <= e/2.  An element is its tuple of e
+    coefficients, constant term first; `elements` lists them in
+    lexicographic order, zero first."""
 
     def __init__(self, q: int):
         self.p, self.e = _prime_and_exponent(q)
         self.q = q
-        self.modpoly = self._find_irreducible() if self.e > 1 else (1,)
-        self.elements = self._enumerate()
+        p, e = self.p, self.e
 
-    def _polmul(self, a, b):
-        out = [0] * (len(a) + len(b) - 1)
+        def monic(d):
+            return (tail + (1,) for tail in product(range(p), repeat=d))
+        self.modpoly = next(f for f in monic(e)
+                            if all(any(self._rem(f, g))
+                                   for d in range(1, e // 2 + 1)
+                                   for g in monic(d)))
+        self.elements = list(product(range(p), repeat=e))
+        self._one = (1,) + (0,) * (e - 1)
+
+    def _rem(self, a, f):
+        """a mod the monic polynomial f, as len(f) - 1 coefficients."""
+        p, n = self.p, len(f) - 1
+        r = list(a)
+        for k in range(len(r) - 1, n - 1, -1):
+            c = r[k] % p
+            if c:
+                r[k - n:k] = [x - c * y for x, y in zip(r[k - n:k], f)]
+        return tuple([x % p for x in r[:n]])
+
+    def mul(self, a, b):
+        out = [0] * (2 * self.e - 1)
         for i, x in enumerate(a):
             if x:
                 for j, y in enumerate(b):
-                    out[i + j] = (out[i + j] + x * y) % self.p
-        return self._polmod(out)
-
-    def _polmod(self, a):
-        a = list(a)
-        f = self.modpoly
-        while len(a) >= len(f):
-            c = a[-1]
-            if c:
-                shift = len(a) - len(f)
-                for i, x in enumerate(f):
-                    a[shift + i] = (a[shift + i] - c * x) % self.p
-            a.pop()
-        while len(a) > 1 and a[-1] == 0:
-            a.pop()
-        return tuple(a) if a else (0,)
-
-    def _find_irreducible(self):
-        # monic degree-e polynomial with no roots and no low-degree factors,
-        # found by exhaustive search in lexicographic order
-        p, e = self.p, self.e
-        from itertools import product
-        for tail in product(range(p), repeat=e):
-            f = tuple(tail) + (1,)
-            if self._is_irreducible(f):
-                return f
-        raise FieldError("no irreducible polynomial found")
-
-    def _is_irreducible(self, f):
-        p, e = self.p, self.e
-        from itertools import product
-        for d in range(1, e // 2 + 1):
-            for tail in product(range(p), repeat=d):
-                g = tuple(tail) + (1,)
-                if self._poldivides(g, f):
-                    return False
-        return True
-
-    def _poldivides(self, g, f):
-        r = list(f)
-        while len(r) >= len(g) and any(r):
-            c = r[-1]
-            if c:
-                inv = pow(g[-1], -1, self.p)
-                factor = (c * inv) % self.p
-                shift = len(r) - len(g)
-                for i, x in enumerate(g):
-                    r[shift + i] = (r[shift + i] - factor * x) % self.p
-            r.pop()
-        return not any(r)
-
-    def _enumerate(self):
-        from itertools import product
-        if self.e == 1:
-            return [(x,) for x in range(self.p)]
-        out = []
-        for tup in product(range(self.p), repeat=self.e):
-            t = list(tup)
-            while len(t) > 1 and t[-1] == 0:
-                t.pop()
-            out.append(tuple(t))
-        return sorted(set(out))
-
-    def mul(self, a, b):
-        if self.e == 1:
-            return ((a[0] * b[0]) % self.p,)
-        return self._polmul(a, b)
+                    out[i + j] += x * y
+        return self._rem(out, self.modpoly)
 
     def add(self, a, b):
-        n = max(len(a), len(b))
-        out = [(a[i] if i < len(a) else 0) + (b[i] if i < len(b) else 0)
-               for i in range(n)]
-        out = [x % self.p for x in out]
-        while len(out) > 1 and out[-1] == 0:
-            out.pop()
-        return tuple(out)
+        return tuple((x + y) % self.p for x, y in zip(a, b))
 
     def neg(self, a):
-        out = [(-x) % self.p for x in a]
-        while len(out) > 1 and out[-1] == 0:
-            out.pop()
-        return tuple(out)
+        return tuple(-x % self.p for x in a)
 
     def zero(self):
-        return (0,)
+        return self.elements[0]
 
     def one(self):
-        return (1,)
+        return self._one
 
     def units(self):
-        return [x for x in self.elements if x != (0,)]
+        return self.elements[1:]
 
     def unit_order(self, g) -> int:
         """The multiplicative order of the unit g."""
         seen = g
         order = 1
-        while seen != (1,):
+        while seen != self._one:
             seen = self.mul(seen, g)
             order += 1
             if order > self.q - 1:
@@ -534,16 +485,11 @@ def finite_field_square_model(q: int) -> SquareClassModel:
     def value_set(a_lbl, b_lbl):
         key = (a_lbl, b_lbl)
         if key not in vcache:
-            a, b = reps[a_lbl], reps[b_lbl]
-            vals = set()
-            zero = F.zero()
-            for x in F.elements:
-                ax2 = F.mul(a, F.mul(x, x))
-                for y in F.elements:
-                    if x == zero and y == zero:
-                        continue
-                    vals.add(F.add(ax2, F.mul(b, F.mul(y, y))))
-            vcache[key] = vals
+            # a x^2 + b y^2 over (x, y) != (0, 0); elements[0] is zero
+            ax2, by2 = ([F.mul(c, F.mul(x, x)) for x in F.elements]
+                        for c in (reps[a_lbl], reps[b_lbl]))
+            vcache[key] = {F.add(u, v) for i, u in enumerate(ax2)
+                           for j, v in enumerate(by2) if i or j}
         return vcache[key]
 
     def binary_isotropic(a_lbl, b_lbl):
@@ -585,7 +531,6 @@ def quadratically_closed_square_model() -> SquareClassModel:
 def witt_group_table(model: SquareClassModel, max_dim: int = 4):
     """Witt classes of diagonal forms of dimension <= max_dim, with the
     addition table computed by reduction of orthogonal sums."""
-    from itertools import combinations_with_replacement
     reps = [()]
     seen = {()}
     for d in range(1, max_dim + 1):

@@ -39,7 +39,7 @@ from dataclasses import dataclass, field as dc_field
 from operator import mul
 from typing import Optional
 
-from .charts import _check_keys, _is_prime
+from .charts import _check_keys, _is_prime, valuation
 from .zpk import elementary_divisors, identity, mat_mul
 
 Matrix = list[list[int]]
@@ -241,7 +241,7 @@ class FptModule:
 
     @staticmethod
     def from_json(obj: dict) -> "FptModule":
-        _check_keys(obj, ("p", "dim", "t"), "module")
+        _check_keys(obj, ("p", "dim", "t"), "module", required=("p", "dim", "t"))
         p, dim = obj["p"], obj["dim"]
         _check_dim(dim)
         flat = obj["t"]
@@ -483,18 +483,12 @@ def check_torsion_powers(M: FptModule, dec: Optional[Decomposition] = None
         n += 1
     if dec is None:
         dec = decompose(M)
-    profile_ok = all(_is_p_power(i, p) for i, _ in dec.free_parts)
+    profile_ok = all(i == p ** valuation(i, p) for i, _ in dec.free_parts)
     if element_ok != profile_ok:
         raise FptError(
             "element-level scan and decomposition profile disagree "
             f"(scan={element_ok}, profile={profile_ok})")
     return element_ok, witness
-
-
-def _is_p_power(i: int, p: int) -> bool:
-    while i % p == 0:
-        i //= p
-    return i == 1
 
 
 def check_u_sequence(M: FptModule, n: int = 0) -> bool:

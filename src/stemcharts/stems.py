@@ -63,28 +63,16 @@ def morel_zero_line(k: FieldDescriptor, lo: int, hi: int) -> BigradedChart:
 # ---------------------------------------------------------------------------
 # MGL homotopy and ANSS E_1 levels
 
-def _partition_counts(n_max: int) -> list[int]:
-    out = [1] + [0] * n_max
-    for part in range(1, n_max + 1):
-        for n in range(part, n_max + 1):
-            out[n] += out[n - part]
-    return out
-
-
 def _colored_partition_counts(colors: int, n_max: int) -> list[int]:
     """Monomial counts of a polynomial ring on `colors` copies of one
-    generator per positive degree: s-fold tensor powers of the Lazard
-    pattern."""
+    generator per positive degree (s-fold tensor powers of the Lazard
+    pattern): the coefficients of prod_{d >= 1} (1 - x^d)^(-colors), each
+    factor 1/(1 - x^d) applied as one running sum."""
     out = [1] + [0] * n_max
-    for _ in range(colors):
-        p1 = _partition_counts(n_max)
-        new = [0] * (n_max + 1)
-        for a in range(n_max + 1):
-            if out[a] == 0:
-                continue
-            for b in range(0, n_max + 1 - a):
-                new[a + b] += out[a] * p1[b]
-        out = new
+    for d in range(1, n_max + 1):
+        for _ in range(colors):
+            for n in range(d, n_max + 1):
+                out[n] += out[n - d]
     return out
 
 
@@ -214,7 +202,7 @@ def check_table(table: dict) -> dict:
     not "free" or a positive integer; then a row off its lane n + s = 2w)
     or a key other than "p" and "stems" raises here, when the table is
     loaded."""
-    _check_keys(table, ("p", "stems"), "table")
+    _check_keys(table, ("p", "stems"), "table", required=("p", "stems"))
     synthetic_from_table(table, math.inf)
     return table
 
@@ -226,7 +214,11 @@ def synthetic_from_table(table: dict, stem_max: int) -> SyntheticChart:
         n = int(stem_str)
         if n > stem_max:
             continue
-        for w, s, order in items:
+        for row in items:
+            if not isinstance(row, list) or len(row) != 3:
+                raise ValueError(f"row {row!r} in table is not "
+                                 "[weight, filtration, order]")
+            w, s, order = row
             if not isinstance(w, int):
                 raise ValueError(f"weight {w!r} in table is not an integer")
             if s < 0:

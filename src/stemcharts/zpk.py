@@ -17,24 +17,9 @@ from __future__ import annotations
 
 from heapq import heapify, heappop, heappush
 
+from .charts import valuation
+
 Matrix = list[list[int]]
-
-
-def _val(x: int, p: int, cap: int) -> int:
-    """p-adic valuation of x mod p^cap (cap if x == 0)."""
-    if x == 0:
-        return cap
-    v = 0
-    while x % p == 0:
-        x //= p
-        v += 1
-        if v >= cap:
-            return cap
-    return v
-
-
-def _inv_unit(u: int, mod: int) -> int:
-    return pow(u, -1, mod)
 
 
 def identity(n: int) -> Matrix:
@@ -163,7 +148,8 @@ class SmithForm:
             best, bv = None, m
             for i in range(r, nr):
                 for j in range(r, nc):
-                    v = _val(A[i][j] % mod, p, m)
+                    x = A[i][j] % mod
+                    v = valuation(x, p) if x else m
                     if v < bv:
                         best, bv = (i, j), v
                         if v == 0:
@@ -185,9 +171,9 @@ class SmithForm:
                     row[r], row[bj] = row[bj], row[r]
                 Vinv[r], Vinv[bj] = Vinv[bj], Vinv[r]
             piv = A[r][r] % mod
-            v = _val(piv, p, m)
+            v = valuation(piv, p)
             unit = piv // (p ** v)
-            uinv = _inv_unit(unit % mod, mod)
+            uinv = pow(unit, -1, mod)
             # scale row r by unit^{-1} so pivot = p^v
             A[r] = [(a * uinv) % mod for a in A[r]]
             U[r] = [(a * uinv) % mod for a in U[r]]

@@ -2,13 +2,13 @@ import json
 import time
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
 from stemcharts.charts import (AbGroupDesc, BigradedChart, INF, chart_combine,
                                charts_same_groups, chow_degree, chow_weight,
                                complete_desc, custom_weight, cyclic, fd_weight,
-                               free_group, truncate_chart, weight_eval,
-                               _is_prime_power)
+                               free_group, truncate_chart, valuation,
+                               weight_eval, _is_prime_power)
 
 
 def test_chow_degree_examples():
@@ -156,6 +156,14 @@ def test_is_prime_power_examples():
         [(37, 3), (41, 1), (41, 2), None, None]
     assert [q for q in range(2, 28) if _is_prime_power(q)] == \
         [2, 3, 4, 5, 7, 8, 9, 11, 13, 16, 17, 19, 23, 25, 27]
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.sampled_from([2, 3, 5, 7]), st.integers(0, 6),
+       st.integers(-10 ** 6, 10 ** 6))
+def test_valuation_of_a_prime_power_multiple(p, k, m):
+    assume(m % p)
+    assert valuation(p ** k * m, p) == k
 
 
 def test_large_prime_torsion_is_fast():

@@ -174,6 +174,30 @@ def test_check_failure_is_reported(monkeypatch, capsys):
     assert "[PASS] Witt enumeration over F_3" in out
 
 
+def test_broken_oracle_fails_its_suite(monkeypatch, capsys):
+    # a reducible modulus x^2 for F_9 makes x a zero divisor, so the
+    # oracle's unit order overflows: a failed check, not a rejected input
+    from stemcharts import checks
+    from stemcharts.fields import SmallFiniteField
+    init = SmallFiniteField.__init__
+
+    def planted(self, q):
+        init(self, q)
+        if q == 9:
+            self.modpoly = (0, 0, 1)
+    monkeypatch.setattr(SmallFiniteField, "__init__", planted)
+    monkeypatch.setattr(checks, "SUITES", {"milnor": checks.check_milnor,
+                                           "charts": checks.check_charts})
+    for suite in ("milnor", "all"):
+        code = main(["check", "--suite", suite])
+        captured = capsys.readouterr()
+        assert code == 1
+        assert "[FAIL] milnor: FieldError: order overflow" in captured.out
+        assert "precondition violated" not in captured.err
+    # the next suite still runs
+    assert captured.out.endswith("[PASS] chow degree (2,1)-invariance\n")
+
+
 def test_decompose_ind_system(tmp_path, capsys):
     data = {
         "modules": [{"p": 2, "dim": 1, "t": [0]},
@@ -537,88 +561,122 @@ with open(os.path.join(os.path.dirname(os.path.abspath(__file__)), "golden",
                        "ind_p3_pruefer.json"), encoding="utf-8") as fh:
     PRUEFER_SYSTEM = json.load(fh)
 
+# case -> (argv, content of in.json or None, text the stderr message holds)
 MALFORMED_INPUTS = {
     "chart-entry-without-i": (
         ["render", "--chart-file", "in.json"],
-        {"label": "x", "entries": [{"j": 0, "free_rank": 1}]}),
-    "chart-not-an-object": (["render", "--chart-file", "in.json"], [1]),
-    "chart-not-json": (["render", "--chart-file", "in.json"], "{ not json"),
-    "module-not-json": (["decompose", "--module-file", "in.json"], "{ not json"),
+        {"label": "x", "entries": [{"j": 0, "free_rank": 1}]},
+        "chart entry without 'i'"),
+    "chart-not-an-object": (
+        ["render", "--chart-file", "in.json"], [1],
+        "chart is a list, not an object"),
+    "chart-not-json": (
+        ["render", "--chart-file", "in.json"], "{ not json",
+        "JSONDecodeError"),
+    "module-not-json": (
+        ["decompose", "--module-file", "in.json"], "{ not json",
+        "JSONDecodeError"),
     "module-boolean-entry": (
         ["decompose", "--module-file", "in.json"],
-        {"p": 2, "dim": 2, "t": [False, False, True, False]}),
+        {"p": 2, "dim": 2, "t": [False, False, True, False]},
+        "t-action entries must be integers"),
     "module-unknown-key": (
         ["decompose", "--module-file", "in.json"],
-        {"p": 2, "dim": 2, "t": [0, 0, 1, 0], "dimm": 5}),
+        {"p": 2, "dim": 2, "t": [0, 0, 1, 0], "dimm": 5},
+        "unknown module keys ['dimm']"),
     "ind-misspelt-stable-from": (
         ["decompose", "--module-file", "in.json"],
-        {**PRUEFER_SYSTEM, "stable_form": 9}),
+        {**PRUEFER_SYSTEM, "stable_form": 9},
+        "unknown ind-system keys ['stable_form']"),
     "ind-map-int-row": (
         ["decompose", "--module-file", "in.json"],
         {"modules": [{"p": 3, "dim": 1, "t": [0]}, {"p": 3, "dim": 1, "t": [0]}],
-         "maps": [[1]]}),
+         "maps": [[1]]},
+        "map 0 has the wrong shape"),
     "ind-map-float-entry": (
         ["decompose", "--module-file", "in.json"],
         {"modules": [{"p": 3, "dim": 1, "t": [0]}, {"p": 3, "dim": 1, "t": [0]}],
-         "maps": [[[1.0]]]}),
+         "maps": [[[1.0]]]},
+        "map 0 entries must be integers"),
     "catalog-field-without-variant": (
-        ["catalog", "--catalog", "in.json"], {"fields": {"x": {"q": 3}}}),
-    "catalog-not-json": (["catalog", "--catalog", "in.json"], "{ not json"),
+        ["catalog", "--catalog", "in.json"], {"fields": {"x": {"q": 3}}},
+        "field descriptor without 'variant'"),
+    "catalog-not-json": (
+        ["catalog", "--catalog", "in.json"], "{ not json",
+        "JSONDecodeError"),
     "catalog-bad-custom-table": (
         ["kmw", "--field", "x", "--catalog", "in.json"],
         {"fields": {"x": {"variant": "custom",
-                          "km_table": {"1": {"torsion": [6]}}}}}),
+                          "km_table": {"1": {"torsion": [6]}}}}},
+        "torsion order 6 is not a prime power"),
     "catalog-finite-q-one": (
         ["kmw", "--field", "x", "--catalog", "in.json"],
-        {"fields": {"x": {"variant": "finite", "q": 1}}}),
+        {"fields": {"x": {"variant": "finite", "q": 1}}},
+        "1 is not a prime power"),
     "catalog-finite-q-six": (
         ["kmw", "--field", "x", "--catalog", "in.json"],
-        {"fields": {"x": {"variant": "finite", "q": 6}}}),
+        {"fields": {"x": {"variant": "finite", "q": 6}}},
+        "6 is not a prime power"),
     "catalog-witt-table-without-gw": (
         ["kmw", "--field", "x", "--catalog", "in.json"],
-        {"fields": {"x": {"variant": "custom", "witt_table": {"W": {}}}}}),
+        {"fields": {"x": {"variant": "custom", "witt_table": {"W": {}}}}},
+        "Witt table without 'GW'"),
     "catalog-galois-modules": (
         ["catalog", "--catalog", "in.json", "--show", "x"],
-        {"fields": {"x": {"variant": "custom", "galois_modules": {"3": 5}}}}),
+        {"fields": {"x": {"variant": "custom", "galois_modules": {"3": 5}}}},
+        "unknown field descriptor keys ['galois_modules']"),
     "catalog-misspelt-key": (
         ["stems", "--field", "x", "--prime", "3", "--catalog", "in.json"],
         {"fields": {"x": {"variant": "custom", "roots": {"3": "inf"},
-                          "km_table": {"0": {"free_rank": 1}}}}}),
+                          "km_table": {"0": {"free_rank": 1}}}}},
+        "unknown field descriptor keys ['roots']"),
     "catalog-witt-table-unknown-key": (
         ["kmw", "--field", "x", "--catalog", "in.json"],
         {"fields": {"x": {"variant": "custom", "witt_table": {
-            "GW": {"free_rank": 1}, "W": {}, "fundamental": {}}}}}),
+            "GW": {"free_rank": 1}, "W": {}, "fundamental": {}}}}},
+        "unknown Witt table keys ['fundamental']"),
     "catalog-misspelt-group-key": (
         ["kmw", "--field", "x", "--complete", "3", "--catalog", "in.json"],
         {"fields": {"x": {"variant": "custom", "km_table": {
-            "1": {"free_rank": 0, "torsoin": [3]}}}}}),
+            "1": {"free_rank": 0, "torsoin": [3]}}}}},
+        "unknown group keys ['torsoin']"),
     "table-short-row": (
         ["synthetic", "--prime", "2", "--source", "table", "--table", "in.json"],
-        {"p": 2, "stems": {"0": [[0, 0]]}}),
+        {"p": 2, "stems": {"0": [[0, 0]]}},
+        "row [0, 0] in table is not [weight, filtration, order]"),
     "table-negative-filtration": (
         ["synthetic", "--prime", "2", "--source", "table", "--table", "in.json"],
-        {"p": 2, "stems": {"9": [[0, -1, 2]]}}),
+        {"p": 2, "stems": {"9": [[0, -1, 2]]}},
+        "negative filtration in table"),
     "table-zero-order": (
         ["synthetic", "--prime", "2", "--source", "table", "--table", "in.json"],
-        {"p": 2, "stems": {"0": [[1, 1, 0]]}}),
+        {"p": 2, "stems": {"0": [[1, 1, 0]]}},
+        "order 0 in table is not positive"),
     "table-negative-order": (
         ["synthetic", "--prime", "2", "--source", "table", "--table", "in.json"],
-        {"p": 2, "stems": {"1": [[1, 0, -4]]}}),
+        {"p": 2, "stems": {"1": [[1, 0, -4]]}},
+        "order -4 in table is not positive"),
     "table-fractional-weight": (
         ["synthetic", "--prime", "2", "--source", "table", "--table", "in.json"],
-        {"p": 2, "stems": {"1": [[0.5, 0, 2]]}}),
+        {"p": 2, "stems": {"1": [[0.5, 0, 2]]}},
+        "weight 0.5 in table is not an integer"),
     "table-off-lane": (
         ["synthetic", "--prime", "2", "--source", "table", "--table", "in.json"],
-        {"p": 2, "stems": {"0": [[0, 0, "free"]], "3": [[1, 1, 2]]}}),
+        {"p": 2, "stems": {"0": [[0, 0, "free"]], "3": [[1, 1, 2]]}},
+        "(1, 2) breaks n + s = 2w"),
     "table-unknown-key": (
         ["synthetic", "--prime", "2", "--source", "table", "--table", "in.json"],
-        {"p": 2, "stems": {"0": [[0, 0, "free"]]}, "stemz": {}}),
+        {"p": 2, "stems": {"0": [[0, 0, "free"]]}, "stemz": {}},
+        "unknown table keys ['stemz']"),
     "table-not-json": (
         ["stems", "--field", "complex", "--prime", "2", "--source", "table",
-         "--table", "in.json"], "{ not json"),
+         "--table", "in.json"], "{ not json",
+        "JSONDecodeError"),
     "stem-max-negative": (
-        ["stems", "--field", "complex", "--prime", "3", "--stem-max", "-3"], None),
-    "kmw-basis-without-complete": (["kmw", "--field", "twogen", "--basis"], None),
+        ["stems", "--field", "complex", "--prime", "3", "--stem-max", "-3"], None,
+        "-3 is negative"),
+    "kmw-basis-without-complete": (["kmw", "--field", "twogen", "--basis"], None,
+        "--basis needs --complete"),
 }
 
 
@@ -643,10 +701,10 @@ def test_table_needs_table_source(monkeypatch, tmp_path, capsys, argv):
     assert code == 0 and entries[(3, 2)]["torsion"] == [9]
 
 
-@pytest.mark.parametrize("argv,content", MALFORMED_INPUTS.values(),
+@pytest.mark.parametrize("argv,content,message", MALFORMED_INPUTS.values(),
                          ids=MALFORMED_INPUTS.keys())
 def test_malformed_input_is_precondition(monkeypatch, tmp_path, capsys, argv,
-                                         content):
+                                         content, message):
     cache = tmp_path / "cache"
     monkeypatch.setenv("STEMCHARTS_CACHE_DIR", str(cache))
     path = tmp_path / "in.json"
@@ -661,6 +719,10 @@ def test_malformed_input_is_precondition(monkeypatch, tmp_path, capsys, argv,
     assert not cache.exists()
     if content is not None:
         assert f"precondition violated: {path} is not a" in captured.err
+    assert message in captured.err
+    # the boundary names what is wrong; no raw Python error leaks through
+    for leak in ("KeyError", "TypeError", "AttributeError", "IndexError"):
+        assert leak not in captured.err
 
 
 def test_km_only_custom_field_at_odd_prime(monkeypatch, tmp_path, capsys):

@@ -29,6 +29,35 @@ def test_finite_field_arithmetic():
 
 
 @pytest.mark.parametrize("q", PRIME_POWERS)
+def test_small_finite_field_has_inverses(q):
+    F = SmallFiniteField(q)
+    assert len(F.elements) == len(set(F.elements)) == q
+    assert all(any(F.mul(a, b) == F.one() for b in F.units())
+               for a in F.units())
+
+
+@pytest.mark.parametrize("q", [q for q in PRIME_POWERS if q <= 9])
+def test_small_finite_field_is_a_commutative_ring(q):
+    F = SmallFiniteField(q)
+    for a in F.elements:
+        assert F.add(a, F.neg(a)) == F.zero() and F.mul(a, F.one()) == a
+        for b in F.elements:
+            assert F.mul(a, b) == F.mul(b, a)
+            for c in F.elements:
+                assert F.mul(a, F.add(b, c)) == F.add(F.mul(a, b), F.mul(a, c))
+
+
+@pytest.mark.parametrize("q", [q for q in PRIME_POWERS if _is_prime_power(q)[1] > 1])
+def test_small_finite_field_modulus(q):
+    # monic of degree e with no root in F_p (irreducible for e <= 3)
+    F = SmallFiniteField(q)
+    f = F.modpoly
+    assert len(f) == F.e + 1 and f[-1] == 1
+    assert all(sum(c * x ** i for i, c in enumerate(f)) % F.p
+               for x in range(F.p))
+
+
+@pytest.mark.parametrize("q", PRIME_POWERS)
 def test_steinberg_oracle(q):
     assert steinberg_k2(q) == 1
     assert milnor_k(finite_field(q), 1)[1] == cyclic(steinberg_k1(q))

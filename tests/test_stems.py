@@ -25,8 +25,8 @@ def test_morel_zero_line_real_closed():
 
 
 def _partition(n):
-    from stemcharts.stems import _partition_counts
-    return _partition_counts(n)[n]
+    from stemcharts.stems import _colored_partition_counts
+    return _colored_partition_counts(1, n)[n]
 
 
 def test_mgl_homotopy_lazard_line():

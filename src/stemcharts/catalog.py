@@ -10,7 +10,7 @@ from __future__ import annotations
 
 from dataclasses import replace
 
-from .charts import INF, AbGroupDesc, cyclic, free_group
+from .charts import INF, AbGroupDesc, _json_object, cyclic, free_group
 from .fields import (FieldDescriptor, FieldError, WittData,
                      algebraically_closed, complex_like, finite_field,
                      real_closed)
@@ -54,12 +54,14 @@ def default_catalog() -> dict[str, FieldDescriptor]:
 def load_catalog(data: dict | None = None) -> dict[str, FieldDescriptor]:
     """The built-in fields, plus those of `data` (a parsed catalog file).
 
-    A malformed descriptor, custom tables included, raises KeyError,
-    TypeError, ValueError or AttributeError here, when the catalog is loaded.
+    A catalog or "fields" that is not a JSON object raises a ValueError
+    naming it; a malformed descriptor, custom tables included, raises
+    KeyError, TypeError or ValueError here, when the catalog is loaded.
     """
     fields = default_catalog()
     if data is not None:
-        for name, obj in data.get("fields", {}).items():
+        entries = _json_object(data, "catalog").get("fields", {})
+        for name, obj in _json_object(entries, "catalog 'fields'").items():
             fd = FieldDescriptor.from_json(obj)
             fields[name] = fd if fd.name else replace(fd, name=name)
     return fields

@@ -20,13 +20,18 @@ from typing import Iterable, Optional
 INF = "inf"  # countably-infinite marker for ranks and multiplicities
 
 
+def _json_object(obj: object, what: str) -> dict:
+    """obj, if it is a JSON object; else a ValueError naming its type."""
+    if not isinstance(obj, dict):
+        raise ValueError(f"{what} is a {type(obj).__name__}, not an object")
+    return obj
+
+
 def _check_keys(obj: object, schema: Iterable[str], what: str,
                 required: Iterable[str] = ()) -> None:
     """ValueError unless obj is a JSON object with every key of `required`
     and none outside `schema`; the message names the wrong type or key."""
-    if not isinstance(obj, dict):
-        raise ValueError(f"{what} is a {type(obj).__name__}, not an object")
-    if set(obj) - set(schema):
+    if set(_json_object(obj, what)) - set(schema):
         raise ValueError(f"unknown {what} keys {sorted(set(obj) - set(schema))}")
     for key in required:
         if key not in obj:
@@ -437,8 +442,7 @@ class BigradedChart:
         """Parse `to_json`'s schema (other top-level keys are ignored); an
         entry without "i" or "j" or with a key outside the group schema
         raises ValueError."""
-        if not isinstance(obj, dict):
-            raise ValueError(f"chart is a {type(obj).__name__}, not an object")
+        _json_object(obj, "chart")
         entries = {}
         for ent in obj.get("entries", []):
             _check_keys(ent, ("i", "j", *AbGroupDesc.__dataclass_fields__),

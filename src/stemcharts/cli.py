@@ -31,13 +31,16 @@ t-equivariant; a chart entry without "i" or "j", or with another key
 outside the chart schema; a catalog field without "variant", with a key
 outside the schema `catalog` prints (in the descriptor, its witt_table or
 one of its groups), with a malformed custom table or, for a finite field,
-with a q that is not a prime power; a table with a key other than p and
-stems, or a row that is not [integer weight, filtration >= 0, "free" or
-an order >= 1] or lies off its lane n + s = 2w.  So is an ind-system
+with a q that is not a prime power, or a catalog or its "fields" that is
+not an object; a table with a key other than p and stems, stems that is
+not an object, a stem that is not a list of rows, or a row that is not
+[integer weight, integer filtration >= 0, "free" or an order >= 1] or
+lies off its lane n + s = 2w.  So is an ind-system
 whose profiles do not stabilize as declared.  The message names the
 missing key or the wrong type or shape ("chart entry without 'i'",
 "chart is a list, not an object", "field descriptor without 'variant'",
-"Witt table without 'GW'", "row [0, 0] in table is not [weight,
+"Witt table without 'GW'", "km_table is a list, not an object", "stem 0
+in table is not a list of rows", "row [0, 0] in table is not [weight,
 filtration, order]"), not a raw KeyError or unpacking error.  `check`
 exits 1 when a claim fails; a suite that raises prints "[FAIL] <suite>:
 <exception type>: <message>" and the next suite still runs.  The cache

@@ -23,8 +23,8 @@ from itertools import combinations_with_replacement, product
 from math import gcd
 from typing import Optional
 
-from .charts import (AbGroupDesc, INF, _check_keys, _is_prime_power, cyclic,
-                     free_group, valuation)
+from .charts import (AbGroupDesc, INF, _check_keys, _is_prime_power,
+                     _json_object, cyclic, free_group, valuation)
 
 DIVISIBLE = AbGroupDesc(divisible=True)
 
@@ -47,7 +47,7 @@ def _count(n):
 
 def _table(obj: dict, parse=_count) -> dict:
     """{int(key): parse(value)} of a JSON object, in increasing key order."""
-    parsed = {int(k): parse(v) for k, v in obj.items()}
+    parsed = {int(k): parse(v) for k, v in _json_object(obj, "table").items()}
     return {k: parsed[k] for k in sorted(parsed)}
 
 
@@ -149,15 +149,16 @@ class FieldDescriptor:
     @staticmethod
     def from_json(obj: dict) -> "FieldDescriptor":
         """Parse `to_json`'s schema; a missing "variant" or a key outside the
-        schema raises a ValueError naming it, and a malformed table raises
-        ValueError, TypeError or AttributeError, here and not in a command."""
+        schema raises a ValueError naming it, as does a table that is not a
+        JSON object, and a malformed table entry raises ValueError or
+        TypeError, here and not in a command."""
         _check_keys(obj, ("variant", "name", "q", "char", "base_name",
                           "tower_prime", "km_table", "witt_table", "kmw_table",
                           "roots_of_unity", "km_mod_p_dims"), "field descriptor",
                     required=("variant",))
 
         def table(key, parse=_table):
-            return parse(obj[key]) if key in obj else None
+            return parse(_json_object(obj[key], key)) if key in obj else None
 
         return FieldDescriptor(
             variant=obj["variant"],

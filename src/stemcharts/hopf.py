@@ -16,12 +16,14 @@ Elements of Gamma^{(x)_A s} are kept in left-normal form: free A-module on
 s-tuples of monomials in the Gamma generators, all A-coefficients rewritten
 onto the leftmost factor through eta_R.  Tensor keys are
 (a_monomial, (t_monomial_1, ..., t_monomial_s)) -> Fraction/int.
+
+Products are exact: `tensor_mul` only ever multiplies homogeneous factors
+whose degrees sum to at most the bound, so no term is dropped by degree.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from operator import itemgetter
 
 from .poly import Poly, PolyRing, Monomial, ONE, mon_mul, mon_deg, power
 from .series import compose_univariate, generic_series
@@ -30,8 +32,6 @@ from .fgl import (EngineError, GradedRingPresentation, UniversalFGL,
 
 TensorKey = tuple[Monomial, tuple[Monomial, ...]]
 Tensor = dict[TensorKey, object]
-
-_first = itemgetter(0)
 
 
 def _add_into(out: Tensor, terms, scale=1) -> None:
@@ -73,7 +73,6 @@ class HopfAlgebroid:
             "delta": {ONE: {(ONE, (ONE, ONE)): 1}},
             "antipode": {ONE: {(ONE, (ONE,)): 1}},
         }
-        self._key_degs: dict[TensorKey, int] = {}
 
     # -- presentation-level views -------------------------------------------
 
@@ -102,39 +101,25 @@ class HopfAlgebroid:
 
     # -- tensor arithmetic ----------------------------------------------------
 
-    def key_deg(self, key: TensorKey) -> int:
-        """Total degree of a tensor key, memoized per key."""
-        d = self._key_degs.get(key)
-        if d is None:
-            am, tmons = key
-            d = self._key_degs[key] = mon_deg(am, self.aring.degrees) + sum(
-                mon_deg(t, self.gamma_degrees) for t in tmons)
-        return d
-
-    def tensor_mul(self, a: Tensor, b: Tensor) -> Tensor:
-        """Componentwise product; both sides in normal form, same slot count.
-
-        The degree of each term of b is computed once per call, and b's
-        terms are walked in increasing degree, so each term of a stops at
-        the first partner that would pass the bound.
+    def tensor_mul(self, a: Tensor, b: Tensor, out: Tensor | None = None,
+                   scale=1) -> Tensor:
+        """Add scale * a * b, the componentwise product, into `out` (a new
+        dict when None; never a or b) and return it.  Both sides are in
+        normal form with the same slot count; a sum that cancels is dropped.
+        The product is exact: callers multiply homogeneous factors whose
+        degrees sum to at most the bound, so there is nothing to truncate.
         """
-        out: Tensor = {}
-        bound = self.bound
-        right = sorted(((self.key_deg(k), k, c) for k, c in b.items()),
-                       key=_first)
-        for key1, c1 in a.items():
-            am1, tm1 = key1
-            room = bound - self.key_deg(key1)
-            for d2, (am2, tm2), c2 in right:
-                if d2 > room:
-                    break
-                key = (mon_mul(am1, am2),
-                       tuple(mon_mul(x, y) for x, y in zip(tm1, tm2)))
+        if out is None:
+            out = {}
+        right = [(am2, tm2, scale * c2) for (am2, tm2), c2 in b.items()]
+        for (am1, tm1), c1 in a.items():
+            for am2, tm2, c2 in right:
+                key = (mon_mul(am1, am2), tuple(map(mon_mul, tm1, tm2)))
                 s = out.get(key, 0) + c1 * c2
                 if s:
                     out[key] = s
                 else:
-                    del out[key]
+                    out.pop(key, None)
         return out
 
     def tensor_pow(self, a: Tensor, n: int, slots: int) -> Tensor:
@@ -178,7 +163,7 @@ class HopfAlgebroid:
     def antipode(self, elem: Tensor) -> Tensor:
         """Ring map c on a Gamma element: c(eta_L(a) tau) = eta_R(a) c(tau).
 
-        tensor_mul is bilinear and truncates term by term, so c(sum a tau)
+        tensor_mul is exact and bilinear, so c(sum a tau)
         = sum_tau (sum_a eta_R(a)) c(tau): the eta_R images are summed per
         Gamma-monomial tau first, and each tau takes one product.
         """
@@ -191,7 +176,7 @@ class HopfAlgebroid:
         """The sum over tau of by_tau[tau] * c(tau), one product per tau."""
         out: Tensor = {}
         for tm, left in by_tau.items():
-            _add_into(out, self.tensor_mul(left, self.antipode_t(tm)).items())
+            self.tensor_mul(left, self.antipode_t(tm), out)
         return out
 
     def counit(self, elem: Tensor) -> Poly:
@@ -246,8 +231,9 @@ class HopfAlgebroid:
                 ("Delta", self.coproduct_gen, self.gamma_names, self.gamma_degrees),
                 ("eta_R", self.eta_r_gen, aring.names, aring.degrees)):
             for g, elem in images.items():
-                for key in elem:
-                    if self.key_deg(key) != degrees[g]:
+                for am, tmons in elem:
+                    if degrees[g] != mon_deg(am, aring.degrees) + sum(
+                            mon_deg(t, self.gamma_degrees) for t in tmons):
                         raise HopfAxiomError(f"{what} is not homogeneous at {names[g]}")
         # counit inverts both units on A-generators
         for i in range(len(aring.names)):
@@ -320,8 +306,7 @@ class HopfAlgebroid:
         """mu o (1 x c) on a Gamma^2 element."""
         out: Tensor = {}
         for (am, (u, w)), c in elem2.items():
-            piece = self.tensor_mul({(am, (u,)): 1}, self.antipode_t(w))
-            _add_into(out, piece.items(), c)
+            self.tensor_mul({(am, (u,)): 1}, self.antipode_t(w), out, c)
         return out
 
 
@@ -376,7 +361,7 @@ def build_p_typical(p: int, bound: int) -> HopfAlgebroid:
         acc = {k: p * c for k, c in eta_r_lambda(n).items()}
         for i in range(1, n):
             pw = alg.tensor_pow(eta_r[n - i - 1], p ** i, 1)
-            _add_into(acc, alg.tensor_mul(eta_r_lambda(i), pw).items(), -1)
+            alg.tensor_mul(eta_r_lambda(i), pw, acc, -1)
         eta_r[n - 1] = acc
     _check_p_integral(eta_r, p, "eta_R")
 
@@ -390,8 +375,7 @@ def build_p_typical(p: int, bound: int) -> HopfAlgebroid:
                                 for m, c in lams[i].terms.items()))
         for h in range(1, n + 1):
             pw = alg.tensor_pow(image(delta, n - h, 2), p ** h, 2)
-            _add_into(acc, alg.tensor_mul(
-                pw, alg.poly_to_tensor(lams[h], 2)).items(), -1)
+            alg.tensor_mul(pw, alg.poly_to_tensor(lams[h], 2), acc, -1)
         delta[n - 1] = acc
     _check_p_integral(delta, p, "coproduct")
 
@@ -406,8 +390,7 @@ def build_p_typical(p: int, bound: int) -> HopfAlgebroid:
                     continue
                 pw = alg.tensor_pow(image(anti, k, 1), p ** (i + j), 1)
                 term = alg.tensor_mul({(ONE, (t_pow(j, i),)): 1}, pw)
-                _add_into(acc, alg.tensor_mul(
-                    term, alg.poly_to_tensor(lams[i])).items(), -1)
+                alg.tensor_mul(term, alg.poly_to_tensor(lams[i]), acc, -1)
         anti[n - 1] = acc
     _check_p_integral(anti, p, "antipode")
     return alg

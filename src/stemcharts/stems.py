@@ -19,7 +19,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field as dc_field
 
-from .charts import (BigradedChart, _check_keys, complete_chart,
+from .charts import (BigradedChart, _check_keys, _json_object, complete_chart,
                      complete_desc, cyclic, free_group, sum_groups)
 from .fields import FieldDescriptor, milnor_k
 from .kmw import completed_milnor_witt, free_basis, milnor_witt
@@ -197,11 +197,12 @@ def _synthetic_chart(rows: list, p: int, stem_max: int, source: str,
 
 
 def check_table(table: dict) -> dict:
-    """The table, once its whole chart is built: a malformed row (short, a
-    weight that is not an integer, a negative filtration, an order that is
-    not "free" or a positive integer; then a row off its lane n + s = 2w)
-    or a key other than "p" and "stems" raises here, when the table is
-    loaded."""
+    """The table, once its whole chart is built: "stems" that is not an
+    object, a stem that is not a list of rows, a malformed row (short, a
+    weight or filtration that is not an integer, a negative filtration, an
+    order that is not "free" or a positive integer; then a row off its lane
+    n + s = 2w) or a key other than "p" and "stems" raises here, when the
+    table is loaded."""
     _check_keys(table, ("p", "stems"), "table", required=("p", "stems"))
     synthetic_from_table(table, math.inf)
     return table
@@ -210,10 +211,12 @@ def check_table(table: dict) -> dict:
 def synthetic_from_table(table: dict, stem_max: int) -> SyntheticChart:
     p = table["p"]
     rows = []
-    for stem_str, items in table["stems"].items():
+    for stem_str, items in _json_object(table["stems"], "table 'stems'").items():
         n = int(stem_str)
         if n > stem_max:
             continue
+        if not isinstance(items, list):
+            raise ValueError(f"stem {stem_str} in table is not a list of rows")
         for row in items:
             if not isinstance(row, list) or len(row) != 3:
                 raise ValueError(f"row {row!r} in table is not "
@@ -221,6 +224,8 @@ def synthetic_from_table(table: dict, stem_max: int) -> SyntheticChart:
             w, s, order = row
             if not isinstance(w, int):
                 raise ValueError(f"weight {w!r} in table is not an integer")
+            if not isinstance(s, int):
+                raise ValueError(f"filtration {s!r} in table is not an integer")
             if s < 0:
                 raise ValueError("negative filtration in table")
             if order == "free":

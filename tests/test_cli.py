@@ -640,6 +640,28 @@ MALFORMED_INPUTS = {
         {"fields": {"x": {"variant": "custom", "km_table": {
             "1": {"free_rank": 0, "torsoin": [3]}}}}},
         "unknown group keys ['torsoin']"),
+    "catalog-not-an-object": (
+        ["catalog", "--catalog", "in.json"], [1],
+        "catalog is a list, not an object"),
+    "catalog-fields-not-an-object": (
+        ["catalog", "--catalog", "in.json"], {"fields": [1]},
+        "catalog 'fields' is a list, not an object"),
+    "catalog-km-table-not-an-object": (
+        ["kmw", "--field", "x", "--catalog", "in.json"],
+        {"fields": {"x": {"variant": "custom", "km_table": [1]}}},
+        "km_table is a list, not an object"),
+    "table-stems-not-an-object": (
+        ["synthetic", "--prime", "2", "--source", "table", "--table", "in.json"],
+        {"p": 2, "stems": [[0, 0, "free"]]},
+        "table 'stems' is a list, not an object"),
+    "table-stem-not-a-list": (
+        ["synthetic", "--prime", "2", "--source", "table", "--table", "in.json"],
+        {"p": 2, "stems": {"0": 5}},
+        "stem 0 in table is not a list of rows"),
+    "table-string-filtration": (
+        ["synthetic", "--prime", "2", "--source", "table", "--table", "in.json"],
+        {"p": 2, "stems": {"0": [[0, "0", "free"]]}},
+        "filtration '0' in table is not an integer"),
     "table-short-row": (
         ["synthetic", "--prime", "2", "--source", "table", "--table", "in.json"],
         {"p": 2, "stems": {"0": [[0, 0]]}},

@@ -1,9 +1,10 @@
 import pytest
 
 from stemcharts.cobar import CobarComplex
-from stemcharts.hopf import (HopfAxiomError, _add_into, build_algebroid,
-                             build_universal)
-from stemcharts.poly import ONE, mon_mul
+from stemcharts.extcharts import ext_chart
+from stemcharts.hopf import (HopfAlgebroid, HopfAxiomError, _add_into,
+                             build_algebroid, build_p_typical, build_universal)
+from stemcharts.poly import ONE, mon_deg, mon_mul
 
 
 @pytest.fixture(scope="module")
@@ -68,6 +69,71 @@ def test_wrong_antipode_term_fails_verify(g, key):
     alg.antipode_gen[g][key] = alg.antipode_gen[g].get(key, 0) + 1
     with pytest.raises(HopfAxiomError):
         alg.verify()
+
+
+def _unverified(kind, bound, p):
+    return build_universal(bound) if kind == "universal" else build_p_typical(p, bound)
+
+
+@pytest.mark.parametrize("kind,p,bound,structure,g,key,message", [
+    # x1 b1 in eta_R(x2)
+    ("universal", None, 5, "eta_r_gen", 1, (((0, 1),), (((0, 1),),)),
+     "c o eta_R != eta_L at x2"),
+    # v1^3 t1 in eta_R(v2)
+    ("p_typical", 3, 8, "eta_r_gen", 1, (((0, 3),), (((0, 1),),)),
+     "c o eta_R != eta_L at v2"),
+    # b1 (x) b2 in Delta(b3)
+    ("universal", None, 5, "coproduct_gen", 2, (ONE, (((0, 1),), ((1, 1),))),
+     "coassociativity fails at b3"),
+])
+def test_planted_fault_fails_its_axiom(kind, p, bound, structure, g, key, message):
+    # a homogeneous extra term reaches the product-based identities
+    alg = _unverified(kind, bound, p)
+    elem = getattr(alg, structure)[g]
+    elem[key] = elem.get(key, 0) + 1
+    with pytest.raises(HopfAxiomError, match=message):
+        alg.verify()
+
+
+@pytest.mark.parametrize("kind,p,bound,structure,g", [
+    ("p_typical", 2, 8, "antipode_gen", 1),
+    ("universal", None, 5, "eta_r_gen", 2),
+    ("universal", None, 5, "coproduct_gen", 3),
+])
+def test_explicit_zero_coefficient_fails_verify(kind, p, bound, structure, g):
+    # a term held with coefficient 0 is a missing term: an axiom fails,
+    # and the products meet the 0 without a KeyError
+    alg = _unverified(kind, bound, p)
+    elem = getattr(alg, structure)[g]
+    elem[min(key for key in elem if any(key[1]))] = 0
+    with pytest.raises(HopfAxiomError):
+        alg.verify()
+
+
+def test_products_need_no_truncation(monkeypatch):
+    # tensor_mul is exact: every product asked of it, while algebroids are
+    # built and verified and an Ext chart is computed, has factor degrees
+    # summing to at most the bound
+    def degree(alg, elem):
+        return max(mon_deg(am, alg.aring.degrees)
+                   + sum(mon_deg(t, alg.gamma_degrees) for t in tmons)
+                   for am, tmons in elem)
+
+    calls = []
+    tensor_mul = HopfAlgebroid.tensor_mul
+
+    def checked(alg, a, b, *rest):
+        if a and b:
+            calls.append((alg.kind, alg.p, alg.bound, degree(alg, a), degree(alg, b)))
+        return tensor_mul(alg, a, b, *rest)
+
+    monkeypatch.setattr(HopfAlgebroid, "tensor_mul", checked)
+    build_algebroid("universal", 8)
+    algs = {p: build_algebroid("p_typical", 10, p=p) for p in (2, 3, 5)}
+    built = len(calls)
+    ext_chart(algs[2], 2, 10, 4, 20)
+    assert built > 500 and len(calls) > built
+    assert [c for c in calls if c[3] + c[4] > c[2]] == []
 
 
 def test_grouped_antipode_matches_per_term_reference(uni):

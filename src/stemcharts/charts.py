@@ -20,6 +20,11 @@ from typing import Iterable, Optional
 INF = "inf"  # countably-infinite marker for ranks and multiplicities
 
 
+def _is_int(x) -> bool:
+    """An int that is not a bool (JSON's true and false read as bools)."""
+    return isinstance(x, int) and not isinstance(x, bool)
+
+
 def _json_object(obj: object, what: str) -> dict:
     """obj, if it is a JSON object; else a ValueError naming its type."""
     if not isinstance(obj, dict):
@@ -121,7 +126,7 @@ class AbGroupDesc:
     divisible: bool = False                    # carries a divisible summand
 
     def __post_init__(self):
-        if self.free_rank != INF and (not isinstance(self.free_rank, int)
+        if self.free_rank != INF and (not _is_int(self.free_rank)
                                       or self.free_rank < 0):
             raise ValueError(f"bad free rank {self.free_rank!r}")
         for q in tuple(self.torsion) + tuple(self.torsion_infinite):
@@ -221,15 +226,20 @@ class AbGroupDesc:
 
     @staticmethod
     def from_json(obj: dict) -> "AbGroupDesc":
-        """Parse `to_json`'s schema; a key outside it raises ValueError."""
-        _check_keys(obj, AbGroupDesc.__dataclass_fields__, "group")
+        """Parse `to_json`'s schema; a key outside it, or a value of the
+        wrong JSON type, raises a ValueError naming the key."""
+        _check_keys(obj, _GROUP_JSON, "group")
+        for key, value in obj.items():
+            need, ok = _GROUP_JSON[key]
+            if not ok(value):
+                raise ValueError(f"group {key!r} is not {need}: {value!r}")
         return AbGroupDesc(
             free_rank=obj.get("free_rank", 0),
             torsion=tuple(obj.get("torsion", ())),
             torsion_infinite=tuple(obj.get("torsion_infinite", ())),
             modulus_precision=obj.get("modulus_precision"),
             completed_at=obj.get("completed_at"),
-            divisible=bool(obj.get("divisible", False)),
+            divisible=obj.get("divisible", False),
         )
 
     def shorthand(self) -> str:
@@ -251,6 +261,16 @@ class AbGroupDesc:
             parts.append(f"{q}^inf")
         return "(+)".join(parts)
 
+
+# AbGroupDesc JSON key -> (what its value must be, the test of that)
+_INTS = ("a list of integers", lambda v: isinstance(v, list) and all(map(_is_int, v)))
+_GROUP_JSON = {
+    "free_rank": ('an integer or "inf"', lambda v: v == INF or _is_int(v)),
+    "torsion": _INTS, "torsion_infinite": _INTS,
+    "modulus_precision": ("an integer or null", lambda v: v is None or _is_int(v)),
+    "completed_at": ("an integer or null", lambda v: v is None or _is_int(v)),
+    "divisible": ("a boolean", lambda v: isinstance(v, bool)),
+}
 
 ZERO_GROUP = AbGroupDesc()
 
@@ -445,8 +465,12 @@ class BigradedChart:
         _json_object(obj, "chart")
         entries = {}
         for ent in obj.get("entries", []):
-            _check_keys(ent, ("i", "j", *AbGroupDesc.__dataclass_fields__),
-                        "chart entry", required=("i", "j"))
+            _check_keys(ent, ("i", "j", *_GROUP_JSON), "chart entry",
+                        required=("i", "j"))
+            for key in ("i", "j"):
+                if not _is_int(ent[key]):
+                    raise ValueError(f"chart entry {key!r} is not an integer: "
+                                     f"{ent[key]!r}")
             entries[(ent["i"], ent["j"])] = AbGroupDesc.from_json(
                 {k: v for k, v in ent.items() if k not in ("i", "j")})
         return BigradedChart(entries, obj.get("label", ""), obj.get("prime"))

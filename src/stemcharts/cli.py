@@ -8,7 +8,7 @@ JSON), catalog (list/show field descriptors).
 Exit codes: 0 success, 2 usage or precondition violation, 3 precision
 exhausted, 4 broken engine invariant (EngineError: a cobar differential
 that is not p-integral, leaves the basis, or has d o d != 0; an Ext chart
-with a free summand off (0,0); a Lazard quotient defect; a Hopf-algebroid
+with a free summand off (0,0); a Lazard lattice defect; a Hopf-algebroid
 axiom failure; a failed splitting or reassembly check of an F_p[[t]]
 decomposition; a synthetic chart class off its lane n + s = 2w; a defect
 of the engine, not of the input).  Inputs are validated before any work
@@ -35,8 +35,11 @@ with a q that is not a prime power, or a catalog or its "fields" that is
 not an object; a table with a key other than p and stems, stems that is
 not an object, a stem that is not a list of rows, or a row that is not
 [integer weight, integer filtration >= 0, "free" or an order >= 1] or
-lies off its lane n + s = 2w.  So is an ind-system
-whose profiles do not stabilize as declared.  The message names the
+lies off its lane n + s = 2w.  So is an ind-system whose profiles do not
+stabilize as declared, and a value of the wrong JSON type: an integer is
+a JSON integer, not a boolean or a fraction (2.5, 2.0), in a chart
+entry's i, j and group, a catalog count and a table row's weight,
+filtration and order, and "divisible" is a boolean.  The message names the
 missing key or the wrong type or shape ("chart entry without 'i'",
 "chart is a list, not an object", "field descriptor without 'variant'",
 "Witt table without 'GW'", "km_table is a list, not an object", "stem 0

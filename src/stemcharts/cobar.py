@@ -18,7 +18,8 @@ and the right-unit coface d^{s+1} are dropped before any migration; what
 is left is the differential of the normalized complex, written term by term
 into one accumulator.  The unnormalized complex keeps every term.  Bases
 are built slot by slot: the (s-1)-slot tuples are extended by the
-monomials of the nonempty slot degrees only.
+monomials of the nonempty slot degrees only, read from the algebroid's
+shared per-degree lists (`tensor_monomials`, `a_monomials`).
 """
 
 from __future__ import annotations
@@ -57,22 +58,10 @@ class CobarComplex:
         self._basis_cache: dict[tuple[int, int], list[TensorKey]] = {}
         # (s, e) -> the s-slot tuples of total slot degree e
         self._tuples: dict[tuple[int, int], list[tuple[Monomial, ...]]] = {(0, 0): [()]}
-        self._tmons_by_degree: dict[int, list[Monomial]] = {}
-        self._amons_by_degree: dict[int, list[Monomial]] = {}
         # Gamma-monomial -> its coproduct terms (cm, u, w, c), reduced if normalized
         self._coproducts: dict[Monomial, list[tuple[Monomial, Monomial, Monomial, object]]] = {}
 
     # -- bases ---------------------------------------------------------------
-
-    def _tmons(self, d: int) -> list[Monomial]:
-        if d not in self._tmons_by_degree:
-            self._tmons_by_degree[d] = self.alg.tensor_monomials(d)
-        return self._tmons_by_degree[d]
-
-    def _amons(self, d: int) -> list[Monomial]:
-        if d not in self._amons_by_degree:
-            self._amons_by_degree[d] = self.alg.a_monomials(d)
-        return self._amons_by_degree[d]
 
     def _slot_tuples(self, s: int, e: int) -> list[tuple[Monomial, ...]]:
         """The s-slot tuples of total degree e: the (s-1)-slot tuples
@@ -83,7 +72,7 @@ class CobarComplex:
             out = []
             if s:
                 for d in range(1 if self.normalized else 0, e + 1):
-                    tms = self._tmons(d)
+                    tms = self.alg.tensor_monomials(d)
                     if tms:
                         for head in self._slot_tuples(s - 1, e - d):
                             out.extend(head + (tm,) for tm in tms)
@@ -100,7 +89,7 @@ class CobarComplex:
             raise CobarError("degree exceeds the algebroid bound")
         out: list[TensorKey] = []
         for e in range(degree + 1):
-            amons = self._amons(degree - e)
+            amons = self.alg.a_monomials(degree - e)
             if amons:
                 out.extend((am, tup) for tup in self._slot_tuples(s, e) for am in amons)
         out.sort()

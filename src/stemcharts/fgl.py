@@ -32,7 +32,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from math import comb, gcd, lcm
 
-from .poly import ONE, Poly, PolyRing, Monomial, mon_deg
+from .poly import Poly, PolyRing, Monomial, MonomialMap, mon_deg
 from .series import (Series, compose_univariate, generic_series, integrate,
                      multiplicative_inverse, powers, reversion)
 from .zpk import identity
@@ -200,9 +200,9 @@ class UniversalFGL:
         self.exp = reversion(self.log)
         self.F = _sum_series(self.log, self.exp)
         self._xgens: list[Poly] = []
-        # x-monomials expanded in the m's, memoized for the lattice step
-        # and the peel
-        self._xmons: dict[Monomial, Poly] = {ONE: self.mring.one()}
+        # x-monomials in the m's (x_{g+1} has index g, as m_{g+1} does),
+        # for the lattice step and the peel
+        self._xmon = MonomialMap(self._xgens, self.mring.one())
         self._compute_integral_generators()
 
     def _compute_integral_generators(self):
@@ -217,7 +217,7 @@ class UniversalFGL:
             # decomposables: the x-monomials of length >= 2, which span D_d
             # by the induction of the module docstring; m_d alone has
             # length 1 (x_{g+1} has index g, as m_{g+1} does)
-            polys = [self._x_monomial(m) for m in basis if m != ((d - 1, 1),)]
+            polys = [self._xmon(m, Poly.__mul__) for m in basis if m != ((d - 1, 1),)]
             n_dec = len(polys)
             polys.extend(coeffs_by_degree[d])
             # one common denominator puts the lattice and the decomposables
@@ -242,15 +242,6 @@ class UniversalFGL:
         return PolyRing([f"x{i}" for i in range(1, self.bound + 1)],
                         list(range(1, self.bound + 1)), self.bound)
 
-    def _x_monomial(self, xm: Monomial) -> Poly:
-        """The x-monomial xm (x_{g+1} has index g, as m_{g+1} does) in the m's."""
-        q = self._xmons.get(xm)
-        if q is None:
-            g, e = xm[0]
-            rest = xm[1:] if e == 1 else ((g, e - 1),) + xm[1:]
-            q = self._xmons[xm] = self._xgens[g] * self._x_monomial(rest)
-        return q
-
     def to_x_coordinates(self, p: Poly) -> Poly:
         """Rewrite an integral element of Q[m] in the x-generators, by the
         peel of the module docstring, one degree at a time.
@@ -272,7 +263,7 @@ class UniversalFGL:
                 short = min(map(_mon_len, rest.terms))
                 for m in [m for m in rest.terms if _mon_len(m) == short]:
                     # x^m is the only x-monomial of this length reaching m
-                    q = self._x_monomial(m)
+                    q = self._xmon(m, Poly.__mul__)
                     c = Fraction(rest.terms[m]) / q.terms[m]
                     if c.denominator != 1:
                         raise ValueError("element is not integral in the x-basis")
@@ -299,12 +290,8 @@ class UniversalFGL:
             if i + j == 1:
                 series[(i, j)] = xr.one()
             else:
-                series[(i, j)] = _reindex(self.to_x_coordinates(c), xr)
+                series[(i, j)] = Poly(xr, self.to_x_coordinates(c).terms)
         return FormalGroupLaw(pres, series)
-
-
-def _reindex(p: Poly, ring: PolyRing) -> Poly:
-    return Poly(ring, dict(p.terms))
 
 
 def _mon_len(m: Monomial) -> int:
@@ -386,7 +373,8 @@ def _echelon_coordinates(hnf: list[list[int]], pivots: list[int],
 
     Forward substitution along the pivot columns.  A row outside the
     Q-span of hnf is "not in lattice"; a row inside it whose coordinates
-    need a denominator has "non-integral coordinates".
+    need a denominator has "non-integral coordinates"; both are
+    EngineErrors, as the Lazard lattice holds every decomposable.
     """
     r = list(row)
     coords = []
@@ -403,9 +391,9 @@ def _echelon_coordinates(hnf: list[list[int]], pivots: list[int],
         if q:
             r = [a - q * b for a, b in zip(r, h)]
     if any(r):
-        raise ValueError("decomposable not in lattice")
+        raise EngineError("decomposable not in lattice")
     if not integral:
-        raise ValueError("decomposable has non-integral coordinates")
+        raise EngineError("decomposable has non-integral coordinates")
     return coords
 
 
@@ -420,7 +408,7 @@ def _lattice_quotient_generator(hnf: list[list[int]],
     is reported as a defect.
     """
     if not hnf:
-        raise ValueError("empty lattice")
+        raise EngineError("empty lattice")
     k = len(hnf)
     pivots = _pivot_columns(hnf)
     dmat = [_echelon_coordinates(hnf, pivots, r) for r in dec_rows]

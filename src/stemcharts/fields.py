@@ -23,7 +23,7 @@ from itertools import combinations_with_replacement, product
 from math import gcd
 from typing import Optional
 
-from .charts import (AbGroupDesc, INF, _check_keys, _is_prime_power,
+from .charts import (AbGroupDesc, INF, _check_keys, _is_int, _is_prime_power,
                      _json_object, cyclic, free_group, valuation)
 
 DIVISIBLE = AbGroupDesc(divisible=True)
@@ -35,19 +35,24 @@ class FieldError(Exception):
 
 def _prime_and_exponent(q) -> tuple[int, int]:
     """(p, e) with q = p^e; FieldError unless q is a prime power."""
-    pe = _is_prime_power(q) if isinstance(q, int) else None
+    pe = _is_prime_power(q) if _is_int(q) else None
     if pe is None:
         raise FieldError(f"{q} is not a prime power")
     return pe
 
 
-def _count(n):
-    return n if n == INF else int(n)
+def _count(n, what: str):
+    """n, if it is a JSON integer or INF; else a ValueError naming `what`."""
+    if n != INF and not _is_int(n):
+        raise ValueError(f"{what} is not an integer or \"inf\": {n!r}")
+    return n
 
 
-def _table(obj: dict, parse=_count) -> dict:
-    """{int(key): parse(value)} of a JSON object, in increasing key order."""
-    parsed = {int(k): parse(v) for k, v in _json_object(obj, "table").items()}
+def _table(obj: dict, parse=None, what: str = "table") -> dict:
+    """{int(key): parse(value)} of a JSON object, in increasing key order;
+    without `parse`, each value is a count, named by `what` and its key."""
+    parsed = {int(k): parse(v) if parse else _count(v, f"{what} {k!r}")
+              for k, v in _json_object(obj, what).items()}
     return {k: parsed[k] for k in sorted(parsed)}
 
 
@@ -157,7 +162,7 @@ class FieldDescriptor:
                           "roots_of_unity", "km_mod_p_dims"), "field descriptor",
                     required=("variant",))
 
-        def table(key, parse=_table):
+        def table(key, parse):
             return parse(_json_object(obj[key], key)) if key in obj else None
 
         return FieldDescriptor(
@@ -170,8 +175,9 @@ class FieldDescriptor:
             km_table=table("km_table", _groups),
             witt_table=table("witt_table", WittData.from_json),
             kmw_table=table("kmw_table", _groups),
-            roots=table("roots_of_unity"),
-            km_mod_p_dims=table("km_mod_p_dims", lambda t: _table(t, _table)),
+            roots=table("roots_of_unity", lambda t: _table(t, what="roots_of_unity")),
+            km_mod_p_dims=table("km_mod_p_dims", lambda t: _table(
+                t, lambda dims: _table(dims, what="km_mod_p_dims"))),
         )
 
 

@@ -39,7 +39,7 @@ from dataclasses import dataclass, field as dc_field
 from operator import mul
 from typing import Optional
 
-from .charts import _check_keys, _is_prime, valuation
+from .charts import _check_keys, _is_int, _is_prime, valuation
 from .zpk import elementary_divisors, identity, mat_mul
 
 Matrix = list[list[int]]
@@ -163,11 +163,6 @@ def _independent_subset(vecs: list[list[int]], p: int) -> list[list[int]]:
 
 class FptError(Exception):
     pass
-
-
-def _is_int(x) -> bool:
-    """An int that is not a bool (JSON's true and false read as bools)."""
-    return isinstance(x, int) and not isinstance(x, bool)
 
 
 def _check_dim(dim) -> None:

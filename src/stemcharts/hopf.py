@@ -19,13 +19,16 @@ onto the leftmost factor through eta_R.  Tensor keys are
 
 Products are exact: `tensor_mul` only ever multiplies homogeneous factors
 whose degrees sum to at most the bound, so no term is dropped by degree.
+eta_R, Delta and c on monomials are `poly.MonomialMap`s of the generators'
+images under `tensor_mul`, and the Gamma-monomials of each degree are listed
+once, by the algebroid's one ring `gring`.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
 
-from .poly import Poly, PolyRing, Monomial, ONE, mon_mul, mon_deg, power
+from .poly import Poly, PolyRing, Monomial, MonomialMap, ONE, mon_mul, mon_deg, power
 from .series import compose_univariate, generic_series
 from .fgl import (EngineError, GradedRingPresentation, UniversalFGL,
                   hazewinkel_lambdas, p_typical_presentation)
@@ -64,15 +67,15 @@ class HopfAlgebroid:
         self.aring = a_pres.ring()
         self.gamma_names = gamma_names
         self.gamma_degrees = gamma_degrees
+        self.gring = PolyRing(gamma_names, gamma_degrees, bound)
         self.eta_r_gen = eta_r          # A-generator index -> Gamma element
         self.coproduct_gen = coproduct  # Gamma-generator index -> Gamma^2 element
         self.antipode_gen = antipode    # Gamma-generator index -> Gamma element
-        # per structure map: monomial -> product of its generators' images
-        self._images: dict[str, dict[Monomial, Tensor]] = {
-            "eta_r": {ONE: {(ONE, (ONE,)): 1}},
-            "delta": {ONE: {(ONE, (ONE, ONE)): 1}},
-            "antipode": {ONE: {(ONE, (ONE,)): 1}},
-        }
+        # the structure maps on monomials; tensor_mul is passed per call, as
+        # a stored bound method would make every algebroid a reference cycle
+        self._eta_r = MonomialMap(eta_r, {(ONE, (ONE,)): 1})
+        self._delta = MonomialMap(coproduct, {(ONE, (ONE, ONE)): 1})
+        self._antipode = MonomialMap(antipode, {(ONE, (ONE,)): 1})
 
     # -- presentation-level views -------------------------------------------
 
@@ -93,8 +96,7 @@ class HopfAlgebroid:
     # -- degree helpers ------------------------------------------------------
 
     def tensor_monomials(self, degree: int) -> list[Monomial]:
-        ring = PolyRing(self.gamma_names, self.gamma_degrees, self.bound)
-        return ring.monomials_of_degree(degree)
+        return self.gring.monomials_of_degree(degree)
 
     def a_monomials(self, degree: int) -> list[Monomial]:
         return self.aring.monomials_of_degree(degree)
@@ -130,22 +132,9 @@ class HopfAlgebroid:
 
     # -- structure maps on monomials ------------------------------------------
 
-    def _image(self, which: str, gen_images: dict[int, Tensor],
-               mon: Monomial) -> Tensor:
-        """A ring map on a monomial: the product of its generators' images,
-        memoized per map and monomial."""
-        memo = self._images[which]
-        out = memo.get(mon)
-        if out is None:
-            g, e = mon[0]
-            rest = mon[1:] if e == 1 else ((g, e - 1),) + mon[1:]
-            out = memo[mon] = self.tensor_mul(
-                gen_images[g], self._image(which, gen_images, rest))
-        return out
-
     def eta_r(self, amon: Monomial) -> Tensor:
         """eta_R of an A-monomial, as a Gamma element (1 slot)."""
-        return self._image("eta_r", self.eta_r_gen, amon)
+        return self._eta_r(amon, self.tensor_mul)
 
     def eta_r_poly(self, q: Poly) -> Tensor:
         out: Tensor = {}
@@ -155,10 +144,10 @@ class HopfAlgebroid:
 
     def delta(self, tmon: Monomial) -> Tensor:
         """Coproduct of a Gamma monomial, as a Gamma^2 element."""
-        return self._image("delta", self.coproduct_gen, tmon)
+        return self._delta(tmon, self.tensor_mul)
 
     def antipode_t(self, tmon: Monomial) -> Tensor:
-        return self._image("antipode", self.antipode_gen, tmon)
+        return self._antipode(tmon, self.tensor_mul)
 
     def antipode(self, elem: Tensor) -> Tensor:
         """Ring map c on a Gamma element: c(eta_L(a) tau) = eta_R(a) c(tau).
@@ -420,31 +409,25 @@ def build_universal(bound: int) -> HopfAlgebroid:
     order = bound + 1
     logr = compose_univariate(generic_series(mb, order, 0),
                               generic_series(mb, order, nm))
-    eta_r_m: dict[int, Poly] = {}
-    for n in range(1, bound + 1):
-        eta_r_m[n] = logr.coefficient((n + 1,))
+    # eta_R as a ring map on m-monomials; m_{g+1} has index g in Q[m] and
+    # in Q[m, b]
+    eta_r_m = MonomialMap([logr.coefficient((n + 1,)) for n in range(1, bound + 1)],
+                          mb.one())
 
     # eta_R on the integral generators x_n, rewritten in x/b coordinates
     eta_r_gen: dict[int, Tensor] = {}
     for n in range(1, bound + 1):
-        xn = u.x_generator(n)  # poly in m's
         img = mb.zero()
-        for m, c in xn.terms.items():
-            term = mb.const(c)
-            for g, e in m:
-                term = term * eta_r_m[g + 1].pow(e)
-            img = img + term
+        for m, c in u.x_generator(n).terms.items():  # x_n in the m's
+            img = img + eta_r_m(m, Poly.__mul__).scale(c)
         # split into b-monomials with Q[m] coefficients, convert to x-coords
+        # (the split is one to one on monomials, so no coefficient is summed)
         by_b: dict[Monomial, dict[Monomial, object]] = {}
         for apart, gpart, c in _series_coefficient_split(img, nm):
-            by_b.setdefault(gpart, {})
-            by_b[gpart][apart] = by_b[gpart].get(apart, 0) + c
+            by_b.setdefault(gpart, {})[apart] = c
         elem: Tensor = {}
         for bmon, mterms in by_b.items():
-            mpoly = Poly(u.mring, {k: v for k, v in mterms.items() if v})
-            if mpoly.is_zero():
-                continue
-            xpoly = u.to_x_coordinates(mpoly)
+            xpoly = u.to_x_coordinates(Poly(u.mring, mterms))
             _add_into(elem, (((xm, (bmon,)), xc)
                              for xm, xc in xpoly.terms.items()))
         eta_r_gen[n - 1] = elem

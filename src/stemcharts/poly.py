@@ -9,6 +9,11 @@ degrees are non-negative this truncation is compatible with associativity.
 A monomial is a sorted tuple of (generator index, exponent) pairs; a
 polynomial is a dict monomial -> coefficient.  Coefficients are ints or
 fractions.Fraction (they mix freely).
+
+A `MonomialMap` sends a monomial to the product of its generators' images,
+each monomial once; the product comes with each call, so a map an object
+keeps never refers back to it.  `PolyRing.monomials_of_degree` lists each
+degree once per ring, in a shared list that callers only read.
 """
 
 from __future__ import annotations
@@ -61,24 +66,42 @@ def power(base, n: int, one, mul):
     return result
 
 
+class MonomialMap:
+    """The ring map on monomials with generator images gens[g] (gens may
+    still grow), memoized: each monomial's image is computed once."""
+
+    def __init__(self, gens, one):
+        self.gens = gens
+        self._memo = {ONE: one}
+
+    def __call__(self, m: Monomial, mul):
+        """The image of m; mul is the product of the target ring."""
+        out = self._memo.get(m)
+        if out is None:
+            g, e = m[0]
+            rest = m[1:] if e == 1 else ((g, e - 1),) + m[1:]
+            out = self._memo[m] = mul(self.gens[g], self(rest, mul))
+        return out
+
+
 class PolyRing:
     """Weighted polynomial ring Q[g_0, g_1, ...] truncated at `bound`."""
 
     def __init__(self, names: list[str], degrees: list[int], bound: int):
         if len(names) != len(degrees):
             raise ValueError("names/degrees length mismatch")
+        if any(w <= 0 for w in degrees):
+            raise ValueError("generator of non-positive degree")
         self.names = list(names)
         self.degrees = list(degrees)
         self.bound = bound
+        self._by_degree: dict[int, list[Monomial]] = {}
 
     def zero(self) -> "Poly":
         return Poly(self, {})
 
     def one(self) -> "Poly":
         return Poly(self, {ONE: 1})
-
-    def const(self, c) -> "Poly":
-        return Poly(self, {ONE: c} if c else {})
 
     def gen(self, i: int) -> "Poly":
         if self.degrees[i] > self.bound:
@@ -91,28 +114,20 @@ class PolyRing:
         return Poly(self, {m: c})
 
     def monomials_of_degree(self, d: int) -> list[Monomial]:
-        """All monomials of exact weighted degree d, sorted."""
-        out: list[Monomial] = []
+        """All monomials of exact weighted degree d, sorted; listed once per
+        ring and degree, and shared, so callers must not change the list."""
+        if d not in self._by_degree:
+            self._by_degree[d] = sorted(self._monomials(0, d))
+        return self._by_degree[d]
 
-        def rec(i: int, rem: int, acc: list[tuple[int, int]]):
-            if rem == 0:
-                out.append(tuple(acc))
-                return
-            if i >= len(self.degrees):
-                return
-            rec(i + 1, rem, acc)
-            w = self.degrees[i]
-            if w <= 0:
-                raise ValueError("generator of non-positive degree")
-            e = 1
-            while w * e <= rem:
-                acc.append((i, e))
-                rec(i + 1, rem - w * e, acc)
-                acc.pop()
-                e += 1
-
-        rec(0, d, [])
-        return sorted(out)
+    def _monomials(self, i: int, rem: int):
+        """The monomials of degree rem in the generators i, i + 1, ..."""
+        if rem == 0:
+            yield ONE
+        for g in range(i, len(self.degrees)):
+            w = self.degrees[g]
+            for e in range(1, rem // w + 1):
+                yield from (((g, e),) + m for m in self._monomials(g + 1, rem - w * e))
 
 
 class Poly:

@@ -19,8 +19,8 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field as dc_field
 
-from .charts import (BigradedChart, _check_keys, _json_object, complete_chart,
-                     complete_desc, cyclic, free_group, sum_groups)
+from .charts import (BigradedChart, _check_keys, _is_int, _json_object,
+                     complete_chart, complete_desc, cyclic, free_group, sum_groups)
 from .fields import FieldDescriptor, milnor_k
 from .kmw import completed_milnor_witt, free_basis, milnor_witt
 from .hopf import build_algebroid
@@ -199,10 +199,10 @@ def _synthetic_chart(rows: list, p: int, stem_max: int, source: str,
 def check_table(table: dict) -> dict:
     """The table, once its whole chart is built: "stems" that is not an
     object, a stem that is not a list of rows, a malformed row (short, a
-    weight or filtration that is not an integer, a negative filtration, an
-    order that is not "free" or a positive integer; then a row off its lane
-    n + s = 2w) or a key other than "p" and "stems" raises here, when the
-    table is loaded."""
+    weight, filtration or order that is a boolean or not an integer, with
+    "free" the one other order; a negative filtration or an order below 1;
+    then a row off its lane n + s = 2w) or a key other than "p" and "stems"
+    raises here, when the table is loaded."""
     _check_keys(table, ("p", "stems"), "table", required=("p", "stems"))
     synthetic_from_table(table, math.inf)
     return table
@@ -222,19 +222,15 @@ def synthetic_from_table(table: dict, stem_max: int) -> SyntheticChart:
                 raise ValueError(f"row {row!r} in table is not "
                                  "[weight, filtration, order]")
             w, s, order = row
-            if not isinstance(w, int):
-                raise ValueError(f"weight {w!r} in table is not an integer")
-            if not isinstance(s, int):
-                raise ValueError(f"filtration {s!r} in table is not an integer")
+            for what, v in (("weight", w), ("filtration", s), ("order", order)):
+                if not (_is_int(v) or what == "order" and v == "free"):
+                    raise ValueError(f"{what} {v!r} in table is not an integer "
+                                     f"(row {row!r} of stem {stem_str})")
             if s < 0:
                 raise ValueError("negative filtration in table")
-            if order == "free":
-                g = free_group(1, completed_at=p)
-            else:
-                q = int(order)
-                if q < 1:
-                    raise ValueError(f"order {order} in table is not positive")
-                g = cyclic(q)
+            if order != "free" and order < 1:
+                raise ValueError(f"order {order} in table is not positive")
+            g = free_group(1, completed_at=p) if order == "free" else cyclic(order)
             rows.append((n, w, s, g, order))
     return _synthetic_chart(rows, p, stem_max, "table",
                             f"synthetic stems p={p} (table)", ValueError)

@@ -105,6 +105,24 @@ def test_exit_code_hopf_axiom_failure(monkeypatch, tmp_path, capsys):
     assert not list(cache.glob("*.json"))
 
 
+@pytest.mark.parametrize("defect,message", [
+    (lambda hnf: hnf[1:], "empty lattice"),
+    (lambda hnf: hnf[1:] if len(hnf) > 1 else hnf, "decomposable not in lattice"),
+    (lambda hnf: [[2 * a for a in hnf[0]], *hnf[1:]] if len(hnf) > 1 else hnf,
+     "decomposable has non-integral coordinates"),
+], ids=["empty", "outside", "non-integral"])
+def test_exit_code_lazard_lattice_defect(monkeypatch, capsys, defect, message):
+    # a Hermite form that lost or scaled a row breaks the Lazard lattice step
+    from stemcharts import fgl
+    integer_hnf = fgl._integer_hnf
+    monkeypatch.setattr(fgl, "_integer_hnf", lambda rows: defect(integer_hnf(rows)))
+    monkeypatch.delenv("STEMCHARTS_CACHE_DIR", raising=False)
+    code = main(["ext", "--kind", "universal", "--prime", "2", "--tmax", "8"])
+    captured = capsys.readouterr()
+    assert code == 4 and captured.out == ""
+    assert f"engine invariant broken: {message}" in captured.err
+
+
 def test_exit_code_synthetic_lane_failure(monkeypatch, capsys):
     # an Ext entry at odd t sits off its lane n + s = 2w
     from types import SimpleNamespace
@@ -682,6 +700,38 @@ MALFORMED_INPUTS = {
         ["synthetic", "--prime", "2", "--source", "table", "--table", "in.json"],
         {"p": 2, "stems": {"1": [[0.5, 0, 2]]}},
         "weight 0.5 in table is not an integer"),
+    "table-fractional-order": (
+        ["synthetic", "--prime", "2", "--source", "table", "--table", "in.json"],
+        {"p": 2, "stems": {"0": [[0, 0, "free"]], "1": [[1, 1, 2.5]]}},
+        "order 2.5 in table is not an integer (row [1, 1, 2.5] of stem 1)"),
+    "table-boolean-weight": (
+        ["synthetic", "--prime", "2", "--source", "table", "--table", "in.json"],
+        {"p": 2, "stems": {"0": [[0, 0, "free"]], "2": [[True, 0, 2]]}},
+        "weight True in table is not an integer (row [True, 0, 2] of stem 2)"),
+    "chart-fractional-index": (
+        ["render", "--chart-file", "in.json"],
+        {"entries": [{"i": 1.5, "j": 0, "free_rank": 1}]},
+        "chart entry 'i' is not an integer: 1.5"),
+    "chart-boolean-free-rank": (
+        ["render", "--chart-file", "in.json"],
+        {"entries": [{"i": 1, "j": 0, "free_rank": True}]},
+        "group 'free_rank' is not an integer or \"inf\": True"),
+    "chart-float-torsion": (
+        ["render", "--chart-file", "in.json"],
+        {"entries": [{"i": 1, "j": 0, "torsion": [2.0]}]},
+        "group 'torsion' is not a list of integers: [2.0]"),
+    "chart-string-divisible": (
+        ["render", "--chart-file", "in.json"],
+        {"entries": [{"i": 0, "j": 0, "divisible": "no"}]},
+        "group 'divisible' is not a boolean: 'no'"),
+    "catalog-fractional-root-count": (
+        ["catalog", "--catalog", "in.json"],
+        {"fields": {"x": {"variant": "custom", "roots_of_unity": {"3": 2.5}}}},
+        "roots_of_unity '3' is not an integer or \"inf\": 2.5"),
+    "catalog-boolean-root-count": (
+        ["catalog", "--catalog", "in.json"],
+        {"fields": {"x": {"variant": "custom", "roots_of_unity": {"3": True}}}},
+        "roots_of_unity '3' is not an integer or \"inf\": True"),
     "table-off-lane": (
         ["synthetic", "--prime", "2", "--source", "table", "--table", "in.json"],
         {"p": 2, "stems": {"0": [[0, 0, "free"]], "3": [[1, 1, 2]]}},

@@ -1,7 +1,11 @@
+import gc
+import weakref
+
 import pytest
 
 from stemcharts.cobar import CobarComplex
 from stemcharts.extcharts import ext_chart
+from stemcharts.fgl import UniversalFGL
 from stemcharts.hopf import (HopfAlgebroid, HopfAxiomError, _add_into,
                              build_algebroid, build_p_typical, build_universal)
 from stemcharts.poly import ONE, mon_deg, mon_mul
@@ -164,6 +168,31 @@ def test_grouped_antipode_matches_per_term_reference(uni):
         folds.append(uni.fold_antipode_left(elem2))
         assert folds[-1] == fold_left(elem2)
     assert all(folds)
+
+
+def test_built_objects_hold_no_reference_cycle():
+    # with the cyclic collector off, a queried algebroid or Lazard model is
+    # freed by reference counting alone the moment its last name goes
+    def queried(make):
+        obj = make()
+        if isinstance(obj, UniversalFGL):
+            obj.to_x_coordinates(obj.x_generator(2) * obj.x_generator(3))
+        else:
+            cx = CobarComplex(obj)
+            cx.check_d_squared(1, 3)
+            obj.antipode(obj.eta_r_poly(obj.aring.gen(1)))
+        return weakref.ref(obj)
+
+    enabled = gc.isenabled()
+    gc.disable()
+    try:
+        refs = [queried(lambda: build_algebroid("universal", 5)),
+                queried(lambda: build_algebroid("p_typical", 8, p=2)),
+                queried(lambda: UniversalFGL(6))]
+        assert [ref() for ref in refs] == [None, None, None]
+    finally:
+        if enabled:
+            gc.enable()
 
 
 def test_gamma_free_on_monomials(bp3):

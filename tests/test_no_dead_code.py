@@ -23,7 +23,6 @@ USED = {module: {n.id if isinstance(n, ast.Name) else n.attr for n in ast.walk(t
 # (method) that defines it; each holder was checked to have a caller of its
 # own, in src/stemcharts unless noted
 ACCEPTED_COLLISIONS = {
-    "_image": {"fpt.FptModule", "hopf.HopfAlgebroid"},
     "add": {"fields.SmallFiniteField", "fpt._Span"},
     "coefficient": {"poly.Poly", "series.Series"},
     "from_json": {"charts.AbGroupDesc", "charts.BigradedChart",

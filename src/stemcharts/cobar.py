@@ -18,15 +18,26 @@ and the right-unit coface d^{s+1} are dropped before any migration; what
 is left is the differential of the normalized complex, written term by term
 into one accumulator.  The unnormalized complex keeps every term.  Bases
 are built slot by slot: the (s-1)-slot tuples are extended by the
-monomials of the nonempty slot degrees only, read from the algebroid's
-shared per-degree lists (`tensor_monomials`, `a_monomials`).
+monomials of the nonempty slot degrees only.
+
+The builder works on integer codes.  Every A- and Gamma-monomial up to the
+bound is an int, numbered in sorted monomial order (1 is 0), so the flat
+key (a, t_1, ..., t_s) of a basis element sorts exactly as the nested key
+(a_monomial, (t_monomial_1, ..., t_monomial_s)) does: every basis, column
+order and pivot choice is the one the nested keys give, and a flat key
+hashes in a fraction of the time.  eta_R and the coproduct of each code
+are read once from the algebroid, and monomial products are lookups in one
+table per ring.  A product above the bound is numbered past the sorted
+codes when met, so a differential that reaches one leaves the basis like
+any other wrong key, and the CobarError names the nested key.  `basis`
+decodes the coded basis once per (s, degree).
 """
 
 from __future__ import annotations
 
 from .fgl import EngineError
-from .poly import Monomial, ONE
-from .hopf import HopfAlgebroid, Tensor, TensorKey
+from .poly import Monomial, mon_mul
+from .hopf import HopfAlgebroid, TensorKey
 
 
 class CobarError(EngineError):
@@ -51,86 +62,135 @@ def check_composite_zero(first, second, s: int, degree: int) -> None:
         raise CobarError(f"d o d != 0 at s={s}, degree={degree}, column {min(bad)}")
 
 
+class _Memo(dict):
+    """A dict that fills a missing key k with read(k), once."""
+
+    __slots__ = ("read",)
+
+    def __init__(self, read):
+        super().__init__()
+        self.read = read
+
+    def __missing__(self, k):
+        out = self[k] = self.read(k)
+        return out
+
+
+class _Codes:
+    """The monomials of one ring as ints: `mons` lists the monomials up to
+    the bound in sorted order, then each product above it when first met
+    (`ids` numbers it then); `times[i][j]` is the code of the product of
+    codes i and j, for i up to the bound.  Nothing here refers back to the
+    object, so a complex holds no reference cycle."""
+
+    def __init__(self, monomials: list[Monomial]):
+        mons = self.mons = sorted(monomials)
+
+        def new(m: Monomial) -> int:
+            mons.append(m)
+            return len(mons) - 1
+        ids = self.ids = _Memo(new)
+        ids.update((m, i) for i, m in enumerate(mons))
+        self.times = [_Memo(lambda j, left=m: ids[mon_mul(left, mons[j])]) for m in mons]
+
+
+def _migrate(out: dict, a: int, cm: int, j: int, tup: tuple[int, ...], c,
+             etas: _Memo, atimes: list[_Memo], ttimes: list[_Memo]) -> None:
+    """Add c * a * (cm right of the first j slots of tup) to out, with cm
+    moved to the left slot by slot through eta_R; sums may cancel to 0."""
+    if not j or not cm:
+        k = (atimes[a][cm],) + tup
+        out[k] = out.get(k, 0) + c
+        return
+    j -= 1
+    head, times, tail = tup[:j], ttimes[tup[j]], tup[j + 1:]
+    for dm, tau, c2 in etas[cm]:
+        _migrate(out, a, dm, j, head + (times[tau],) + tail, c * c2, etas, atimes, ttimes)
+
+
 class CobarComplex:
     def __init__(self, algebroid: HopfAlgebroid, normalized: bool = True):
-        self.alg = algebroid
+        alg = self.alg = algebroid
         self.normalized = normalized
+        degrees = range(alg.bound + 1)
+        A = self._a = _Codes([m for d in degrees for m in alg.a_monomials(d)])
+        T = self._t = _Codes([m for d in degrees for m in alg.tensor_monomials(d)])
+        # degree -> the codes of the Gamma-monomials of that degree, in order
+        self._tcodes = [[T.ids[m] for m in alg.tensor_monomials(d)] for d in degrees]
+        self._acodes = [[A.ids[m] for m in alg.a_monomials(d)] for d in degrees]
+
+        # the closures see the codes and the algebroid, never the complex
+        def eta_r(a: int):
+            return [(A.ids[dm], T.ids[tau], c)
+                    for (dm, (tau,)), c in alg.eta_r(A.mons[a]).items()]
+
+        def coproduct(t: int):
+            return [(A.ids[cm], T.ids[u], T.ids[w], c)
+                    for (cm, (u, w)), c in alg.delta(T.mons[t]).items()
+                    if not normalized or (u and w)]
+        # A-code -> its eta_R terms (dm, tau, c); Gamma-code -> its coproduct
+        # terms (cm, u, w, c), reduced if normalized
+        self._etas = _Memo(eta_r)
+        self._coproducts = _Memo(coproduct)
+        # (s, e) -> the coded s-slot tuples of total slot degree e
+        self._tuples: dict[tuple[int, int], list[tuple[int, ...]]] = {(0, 0): [()]}
+        self._coded: dict[tuple[int, int], list[tuple[int, ...]]] = {}
         self._basis_cache: dict[tuple[int, int], list[TensorKey]] = {}
-        # (s, e) -> the s-slot tuples of total slot degree e
-        self._tuples: dict[tuple[int, int], list[tuple[Monomial, ...]]] = {(0, 0): [()]}
-        # Gamma-monomial -> its coproduct terms (cm, u, w, c), reduced if normalized
-        self._coproducts: dict[Monomial, list[tuple[Monomial, Monomial, Monomial, object]]] = {}
 
     # -- bases ---------------------------------------------------------------
 
-    def _slot_tuples(self, s: int, e: int) -> list[tuple[Monomial, ...]]:
-        """The s-slot tuples of total degree e: the (s-1)-slot tuples
-        extended by a monomial of each nonempty slot degree."""
+    def _slot_tuples(self, s: int, e: int) -> list[tuple[int, ...]]:
+        """The coded s-slot tuples of total degree e: the (s-1)-slot tuples
+        extended by a code of each nonempty slot degree."""
         key = (s, e)
         out = self._tuples.get(key)
         if out is None:
             out = []
             if s:
                 for d in range(1 if self.normalized else 0, e + 1):
-                    tms = self.alg.tensor_monomials(d)
-                    if tms:
+                    tcs = self._tcodes[d]
+                    if tcs:
                         for head in self._slot_tuples(s - 1, e - d):
-                            out.extend(head + (tm,) for tm in tms)
+                            out.extend(head + (tc,) for tc in tcs)
             self._tuples[key] = out
         return out
 
-    def basis(self, s: int, degree: int) -> list[TensorKey]:
-        """Basis of C^s in algebraic degree `degree`, sorted canonically."""
+    def _coded_basis(self, s: int, degree: int) -> list[tuple[int, ...]]:
+        """Basis of C^s in degree `degree` as flat keys (a, t_1, ..., t_s),
+        sorted, which is the order of the nested keys."""
         key = (s, degree)
-        cached = self._basis_cache.get(key)
-        if cached is not None:
-            return cached
-        if degree > self.alg.bound:
-            raise CobarError("degree exceeds the algebroid bound")
-        out: list[TensorKey] = []
-        for e in range(degree + 1):
-            amons = self.alg.a_monomials(degree - e)
-            if amons:
-                out.extend((am, tup) for tup in self._slot_tuples(s, e) for am in amons)
-        out.sort()
-        self._basis_cache[key] = out
+        out = self._coded.get(key)
+        if out is None:
+            if degree > self.alg.bound:
+                raise CobarError("degree exceeds the algebroid bound")
+            out = []
+            for e in range(degree + 1):
+                acs = self._acodes[degree - e]
+                if acs:
+                    out.extend((ac,) + tup for tup in self._slot_tuples(s, e) for ac in acs)
+            out.sort()
+            self._coded[key] = out
         return out
+
+    def _decode(self, key: tuple[int, ...]) -> TensorKey:
+        tmons = self._t.mons
+        return self._a.mons[key[0]], tuple(tmons[t] for t in key[1:])
+
+    def basis(self, s: int, degree: int) -> list[TensorKey]:
+        """Basis of C^s in algebraic degree `degree`, sorted canonically, as
+        nested keys (a_monomial, (t_monomial_1, ..., t_monomial_s))."""
+        key = (s, degree)
+        out = self._basis_cache.get(key)
+        if out is None:
+            out = self._basis_cache[key] = list(map(self._decode,
+                                                    self._coded_basis(s, degree)))
+        return out
+
+    def dimension(self, s: int, degree: int) -> int:
+        """n_s, the rank of C^s in degree `degree`."""
+        return len(self._coded_basis(s, degree))
 
     # -- differential --------------------------------------------------------
-
-    def _coproduct(self, tmon: Monomial) -> list[tuple[Monomial, Monomial, Monomial, object]]:
-        """Coproduct terms (cm, u, w, c) of a Gamma-monomial; in the
-        normalized complex only those with u and w both nonempty."""
-        out = self._coproducts.get(tmon)
-        if out is None:
-            out = self._coproducts[tmon] = [
-                (cm, u, w, c) for (cm, (u, w)), c in self.alg.delta(tmon).items()
-                if not self.normalized or (u != ONE and w != ONE)]
-        return out
-
-    def differential_element(self, key: TensorKey) -> Tensor:
-        """Total differential of a basis element of C^s, as a C^{s+1} tensor."""
-        alg = self.alg
-        normalized = self.normalized
-        amon, tmons = key
-        s = len(tmons)
-        out: Tensor = {}
-        # d^0: eta_R of the coefficient lands in a new left slot
-        for (cm, (sigma,)), c in alg.eta_r(amon).items():
-            if sigma != ONE or not normalized:
-                k = (cm, (sigma,) + tmons)
-                out[k] = out.get(k, 0) + c
-        # d^i: coproduct on slot i, coefficient migrated left
-        for i in range(1, s + 1):
-            sign = -1 if i & 1 else 1
-            head, tail = tmons[:i - 1], tmons[i:]
-            for cm, u, w, c in self._coproduct(tmons[i - 1]):
-                alg.migrate_into(out, amon, cm, i, head + (u, w) + tail, sign * c)
-        # d^{s+1}: unit in a new right slot, a degenerate tuple when normalized
-        if not normalized:
-            k = (amon, tmons + (ONE,))
-            out[k] = out.get(k, 0) + (1 if s & 1 else -1)
-        return {k: c for k, c in out.items() if c}
 
     def differential_matrix(self, s: int, degree: int) -> list[dict[int, object]]:
         """Matrix of d: C^s -> C^{s+1} in algebraic degree `degree`, sparse.
@@ -139,14 +199,42 @@ class CobarComplex:
         its nonzero exact rational entries; columns index basis(s, degree)
         and appear in increasing order.
         """
-        index = {k: i for i, k in enumerate(self.basis(s + 1, degree))}
+        normalized = self.normalized
+        etas, coproducts = self._etas, self._coproducts
+        atimes, ttimes = self._a.times, self._t.times
+        index = {k: i for i, k in enumerate(self._coded_basis(s + 1, degree))}
         rows: list[dict[int, object]] = [{} for _ in index]
-        for j, key in enumerate(self.basis(s, degree)):
-            for k, c in self.differential_element(key).items():
-                i = index.get(k)
-                if i is None:
-                    raise CobarError(f"differential leaves the basis at {k}")
-                rows[i][j] = c
+        unit = 1 if s & 1 else -1  # sign of the right-unit coface d^{s+1}
+        for col, key in enumerate(self._coded_basis(s, degree)):
+            a, tup = key[0], key[1:]
+            out: dict[tuple[int, ...], object] = {}
+            # d^0: eta_R of the coefficient lands in a new left slot
+            for dm, sigma, c in etas[a]:
+                if sigma or not normalized:
+                    k = (dm, sigma) + tup
+                    out[k] = out.get(k, 0) + c
+            # d^i: coproduct on slot i, coefficient migrated left
+            for i in range(1, s + 1):
+                sign = -1 if i & 1 else 1
+                head, tail = tup[:i - 1], tup[i:]
+                for cm, u, w, c in coproducts[tup[i - 1]]:
+                    t = head + (u, w) + tail
+                    if cm:
+                        _migrate(out, a, cm, i - 1, t, sign * c, etas, atimes, ttimes)
+                    else:  # nothing to migrate
+                        k = (a,) + t
+                        out[k] = out.get(k, 0) + sign * c
+            # d^{s+1}: unit in a new right slot, a degenerate tuple when normalized
+            if not normalized:
+                k = key + (0,)
+                out[k] = out.get(k, 0) + unit
+            for k, c in out.items():
+                if c:
+                    i = index.get(k)
+                    if i is None:
+                        raise CobarError(
+                            f"differential leaves the basis at {self._decode(k)}")
+                    rows[i][col] = c
         return rows
 
     def check_d_squared(self, s: int, degree: int) -> None:

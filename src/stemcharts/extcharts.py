@@ -210,7 +210,7 @@ def ext_chart(algebroid: HopfAlgebroid, p: int, K: int, s_max: int, t_max: int,
         mats = [cx.differential_matrix(s, d) for s in range(s_max + 1)]
         for s in range(s_max):
             check_composite_zero(mats[s], mats[s + 1], s, d)
-        ns = [len(cx.basis(s, d)) for s in range(s_max + 1)]
+        ns = [cx.dimension(s, d) for s in range(s_max + 1)]
         prev: list[int] = []  # valuations of d^{s-1}
         for s, vals in enumerate(_slice_divisors(mats, ns, p, m2)):
             n = ns[s]

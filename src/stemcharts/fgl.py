@@ -196,6 +196,8 @@ class UniversalFGL:
         self.bound = bound
         self.mring = PolyRing([f"m{i}" for i in range(1, bound + 1)],
                               list(range(1, bound + 1)), bound)
+        self._xring = PolyRing([f"x{i}" for i in range(1, bound + 1)],
+                               list(range(1, bound + 1)), bound)
         self.log = generic_series(self.mring, bound + 1, 0)
         self.exp = reversion(self.log)
         self.F = _sum_series(self.log, self.exp)
@@ -239,8 +241,8 @@ class UniversalFGL:
         return self._xgens[n - 1]
 
     def x_ring(self) -> PolyRing:
-        return PolyRing([f"x{i}" for i in range(1, self.bound + 1)],
-                        list(range(1, self.bound + 1)), self.bound)
+        """Z[x_1..x_bound], the ring of to_x_coordinates' results, built once."""
+        return self._xring
 
     def to_x_coordinates(self, p: Poly) -> Poly:
         """Rewrite an integral element of Q[m] in the x-generators, by the

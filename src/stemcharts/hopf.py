@@ -427,7 +427,10 @@ def build_universal(bound: int) -> HopfAlgebroid:
             by_b.setdefault(gpart, {})[apart] = c
         elem: Tensor = {}
         for bmon, mterms in by_b.items():
-            xpoly = u.to_x_coordinates(Poly(u.mring, mterms))
+            try:
+                xpoly = u.to_x_coordinates(Poly(u.mring, mterms))
+            except ValueError as exc:  # the Lazard ring holds every eta_R(x_n)
+                raise EngineError(f"eta_R(x{n}) leaves the Lazard ring: {exc}") from exc
             _add_into(elem, (((xm, (bmon,)), xc)
                              for xm, xc in xpoly.terms.items()))
         eta_r_gen[n - 1] = elem

@@ -123,6 +123,45 @@ def test_exit_code_lazard_lattice_defect(monkeypatch, capsys, defect, message):
     assert f"engine invariant broken: {message}" in captured.err
 
 
+def test_exit_code_eta_r_leaves_lazard_ring(monkeypatch, capsys):
+    # a halved x_2 makes eta_R(x_2) non-integral in the x-basis: the peel's
+    # ValueError is an engine defect, not a traceback out of main
+    from fractions import Fraction
+    from stemcharts.fgl import UniversalFGL
+    compute = UniversalFGL._compute_integral_generators
+
+    def halved(self):
+        compute(self)
+        self._xgens[1] = self._xgens[1].scale(Fraction(1, 2))
+    monkeypatch.setattr(UniversalFGL, "_compute_integral_generators", halved)
+    monkeypatch.delenv("STEMCHARTS_CACHE_DIR", raising=False)
+    code = main(["ext", "--kind", "universal", "--prime", "2", "--tmax", "8"])
+    captured = capsys.readouterr()
+    assert code == 4 and captured.out == ""
+    assert "engine invariant broken: eta_R(x2) leaves the Lazard ring: " \
+        "element is not integral in the x-basis" in captured.err
+
+
+def test_exit_code_differential_leaves_the_basis(monkeypatch, capsys):
+    # t1 (x) t1^5 in Delta(t1), past verification: the coded cobar builder
+    # meets a Gamma-monomial above the bound
+    from stemcharts.hopf import build_algebroid
+
+    def planted_build(*args, **kwargs):
+        alg = build_algebroid(*args, **kwargs)
+        delta = alg.delta
+        term = ((), (((0, 1),), ((0, 5),)))
+        alg.delta = lambda m: {**delta(m), term: 1} if m == ((0, 1),) else delta(m)
+        return alg
+    monkeypatch.setattr(cli, "build_algebroid", planted_build)
+    monkeypatch.delenv("STEMCHARTS_CACHE_DIR", raising=False)
+    code = main(["ext", "--prime", "2", "--tmax", "8"])
+    captured = capsys.readouterr()
+    assert code == 4 and captured.out == ""
+    assert "engine invariant broken: differential leaves the basis at " \
+        "((), (((0, 1),), ((0, 5),)))" in captured.err
+
+
 def test_exit_code_synthetic_lane_failure(monkeypatch, capsys):
     # an Ext entry at odd t sits off its lane n + s = 2w
     from types import SimpleNamespace

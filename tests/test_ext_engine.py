@@ -47,6 +47,17 @@ def test_golden_chart(name, p, t_max, normalized):
         assert json.dumps(ec.to_json(), indent=1) + "\n" == fh.read()
 
 
+def test_golden_chart_p2_t26_digest():
+    # sha256 of the golden_chart bytes of the normalized p=2 t<=26 chart,
+    # recorded from the engine before the integer-coded cobar keys; no
+    # other golden reaches this far
+    alg = build_algebroid("p_typical", 13, p=2)
+    ec = ext_chart(alg, 2, 10, 6, 26)
+    text = json.dumps(ec.to_json(), indent=1) + "\n"
+    assert hashlib.sha256(text.encode()).hexdigest() == \
+        "2db0a69993f34ef0366c1d9f5a7d021de339589097a06b8cf1c83a97107adbbc"
+
+
 def test_golden_cli_grid(capsys):
     assert cli.main(["ext", "--prime", "3", "--tmax", "24", "--format", "grid"]) == 0
     with open(os.path.join(GOLDEN, "cli_ext_p3_t24_grid.txt"), encoding="utf-8") as fh:

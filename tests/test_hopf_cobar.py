@@ -1,9 +1,10 @@
 import gc
+import re
 import weakref
 
 import pytest
 
-from stemcharts.cobar import CobarComplex
+from stemcharts.cobar import CobarComplex, CobarError
 from stemcharts.extcharts import ext_chart
 from stemcharts.fgl import UniversalFGL
 from stemcharts.hopf import (HopfAlgebroid, HopfAxiomError, _add_into,
@@ -303,3 +304,57 @@ def test_builder_matches_every_coface(p, t_max, normalized):
             assert cx.basis(s, degree) == reference_basis(cx, s, degree)
             assert cx.differential_matrix(s, degree) == \
                 reference_differential(cx, s, degree), (s, degree)
+
+
+# -- planted faults in the coded builder ---------------------------------------
+
+def plant(alg, name, mon, key):
+    """Add one term key, coefficient 1, to alg's eta_r or delta of mon,
+    after verification, where only the cobar builder reads it."""
+    image = getattr(alg, name)
+
+    def planted(m):
+        out = image(m)
+        return {**out, key: 1} if m == mon else out
+    setattr(alg, name, planted)
+
+
+T1 = V1 = ((0, 1),)  # t1 and v1, the first generators of Gamma and of A
+
+
+@pytest.mark.parametrize("bound,name,mon,term,s,degree,where", [
+    # t1 (x) t1^5 in Delta(t1): a Gamma-monomial above the bound
+    (4, "delta", T1, (ONE, (T1, ((0, 5),))), 1, 1, (ONE, (T1, ((0, 5),)))),
+    # t1^6 in eta_R(v1): migrating v1 left through t1 gives t1^7
+    (6, "eta_r", V1, (ONE, (((0, 6),),)), 2, 4, (ONE, (((0, 7),), T1, T1))),
+    # v1^4 t1 (x) t1 in Delta(t1): the coefficient of the column v1 t1
+    # becomes v1^5
+    (4, "delta", T1, (((0, 4),), (T1, T1)), 1, 2, (((0, 5),), (T1, T1))),
+])
+def test_planted_term_leaves_the_basis(bound, name, mon, term, s, degree, where):
+    # a product outside the basis or above the bound is a CobarError that
+    # names the nested key, never a KeyError or IndexError of the codes
+    alg = build_algebroid("p_typical", bound, p=2)
+    plant(alg, name, mon, term)
+    cx = CobarComplex(alg)
+    with pytest.raises(CobarError, match=re.escape(
+            f"differential leaves the basis at {where}")):
+        cx.differential_matrix(s, degree)
+
+
+@pytest.mark.parametrize("p,bound,mon", [
+    (2, 6, ((0, 2),)),      # 2 t1 (x) t1 in Delta(t1^2)
+    (2, 6, ((1, 1),)),      # Delta(t2), with a v1 coefficient to migrate
+    (3, 8, ((0, 3),)),      # Delta(t1^3)
+])
+def test_flipped_coded_coproduct_fails_d_squared(p, bound, mon):
+    alg = build_algebroid("p_typical", bound, p=p)
+    cx = CobarComplex(alg)
+    terms = cx._coproducts[cx._t.ids[mon]]
+    for n, (cm, u, w, c) in enumerate(terms):
+        flipped = CobarComplex(alg)
+        flipped._coproducts[flipped._t.ids[mon]] = terms[:n] + [(cm, u, w, -c)] + terms[n + 1:]
+        with pytest.raises(CobarError, match="d o d != 0"):
+            for degree in range(bound + 1):
+                for s in range(3):
+                    flipped.check_d_squared(s, degree)

@@ -7,13 +7,13 @@ formula into bigraded stable-stem charts.
 """
 
 from .cache import ENGINE_VERSION
-from .charts import (AbGroupDesc, BigradedChart, INF, WeightFunction,
-                     chart_combine, charts_same_groups, chow_degree,
-                     chow_weight, complete_chart, complete_desc, custom_weight,
-                     cyclic, fd_weight, free_group, truncate_chart, weight_eval)
+from .charts import (AbGroupDesc, BigradedChart, INF, chart_shift, chart_sum,
+                     charts_same_groups, chow_degree, chow_weight,
+                     complete_chart, complete_desc, custom_weight, cyclic,
+                     fd_weight, free_group, is_superadditive, truncate_chart)
 from .fgl import (FormalGroupLaw, GradedRingPresentation, additive_fgl,
-                  fgl_series, multiplicative_fgl, p_typical_reduction,
-                  universal_fgl)
+                  fgl_exp, fgl_inverse, fgl_log, multiplicative_fgl,
+                  p_typical_reduction, universal_fgl)
 from .hopf import HopfAlgebroid, HopfAxiomError, build_algebroid
 from .cobar import CobarComplex, CobarError, EngineError
 from .extcharts import ExtChart, PrecisionExhausted, ext_chart

@@ -15,7 +15,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Iterable, Optional
+from typing import Callable, Iterable, Optional
 
 INF = "inf"  # countably-infinite marker for ranks and multiplicities
 
@@ -30,6 +30,22 @@ def _json_object(obj: object, what: str) -> dict:
     if not isinstance(obj, dict):
         raise ValueError(f"{what} is a {type(obj).__name__}, not an object")
     return obj
+
+
+def _json_list(obj: object, what: str) -> list:
+    """obj, if it is a JSON array; else a ValueError naming its type."""
+    if not isinstance(obj, list):
+        raise ValueError(f"{what} is a {type(obj).__name__}, not a list")
+    return obj
+
+
+def _int_key(key: str, what: str) -> int:
+    """A JSON object key that spells an integer, as an int; else a
+    ValueError naming the key."""
+    try:
+        return int(key)
+    except ValueError:
+        raise ValueError(f"{what} key {key!r} is not an integer") from None
 
 
 def _check_keys(obj: object, schema: Iterable[str], what: str,
@@ -354,58 +370,37 @@ def complete_desc(g: AbGroupDesc, p: int) -> AbGroupDesc:
 # ---------------------------------------------------------------------------
 # weight functions
 
-class WeightFunction:
-    """Superadditive truncation weight: chow (2n), fd(d) (2n + eps_d), or table."""
-
-    def __init__(self, kind: str, d: Optional[int] = None,
-                 table: Optional[dict[int, int]] = None):
-        if kind not in ("chow", "fd", "custom"):
-            raise ValueError(f"unknown weight kind {kind!r}")
-        if kind == "fd":
-            if d is None or d <= 0:
-                raise ValueError("fd weight needs d > 0")
-        if kind == "custom" and not table:
-            raise ValueError("custom weight needs a table")
-        self.kind = kind
-        self.d = d
-        self.table = dict(table) if table else None
-
-    def __call__(self, n: int) -> int:
-        return weight_eval(self, n)
-
-    def check_superadditive(self, window: int = 50) -> bool:
-        """f(a)+f(b) >= f(a+b) and f(0)=0 on |a|,|b| <= window."""
-        if self(0) != 0:
-            return False
-        for a in range(-window, window + 1):
-            fa = self(a)
-            for b in range(-window, window + 1):
-                if fa + self(b) < self(a + b):
-                    return False
-        return True
+def chow_weight() -> Callable[[int], int]:
+    """The Chow weight n -> 2n."""
+    return lambda n: 2 * n
 
 
-def chow_weight() -> WeightFunction:
-    return WeightFunction("chow")
+def fd_weight(d: int) -> Callable[[int], int]:
+    """The weight f_d: n -> 2n + eps_d(n), eps_d(n) = (-n) mod d, for d > 0."""
+    if d is None or d <= 0:
+        raise ValueError("fd weight needs d > 0")
+    return lambda n: 2 * n + (-n) % d
 
 
-def fd_weight(d: int) -> WeightFunction:
-    return WeightFunction("fd", d=d)
+def custom_weight(table: dict[int, int]) -> Callable[[int], int]:
+    """The weight n -> table[n], defined on the table's keys only."""
+    if not table:
+        raise ValueError("custom weight needs a table")
+    table = dict(table)
+
+    def weight(n: int) -> int:
+        if n not in table:
+            raise KeyError(f"custom weight queried outside its window at {n}")
+        return table[n]
+    return weight
 
 
-def custom_weight(table: dict[int, int]) -> WeightFunction:
-    return WeightFunction("custom", table=table)
-
-
-def weight_eval(f: WeightFunction, n: int) -> int:
-    if f.kind == "chow":
-        return 2 * n
-    if f.kind == "fd":
-        eps = (-n) % f.d
-        return 2 * n + eps
-    if n not in f.table:
-        raise KeyError(f"custom weight queried outside its window at {n}")
-    return f.table[n]
+def is_superadditive(f: Callable[[int], int], window: int = 50) -> bool:
+    """f(a)+f(b) >= f(a+b) and f(0)=0 on |a|,|b| <= window."""
+    if f(0) != 0:
+        return False
+    r = range(-window, window + 1)
+    return all(fa + f(b) >= f(a + b) for a, fa in zip(r, map(f, r)) for b in r)
 
 
 def chow_degree(i: int, j: int) -> int:
@@ -460,11 +455,16 @@ class BigradedChart:
     @staticmethod
     def from_json(obj: dict) -> "BigradedChart":
         """Parse `to_json`'s schema (other top-level keys are ignored); an
-        entry without "i" or "j" or with a key outside the group schema
-        raises ValueError."""
-        _json_object(obj, "chart")
+        entry without "i" or "j" or with a key outside the group schema, a
+        label that is not a string and a prime that is neither null nor a
+        prime raise ValueError."""
+        label, prime = _json_object(obj, "chart").get("label", ""), obj.get("prime")
+        if not isinstance(label, str):
+            raise ValueError(f"chart 'label' is not a string: {label!r}")
+        if prime is not None and not (_is_int(prime) and _is_prime(prime)):
+            raise ValueError(f"chart 'prime' is not null or a prime: {prime!r}")
         entries = {}
-        for ent in obj.get("entries", []):
+        for ent in _json_list(obj.get("entries", []), "chart 'entries'"):
             _check_keys(ent, ("i", "j", *_GROUP_JSON), "chart entry",
                         required=("i", "j"))
             for key in ("i", "j"):
@@ -473,17 +473,17 @@ class BigradedChart:
                                      f"{ent[key]!r}")
             entries[(ent["i"], ent["j"])] = AbGroupDesc.from_json(
                 {k: v for k, v in ent.items() if k not in ("i", "j")})
-        return BigradedChart(entries, obj.get("label", ""), obj.get("prime"))
+        return BigradedChart(entries, label, prime)
 
 
-def truncate_chart(c: BigradedChart, f: WeightFunction, threshold: int,
+def truncate_chart(c: BigradedChart, f: Callable[[int], int], threshold: int,
                    mode: str) -> BigradedChart:
     """Keep entry (i, j) iff i - f(j) satisfies `mode` against threshold."""
     if mode not in ("ge", "lt", "eq"):
         raise ValueError(f"unknown truncation mode {mode!r}")
     out = {}
     for (i, j), g in c.entries.items():
-        v = i - weight_eval(f, j)
+        v = i - f(j)
         keep = (v >= threshold) if mode == "ge" else \
                (v < threshold) if mode == "lt" else (v == threshold)
         if keep:
@@ -491,21 +491,18 @@ def truncate_chart(c: BigradedChart, f: WeightFunction, threshold: int,
     return BigradedChart(out, c.label, c.prime)
 
 
-def chart_combine(a: BigradedChart, b: Optional[BigradedChart], op: str,
-                  shift: tuple[int, int] = (0, 0)) -> BigradedChart:
-    """direct_sum of two charts, or shift of one chart by (di, dj)."""
-    if op == "shift":
-        di, dj = shift
-        return BigradedChart({(i + di, j + dj): g for (i, j), g in a.entries.items()},
-                             a.label, a.prime)
-    if op == "direct_sum":
-        if b is None:
-            raise ValueError("direct_sum needs two charts")
-        if a.prime is not None and b.prime is not None and a.prime != b.prime:
-            raise ChartError(f"prime mismatch: {a.prime} vs {b.prime}")
-        out = sum_groups([*a.entries.items(), *b.entries.items()])
-        return BigradedChart(out, a.label or b.label, a.prime or b.prime)
-    raise ValueError(f"unknown combine op {op!r}")
+def chart_sum(a: BigradedChart, b: BigradedChart) -> BigradedChart:
+    """The direct sum of two charts; their primes, where set, must agree."""
+    if a.prime is not None and b.prime is not None and a.prime != b.prime:
+        raise ChartError(f"prime mismatch: {a.prime} vs {b.prime}")
+    out = sum_groups([*a.entries.items(), *b.entries.items()])
+    return BigradedChart(out, a.label or b.label, a.prime or b.prime)
+
+
+def chart_shift(c: BigradedChart, di: int, dj: int) -> BigradedChart:
+    """c with every entry moved by (di, dj)."""
+    return BigradedChart({(i + di, j + dj): g for (i, j), g in c.entries.items()},
+                         c.label, c.prime)
 
 
 def complete_chart(c: BigradedChart, p: int) -> BigradedChart:

@@ -142,10 +142,10 @@ def check_fpt(scale: Scale) -> Lines:
 
 
 def check_charts(scale: Scale) -> Lines:
-    from .charts import (BigradedChart, chart_combine, chow_degree, chow_weight,
-                         cyclic, fd_weight, truncate_chart)
+    from .charts import (BigradedChart, chart_sum, chow_degree, chow_weight,
+                         cyclic, fd_weight, is_superadditive, truncate_chart)
     yield (f"f_d superadditivity, d <= {scale.fd_max}, window {scale.fd_window}",
-           all(fd_weight(d).check_superadditive(scale.fd_window)
+           all(is_superadditive(fd_weight(d), scale.fd_window)
                for d in range(1, scale.fd_max + 1)))
     i_max, j_max = scale.truncation_box
     c = BigradedChart({(i, j): cyclic(3) for i in range(-i_max, i_max + 1)
@@ -156,8 +156,7 @@ def check_charts(scale: Scale) -> Lines:
            all(truncate_chart(t, chow_weight(), thr, "ge") == t
                for thr, t in ge.items()))
     yield ("ge/lt truncation complementary",
-           all(chart_combine(t, truncate_chart(c, chow_weight(), thr, "lt"),
-                             "direct_sum") == c
+           all(chart_sum(t, truncate_chart(c, chow_weight(), thr, "lt")) == c
                for thr, t in ge.items()))
     r = scale.chow_range
     yield ("chow degree (2,1)-invariance",

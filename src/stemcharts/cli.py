@@ -27,13 +27,18 @@ module file with a key missing or a key outside the module schema (p,
 dim, t) or the ind-system schema (modules, maps, stable_from), a matrix
 of the wrong shape or a structure-map row that is not a list, a t-action
 that is not nilpotent or a structure map that is not injective or not
-t-equivariant; a chart entry without "i" or "j", or with another key
-outside the chart schema; a catalog field without "variant", with a key
-outside the schema `catalog` prints (in the descriptor, its witt_table or
-one of its groups), with a malformed custom table or, for a finite field,
-with a q that is not a prime power, or a catalog or its "fields" that is
-not an object; a table with a key other than p and stems, stems that is
-not an object, a stem that is not a list of rows, or a row that is not
+t-equivariant, or a t, modules or maps that is not a list; a chart whose
+label is not a string, whose prime is neither null nor a prime or whose
+entries is not a list, a chart entry without "i" or "j", or with another
+key outside the chart schema; a catalog field without "variant", with a
+variant `fields.VARIANTS` does not name, a q, char or tower_prime that is
+not an integer, a key outside the schema `catalog` prints (in the
+descriptor, its witt_table or one of its groups), a table degree that is
+not an integer, a malformed custom table or, for a finite field, a q that
+is not a prime power, or a catalog or its "fields" that is not an object;
+a table with a key other than p and stems, a p that is not a prime, stems
+that is not an object, a stem key that is not an integer, a stem that is
+not a list of rows, or a row that is not
 [integer weight, integer filtration >= 0, "free" or an order >= 1] or
 lies off its lane n + s = 2w.  So is an ind-system whose profiles do not
 stabilize as declared, and a value of the wrong JSON type: an integer is
@@ -71,7 +76,8 @@ import os
 import sys
 
 from .cache import ENGINE_VERSION, cache_key, cache_load, cache_store
-from .charts import AbGroupDesc, BigradedChart, _check_keys, _is_prime
+from .charts import (AbGroupDesc, BigradedChart, _check_keys, _is_prime,
+                     _json_list, _json_object)
 from .catalog import catalog_to_json, get_field, load_catalog
 from .cobar import EngineError
 from .extcharts import PrecisionExhausted, ext_chart
@@ -228,12 +234,14 @@ def cmd_synthetic(args) -> int:
 
 def _module_from_json(data) -> FptModule | IndFptModule:
     """The module or ind-system of a module file."""
-    if "modules" not in data:
+    if "modules" not in _json_object(data, "module"):
         return FptModule.from_json(data)
     _check_keys(data, ("modules", "maps", "stable_from"), "ind-system",
                 required=("modules", "maps"))
-    mods = [FptModule.from_json(m) for m in data["modules"]]
-    return IndFptModule(mods, data["maps"], data.get("stable_from", 0))
+    mods = [FptModule.from_json(m)
+            for m in _json_list(data["modules"], "ind-system 'modules'")]
+    return IndFptModule(mods, _json_list(data["maps"], "ind-system 'maps'"),
+                        data.get("stable_from", 0))
 
 
 def cmd_decompose(args) -> int:

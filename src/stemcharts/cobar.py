@@ -6,7 +6,8 @@ coproduct on each factor, and insert a unit on the right.  The total
 differential is the alternating sum.  The normalized (reduced) subcomplex
 drops every tuple containing an empty slot; it computes the same
 cohomology and is the default.  Differentials are built directly as sparse
-rows, never dense, and d o d = 0 is checked exactly, over Q, on every
+rows of ints (every structure constant of both algebroids is an integer,
+`hopf`), never dense, and d o d = 0 is checked exactly, over Z, on every
 basis element produced (`check_composite_zero`).
 
 The normalized differential uses the reduced coproduct.  Each Gamma-
@@ -30,7 +31,7 @@ are read once from the algebroid, and monomial products are lookups in one
 table per ring.  A product above the bound is numbered past the sorted
 codes when met, so a differential that reaches one leaves the basis like
 any other wrong key, and the CobarError names the nested key.  `basis`
-decodes the coded basis once per (s, degree).
+decodes the coded basis to nested keys on each call.
 """
 
 from __future__ import annotations
@@ -135,7 +136,6 @@ class CobarComplex:
         # (s, e) -> the coded s-slot tuples of total slot degree e
         self._tuples: dict[tuple[int, int], list[tuple[int, ...]]] = {(0, 0): [()]}
         self._coded: dict[tuple[int, int], list[tuple[int, ...]]] = {}
-        self._basis_cache: dict[tuple[int, int], list[TensorKey]] = {}
 
     # -- bases ---------------------------------------------------------------
 
@@ -179,12 +179,7 @@ class CobarComplex:
     def basis(self, s: int, degree: int) -> list[TensorKey]:
         """Basis of C^s in algebraic degree `degree`, sorted canonically, as
         nested keys (a_monomial, (t_monomial_1, ..., t_monomial_s))."""
-        key = (s, degree)
-        out = self._basis_cache.get(key)
-        if out is None:
-            out = self._basis_cache[key] = list(map(self._decode,
-                                                    self._coded_basis(s, degree)))
-        return out
+        return list(map(self._decode, self._coded_basis(s, degree)))
 
     def dimension(self, s: int, degree: int) -> int:
         """n_s, the rank of C^s in degree `degree`."""
@@ -192,18 +187,18 @@ class CobarComplex:
 
     # -- differential --------------------------------------------------------
 
-    def differential_matrix(self, s: int, degree: int) -> list[dict[int, object]]:
+    def differential_matrix(self, s: int, degree: int) -> list[dict[int, int]]:
         """Matrix of d: C^s -> C^{s+1} in algebraic degree `degree`, sparse.
 
         One row {column: entry} per element of basis(s+1, degree), holding
-        its nonzero exact rational entries; columns index basis(s, degree)
-        and appear in increasing order.
+        its nonzero integer entries; columns index basis(s, degree) and
+        appear in increasing order.
         """
         normalized = self.normalized
         etas, coproducts = self._etas, self._coproducts
         atimes, ttimes = self._a.times, self._t.times
         index = {k: i for i, k in enumerate(self._coded_basis(s + 1, degree))}
-        rows: list[dict[int, object]] = [{} for _ in index]
+        rows: list[dict[int, int]] = [{} for _ in index]
         unit = 1 if s & 1 else -1  # sign of the right-unit coface d^{s+1}
         for col, key in enumerate(self._coded_basis(s, degree)):
             a, tup = key[0], key[1:]

@@ -9,9 +9,10 @@ saturated.  Hence
 where n_s = rank C^s, r_s = rank d^s, and p^a runs over the non-unit
 elementary divisors of d^{s-1} (Ravenel, Complex Cobordism and Stable
 Homotopy Groups of Spheres, ch. 4 and 7).  Each differential is built once
-as sparse rows, checked against d o d = 0 exactly over Q, reduced once mod
-p^(2K), and its elementary divisors (`zpk.elementary_divisors`) give r_s
-and the torsion of H^(s+1).
+as sparse integer rows (every structure constant is an integer: `hopf`),
+checked against d o d = 0 exactly over Z, and its elementary divisors
+(`zpk.elementary_divisors`, which reduces the rows mod p^k once per rung)
+give r_s and the torsion of H^(s+1); a non-integer entry is an EngineError.
 
 The divisors come from a modulus ladder (`_divisor_exponents`): eliminate
 mod p^k for k = 1, 2, 4, ... capped at 2K, and stop at the first rung
@@ -66,7 +67,6 @@ p^K there, torsion is certified below it.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 
 from .charts import AbGroupDesc, BigradedChart, valuation
 from .cobar import CobarComplex, EngineError, check_composite_zero
@@ -102,23 +102,16 @@ class ExtChart:
         return obj
 
 
-def _reduce_rows(rows, p: int, m: int, drop=()) -> list[dict[int, int]]:
-    """Sparse exact rows reduced mod p^m, without the columns in drop;
-    EngineError unless p-integral."""
-    mod = p ** m
+def _reduce_rows(rows, drop) -> list[dict[int, int]]:
+    """Sparse integer rows without the columns in drop; EngineError unless
+    every entry is an int."""
     out = []
     for row in rows:
         r = {}
         for j, c in row.items():
-            if j in drop:
-                continue
             if type(c) is not int:
-                fr = Fraction(c)
-                if fr.denominator % p == 0:
-                    raise EngineError("differential not p-integral")
-                c = fr.numerator * pow(fr.denominator, -1, mod)
-            c %= mod
-            if c:
+                raise EngineError("differential not p-integral")
+            if j not in drop:
                 r[j] = c
         out.append(r)
     return out
@@ -165,7 +158,7 @@ def _slice_divisors(mats, ns: list[int], p: int, m: int):
     for s in range(len(mats) + 1):
         units = []
         if s < len(mats):
-            rows = _reduce_rows(mats[s], p, m, cancelled)
+            rows = _reduce_rows(mats[s], cancelled)
             first = _divisor_exponents(rows, p, 1, ns[s])
             if isinstance(first, Divisors):
                 units = first.units

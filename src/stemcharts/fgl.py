@@ -566,19 +566,6 @@ def _eval_bivariate(F: Series, a: Series, b: Series) -> Series:
     return out
 
 
-def fgl_series(F: FormalGroupLaw, op: str) -> Series:
-    """Series attached to F: 'sum', 'inverse', 'log', 'exp'."""
-    if op == "sum":
-        return F.as_series()
-    if op == "inverse":
-        return fgl_inverse(F)
-    if op == "log":
-        return fgl_log(F)
-    if op == "exp":
-        return fgl_exp(F)
-    raise ValueError(f"unknown series op {op!r}")
-
-
 # ---------------------------------------------------------------------------
 # p-typical reduction
 
@@ -627,7 +614,7 @@ def p_typical_log(p: int, bound: int) -> tuple[GradedRingPresentation, Series]:
 def _log_over_char_zero(F: FormalGroupLaw) -> Series:
     """Internal logarithm over base (x) Q: integrate dx / (dF/dy)(x, 0).
 
-    Unlike the public fgl_series("log"), this accepts integral bases (Z,
+    Unlike the public fgl_log, this accepts integral bases (Z,
     Z_(p)); the coefficients acquire rational denominators.
     """
     ring = F.presentation.ring()

@@ -23,10 +23,13 @@ from itertools import combinations_with_replacement, product
 from math import gcd
 from typing import Optional
 
-from .charts import (AbGroupDesc, INF, _check_keys, _is_int, _is_prime_power,
-                     _json_object, cyclic, free_group, valuation)
+from .charts import (AbGroupDesc, INF, _check_keys, _int_key, _is_int,
+                     _is_prime_power, _json_object, cyclic, free_group,
+                     valuation)
 
 DIVISIBLE = AbGroupDesc(divisible=True)
+VARIANTS = ("finite", "algebraically_closed", "real_closed", "complex_like",
+            "cyclotomic_tower", "custom")
 
 
 class FieldError(Exception):
@@ -48,16 +51,16 @@ def _count(n, what: str):
     return n
 
 
-def _table(obj: dict, parse=None, what: str = "table") -> dict:
-    """{int(key): parse(value)} of a JSON object, in increasing key order;
-    without `parse`, each value is a count, named by `what` and its key."""
-    parsed = {int(k): parse(v) if parse else _count(v, f"{what} {k!r}")
+def _table(obj: dict, what: str, parse=None) -> dict:
+    """{int(key): parse(value)} of the JSON object `what`, by increasing
+    key; without `parse`, each value is a count named by `what` and its key."""
+    parsed = {_int_key(k, what): parse(v) if parse else _count(v, f"{what} {k!r}")
               for k, v in _json_object(obj, what).items()}
     return {k: parsed[k] for k in sorted(parsed)}
 
 
-def _groups(obj: dict) -> dict[int, AbGroupDesc]:
-    return _table(obj, AbGroupDesc.from_json)
+def _groups(obj: dict, what: str) -> dict[int, AbGroupDesc]:
+    return _table(obj, what, AbGroupDesc.from_json)
 
 
 def _table_json(table: dict, encode=lambda v: v) -> dict:
@@ -82,14 +85,13 @@ class WittData:
                     required=("GW", "W"))
         return WittData(gw=AbGroupDesc.from_json(obj["GW"]),
                         w=AbGroupDesc.from_json(obj["W"]),
-                        fundamental=_groups(obj.get("I", {})),
-                        km_mod2=_groups(obj.get("k", {})))
+                        fundamental=_groups(obj.get("I", {}), "Witt table 'I'"),
+                        km_mod2=_groups(obj.get("k", {}), "Witt table 'k'"))
 
 
 @dataclass(frozen=True)
 class FieldDescriptor:
-    variant: str                      # finite | algebraically_closed | real_closed
-    #                                 | complex_like | cyclotomic_tower | custom
+    variant: str                      # one of VARIANTS
     name: str = ""
     q: Optional[int] = None           # finite(q)
     char: int = 0
@@ -154,13 +156,21 @@ class FieldDescriptor:
     @staticmethod
     def from_json(obj: dict) -> "FieldDescriptor":
         """Parse `to_json`'s schema; a missing "variant" or a key outside the
-        schema raises a ValueError naming it, as does a table that is not a
-        JSON object, and a malformed table entry raises ValueError or
-        TypeError, here and not in a command."""
+        schema raises a ValueError naming it, as do a variant outside
+        VARIANTS, a q, char or tower_prime that is not an integer and a
+        table that is not a JSON object, and a malformed table entry raises
+        ValueError or TypeError, here and not in a command."""
         _check_keys(obj, ("variant", "name", "q", "char", "base_name",
                           "tower_prime", "km_table", "witt_table", "kmw_table",
                           "roots_of_unity", "km_mod_p_dims"), "field descriptor",
                     required=("variant",))
+        if obj["variant"] not in VARIANTS:
+            raise ValueError(f"field descriptor 'variant' is not one of "
+                             f"{', '.join(VARIANTS)}: {obj['variant']!r}")
+        for key in ("q", "char", "tower_prime"):
+            if key in obj and not _is_int(obj[key]):
+                raise ValueError(f"field descriptor {key!r} is not an integer: "
+                                 f"{obj[key]!r}")
 
         def table(key, parse):
             return parse(_json_object(obj[key], key)) if key in obj else None
@@ -172,12 +182,12 @@ class FieldDescriptor:
             char=obj.get("char", 0),
             base_name=obj.get("base_name"),
             tower_prime=obj.get("tower_prime"),
-            km_table=table("km_table", _groups),
+            km_table=table("km_table", lambda t: _groups(t, "km_table")),
             witt_table=table("witt_table", WittData.from_json),
-            kmw_table=table("kmw_table", _groups),
-            roots=table("roots_of_unity", lambda t: _table(t, what="roots_of_unity")),
+            kmw_table=table("kmw_table", lambda t: _groups(t, "kmw_table")),
+            roots=table("roots_of_unity", lambda t: _table(t, "roots_of_unity")),
             km_mod_p_dims=table("km_mod_p_dims", lambda t: _table(
-                t, lambda dims: _table(dims, what="km_mod_p_dims"))),
+                t, "km_mod_p_dims", lambda dims: _table(dims, "km_mod_p_dims"))),
         )
 
 

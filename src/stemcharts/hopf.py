@@ -15,7 +15,7 @@ Two constructions:
 Elements of Gamma^{(x)_A s} are kept in left-normal form: free A-module on
 s-tuples of monomials in the Gamma generators, all A-coefficients rewritten
 onto the leftmost factor through eta_R.  Tensor keys are
-(a_monomial, (t_monomial_1, ..., t_monomial_s)) -> Fraction/int.
+(a_monomial, (t_monomial_1, ..., t_monomial_s)) -> int (`_check_p_integral`).
 
 Products are exact: `tensor_mul` only ever multiplies homogeneous factors
 whose degrees sum to at most the bound, so no term is dropped by degree.
@@ -79,18 +79,14 @@ class HopfAlgebroid:
 
     # -- presentation-level views -------------------------------------------
 
-    def gamma_presentation(self) -> GradedRingPresentation:
-        return GradedRingPresentation(
+    def to_json(self) -> dict:
+        gamma = GradedRingPresentation(
             base=f"{self.A.base}[A]",
             generators=list(zip(self.gamma_names, self.gamma_degrees)),
-            relations=[],
-            degree_bound=self.bound,
-        )
-
-    def to_json(self) -> dict:
+            relations=[], degree_bound=self.bound)
         return {
             "kind": self.kind, "prime": self.p, "degree_bound": self.bound,
-            "A": self.A.to_json(), "Gamma": self.gamma_presentation().to_json(),
+            "A": self.A.to_json(), "Gamma": gamma.to_json(),
         }
 
     # -- degree helpers ------------------------------------------------------
@@ -352,7 +348,7 @@ def build_p_typical(p: int, bound: int) -> HopfAlgebroid:
             pw = alg.tensor_pow(eta_r[n - i - 1], p ** i, 1)
             alg.tensor_mul(eta_r_lambda(i), pw, acc, -1)
         eta_r[n - 1] = acc
-    _check_p_integral(eta_r, p, "eta_R")
+    _check_p_integral(eta_r, "eta_R")
 
     # coproduct: sum_{i+j+k=n} lambda_i t_j^{p^i} (x) t_k^{p^{i+j}}
     #          = sum_{h<=n} lambda_h Delta(t_{n-h})^{p^h}
@@ -366,7 +362,7 @@ def build_p_typical(p: int, bound: int) -> HopfAlgebroid:
             pw = alg.tensor_pow(image(delta, n - h, 2), p ** h, 2)
             alg.tensor_mul(pw, alg.poly_to_tensor(lams[h], 2), acc, -1)
         delta[n - 1] = acc
-    _check_p_integral(delta, p, "coproduct")
+    _check_p_integral(delta, "coproduct")
 
     # antipode: sum_{i+j+k=n} lambda_i t_j^{p^i} c(t_k)^{p^{i+j}} = lambda_n,
     # solved for the k = n term c(t_n)
@@ -381,18 +377,19 @@ def build_p_typical(p: int, bound: int) -> HopfAlgebroid:
                 term = alg.tensor_mul({(ONE, (t_pow(j, i),)): 1}, pw)
                 alg.tensor_mul(term, alg.poly_to_tensor(lams[i]), acc, -1)
         anti[n - 1] = acc
-    _check_p_integral(anti, p, "antipode")
+    _check_p_integral(anti, "antipode")
     return alg
 
 
-def _check_p_integral(gen_map: dict[int, Tensor], p: int, what: str):
-    for i, elem in gen_map.items():
+def _check_p_integral(gen_map: dict[int, Tensor], what: str):
+    """Make every coefficient an int, or raise: each lies in Z[1/p] (the
+    lambda_n divide only by p), so a p-integral one is an integer."""
+    for elem in gen_map.values():
         for key, c in elem.items():
             fr = Fraction(c)
-            if fr.denominator % p == 0:
+            if fr.denominator != 1:
                 raise HopfAxiomError(f"{what} has non p-integral coefficient at {key}")
-            if fr.denominator == 1:
-                elem[key] = int(fr)
+            elem[key] = int(fr)
 
 
 def build_universal(bound: int) -> HopfAlgebroid:

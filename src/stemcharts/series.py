@@ -66,9 +66,6 @@ class Series:
                 out[e] = s
         return Series(self.ring, self.nvars, self.order, out)
 
-    def __sub__(self, other: "Series") -> "Series":
-        return self + other.scale(-1)
-
     def scale(self, c) -> "Series":
         if c == 0:
             return Series(self.ring, self.nvars, self.order)

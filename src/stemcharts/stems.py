@@ -19,8 +19,9 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field as dc_field
 
-from .charts import (BigradedChart, _check_keys, _is_int, _json_object,
-                     complete_chart, complete_desc, cyclic, free_group, sum_groups)
+from .charts import (BigradedChart, _check_keys, _int_key, _is_int, _is_prime,
+                     _json_object, complete_chart, complete_desc, cyclic,
+                     free_group, sum_groups)
 from .fields import FieldDescriptor, milnor_k
 from .kmw import completed_milnor_witt, free_basis, milnor_witt
 from .hopf import build_algebroid
@@ -181,15 +182,17 @@ BUILTIN_TABLES: dict[int, dict] = {
 
 
 def _synthetic_chart(rows: list, p: int, stem_max: int, source: str,
-                     label: str, off_lane: type[Exception]) -> SyntheticChart:
+                     label: str) -> SyntheticChart:
     """The chart of rows (n, w, s, group, order): the groups summed at each
     (n, w), whose filtrations are the rows' (s, order) there, in row order.
-    A row with s < 0 or off its lane n + s = 2w raises `off_lane`."""
+    A row with s < 0 or off its lane n + s = 2w is a malformed table
+    (ValueError) or, from the Ext engine, an EngineError."""
     filtr: dict[tuple[int, int], tuple] = {}
     for n, w, s, _, order in rows:
         if s < 0 or n + s != 2 * w:
-            raise off_lane(f"filtration annotation out of lane at {(n, w)}: "
-                           f"{(s, order)} breaks n + s = 2w")
+            error = ValueError if source == "table" else EngineError
+            raise error(f"filtration annotation out of lane at {(n, w)}: "
+                        f"{(s, order)} breaks n + s = 2w")
         filtr[(n, w)] = filtr.get((n, w), ()) + ((s, order),)
     chart = BigradedChart(sum_groups(((n, w), g) for n, w, _, g, _ in rows),
                           label=label, prime=p)
@@ -197,13 +200,16 @@ def _synthetic_chart(rows: list, p: int, stem_max: int, source: str,
 
 
 def check_table(table: dict) -> dict:
-    """The table, once its whole chart is built: "stems" that is not an
-    object, a stem that is not a list of rows, a malformed row (short, a
+    """The table, once its whole chart is built: a "p" that is not a
+    prime, "stems" that is not an object, a stem key that is not an
+    integer, a stem that is not a list of rows, a malformed row (short, a
     weight, filtration or order that is a boolean or not an integer, with
     "free" the one other order; a negative filtration or an order below 1;
     then a row off its lane n + s = 2w) or a key other than "p" and "stems"
     raises here, when the table is loaded."""
     _check_keys(table, ("p", "stems"), "table", required=("p", "stems"))
+    if not (_is_int(table["p"]) and _is_prime(table["p"])):
+        raise ValueError(f"table 'p' is not a prime: {table['p']!r}")
     synthetic_from_table(table, math.inf)
     return table
 
@@ -212,7 +218,7 @@ def synthetic_from_table(table: dict, stem_max: int) -> SyntheticChart:
     p = table["p"]
     rows = []
     for stem_str, items in _json_object(table["stems"], "table 'stems'").items():
-        n = int(stem_str)
+        n = _int_key(stem_str, "table stem")
         if n > stem_max:
             continue
         if not isinstance(items, list):
@@ -233,7 +239,7 @@ def synthetic_from_table(table: dict, stem_max: int) -> SyntheticChart:
             g = free_group(1, completed_at=p) if order == "free" else cyclic(order)
             rows.append((n, w, s, g, order))
     return _synthetic_chart(rows, p, stem_max, "table",
-                            f"synthetic stems p={p} (table)", ValueError)
+                            f"synthetic stems p={p} (table)")
 
 
 def synthetic_stems(p: int, stem_max: int, source: str = "computed",
@@ -278,8 +284,7 @@ def synthetic_stems(p: int, stem_max: int, source: str = "computed",
                               "free" if g.free_rank else g.order())
                              for (s, t), g in ec.chart.entries.items()
                              if t - s <= stem_max],
-                            p, stem_max, "computed", f"synthetic stems p={p}",
-                            EngineError)
+                            p, stem_max, "computed", f"synthetic stems p={p}")
 
 
 # ---------------------------------------------------------------------------

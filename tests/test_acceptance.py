@@ -11,8 +11,8 @@ budgets.
 import time
 
 from stemcharts.catalog import default_catalog
-from stemcharts.charts import (charts_same_groups, chart_combine, chow_weight,
-                               truncate_chart)
+from stemcharts.charts import (charts_same_groups, chart_shift, chart_sum,
+                               chow_weight, truncate_chart)
 from stemcharts.checks import (FULL, check_charts, check_ext, check_fpt,
                                check_hopf, check_milnor, check_stems,
                                classical_stem_mismatches, diagonal_pairs)
@@ -80,9 +80,7 @@ def test_criterion_4_tensor_formula():
     k2 = cat["twogen"]
     for p, syn in ((2, syn2), (3, synthetic_stems(3, 12))):
         got = tensor_formula(k2, p, syn.degeneration_max)
-        expected = chart_combine(
-            syn.chart, chart_combine(syn.chart, None, "shift", shift=(-1, -1)),
-            "direct_sum")
+        expected = chart_sum(syn.chart, chart_shift(syn.chart, -1, -1))
         assert charts_same_groups(got, expected), p
     tested = len(diagonal_pairs(FULL))
     assert tested >= 6

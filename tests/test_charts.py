@@ -4,11 +4,11 @@ import time
 import pytest
 from hypothesis import assume, given, settings, strategies as st
 
-from stemcharts.charts import (AbGroupDesc, BigradedChart, INF, chart_combine,
-                               charts_same_groups, chow_degree, chow_weight,
-                               complete_desc, custom_weight, cyclic, fd_weight,
-                               free_group, truncate_chart, valuation,
-                               weight_eval, _is_prime_power)
+from stemcharts.charts import (AbGroupDesc, BigradedChart, INF, chart_shift,
+                               chart_sum, charts_same_groups, chow_degree,
+                               chow_weight, complete_desc, custom_weight, cyclic,
+                               fd_weight, free_group, truncate_chart, valuation,
+                               _is_prime_power)
 
 
 def test_chow_degree_examples():
@@ -27,9 +27,9 @@ def test_chow_degree_shift_invariance():
 
 def test_weight_eval_examples():
     f2 = fd_weight(2)
-    assert weight_eval(f2, 0) == 0
-    assert weight_eval(f2, -1) == -1        # 2*(-1) + eps_2(-1) = -2 + 1
-    assert weight_eval(chow_weight(), 3) == 6
+    assert f2(0) == 0
+    assert f2(-1) == -1        # 2*(-1) + eps_2(-1) = -2 + 1
+    assert chow_weight()(3) == 6
 
 
 def test_weight_fd_band_matches_linear():
@@ -37,14 +37,14 @@ def test_weight_fd_band_matches_linear():
     for d in range(1, 9):
         f = fd_weight(d)
         for n in range(-(d - 1), 1):
-            assert weight_eval(f, n) == n
+            assert f(n) == n
 
 
 def test_custom_weight_window_error():
     f = custom_weight({0: 0, 1: 2})
-    assert weight_eval(f, 1) == 2
+    assert f(1) == 2
     with pytest.raises(KeyError):
-        weight_eval(f, 5)
+        f(5)
 
 
 @given(st.integers(min_value=1, max_value=10),
@@ -53,8 +53,8 @@ def test_custom_weight_window_error():
 @settings(max_examples=300, deadline=None)
 def test_fd_superadditive(d, a, b):
     f = fd_weight(d)
-    assert weight_eval(f, a) + weight_eval(f, b) >= weight_eval(f, a + b)
-    assert weight_eval(f, 0) == 0
+    assert f(a) + f(b) >= f(a + b)
+    assert f(0) == 0
 
 
 def _toy_chart():
@@ -82,7 +82,7 @@ def test_truncate_idempotent_and_complementary():
         ge = truncate_chart(c, chow_weight(), thr, "ge")
         assert truncate_chart(ge, chow_weight(), thr, "ge") == ge
         lt = truncate_chart(c, chow_weight(), thr, "lt")
-        assert chart_combine(ge, lt, "direct_sum") == c
+        assert chart_sum(ge, lt) == c
 
 
 def test_fake_chow_band_agreement():
@@ -102,13 +102,13 @@ def test_fake_chow_band_agreement():
 
 def test_chart_combine_examples():
     unit = BigradedChart({(0, 0): free_group(1)})
-    shifted = chart_combine(unit, None, "shift", shift=(2, 2))
+    shifted = chart_shift(unit, 2, 2)
     assert set(shifted.entries) == {(2, 2)}
     a = BigradedChart({(0, 0): cyclic(3)})
     b = BigradedChart({(1, 1): cyclic(5)})
-    u = chart_combine(a, b, "direct_sum")
+    u = chart_sum(a, b)
     assert set(u.entries) == {(0, 0), (1, 1)}
-    doubled = chart_combine(a, a, "direct_sum")
+    doubled = chart_sum(a, a)
     assert doubled.group(0, 0).torsion == (3, 3)
 
 
@@ -117,7 +117,7 @@ def test_chart_prime_mismatch():
     b = BigradedChart({(0, 0): cyclic(5)}, prime=5)
     from stemcharts.charts import ChartError
     with pytest.raises(ChartError):
-        chart_combine(a, b, "direct_sum")
+        chart_sum(a, b)
 
 
 def test_complete_desc_examples():

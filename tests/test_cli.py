@@ -788,6 +788,69 @@ MALFORMED_INPUTS = {
         "-3 is negative"),
     "kmw-basis-without-complete": (["kmw", "--field", "twogen", "--basis"], None,
         "--basis needs --complete"),
+    "chart-integer-label": (
+        ["render", "--chart-file", "in.json", "--format", "grid"],
+        {"label": 5, "entries": [{"i": 0, "j": 0, "free_rank": 1}]},
+        "chart 'label' is not a string: 5"),
+    "chart-integer-label-svg": (
+        ["render", "--chart-file", "in.json", "--format", "svg"],
+        {"label": 5, "entries": [{"i": 0, "j": 0, "free_rank": 1}]},
+        "chart 'label' is not a string: 5"),
+    "chart-string-prime": (
+        ["render", "--chart-file", "in.json"], {"prime": "x", "entries": []},
+        "chart 'prime' is not null or a prime: 'x'"),
+    "chart-composite-prime": (
+        ["render", "--chart-file", "in.json"], {"prime": 4, "entries": []},
+        "chart 'prime' is not null or a prime: 4"),
+    "chart-integer-entries": (
+        ["render", "--chart-file", "in.json"], {"entries": 5},
+        "chart 'entries' is a int, not a list"),
+    "module-integer-t": (
+        ["decompose", "--module-file", "in.json"], {"p": 2, "dim": 2, "t": 5},
+        "module 't' is a int, not a list"),
+    "module-not-an-object": (
+        ["decompose", "--module-file", "in.json"], 5,
+        "module is a int, not an object"),
+    "ind-integer-modules": (
+        ["decompose", "--module-file", "in.json"], {"modules": 5, "maps": []},
+        "ind-system 'modules' is a int, not a list"),
+    "ind-integer-maps": (
+        ["decompose", "--module-file", "in.json"],
+        {"modules": [{"p": 3, "dim": 1, "t": [0]}, {"p": 3, "dim": 1, "t": [0]}],
+         "maps": 5},
+        "ind-system 'maps' is a int, not a list"),
+    "table-string-stem-key": (
+        ["synthetic", "--prime", "2", "--source", "table", "--table", "in.json"],
+        {"p": 2, "stems": {"x": [[0, 0, "free"]]}},
+        "table stem key 'x' is not an integer"),
+    "table-string-prime": (
+        ["synthetic", "--prime", "2", "--source", "table", "--table", "in.json"],
+        {"p": "2", "stems": {"0": [[0, 0, "free"]]}},
+        "table 'p' is not a prime: '2'"),
+    "catalog-string-km-degree": (
+        ["kmw", "--field", "x", "--catalog", "in.json"],
+        {"fields": {"x": {"variant": "custom", "km_table": {"x": {"free_rank": 1}}}}},
+        "km_table key 'x' is not an integer"),
+    "catalog-unknown-variant": (
+        ["catalog", "--catalog", "in.json", "--show", "x"],
+        {"fields": {"x": {"variant": "nonsense"}}},
+        "field descriptor 'variant' is not one of finite, algebraically_closed, "
+        "real_closed, complex_like, cyclotomic_tower, custom: 'nonsense'"),
+    "catalog-string-char": (
+        ["stems", "--field", "x", "--prime", "3", "--catalog", "in.json"],
+        {"fields": {"x": {"variant": "custom", "char": "x",
+                          "roots_of_unity": {"3": "inf"},
+                          "km_table": {"0": {"free_rank": 1}}}}},
+        "field descriptor 'char' is not an integer: 'x'"),
+    "catalog-string-tower-prime": (
+        ["stems", "--field", "x", "--prime", "3", "--catalog", "in.json"],
+        {"fields": {"x": {"variant": "cyclotomic_tower", "tower_prime": "3",
+                          "km_table": {"0": {"free_rank": 1}}}}},
+        "field descriptor 'tower_prime' is not an integer: '3'"),
+    "catalog-string-q": (
+        ["kmw", "--field", "x", "--catalog", "in.json"],
+        {"fields": {"x": {"variant": "finite", "q": "7"}}},
+        "field descriptor 'q' is not an integer: '7'"),
 }
 
 

@@ -17,14 +17,14 @@ import hashlib
 import json
 import os
 import random
+import re
 from fractions import Fraction
 
 import pytest
 
 from stemcharts import cli, cobar, extcharts
 from stemcharts.cobar import CobarComplex, CobarError, EngineError
-from stemcharts.extcharts import (PrecisionExhausted, _reduce_rows, ext1_exponent,
-                                  ext_chart)
+from stemcharts.extcharts import PrecisionExhausted, ext1_exponent, ext_chart
 from stemcharts.hopf import build_algebroid
 from stemcharts.zpk import SmithForm, elementary_divisors, subquotient_structure
 
@@ -149,8 +149,8 @@ def oracle_chart(alg, p, K, s_max, t_max, normalized):
         def dense(s, m):
             """d^s reduced mod p^m as a dense matrix."""
             ncols = len(cx.basis(s, d))
-            return [[row.get(j, 0) for j in range(ncols)]
-                    for row in _reduce_rows(cx.differential_matrix(s, d), p, m)]
+            return [[row.get(j, 0) % p ** m for j in range(ncols)]
+                    for row in cx.differential_matrix(s, d)]
 
         for s in range(s_max + 1):
             n = len(cx.basis(s, d))
@@ -274,6 +274,26 @@ def test_cli_lowered_valuation_exit_code(monkeypatch, capsys):
     assert code == cli.EXIT_ENGINE
     assert captured.out == ""
     assert "Ravenel 5.2.6" in captured.err
+
+
+@pytest.mark.parametrize("where,message", [
+    ((0, 0), "Ext^{0,0} is not free of rank 1"),
+    ((1, 0), "entry below the connectivity line: (1, 0)"),
+])
+def test_phantom_basis_element_breaks_invariant(monkeypatch, capsys, where, message):
+    """A rank of C^s counted one too high (a phantom basis element) shows as
+    a free summand: at (0, 0) it doubles Ext^{0,0}, and in C^1 of degree 0,
+    which is empty, it charts a class below the connectivity line."""
+    original = CobarComplex.dimension
+    monkeypatch.setattr(CobarComplex, "dimension", lambda self, s, degree:
+                        original(self, s, degree) + ((s, degree) == where))
+    alg = build_algebroid("p_typical", 2, p=3)
+    with pytest.raises(EngineError, match=re.escape(message)):
+        ext_chart(alg, 3, 4, 2, 4)
+    code = cli.main(["ext", "--prime", "3", "--tmax", "4", "--smax", "2"])
+    captured = capsys.readouterr()
+    assert code == cli.EXIT_ENGINE and captured.out == ""
+    assert message in captured.err
 
 
 def test_ext1_exponent_examples():

@@ -9,8 +9,8 @@ from stemcharts.fgl import (QQ, EngineError, FGLAxiomError, FormalGroupLaw,
                             GradedRingPresentation,
                             _echelon_coordinates, _integer_hnf, _integer_smith,
                             _lattice_quotient_generator,
-                            _pivot_columns, additive_fgl, fgl_series,
-                            hazewinkel_lambdas, multiplicative_fgl,
+                            _pivot_columns, additive_fgl, fgl_exp, fgl_inverse,
+                            fgl_log, hazewinkel_lambdas, multiplicative_fgl,
                             p_typical_log, p_typical_reduction, universal_fgl,
                             UniversalFGL)
 from stemcharts.poly import Poly, PolyRing, mon_deg
@@ -101,28 +101,28 @@ def test_axiom_failures_are_reported(bound, extra, message):
 
 def test_log_exp_roundtrip():
     m = multiplicative_fgl(5)
-    log = fgl_series(m, "log")
-    exp = fgl_series(m, "exp")
+    log = fgl_log(m)
+    exp = fgl_exp(m)
     comp = compose_univariate(exp, log)
     assert comp.terms == {(1,): m.presentation.ring().one()}
 
 
 def test_multiplicative_log():
     m = multiplicative_fgl(6)
-    log = fgl_series(m, "log")
+    log = fgl_log(m)
     for n in range(1, 7):
         c = log.coefficient((n,)).constant_term()
         assert c == Fraction((-1) ** (n + 1), n)
 
 
 def test_additive_inverse():
-    inv = fgl_series(additive_fgl(4), "inverse")
+    inv = fgl_inverse(additive_fgl(4))
     assert {e: c.constant_term() for e, c in inv.terms.items()} == {(1,): -1}
 
 
 def test_multiplicative_inverse_series():
     # for x + y + xy the inverse is -x + x^2 - x^3 + ... (to order bound+1)
-    inv = fgl_series(multiplicative_fgl(5), "inverse")
+    inv = fgl_inverse(multiplicative_fgl(5))
     vals = {e[0]: c.constant_term() for e, c in inv.terms.items()}
     assert vals == {n: (-1) ** n for n in range(1, 7)}
 
@@ -130,7 +130,7 @@ def test_multiplicative_inverse_series():
 def test_log_requires_rational_base():
     _, law = universal_fgl(2)
     with pytest.raises(ValueError):
-        fgl_series(law, "log")
+        fgl_log(law)
 
 
 def test_universal_log_linearizes():

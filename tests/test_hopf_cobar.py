@@ -1,9 +1,11 @@
 import gc
 import re
 import weakref
+from fractions import Fraction
 
 import pytest
 
+from stemcharts import hopf
 from stemcharts.cobar import CobarComplex, CobarError
 from stemcharts.extcharts import ext_chart
 from stemcharts.fgl import UniversalFGL
@@ -90,14 +92,76 @@ def _unverified(kind, bound, p):
     # b1 (x) b2 in Delta(b3)
     ("universal", None, 5, "coproduct_gen", 2, (ONE, (((0, 1),), ((1, 1),))),
      "coassociativity fails at b3"),
+    # v1 in eta_R(v1) twice
+    ("p_typical", 2, 4, "eta_r_gen", 0, (((0, 1),), (ONE,)),
+     "counit o eta_R != id at v1"),
+    # t1 (x) 1 in Delta(t1) twice
+    ("p_typical", 2, 4, "coproduct_gen", 0, (ONE, (((0, 1),), ONE)),
+     "(1 x eps) Delta != id at t1"),
+    # t1^3 in eta_R(v2)
+    ("p_typical", 2, 4, "eta_r_gen", 1, (ONE, (((0, 3),),)),
+     "Delta o eta_R != 1 (x) eta_R at v2"),
 ])
 def test_planted_fault_fails_its_axiom(kind, p, bound, structure, g, key, message):
     # a homogeneous extra term reaches the product-based identities
     alg = _unverified(kind, bound, p)
     elem = getattr(alg, structure)[g]
     elem[key] = elem.get(key, 0) + 1
-    with pytest.raises(HopfAxiomError, match=message):
+    with pytest.raises(HopfAxiomError, match=re.escape(message)):
         alg.verify()
+
+
+_TENSOR_MUL = HopfAlgebroid.tensor_mul
+
+
+def _product_without_scale(self, a, b, out=None, scale=1):
+    return _TENSOR_MUL(self, a, b, out)
+
+
+def _antipode_without_eta_r(self, elem):
+    # c(a tau) taken as a c(tau): the coefficient is not moved through eta_R
+    out = {}
+    for (am, (tm,)), c in elem.items():
+        _TENSOR_MUL(self, {(am, (ONE,)): c}, self.antipode_t(tm), out)
+    return out
+
+
+@pytest.mark.parametrize("method,plant,message", [
+    ("tensor_mul", _product_without_scale, "mu(1 x c)Delta != 0 at t2"),
+    ("antipode", _antipode_without_eta_r, "c o c != id at t2"),
+])
+def test_planted_method_fails_its_axiom(monkeypatch, method, plant, message):
+    # no single wrong term of Delta or c fails the right antipode fold or
+    # c o c first: the right fold of a change is c of its left fold, and c
+    # on generators is fixed by the left folds; a wrong method reaches both
+    alg = build_p_typical(2, 4)
+    monkeypatch.setattr(HopfAlgebroid, method, plant)
+    with pytest.raises(HopfAxiomError, match=re.escape(message)):
+        alg.verify()
+
+
+def test_non_integral_lambda_fails_p_integrality(monkeypatch):
+    # lambda_2 divided by p once too often leaves a 1/2 in eta_R(v2)
+    original = hopf.hazewinkel_lambdas
+
+    def divided_twice(ring, p, count):
+        lams = original(ring, p, count)
+        lams[2] = lams[2].scale(Fraction(1, p))
+        return lams
+    monkeypatch.setattr(hopf, "hazewinkel_lambdas", divided_twice)
+    with pytest.raises(HopfAxiomError, match="eta_R has non p-integral coefficient at"):
+        build_p_typical(2, 4)
+
+
+@pytest.mark.parametrize("kind,p", [("universal", None), ("p_typical", 2),
+                                    ("p_typical", 3), ("p_typical", 5)])
+def test_structure_constants_are_ints(kind, p):
+    # the premise of the integer Ext rows: every eta_R, Delta and c
+    # coefficient is an int (for p-typical, Z[1/p] meets Z_(p) in Z)
+    alg = build_algebroid(kind, 10, p=p)
+    coefficients = [c for images in (alg.eta_r_gen, alg.coproduct_gen, alg.antipode_gen)
+                    for elem in images.values() for c in elem.values()]
+    assert coefficients and all(type(c) is int for c in coefficients)
 
 
 @pytest.mark.parametrize("kind,p,bound,structure,g", [

@@ -24,7 +24,7 @@ import pytest
 
 from fractions import Fraction
 
-from stemcharts.fgl import (fgl_series, multiplicative_fgl, p_typical_reduction,
+from stemcharts.fgl import (fgl_inverse, multiplicative_fgl, p_typical_reduction,
                             universal_fgl)
 from stemcharts.hopf import build_p_typical, build_universal
 
@@ -94,7 +94,7 @@ def test_universal_formal_sum_bound_10(universal10):
 @pytest.mark.parametrize("bound", [6, 10])
 def test_universal_inverse(bound):
     _, law = universal_fgl(bound)
-    assert series_digest(fgl_series(law, "inverse")) == INVERSE_DIGESTS[bound]
+    assert series_digest(fgl_inverse(law)) == INVERSE_DIGESTS[bound]
 
 
 @pytest.mark.parametrize("p,bound", sorted(DEEP_ANTIPODE_DIGESTS))
@@ -104,5 +104,5 @@ def test_p_typical_antipode_deep(p, bound):
 
 def test_p_typical_multiplicative_inverse():
     _, law = p_typical_reduction(multiplicative_fgl(10), 2, 10)
-    inverse = fgl_series(law, "inverse")
+    inverse = fgl_inverse(law)
     assert series_digest(inverse, Fraction) == P_TYPICAL_INVERSE_DIGEST

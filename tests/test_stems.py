@@ -172,10 +172,8 @@ def test_tensor_formula_two_generator_shift():
     k = default_catalog()["twogen"]
     syn = synthetic_stems(3, 10)
     t = tensor_formula(k, 3, 10)
-    from stemcharts.charts import chart_combine
-    expected = chart_combine(
-        syn.chart, chart_combine(syn.chart, None, "shift", shift=(-1, -1)),
-        "direct_sum")
+    from stemcharts.charts import chart_shift, chart_sum
+    expected = chart_sum(syn.chart, chart_shift(syn.chart, -1, -1))
     assert charts_same_groups(t, expected)
 
 

@@ -7,8 +7,10 @@ differential is the alternating sum.  The normalized (reduced) subcomplex
 drops every tuple containing an empty slot; it computes the same
 cohomology and is the default.  Differentials are built directly as sparse
 rows of ints (every structure constant of both algebroids is an integer,
-`hopf`), never dense, and d o d = 0 is checked exactly, over Z, on every
-basis element produced (`check_composite_zero`).
+`hopf`), never dense, and d o d = 0 is checked exactly, over Z
+(`check_composite_zero`): on every basis element by `check_d_squared`,
+and by `extcharts` on the columns that its cancellation leaves, which
+certifies the whole product (the proof is in `extcharts`).
 
 The normalized differential uses the reduced coproduct.  Each Gamma-
 monomial keeps the list of its coproduct terms (cm, u, w, c); migrating cm
@@ -55,10 +57,12 @@ def check_composite_zero(first, second, s: int, degree: int) -> None:
     bad = []  # columns of the product with a nonzero entry
     for row in second:
         acc: dict[int, object] = {}
+        get = acc.get
         for t, w in row.items():
             for j, v in first[t].items():
-                acc[j] = acc.get(j, 0) + w * v
-        bad.extend(j for j, x in acc.items() if x)
+                acc[j] = get(j, 0) + w * v
+        if any(acc.values()):
+            bad.extend(j for j, x in acc.items() if x)
     if bad:
         raise CobarError(f"d o d != 0 at s={s}, degree={degree}, column {min(bad)}")
 
@@ -171,6 +175,12 @@ class CobarComplex:
             out.sort()
             self._coded[key] = out
         return out
+
+    def drop_bases(self, degree: int) -> None:
+        """Forget the coded bases of degree `degree`, which no other degree
+        reads; the slot tuples, which other degrees extend, stay."""
+        for key in [k for k in self._coded if k[1] == degree]:
+            del self._coded[key]
 
     def _decode(self, key: tuple[int, ...]) -> TensorKey:
         tmons = self._t.mons

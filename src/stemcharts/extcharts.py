@@ -10,9 +10,10 @@ where n_s = rank C^s, r_s = rank d^s, and p^a runs over the non-unit
 elementary divisors of d^{s-1} (Ravenel, Complex Cobordism and Stable
 Homotopy Groups of Spheres, ch. 4 and 7).  Each differential is built once
 as sparse integer rows (every structure constant is an integer: `hopf`),
-checked against d o d = 0 exactly over Z, and its elementary divisors
-(`zpk.elementary_divisors`, which reduces the rows mod p^k once per rung)
-give r_s and the torsion of H^(s+1); a non-integer entry is an EngineError.
+checked against d o d = 0 exactly over Z (below), and its elementary
+divisors (`zpk.elementary_divisors`, which reduces the rows mod p^k once
+per rung) give r_s and the torsion of H^(s+1); a non-integer entry is an
+EngineError.
 
 The divisors come from a modulus ladder (`_divisor_exponents`): eliminate
 mod p^k for k = 1, 2, 4, ... capped at 2K, and stop at the first rung
@@ -51,6 +52,31 @@ at rung 2: rung 1 on the wider matrix already counted every unit divisor
 and fell short of the bound, and pruning keeps the divisors, so rung 1
 cannot meet it on the pruned matrix either.
 
+One pass over s streams each degree (`_slice_divisors`): build d^{s+1},
+check d^{s+1} o d^s, run rung 1 of d^s, and drop what no later step
+reads.  A degree then holds d^s, d^{s+1}, the d^s pruned for rung 1 and
+the rows of a held d^{s-1}, never all its differentials, and `ext_chart`
+drops its cobar bases when it is done.  The check is exact over Z but
+reads only the columns of C^s that rung 1 of d^{s-1} did not cancel: the
+pruned d^s that rung 1 reads anyway.  That certifies the whole product.
+Let M = d^{s+1} o d^s, and let A in C^{s-1} and B in C^s be the columns
+and rows of the unit pivots of rung 1 of d^{s-1}:
+
+  - the check at s-1 gave d^s o d^{s-1} = 0 (by induction on s; at s = 0
+    nothing is cancelled and the check is whole), so M d^{s-1} = 0;
+  - the pivots are units of successive Schur complements, so the block
+    d^{s-1}[B, A] has a unit determinant and is invertible over Z_(p);
+  - hence M[:, B] = -M[:, B^c] d^{s-1}[B^c, A] d^{s-1}[B, A]^{-1}, and
+    M[:, B^c] = 0 forces M = 0.
+
+The argument needs only that the reported pivots are units, so it holds
+as well when an elimination mod p^k, k > 1, stands in for rung 1.  A
+failed check raises the CobarError of the whole product, which names its
+first failing column.  Any failure in a degree first rebuilds the degree
+and checks every product whole, in order, so a CobarError keeps
+precedence over the other errors of its degree, as when every check ran
+before any elimination.
+
 The cobar complex of BP_*BP (x) Q is acyclic in positive degree, so a
 free summand off (0,0), e.g. from a divisor of valuation >= 2K read as
 zero (no rung meets the bound then), is an EngineError; so is an Ext^1
@@ -69,7 +95,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .charts import AbGroupDesc, BigradedChart, valuation
-from .cobar import CobarComplex, EngineError, check_composite_zero
+from .cobar import CobarComplex, CobarError, EngineError, check_composite_zero
 from .hopf import HopfAlgebroid
 from .zpk import Divisors, elementary_divisors
 
@@ -142,23 +168,38 @@ def _divisor_exponents(rows, p: int, m: int, rank_bound: int,
         k = min(2 * k, m)
 
 
-def _slice_divisors(mats, ns: list[int], p: int, m: int):
-    """Yield the divisor exponents over Z/p^m of d^0, d^1, ... in turn.
+def _slice_divisors(mats, ns: list[int], p: int, m: int, degree: int = 0):
+    """Check d o d = 0 and yield the divisor exponents over Z/p^m of d^0,
+    d^1, ... in turn.
 
-    mats[s]: the exact sparse rows of d^s (rows C^{s+1}, columns C^s);
-    ns[s] = n_s.  Rung 1 of d^s runs without the columns that the unit
-    pivots of d^{s-1} cancelled; a d^s that it leaves short of its rank
+    mats: the exact sparse rows of d^0, d^1, ... (rows C^{s+1}, columns
+    C^s), read once each and in order, so a generator may build them on
+    demand; ns[s] = n_s.  Step s reads d^{s+1}, checks d^{s+1} o d^s on the
+    columns of C^s that the unit pivots of d^{s-1} did not cancel, and runs
+    rung 1 of d^s on those columns.  A d^s that it leaves short of its rank
     bound n_s - r_{s-1} climbs the ladder from rung 2 after rung 1 of
     d^{s+1}, without the rows that its unit pivots cancelled.  An
-    elimination that reports no unit pivots cancels nothing.
+    elimination that reports no unit pivots cancels nothing.  A failed
+    check raises the CobarError of the whole product, which names its first
+    failing column at this s and degree.
     """
+    mats = iter(mats)
+    after = next(mats, None)     # d^{s+1}
     cancelled: set[int] = set()  # elements of C^s paired by a unit pivot of d^{s-1}
     held = None                  # (rows, rank bound) of a d^{s-1} short of its bound
     rank = 0                     # r_{s-1}
-    for s in range(len(mats) + 1):
+    for s in range(len(ns) + 1):
         units = []
-        if s < len(mats):
-            rows = _reduce_rows(mats[s], cancelled)
+        if s < len(ns):
+            whole, after = after, next(mats, None)
+            rows = _reduce_rows(whole, cancelled)
+            if after is not None:
+                try:
+                    check_composite_zero(rows, after, s, degree)
+                except CobarError:
+                    check_composite_zero(whole, after, s, degree)
+                    raise
+            del whole
             first = _divisor_exponents(rows, p, 1, ns[s])
             if isinstance(first, Divisors):
                 units = first.units
@@ -172,7 +213,7 @@ def _slice_divisors(mats, ns: list[int], p: int, m: int):
             rank = len(vals)
             held = None
             yield vals
-        if s < len(mats):
+        if s < len(ns):
             if len(first) == ns[s] - rank:
                 rank = len(first)
                 yield first
@@ -199,25 +240,33 @@ def ext_chart(algebroid: HopfAlgebroid, p: int, K: int, s_max: int, t_max: int,
     entries: dict[tuple[int, int], AbGroupDesc] = {}
     for d in range(0, t_max // 2 + 1):
         t = 2 * d
-        # d^s : C^s -> C^{s+1} for s = 0..s_max, each built once
-        mats = [cx.differential_matrix(s, d) for s in range(s_max + 1)]
-        for s in range(s_max):
-            check_composite_zero(mats[s], mats[s + 1], s, d)
         ns = [cx.dimension(s, d) for s in range(s_max + 1)]
+        # d^s : C^s -> C^{s+1} for s = 0..s_max, each built once, on demand
+        mats = (cx.differential_matrix(s, d) for s in range(s_max + 1))
         prev: list[int] = []  # valuations of d^{s-1}
-        for s, vals in enumerate(_slice_divisors(mats, ns, p, m2)):
-            n = ns[s]
-            bad = [a for a in vals if a >= K]
-            if bad:
-                raise PrecisionExhausted(
-                    f"torsion of order p^{bad[0]} >= p^{K} at (s,t)=({s},{t})")
-            free = n - len(vals) - len(prev)
-            torsion = tuple(p ** a for a in prev if a > 0)
-            if free or torsion:
-                entries[(s, t)] = AbGroupDesc(
-                    free_rank=free, torsion=torsion,
-                    modulus_precision=K, completed_at=p if free else None)
-            prev = vals
+        try:
+            for s, vals in enumerate(_slice_divisors(mats, ns, p, m2, d)):
+                n = ns[s]
+                bad = [a for a in vals if a >= K]
+                if bad:
+                    raise PrecisionExhausted(
+                        f"torsion of order p^{bad[0]} >= p^{K} at (s,t)=({s},{t})")
+                free = n - len(vals) - len(prev)
+                torsion = tuple(p ** a for a in prev if a > 0)
+                if free or torsion:
+                    entries[(s, t)] = AbGroupDesc(
+                        free_rank=free, torsion=torsion,
+                        modulus_precision=K, completed_at=p if free else None)
+                prev = vals
+        except (EngineError, PrecisionExhausted):
+            # the streamed pass stops at its first failure: build every d^s
+            # of the degree, then check every product whole, so that a
+            # CobarError of the degree wins, naming its first failing slice
+            mats = [cx.differential_matrix(s, d) for s in range(s_max + 1)]
+            for s in range(s_max):
+                check_composite_zero(mats[s], mats[s + 1], s, d)
+            raise
+        cx.drop_bases(d)
     label = f"Ext {algebroid.kind} p={p} K={K}"
     chart = BigradedChart(entries, label=label, prime=p)
     ec = ExtChart(chart, p, K, s_max, t_max, algebroid.kind)

@@ -157,9 +157,10 @@ class FieldDescriptor:
     def from_json(obj: dict) -> "FieldDescriptor":
         """Parse `to_json`'s schema; a missing "variant" or a key outside the
         schema raises a ValueError naming it, as do a variant outside
-        VARIANTS, a q, char or tower_prime that is not an integer and a
-        table that is not a JSON object, and a malformed table entry raises
-        ValueError or TypeError, here and not in a command."""
+        VARIANTS, a q, char or tower_prime that is not an integer, a name or
+        base_name that is not a string and a table that is not a JSON
+        object, and a malformed table entry raises ValueError or TypeError,
+        here and not in a command."""
         _check_keys(obj, ("variant", "name", "q", "char", "base_name",
                           "tower_prime", "km_table", "witt_table", "kmw_table",
                           "roots_of_unity", "km_mod_p_dims"), "field descriptor",
@@ -170,6 +171,10 @@ class FieldDescriptor:
         for key in ("q", "char", "tower_prime"):
             if key in obj and not _is_int(obj[key]):
                 raise ValueError(f"field descriptor {key!r} is not an integer: "
+                                 f"{obj[key]!r}")
+        for key in ("name", "base_name"):
+            if key in obj and not isinstance(obj[key], str):
+                raise ValueError(f"field descriptor {key!r} is not a string: "
                                  f"{obj[key]!r}")
 
         def table(key, parse):

@@ -851,6 +851,15 @@ MALFORMED_INPUTS = {
         ["kmw", "--field", "x", "--catalog", "in.json"],
         {"fields": {"x": {"variant": "finite", "q": "7"}}},
         "field descriptor 'q' is not an integer: '7'"),
+    "catalog-integer-name": (
+        ["catalog", "--catalog", "in.json", "--show", "x"],
+        {"fields": {"x": {"variant": "custom", "name": 5}}},
+        "field descriptor 'name' is not a string: 5"),
+    "catalog-list-base-name": (
+        ["catalog", "--catalog", "in.json", "--show", "x"],
+        {"fields": {"x": {"variant": "cyclotomic_tower", "tower_prime": 3,
+                          "base_name": [1]}}},
+        "field descriptor 'base_name' is not a string: [1]"),
 }
 
 

@@ -18,6 +18,7 @@ import json
 import os
 import random
 import re
+import weakref
 from fractions import Fraction
 
 import pytest
@@ -456,6 +457,166 @@ def test_cancellation_narrows_eliminations(monkeypatch):
     assert charts[0] == charts[1]
     (columns, rows_above), (all_columns, all_rows) = handed
     assert columns < all_columns and rows_above < all_rows
+
+
+# -- the streamed d o d check ---------------------------------------------------
+
+def rung_one_run(monkeypatch, alg, p, t_max):
+    """Run ext_chart once, before any other patch of the test; return
+    (degree, s) -> the unit pivots of rung 1 of d^s, and (degree, s) -> the
+    columns of C^s that the check of d^{s+1} o d^s read."""
+    original_ed = extcharts.elementary_divisors
+    original_check = extcharts.check_composite_zero
+    units, checked = [], {}
+
+    def recorded(rows, p, m):
+        vals = original_ed(rows, p, m)
+        if m == 1:  # rung 1 of d^0, d^1, ... in turn; held ladders start at 2
+            units.append(vals.units)
+        return vals
+
+    def read(first, second, s, degree):
+        checked[(degree, s)] = {j for row in first for j in row}
+        original_check(first, second, s, degree)
+    monkeypatch.setattr("stemcharts.extcharts.elementary_divisors", recorded)
+    monkeypatch.setattr("stemcharts.extcharts.check_composite_zero", read)
+    ext_chart(alg, p, 10, 6, t_max)
+    monkeypatch.undo()
+    return {(d, s): units[7 * d + s] for d in range(t_max // 2 + 1)
+            for s in range(7)}, checked
+
+
+@pytest.mark.parametrize("p,t_max", [(2, 16), (3, 36)])
+@pytest.mark.parametrize("pick", [0, -1])
+def test_fault_in_a_cancelled_column_fails_the_check_before(monkeypatch, p, t_max,
+                                                           pick):
+    """The check of d^{s+1} o d^s skips the columns of C^s that rung 1 of
+    d^{s-1} cancelled.  A wrong entry of d^s in such a column still fails,
+    at the check of d^s o d^{s-1}, with the message of the whole product."""
+    alg = build_algebroid("p_typical", (t_max + 1) // 2, p=p)
+    units, checked = rung_one_run(monkeypatch, alg, p, t_max)
+    cx = CobarComplex(alg)
+    d, s = sorted((d, s) for d, s in units
+                  if 1 <= s <= 5 and units[(d, s - 1)] and cx.dimension(s + 1, d))[pick]
+    b = units[(d, s - 1)][0][0]  # a row of a unit pivot of d^{s-1}
+    assert b not in checked[(d, s)]
+    original = CobarComplex.differential_matrix
+
+    def planted(self, s_, degree):
+        rows = original(self, s_, degree)
+        if (s_, degree) == (s, d):
+            row = rows[0]
+            row[b] = row.get(b, 0) + 1
+            if not row[b]:
+                del row[b]
+        return rows
+    monkeypatch.setattr(CobarComplex, "differential_matrix", planted)
+    with pytest.raises(CobarError) as whole:
+        CobarComplex(alg).check_d_squared(s - 1, d)
+    assert str(whole.value).startswith(f"d o d != 0 at s={s - 1}, degree={d}, ")
+    with pytest.raises(CobarError) as streamed:
+        ext_chart(alg, p, 10, 6, t_max)
+    assert str(streamed.value) == str(whole.value)
+
+
+@pytest.mark.parametrize("K,fraction", [(3, False), (10, True)])
+def test_cobar_error_keeps_precedence_in_its_degree(monkeypatch, K, fraction):
+    """At p=2 t<=12 a wrong entry of d^3 in degree 4 fails the check of
+    d^3 o d^2, which the streamed pass reaches after degree 4 ran out of
+    precision at s=0 (K=3), or after it read a non-integral entry of d^0;
+    the CobarError of the whole degree still wins."""
+    alg = build_algebroid("p_typical", 6, p=2)
+    original = CobarComplex.differential_matrix
+
+    def planted(self, s, degree):
+        rows = original(self, s, degree)
+        if degree == 4 and s == 3:
+            rows[0][0] = rows[0].get(0, 0) + 1
+        if degree == 4 and s == 0 and fraction:
+            rows[0][0] = Fraction(1, 2)
+        return rows
+    monkeypatch.setattr(CobarComplex, "differential_matrix", planted)
+    cx = CobarComplex(alg)
+    mats = [cx.differential_matrix(s, 4) for s in range(7)]
+    with pytest.raises(CobarError) as whole:
+        for s in range(6):
+            cobar.check_composite_zero(mats[s], mats[s + 1], s, 4)
+    with pytest.raises(CobarError) as streamed:
+        ext_chart(alg, 2, K, 6, 12)
+    assert str(streamed.value) == str(whole.value)
+
+
+@pytest.mark.parametrize("p,m", [(2, 6), (3, 4), (5, 4)])
+def test_streamed_check_fails_iff_a_whole_product_does(p, m):
+    """With one entry of one differential perturbed, the check on the
+    uncancelled columns raises exactly when some whole d^{s+1} o d^s is
+    nonzero, with the message of the first such product; a complex never
+    raises."""
+    rng = random.Random(100 + p)
+    outcomes = set()
+    for trial in range(80):
+        mats, ns, _ = planted_complex(rng, p, m, rng.randint(2, 5))
+        list(extcharts._slice_divisors(mats, ns, p, m))
+        s = rng.randrange(len(mats))
+        row = rng.choice(mats[s])
+        j = rng.randrange(ns[s])
+        row[j] = row.get(j, 0) + rng.choice([-2, -1, 1, 2, p])
+        whole = streamed = None
+        try:
+            for t in range(len(mats) - 1):
+                cobar.check_composite_zero(mats[t], mats[t + 1], t, 0)
+        except CobarError as exc:
+            whole = str(exc)
+        try:
+            list(extcharts._slice_divisors(mats, ns, p, m))
+        except CobarError as exc:
+            streamed = str(exc)
+        assert streamed == whole, trial
+        outcomes.add(whole is None)
+    assert outcomes == {True, False}
+
+
+def test_a_degree_holds_two_differentials_and_drops_its_bases(monkeypatch):
+    """Two built differentials, d^s and d^{s+1}, are alive at a check and
+    one, d^{s+1}, at an elimination (the rows rung 1 and the ladder read
+    are pruned copies), and a finished chart holds no cobar basis, only the
+    slot tuples that later degrees extend."""
+
+    class Built(list):  # unlike a list, it can be referenced weakly
+        pass
+    built_refs, made = [], []
+    alive = {"check": [], "eliminate": []}
+    original_dm = CobarComplex.differential_matrix
+    original_ed = extcharts.elementary_divisors
+    original_check = extcharts.check_composite_zero
+
+    def built(self, s, degree):
+        rows = Built(original_dm(self, s, degree))
+        built_refs.append(weakref.ref(rows))
+        return rows
+
+    class Recorded(CobarComplex):
+        def __init__(self, *args, **kwargs):
+            super().__init__(*args, **kwargs)
+            made.append(self)
+
+    def counted(fn, kind):
+        def wrapped(*args):
+            alive[kind].append(sum(ref() is not None for ref in built_refs))
+            return fn(*args)
+        return wrapped
+    monkeypatch.setattr(CobarComplex, "differential_matrix", built)
+    monkeypatch.setattr("stemcharts.extcharts.CobarComplex", Recorded)
+    monkeypatch.setattr("stemcharts.extcharts.elementary_divisors",
+                        counted(original_ed, "eliminate"))
+    monkeypatch.setattr("stemcharts.extcharts.check_composite_zero",
+                        counted(original_check, "check"))
+    ec = ext_chart(build_algebroid("p_typical", 8, p=2), 2, 10, 6, 16)
+    with open(os.path.join(GOLDEN, "ext_p2_t16.json"), encoding="utf-8") as fh:
+        assert json.dumps(ec.to_json(), indent=1) + "\n" == fh.read()
+    assert max(alive["check"]) == 2 and max(alive["eliminate"]) == 1
+    (cx,) = made
+    assert cx._coded == {} and len(cx._tuples) > 1
 
 
 # PrecisionExhausted messages, and sha256 prefixes of json.dumps(to_json())

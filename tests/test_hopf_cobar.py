@@ -5,7 +5,7 @@ from fractions import Fraction
 
 import pytest
 
-from stemcharts import hopf
+from stemcharts import extcharts, hopf
 from stemcharts.cobar import CobarComplex, CobarError
 from stemcharts.extcharts import ext_chart
 from stemcharts.fgl import UniversalFGL
@@ -411,14 +411,30 @@ def test_planted_term_leaves_the_basis(bound, name, mon, term, s, degree, where)
     (2, 6, ((1, 1),)),      # Delta(t2), with a v1 coefficient to migrate
     (3, 8, ((0, 3),)),      # Delta(t1^3)
 ])
-def test_flipped_coded_coproduct_fails_d_squared(p, bound, mon):
+def test_flipped_coded_coproduct_fails_d_squared(monkeypatch, p, bound, mon):
     alg = build_algebroid("p_typical", bound, p=p)
     cx = CobarComplex(alg)
     terms = cx._coproducts[cx._t.ids[mon]]
     for n, (cm, u, w, c) in enumerate(terms):
-        flipped = CobarComplex(alg)
-        flipped._coproducts[flipped._t.ids[mon]] = terms[:n] + [(cm, u, w, -c)] + terms[n + 1:]
+        def flipped_complex(alg, normalized=True):
+            flipped = CobarComplex(alg, normalized)
+            flipped._coproducts[flipped._t.ids[mon]] = \
+                terms[:n] + [(cm, u, w, -c)] + terms[n + 1:]
+            return flipped
+        flipped = flipped_complex(alg)
         with pytest.raises(CobarError, match="d o d != 0"):
             for degree in range(bound + 1):
                 for s in range(3):
                     flipped.check_d_squared(s, degree)
+        # ext_chart checks only the columns that rung 1 did not cancel, and
+        # still names the first failing product of the whole complex, in
+        # its order: degree by degree, s = 0..5
+        flipped = flipped_complex(alg)
+        with pytest.raises(CobarError) as whole:
+            for degree in range(bound + 1):
+                for s in range(6):
+                    flipped.check_d_squared(s, degree)
+        monkeypatch.setattr(extcharts, "CobarComplex", flipped_complex)
+        with pytest.raises(CobarError) as streamed:
+            ext_chart(alg, p, 10, 6, 2 * bound)
+        assert str(streamed.value) == str(whole.value)

@@ -18,8 +18,12 @@ left only multiplies the slots left of the coproduct, and a product of
 positive-degree monomials is never 1, so a term lands on a degenerate tuple
 exactly when u or w is 1.  Those terms, eta_R terms with an empty new slot
 and the right-unit coface d^{s+1} are dropped before any migration; what
-is left is the differential of the normalized complex, written term by term
-into one accumulator.  The unnormalized complex keeps every term.  Bases
+is left is the differential of the normalized complex.  The unnormalized
+complex keeps every term.  Each term is written once, straight into its
+row: the columns are taken in increasing order, so every row lists them in
+that order, and an entry whose terms cancel to 0 goes.  A term whose key is
+not in the basis goes into a small dict of the column instead, and only a
+nonzero sum there is a CobarError, named by its first key.  Bases
 are built slot by slot: the (s-1)-slot tuples are extended by the
 monomials of the nonempty slot degrees only.
 
@@ -99,18 +103,17 @@ class _Codes:
         self.times = [_Memo(lambda j, left=m: ids[mon_mul(left, mons[j])]) for m in mons]
 
 
-def _migrate(out: dict, a: int, cm: int, j: int, tup: tuple[int, ...], c,
+def _migrate(add, a: int, cm: int, j: int, tup: tuple[int, ...], c,
              etas: _Memo, atimes: list[_Memo], ttimes: list[_Memo]) -> None:
-    """Add c * a * (cm right of the first j slots of tup) to out, with cm
-    moved to the left slot by slot through eta_R; sums may cancel to 0."""
+    """add(key, c * a * (cm right of the first j slots of tup)), with cm
+    moved to the left slot by slot through eta_R."""
     if not j or not cm:
-        k = (atimes[a][cm],) + tup
-        out[k] = out.get(k, 0) + c
+        add((atimes[a][cm],) + tup, c)
         return
     j -= 1
     head, times, tail = tup[:j], ttimes[tup[j]], tup[j + 1:]
     for dm, tau, c2 in etas[cm]:
-        _migrate(out, a, dm, j, head + (times[tau],) + tail, c * c2, etas, atimes, ttimes)
+        _migrate(add, a, dm, j, head + (times[tau],) + tail, c * c2, etas, atimes, ttimes)
 
 
 class CobarComplex:
@@ -208,16 +211,31 @@ class CobarComplex:
         etas, coproducts = self._etas, self._coproducts
         atimes, ttimes = self._a.times, self._t.times
         index = {k: i for i, k in enumerate(self._coded_basis(s + 1, degree))}
+        where = index.get
         rows: list[dict[int, int]] = [{} for _ in index]
         unit = 1 if s & 1 else -1  # sign of the right-unit coface d^{s+1}
+
+        def add(k: tuple[int, ...], c) -> None:
+            """Add c at key k of the current column; an entry that cancels
+            to 0 goes, and a key off the basis is kept aside in stray."""
+            i = where(k)
+            if i is None:
+                stray[k] = stray.get(k, 0) + c
+                return
+            row = rows[i]
+            z = row.get(col, 0) + c
+            if z:
+                row[col] = z
+            else:
+                row.pop(col, None)
+
         for col, key in enumerate(self._coded_basis(s, degree)):
             a, tup = key[0], key[1:]
-            out: dict[tuple[int, ...], object] = {}
+            stray: dict[tuple[int, ...], object] = {}
             # d^0: eta_R of the coefficient lands in a new left slot
             for dm, sigma, c in etas[a]:
                 if sigma or not normalized:
-                    k = (dm, sigma) + tup
-                    out[k] = out.get(k, 0) + c
+                    add((dm, sigma) + tup, c)
             # d^i: coproduct on slot i, coefficient migrated left
             for i in range(1, s + 1):
                 sign = -1 if i & 1 else 1
@@ -225,21 +243,15 @@ class CobarComplex:
                 for cm, u, w, c in coproducts[tup[i - 1]]:
                     t = head + (u, w) + tail
                     if cm:
-                        _migrate(out, a, cm, i - 1, t, sign * c, etas, atimes, ttimes)
+                        _migrate(add, a, cm, i - 1, t, sign * c, etas, atimes, ttimes)
                     else:  # nothing to migrate
-                        k = (a,) + t
-                        out[k] = out.get(k, 0) + sign * c
+                        add((a,) + t, sign * c)
             # d^{s+1}: unit in a new right slot, a degenerate tuple when normalized
             if not normalized:
-                k = key + (0,)
-                out[k] = out.get(k, 0) + unit
-            for k, c in out.items():
+                add(key + (0,), unit)
+            for k, c in stray.items():
                 if c:
-                    i = index.get(k)
-                    if i is None:
-                        raise CobarError(
-                            f"differential leaves the basis at {self._decode(k)}")
-                    rows[i][col] = c
+                    raise CobarError(f"differential leaves the basis at {self._decode(k)}")
         return rows
 
     def check_d_squared(self, s: int, degree: int) -> None:

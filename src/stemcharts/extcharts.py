@@ -56,7 +56,13 @@ One pass over s streams each degree (`_slice_divisors`): build d^{s+1},
 check d^{s+1} o d^s, run rung 1 of d^s, and drop what no later step
 reads.  A degree then holds d^s, d^{s+1}, the d^s pruned for rung 1 and
 the rows of a held d^{s-1}, never all its differentials, and `ext_chart`
-drops its cobar bases when it is done.  The check is exact over Z but
+drops its cobar bases when it is done.  A degree whose C^0..C^{s_max} are
+all 0 (at p = 3 every odd degree, at p = 5 every degree off 4Z) has no
+entry, no check and nothing that can fail, so `ext_chart` drops its bases
+and builds and eliminates nothing there.  The builder writes each term
+once, straight into its row (`cobar`), and a pivot row with one entry
+clears its column with no arithmetic, which is exact for every modulus
+(`zpk.elementary_divisors`).  The check is exact over Z but
 reads only the columns of C^s that rung 1 of d^{s-1} did not cancel: the
 pruned d^s that rung 1 reads anyway.  That certifies the whole product.
 Let M = d^{s+1} o d^s, and let A in C^{s-1} and B in C^s be the columns
@@ -241,6 +247,9 @@ def ext_chart(algebroid: HopfAlgebroid, p: int, K: int, s_max: int, t_max: int,
     for d in range(0, t_max // 2 + 1):
         t = 2 * d
         ns = [cx.dimension(s, d) for s in range(s_max + 1)]
+        if not any(ns):  # C^0..C^{s_max} = 0: no entry, nothing to check
+            cx.drop_bases(d)
+            continue
         # d^s : C^s -> C^{s+1} for s = 0..s_max, each built once, on demand
         mats = (cx.differential_matrix(s, d) for s in range(s_max + 1))
         prev: list[int] = []  # valuations of d^{s-1}

@@ -65,6 +65,15 @@ def elementary_divisors(rows, p: int, m: int) -> Divisors:
     with its row as a summand p^v.  Among the rows with an entry of
     valuation v the shortest is taken, and in it the column with the fewest
     entries, which keeps the rows sparse.
+
+    A pivot row with a single entry x clears its column with no
+    arithmetic, as in the singleton step of structured Gaussian elimination
+    (LaMacchia and Odlyzko, CRYPTO '90): x = p^v u with u a unit, and a
+    holder row with entry y = p^v w in that column would subtract q x,
+    q = w u^{-1} mod p^m, and q x = y (mod p^m) for every m and v.  So the
+    update deletes y and leaves the rest of the row as it was, and the
+    exponents and the unit pivots, in order, are those of the row
+    operations.
     """
     mod = p ** m
     live: dict[int, dict[int, int]] = {}   # row index -> {column: entry}
@@ -88,33 +97,47 @@ def elementary_divisors(rows, p: int, m: int) -> Divisors:
             prow = live.get(i)
             if prow is None or len(prow) != size:
                 continue
-            cands = [c for c, x in prow.items() if (x // pv) % p]
-            if not cands:
-                continue  # no entry of valuation v (unless a later update adds one)
-            j = min(cands, key=lambda c: len(holders[c]))
-            uinv = pow(prow[j] // pv, -1, mod)
-            for k in holders.pop(j):
-                if k == i:
-                    continue
-                row = live[k]
-                q = (row[j] // pv) * uinv % mod
-                for c, x in prow.items():
-                    z = (row.get(c, 0) - q * x) % mod
-                    if z:
-                        if c not in row:
-                            holders[c].add(k)
-                        row[c] = z
-                    elif c in row:
-                        del row[c]
-                        if c != j:
-                            holders[c].discard(k)
-                if row:
-                    heappush(queue, (len(row), k))
-                else:
-                    del live[k]
-            for c in prow:
-                if c != j:
-                    holders[c].discard(i)
+            if size == 1:
+                (j, x), = prow.items()
+                if not (x // pv) % p:
+                    continue  # (unless a later update gives it valuation v)
+                # q x = y mod p^m (above): y goes, nothing else changes
+                for k in holders.pop(j):
+                    if k != i:
+                        row = live[k]
+                        del row[j]
+                        if row:
+                            heappush(queue, (len(row), k))
+                        else:
+                            del live[k]
+            else:
+                cands = [c for c, x in prow.items() if (x // pv) % p]
+                if not cands:
+                    continue  # no entry of valuation v (unless a later update adds one)
+                j = min(cands, key=lambda c: len(holders[c]))
+                uinv = pow(prow[j] // pv, -1, mod)
+                for k in holders.pop(j):
+                    if k == i:
+                        continue
+                    row = live[k]
+                    q = (row[j] // pv) * uinv % mod
+                    for c, x in prow.items():
+                        z = (row.get(c, 0) - q * x) % mod
+                        if z:
+                            if c not in row:
+                                holders[c].add(k)
+                            row[c] = z
+                        elif c in row:
+                            del row[c]
+                            if c != j:
+                                holders[c].discard(k)
+                    if row:
+                        heappush(queue, (len(row), k))
+                    else:
+                        del live[k]
+                for c in prow:
+                    if c != j:
+                        holders[c].discard(i)
             del live[i]
             vals.append(v)
             if not v:

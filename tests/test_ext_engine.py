@@ -14,6 +14,7 @@ planted divisors (for the pivot cancellation).
 """
 
 import hashlib
+import heapq
 import json
 import os
 import random
@@ -134,6 +135,100 @@ def test_elementary_divisors_report_unit_pivots():
     assert elementary_divisors([{0: 2}, {1: 3}], 2, 3).units == [(1, 1)]
     assert elementary_divisors([{0: 1, 1: 1}, {0: 1, 1: 2}], 3, 1).units == [(0, 0), (1, 1)]
     assert elementary_divisors([{0: 4}], 2, 2).units == []
+
+
+def general_elementary_divisors(rows, p, m):
+    """The elimination of `zpk.elementary_divisors` with no singleton step:
+    every pivot row, one entry or more, clears its column by row operations.
+    Returns the exponents, the unit pivots in order, and the number of pivot
+    rows with one entry whose column had other holders."""
+    mod = p ** m
+    live, holders = {}, {}
+    for i, row in enumerate(rows):
+        red = {c: x % mod for c, x in row.items() if x % mod}
+        if red:
+            live[i] = red
+            for c in red:
+                holders.setdefault(c, set()).add(i)
+    vals, units, singles = [], [], 0
+    pv = 1
+    for v in range(m):
+        if not live:
+            break
+        queue = [(len(r), i) for i, r in live.items()]
+        heapq.heapify(queue)
+        while queue:
+            size, i = heapq.heappop(queue)
+            prow = live.get(i)
+            if prow is None or len(prow) != size:
+                continue
+            cands = [c for c, x in prow.items() if (x // pv) % p]
+            if not cands:
+                continue
+            j = min(cands, key=lambda c: len(holders[c]))
+            singles += size == 1 and len(holders[j]) > 1
+            uinv = pow(prow[j] // pv, -1, mod)
+            for k in holders.pop(j):
+                if k == i:
+                    continue
+                row = live[k]
+                q = (row[j] // pv) * uinv % mod
+                for c, x in prow.items():
+                    z = (row.get(c, 0) - q * x) % mod
+                    if z:
+                        if c not in row:
+                            holders[c].add(k)
+                        row[c] = z
+                    elif c in row:
+                        del row[c]
+                        if c != j:
+                            holders[c].discard(k)
+                if row:
+                    heapq.heappush(queue, (len(row), k))
+                else:
+                    del live[k]
+            for c in prow:
+                if c != j:
+                    holders[c].discard(i)
+            del live[i]
+            vals.append(v)
+            if not v:
+                units.append((i, j))
+        pv *= p
+    return vals, units, singles
+
+
+def singleton_matrix(rng, p, m):
+    """Sparse rows over a few shared columns: empty rows, one-entry rows of
+    every valuation 0..m (valuation m is 0 mod p^m), and longer rows whose
+    entries may be 0 mod p^m too."""
+    nc = rng.randint(2, 8)
+    rows = []
+    for _ in range(rng.randint(0, 14)):
+        kind = rng.random()
+        if kind < 0.15:
+            rows.append({})
+            continue
+        width = 1 if kind < 0.6 else rng.randint(2, nc)
+        rows.append({j: rng.choice([-1, 1]) * rng.randint(1, 2 * p) * p ** rng.randint(0, m)
+                     for j in rng.sample(range(nc), width)})
+    return rows
+
+
+@pytest.mark.parametrize("p", [2, 3, 5])
+@pytest.mark.parametrize("m", [1, 2, 4])
+def test_singleton_pivots_match_the_general_elimination(p, m):
+    """Clearing the column of a one-entry pivot row by deleting it gives the
+    exponents and the unit pivots, in order, of the row operations."""
+    rng = random.Random(1000 * p + m)
+    singles = 0
+    for trial in range(300):
+        rows = singleton_matrix(rng, p, m)
+        want, units, n = general_elementary_divisors([dict(r) for r in rows], p, m)
+        got = elementary_divisors(rows, p, m)
+        assert (got, got.units) == (want, units), (trial, rows)
+        singles += n
+    assert singles > 100  # the singleton step ran, with holders to clear
 
 
 # -- ext_chart against the kernel/subquotient oracle ------------------------
@@ -349,6 +444,13 @@ def test_ladder_stops_between_rungs(monkeypatch):
     assert any(1 < rungs[-1] < 20 for _, rungs in calls)
 
 
+def nonzero_degrees(alg, t_max):
+    """The degrees d <= t_max / 2 in which some C^s, s = 0..6, is nonzero:
+    the ones ext_chart builds and eliminates."""
+    cx = CobarComplex(alg)
+    return [d for d in range(t_max // 2 + 1) if any(cx.dimension(s, d) for s in range(7))]
+
+
 @pytest.mark.parametrize("name,p,t_max", [("ext_p2_t16.json", 2, 16),
                                           ("ext_p3_t36.json", 3, 36)])
 def test_held_ladders_skip_rung_one(monkeypatch, name, p, t_max):
@@ -374,10 +476,45 @@ def test_held_ladders_skip_rung_one(monkeypatch, name, p, t_max):
     # are the ones that run to 2K = 20
     held = [rungs for m, rungs in calls if m == 20]
     assert held and all(1 not in rungs for rungs in held)
-    differentials = (t_max // 2 + 1) * (6 + 1)  # d^0..d^6 in each degree
+    # d^0..d^6 in each degree with a nonzero C^s
+    differentials = len(nonzero_degrees(alg, t_max)) * (6 + 1)
     assert sum(rungs.count(1) for _, rungs in calls) == differentials
     with open(os.path.join(GOLDEN, name), encoding="utf-8") as fh:
         assert json.dumps(ec.to_json(), indent=1) + "\n" == fh.read()
+
+
+def test_zero_degrees_build_and_eliminate_nothing(monkeypatch):
+    """At p=5 t<=60, C^0..C^6 vanish in every degree not divisible by 4:
+    ext_chart builds no differential and runs no elimination there, each
+    other degree builds d^0..d^6 once, and the chart is unchanged."""
+    alg = build_algebroid("p_typical", 30, p=5)
+    ran = nonzero_degrees(alg, 60)
+    assert ran == list(range(0, 31, 4))
+    at, work = [None], []  # the degree ext_chart is on; (step, that degree)
+    original_dim = CobarComplex.dimension
+    original_dm = CobarComplex.differential_matrix
+    original_ed = extcharts.elementary_divisors
+
+    def dimension(self, s, degree):
+        at[0] = degree
+        return original_dim(self, s, degree)
+
+    def build(self, s, degree):
+        work.append(("build", at[0]))
+        return original_dm(self, s, degree)
+
+    def eliminate(rows, p, m):
+        work.append((m, at[0]))
+        return original_ed(rows, p, m)
+    monkeypatch.setattr(CobarComplex, "dimension", dimension)
+    monkeypatch.setattr(CobarComplex, "differential_matrix", build)
+    monkeypatch.setattr("stemcharts.extcharts.elementary_divisors", eliminate)
+    ec = ext_chart(alg, 5, 10, 6, 60)
+    with open(os.path.join(GOLDEN, "ext_p5_t60.json"), encoding="utf-8") as fh:
+        assert json.dumps(ec.to_json(), indent=1) + "\n" == fh.read()
+    assert {d for _, d in work} == set(ran)
+    assert [d for step, d in work if step == "build"] == [d for d in ran for _ in range(7)]
+    assert [d for step, d in work if step == 1] == [d for d in ran for _ in range(7)]
 
 
 # -- cancelling unit pivots across the complex ---------------------------------
@@ -463,8 +600,9 @@ def test_cancellation_narrows_eliminations(monkeypatch):
 
 def rung_one_run(monkeypatch, alg, p, t_max):
     """Run ext_chart once, before any other patch of the test; return
-    (degree, s) -> the unit pivots of rung 1 of d^s, and (degree, s) -> the
-    columns of C^s that the check of d^{s+1} o d^s read."""
+    (degree, s) -> the unit pivots of rung 1 of d^s, for each degree that
+    ran (`nonzero_degrees`), and (degree, s) -> the columns of C^s that the
+    check of d^{s+1} o d^s read."""
     original_ed = extcharts.elementary_divisors
     original_check = extcharts.check_composite_zero
     units, checked = [], {}
@@ -482,7 +620,9 @@ def rung_one_run(monkeypatch, alg, p, t_max):
     monkeypatch.setattr("stemcharts.extcharts.check_composite_zero", read)
     ext_chart(alg, p, 10, 6, t_max)
     monkeypatch.undo()
-    return {(d, s): units[7 * d + s] for d in range(t_max // 2 + 1)
+    ran = nonzero_degrees(alg, t_max)
+    assert len(units) == 7 * len(ran)
+    return {(d, s): units[7 * n + s] for n, d in enumerate(ran)
             for s in range(7)}, checked
 
 

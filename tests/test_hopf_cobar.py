@@ -366,8 +366,30 @@ def test_builder_matches_every_coface(p, t_max, normalized):
     for degree in range(t_max // 2 + 1):
         for s in range(6):
             assert cx.basis(s, degree) == reference_basis(cx, s, degree)
-            assert cx.differential_matrix(s, degree) == \
-                reference_differential(cx, s, degree), (s, degree)
+            rows = cx.differential_matrix(s, degree)
+            assert rows == reference_differential(cx, s, degree), (s, degree)
+            assert all(list(row) == sorted(row) for row in rows), (s, degree)
+
+
+def test_terms_that_cancel_leave_no_entry():
+    # every coded coproduct given as +terms, -terms builds the rows of no
+    # coproduct at all, with no 0 entries left; as -terms, +terms, +terms,
+    # each entry passes through 0 and comes back, and the rows and their
+    # column order are those of the plain terms
+    alg = build_algebroid("p_typical", 6, p=2)
+    plain, bare, cancelled, tripled = (CobarComplex(alg) for _ in range(4))
+    for code in range(len(plain._t.mons)):
+        terms = plain._coproducts[code]
+        negated = [(cm, u, w, -c) for cm, u, w, c in terms]
+        bare._coproducts[code] = []
+        cancelled._coproducts[code] = terms + negated
+        tripled._coproducts[code] = negated + terms + terms
+    for degree in range(7):
+        for s in range(4):
+            for cx, want in ((cancelled, bare), (tripled, plain)):
+                rows = cx.differential_matrix(s, degree)
+                assert rows == want.differential_matrix(s, degree), (s, degree)
+                assert all(list(row) == sorted(row) for row in rows), (s, degree)
 
 
 # -- planted faults in the coded builder ---------------------------------------
@@ -404,6 +426,23 @@ def test_planted_term_leaves_the_basis(bound, name, mon, term, s, degree, where)
     with pytest.raises(CobarError, match=re.escape(
             f"differential leaves the basis at {where}")):
         cx.differential_matrix(s, degree)
+
+
+def test_opposite_terms_off_the_basis_cancel():
+    # t1 (x) t1^5, above the bound, twice in the coded Delta(t1) with
+    # opposite signs sums to 0: the build goes through; once, it leaves the
+    # basis and the CobarError names the nested key
+    alg = build_algebroid("p_typical", 4, p=2)
+    cx = CobarComplex(alg)
+    t1, off = cx._t.ids[T1], cx._t.ids[((0, 5),)]
+    terms = cx._coproducts[t1]
+    plain = cx.differential_matrix(1, 1)
+    cx._coproducts[t1] = terms + [(0, t1, off, 1), (0, t1, off, -1)]
+    assert cx.differential_matrix(1, 1) == plain
+    cx._coproducts[t1] = terms + [(0, t1, off, 1)]
+    with pytest.raises(CobarError, match=re.escape(
+            f"differential leaves the basis at {(ONE, (T1, ((0, 5),)))}")):
+        cx.differential_matrix(1, 1)
 
 
 @pytest.mark.parametrize("p,bound,mon", [

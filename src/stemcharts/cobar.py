@@ -25,7 +25,8 @@ that order, and an entry whose terms cancel to 0 goes.  A term whose key is
 not in the basis goes into a small dict of the column instead, and only a
 nonzero sum there is a CobarError, named by its first key.  Bases
 are built slot by slot: the (s-1)-slot tuples are extended by the
-monomials of the nonempty slot degrees only.
+monomials of the nonempty slot degrees only, and the monomials of the
+nonempty A-degrees go in front; each complex lists these degrees once.
 
 The builder works on integer codes.  Every A- and Gamma-monomial up to the
 bound is an int, numbered in sorted monomial order (1 is 0), so the flat
@@ -123,9 +124,11 @@ class CobarComplex:
         degrees = range(alg.bound + 1)
         A = self._a = _Codes([m for d in degrees for m in alg.a_monomials(d)])
         T = self._t = _Codes([m for d in degrees for m in alg.tensor_monomials(d)])
-        # degree -> the codes of the Gamma-monomials of that degree, in order
-        self._tcodes = [[T.ids[m] for m in alg.tensor_monomials(d)] for d in degrees]
-        self._acodes = [[A.ids[m] for m in alg.a_monomials(d)] for d in degrees]
+        # (degree, its codes) of each nonempty slot degree (0 only unnormalized) and A-degree
+        self._tslots = [(d, [T.ids[m] for m in alg.tensor_monomials(d)]) for d in degrees
+                        if alg.tensor_monomials(d) and (d or not normalized)]
+        self._aslots = [(d, [A.ids[m] for m in alg.a_monomials(d)]) for d in degrees
+                        if alg.a_monomials(d)]
 
         # the closures see the codes and the algebroid, never the complex
         def eta_r(a: int):
@@ -154,11 +157,11 @@ class CobarComplex:
         if out is None:
             out = []
             if s:
-                for d in range(1 if self.normalized else 0, e + 1):
-                    tcs = self._tcodes[d]
-                    if tcs:
-                        for head in self._slot_tuples(s - 1, e - d):
-                            out.extend(head + (tc,) for tc in tcs)
+                for d, tcs in self._tslots:
+                    if d > e:
+                        break
+                    for head in self._slot_tuples(s - 1, e - d):
+                        out.extend(head + (tc,) for tc in tcs)
             self._tuples[key] = out
         return out
 
@@ -171,10 +174,10 @@ class CobarComplex:
             if degree > self.alg.bound:
                 raise CobarError("degree exceeds the algebroid bound")
             out = []
-            for e in range(degree + 1):
-                acs = self._acodes[degree - e]
-                if acs:
-                    out.extend((ac,) + tup for tup in self._slot_tuples(s, e) for ac in acs)
+            for d, acs in self._aslots:
+                if d > degree:
+                    break
+                out.extend((ac,) + tup for tup in self._slot_tuples(s, degree - d) for ac in acs)
             out.sort()
             self._coded[key] = out
         return out

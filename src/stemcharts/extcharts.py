@@ -50,7 +50,10 @@ same rung with the same exponents.  With little torsion both sides
 of the second are about r_s, against n_{s+1} x n_s.  The second starts
 at rung 2: rung 1 on the wider matrix already counted every unit divisor
 and fell short of the bound, and pruning keeps the divisors, so rung 1
-cannot meet it on the pruned matrix either.
+cannot meet it on the pruned matrix either.  Rung 2 replays the u_s unit
+pivots of that rung 1 with no search (`zpk.elementary_divisors`), the
+rows d^{s+1} cancelled left empty: none is a pivot row, the pivot rows
+evolve alone, and a unit mod p is one mod p^2, so the exponents stay.
 
 One pass over s streams each degree (`_slice_divisors`): build d^{s+1},
 check d^{s+1} o d^s, run rung 1 of d^s, and drop what no later step
@@ -150,7 +153,7 @@ def _reduce_rows(rows, drop) -> list[dict[int, int]]:
 
 
 def _divisor_exponents(rows, p: int, m: int, rank_bound: int,
-                       k: int = 1) -> list[int]:
+                       k: int = 1, pivots=()) -> list[int]:
     """Elementary divisor exponents over Z/p^m of rows whose rank over
     Z_(p) is at most rank_bound.
 
@@ -158,7 +161,8 @@ def _divisor_exponents(rows, p: int, m: int, rank_bound: int,
     first rung whose divisor count meets rank_bound: over Z/p^k the
     divisors of valuation < k are exactly those of the Z_(p) matrix, so
     such a rung has found every divisor at its exact valuation.  A ladder
-    that rung 1 is already known to leave short starts at k = 2.
+    that rung 1 is already known to leave short starts at k = 2, and only
+    that first rung replays the unit pivots given (`pivots`).
 
     rows may be d^s pruned by the cancellation lemma of Kaczynski, Mrozek
     and Slusarek (module docstring): n_{s+1} x (n_s - u_{s-1}) for rung 1
@@ -168,10 +172,10 @@ def _divisor_exponents(rows, p: int, m: int, rank_bound: int,
     the ladder stops at the same rung with the same exponents.
     """
     while True:
-        vals = elementary_divisors(rows, p, k)
+        vals = elementary_divisors(rows, p, k, pivots)
         if k == m or len(vals) == rank_bound:
             return vals
-        k = min(2 * k, m)
+        k, pivots = min(2 * k, m), ()
 
 
 def _slice_divisors(mats, ns: list[int], p: int, m: int, degree: int = 0):
@@ -184,15 +188,16 @@ def _slice_divisors(mats, ns: list[int], p: int, m: int, degree: int = 0):
     columns of C^s that the unit pivots of d^{s-1} did not cancel, and runs
     rung 1 of d^s on those columns.  A d^s that it leaves short of its rank
     bound n_s - r_{s-1} climbs the ladder from rung 2 after rung 1 of
-    d^{s+1}, without the rows that its unit pivots cancelled.  An
-    elimination that reports no unit pivots cancels nothing.  A failed
-    check raises the CobarError of the whole product, which names its first
-    failing column at this s and degree.
+    d^{s+1}, with the rows that its unit pivots cancelled made empty, and
+    rung 2 replays the unit pivots of rung 1 of d^s; one that is not a unit
+    is an EngineError.  An elimination that reports no unit pivots cancels
+    nothing.  A failed check raises the CobarError of the whole product,
+    which names its first failing column at this s and degree.
     """
     mats = iter(mats)
     after = next(mats, None)     # d^{s+1}
     cancelled: set[int] = set()  # elements of C^s paired by a unit pivot of d^{s-1}
-    held = None                  # (rows, rank bound) of a d^{s-1} short of its bound
+    held = None                  # (rows, rank bound, rung 1 units) of a d^{s-1} short of its bound
     rank = 0                     # r_{s-1}
     for s in range(len(ns) + 1):
         units = []
@@ -213,9 +218,12 @@ def _slice_divisors(mats, ns: list[int], p: int, m: int, degree: int = 0):
             paired = {j for _, j in units}
             # rung 1 counted every unit divisor of the held d^s and fell
             # short; pruning keeps the divisors, so its ladder starts at 2
-            vals = _divisor_exponents(
-                [row for i, row in enumerate(held[0]) if i not in paired], p, m,
-                held[1], k=2)
+            try:
+                vals = _divisor_exponents(
+                    [{} if i in paired else row for i, row in enumerate(held[0])],
+                    p, m, held[1], k=2, pivots=held[2])
+            except ValueError as exc:
+                raise EngineError(f"replayed {exc} at (s,t)=({s - 1},{2 * degree})") from None
             rank = len(vals)
             held = None
             yield vals
@@ -224,7 +232,7 @@ def _slice_divisors(mats, ns: list[int], p: int, m: int, degree: int = 0):
                 rank = len(first)
                 yield first
             else:
-                held = (rows, ns[s] - rank)
+                held = (rows, ns[s] - rank, units)
             cancelled = {i for i, _ in units}
 
 

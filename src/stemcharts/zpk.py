@@ -15,6 +15,7 @@ elimination from `identity`.
 
 from __future__ import annotations
 
+from collections import defaultdict
 from heapq import heapify, heappop, heappush
 
 from .charts import valuation
@@ -51,7 +52,7 @@ class Divisors(list):
         self.units: list[tuple[int, int]] = []
 
 
-def elementary_divisors(rows, p: int, m: int) -> Divisors:
+def elementary_divisors(rows, p: int, m: int, pivots=()) -> Divisors:
     """Exponents a_i of the Smith form diag(p^{a_i}) of a matrix over Z/p^m.
 
     rows: sparse rows {column: integer entry}.  Returns the exponents
@@ -66,6 +67,12 @@ def elementary_divisors(rows, p: int, m: int) -> Divisors:
     valuation v the shortest is taken, and in it the column with the fewest
     entries, which keeps the rows sparse.
 
+    pivots: unit pivots (row, column), eliminated first, in order, with no
+    search, and first in `units`; one that is not a unit mod p raises
+    ValueError.  The `units` of a run mod p serve for every m, also with
+    non-pivot rows dropped: a pivot row changes only by those before it, so
+    its entry stays a unit mod p, hence mod p^m, of the Schur complement.
+
     A pivot row with a single entry x clears its column with no
     arithmetic, as in the singleton step of structured Gaussian elimination
     (LaMacchia and Odlyzko, CRYPTO '90): x = p^v u with u a unit, and a
@@ -76,15 +83,57 @@ def elementary_divisors(rows, p: int, m: int) -> Divisors:
     operations.
     """
     mod = p ** m
-    live: dict[int, dict[int, int]] = {}   # row index -> {column: entry}
-    holders: dict[int, set[int]] = {}      # column -> rows with an entry there
+    live: dict[int, dict[int, int]] = {}             # row index -> {column: entry}
+    holders: dict[int, set[int]] = defaultdict(set)  # column -> rows with an entry there
     for i, row in enumerate(rows):
-        red = {c: x % mod for c, x in row.items() if x % mod}
+        red = {c: y for c, x in row.items() if (y := x % mod)}
         if red:
             live[i] = red
             for c in red:
-                holders.setdefault(c, set()).add(i)
+                holders[c].add(i)
+
+    def clear(i: int, j: int, v: int, queue) -> None:
+        """Pivot on row i, column j (valuation v); push changed rows onto queue."""
+        vals.append(v)
+        if not v:
+            vals.units.append((i, j))
+        prow = live.pop(i)
+        for c in prow:
+            holders[c].discard(i)
+        if len(prow) == 1:  # q x = y mod p^m (above): y goes, nothing else changes
+            for k in holders.pop(j):
+                row = live[k]
+                del row[j]
+                if not row:
+                    del live[k]
+                elif queue is not None:
+                    heappush(queue, (len(row), k))
+            return
+        pv = p ** v
+        uinv = pow(prow[j] // pv, -1, mod)
+        for k in holders.pop(j):
+            row = live[k]
+            q = (row[j] // pv) * uinv % mod
+            for c, x in prow.items():
+                z = (row.get(c, 0) - q * x) % mod
+                if z:
+                    if c not in row:
+                        holders[c].add(k)
+                    row[c] = z
+                elif c in row:
+                    del row[c]
+                    if c != j:
+                        holders[c].discard(k)
+            if not row:
+                del live[k]
+            elif queue is not None:
+                heappush(queue, (len(row), k))
+
     vals = Divisors()
+    for i, j in pivots:
+        if not live.get(i, {}).get(j, 0) % p:
+            raise ValueError(f"pivot {(i, j)} is not a unit mod {p}")
+        clear(i, j, 0, None)
     pv = 1
     for v in range(m):
         if not live:
@@ -101,47 +150,12 @@ def elementary_divisors(rows, p: int, m: int) -> Divisors:
                 (j, x), = prow.items()
                 if not (x // pv) % p:
                     continue  # (unless a later update gives it valuation v)
-                # q x = y mod p^m (above): y goes, nothing else changes
-                for k in holders.pop(j):
-                    if k != i:
-                        row = live[k]
-                        del row[j]
-                        if row:
-                            heappush(queue, (len(row), k))
-                        else:
-                            del live[k]
             else:
                 cands = [c for c, x in prow.items() if (x // pv) % p]
                 if not cands:
                     continue  # no entry of valuation v (unless a later update adds one)
                 j = min(cands, key=lambda c: len(holders[c]))
-                uinv = pow(prow[j] // pv, -1, mod)
-                for k in holders.pop(j):
-                    if k == i:
-                        continue
-                    row = live[k]
-                    q = (row[j] // pv) * uinv % mod
-                    for c, x in prow.items():
-                        z = (row.get(c, 0) - q * x) % mod
-                        if z:
-                            if c not in row:
-                                holders[c].add(k)
-                            row[c] = z
-                        elif c in row:
-                            del row[c]
-                            if c != j:
-                                holders[c].discard(k)
-                    if row:
-                        heappush(queue, (len(row), k))
-                    else:
-                        del live[k]
-                for c in prow:
-                    if c != j:
-                        holders[c].discard(i)
-            del live[i]
-            vals.append(v)
-            if not v:
-                vals.units.append((i, j))
+            clear(i, j, v, queue)
         pv *= p
     return vals
 

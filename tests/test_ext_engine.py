@@ -323,7 +323,7 @@ def drop_one_divisor(monkeypatch):
     """Make the elimination lose one divisor, as if its valuation were >= 2K."""
     original = extcharts.elementary_divisors
     monkeypatch.setattr("stemcharts.extcharts.elementary_divisors",
-                        lambda rows, p, m: original(rows, p, m)[:-1])
+                        lambda rows, p, m, pivots: original(rows, p, m, pivots)[:-1])
 
 
 def test_lost_divisor_breaks_rational_acyclicity(monkeypatch):
@@ -348,8 +348,8 @@ def lower_one_valuation(monkeypatch):
     valuation too low, leaving the rank alone."""
     original = extcharts.elementary_divisors
 
-    def patched(rows, p, m):
-        vals = original(rows, p, m)
+    def patched(rows, p, m, pivots):
+        vals = original(rows, p, m, pivots)
         if vals and vals[-1]:
             vals[-1] -= 1
         return vals
@@ -409,14 +409,15 @@ def test_fp_shortcut_leaves_chart_unchanged(monkeypatch, p, t_max, normalized):
     moduli = []
     original = extcharts.elementary_divisors
 
-    def counted(rows, p, m):
+    def counted(rows, p, m, pivots):
         moduli.append(m)
-        return original(rows, p, m)
+        return original(rows, p, m, pivots)
     monkeypatch.setattr("stemcharts.extcharts.elementary_divisors", counted)
     fast = ext_chart(alg, p, 10, 6, t_max, normalized=normalized)
     assert moduli.count(20) < moduli.count(1)  # the shortcut did skip eliminations
     monkeypatch.setattr("stemcharts.extcharts._divisor_exponents",
-                        lambda rows, p, m, rank_bound, k=1: original(rows, p, m))
+                        lambda rows, p, m, rank_bound, k=1, pivots=():
+                        original(rows, p, m, pivots))
     slow = ext_chart(alg, p, 10, 6, t_max, normalized=normalized)
     assert json.dumps(fast.to_json()) == json.dumps(slow.to_json())
 
@@ -430,13 +431,13 @@ def test_ladder_stops_between_rungs(monkeypatch):
     original_ed = extcharts.elementary_divisors
     original_de = extcharts._divisor_exponents
 
-    def counted(rows, p, m):
+    def counted(rows, p, m, pivots):
         calls[-1][1].append(m)
-        return original_ed(rows, p, m)
+        return original_ed(rows, p, m, pivots)
 
-    def ladder(rows, p, m, rank_bound, k=1):
+    def ladder(rows, p, m, rank_bound, k=1, pivots=()):
         calls.append((k, []))
-        return original_de(rows, p, m, rank_bound, k)
+        return original_de(rows, p, m, rank_bound, k, pivots)
     monkeypatch.setattr("stemcharts.extcharts.elementary_divisors", counted)
     monkeypatch.setattr("stemcharts.extcharts._divisor_exponents", ladder)
     ext_chart(alg, 2, 10, 6, 16)
@@ -462,13 +463,13 @@ def test_held_ladders_skip_rung_one(monkeypatch, name, p, t_max):
     original_ed = extcharts.elementary_divisors
     original_de = extcharts._divisor_exponents
 
-    def counted(rows, p, m):
+    def counted(rows, p, m, pivots):
         calls[-1][1].append(m)
-        return original_ed(rows, p, m)
+        return original_ed(rows, p, m, pivots)
 
-    def ladder(rows, p, m, rank_bound, k=1):
+    def ladder(rows, p, m, rank_bound, k=1, pivots=()):
         calls.append((m, []))
-        return original_de(rows, p, m, rank_bound, k)
+        return original_de(rows, p, m, rank_bound, k, pivots)
     monkeypatch.setattr("stemcharts.extcharts.elementary_divisors", counted)
     monkeypatch.setattr("stemcharts.extcharts._divisor_exponents", ladder)
     ec = ext_chart(alg, p, 10, 6, t_max)
@@ -503,9 +504,9 @@ def test_zero_degrees_build_and_eliminate_nothing(monkeypatch):
         work.append(("build", at[0]))
         return original_dm(self, s, degree)
 
-    def eliminate(rows, p, m):
+    def eliminate(rows, p, m, pivots):
         work.append((m, at[0]))
-        return original_ed(rows, p, m)
+        return original_ed(rows, p, m, pivots)
     monkeypatch.setattr(CobarComplex, "dimension", dimension)
     monkeypatch.setattr(CobarComplex, "differential_matrix", build)
     monkeypatch.setattr("stemcharts.extcharts.elementary_divisors", eliminate)
@@ -580,13 +581,13 @@ def test_cancellation_narrows_eliminations(monkeypatch):
     for strip in (False, True):
         columns = rows_above = 0
 
-        def counted(rows, p, m):
+        def counted(rows, p, m, pivots):
             nonlocal columns, rows_above
             if m == 1:
                 columns += len({j for row in rows for j in row})
             else:
                 rows_above += sum(1 for row in rows if row)
-            vals = original(rows, p, m)
+            vals = original(rows, p, m, pivots)
             return list(vals) if strip else vals
         monkeypatch.setattr("stemcharts.extcharts.elementary_divisors", counted)
         charts.append(json.dumps(ext_chart(alg, 2, 10, 6, 16).to_json()))
@@ -594,6 +595,81 @@ def test_cancellation_narrows_eliminations(monkeypatch):
     assert charts[0] == charts[1]
     (columns, rows_above), (all_columns, all_rows) = handed
     assert columns < all_columns and rows_above < all_rows
+
+
+@pytest.mark.parametrize("p", [2, 3, 5])
+@pytest.mark.parametrize("a", [1, 2])
+def test_planted_divisor_in_the_cancelled_block_is_found(monkeypatch, p, a):
+    """d^1 = U diag(1, 1, 1, p^a) V, between a d^0 and a d^2 of unit
+    divisors, in bases changed at random: rung 1 leaves d^1 short, its held
+    ladder replays rung 1's three unit pivots with the two rows that d^2
+    paired made empty, and the divisor p^a, which reaches the entries of
+    those pivots, is found at s = 1."""
+    original = extcharts._divisor_exponents
+    held = []  # (exponents, replayed pivots, rows) of each held ladder
+
+    def ladder(rows, p, m, rank_bound, k=1, pivots=()):
+        vals = original(rows, p, m, rank_bound, k, pivots)
+        if k == 2:
+            held.append((vals, pivots, rows))
+        return vals
+    monkeypatch.setattr("stemcharts.extcharts._divisor_exponents", ladder)
+    # (column in C^s, row in C^{s+1}, exponent) of the pieces of d^0, d^1, d^2
+    pieces = [[(0, 0, 0)], [(1, 0, 0), (2, 1, 0), (3, 2, 0), (4, 3, a)],
+              [(4, 0, 0), (5, 1, 0)]]
+    dims = [1, 5, 6, 2]
+    rng = random.Random(10 * p + a)
+    reached = blanked = 0
+    for trial in range(40):
+        bases = [unimodular(rng, n) for n in dims]
+        mats = [sparse([[sum(bases[s + 1][0][r][j] * p ** e * bases[s][1][i][c]
+                             for i, j, e in ps) for c in range(dims[s])]
+                        for r in range(dims[s + 1])])
+                for s, ps in enumerate(pieces)]
+        held.clear()
+        got = list(extcharts._slice_divisors(mats, dims[:3], p, 4))
+        assert got == [[0], [0, 0, 0, a], [0, 0]], trial
+        (vals, pivots, rows), = held
+        assert vals is got[1] and len(pivots) == 3, trial
+        blanked += sum(bool(whole) and not row for whole, row in zip(mats[1], rows))
+        U, V = bases[2][0], bases[1][1]  # p^a U[r][3] V[4][c] is in entry (r, c)
+        reached += any(U[r][3] and V[4][c] for r, c in pivots)
+    assert reached >= 15 and blanked >= 40  # of 40 trials
+
+
+def test_a_replayed_pivot_that_is_not_a_unit_is_an_engine_error(monkeypatch, capsys):
+    """A held ladder handed a pivot whose entry is divisible by p raises an
+    EngineError naming the (s, t) of its differential, and the CLI exits 4."""
+    alg = build_algebroid("p_typical", 8, p=2)
+    original_ed = extcharts.elementary_divisors
+    original_sd = extcharts._slice_divisors
+    at, spoiled = [0, 0], []  # (s, t) of the differential next yielded
+
+    def sliced(mats, ns, p, m, degree=0):
+        at[:] = [0, 2 * degree]
+        for vals in original_sd(mats, ns, p, m, degree):
+            at[0] += 1
+            yield vals
+
+    def spoil(rows, p, m, pivots):
+        if pivots:
+            i, j = pivots[0]
+            rows = [dict(row) for row in rows]
+            rows[i][j] *= p
+            spoiled.append(tuple(at))
+        return original_ed(rows, p, m, pivots)
+    monkeypatch.setattr("stemcharts.extcharts._slice_divisors", sliced)
+    monkeypatch.setattr("stemcharts.extcharts.elementary_divisors", spoil)
+    with pytest.raises(EngineError) as exc:
+        ext_chart(alg, 2, 10, 6, 16)
+    (s, t), = spoiled
+    assert type(exc.value) is EngineError
+    assert re.fullmatch(rf"replayed pivot \(\d+, \d+\) is not a unit mod 2 "
+                        rf"at \(s,t\)=\({s},{t}\)", str(exc.value))
+    code = cli.main(["ext", "--prime", "2", "--tmax", "16"])
+    captured = capsys.readouterr()
+    assert code == cli.EXIT_ENGINE and captured.out == ""
+    assert f"{exc.value}\n" in captured.err
 
 
 # -- the streamed d o d check ---------------------------------------------------
@@ -607,8 +683,8 @@ def rung_one_run(monkeypatch, alg, p, t_max):
     original_check = extcharts.check_composite_zero
     units, checked = [], {}
 
-    def recorded(rows, p, m):
-        vals = original_ed(rows, p, m)
+    def recorded(rows, p, m, pivots):
+        vals = original_ed(rows, p, m, pivots)
         if m == 1:  # rung 1 of d^0, d^1, ... in turn; held ladders start at 2
             units.append(vals.units)
         return vals

@@ -1,8 +1,10 @@
 import itertools
 import random
 
-from stemcharts.zpk import (SmithForm, identity, mat_mul, module_structure,
-                            subquotient_structure)
+import pytest
+
+from stemcharts.zpk import (SmithForm, elementary_divisors, identity, mat_mul,
+                            module_structure, subquotient_structure)
 
 
 def test_smith_form_randomized():
@@ -107,3 +109,48 @@ def test_subquotient_exhaustive_small():
         for a in orders:
             size *= p ** a
         assert size == expected_size, (G, B, orders, expected_size)
+
+
+def replay_matrix(rng, p, m):
+    """Sparse rows over a few shared columns, entries of valuation 0..m
+    (valuation m is 0 mod p^m), some rows p times the sum of two others."""
+    nc = rng.randint(1, 8)
+    rows = []
+    for _ in range(rng.randint(1, 12)):
+        width = rng.randint(1, nc)
+        rows.append({j: rng.choice([-1, 1]) * rng.randint(1, 2 * p) * p ** rng.choice([0, 0, 1, m])
+                     for j in rng.sample(range(nc), width)})
+    for _ in range(rng.randint(0, 3)):
+        a, b = rng.choice(rows), rng.choice(rows)
+        rows.append({j: p * (a.get(j, 0) + b.get(j, 0)) for j in set(a) | set(b)})
+    rng.shuffle(rows)
+    return rows
+
+
+@pytest.mark.parametrize("p", [2, 3, 5])
+@pytest.mark.parametrize("m", [2, 4])
+def test_replayed_unit_pivots_keep_the_exponents(p, m):
+    """The unit pivots of a run mod p, replayed mod p^m on the same rows
+    with some non-pivot rows dropped (made empty), give the exponents of
+    the search, and `units` begins with them, in order."""
+    rng = random.Random(10 * p + m)
+    replayed = dropped = torsion = 0
+    for trial in range(300):
+        rows = replay_matrix(rng, p, m)
+        pivots = elementary_divisors(rows, p, 1).units
+        kept = {i for i, _ in pivots}
+        rows = [row if i in kept or rng.random() < 0.5 else {} for i, row in enumerate(rows)]
+        got = elementary_divisors(rows, p, m, pivots)
+        assert list(got) == list(elementary_divisors(rows, p, m)), (trial, rows)
+        assert got.units[:len(pivots)] == pivots, (trial, rows)
+        replayed += bool(pivots)
+        dropped += bool(pivots) and any(not row for row in rows)
+        torsion += any(got)
+    assert min(replayed, dropped) > 200 and torsion > 50
+
+
+def test_a_replayed_pivot_must_be_a_unit():
+    with pytest.raises(ValueError, match=r"pivot \(0, 0\) is not a unit mod 2"):
+        elementary_divisors([{0: 2, 1: 1}], 2, 2, [(0, 0)])
+    with pytest.raises(ValueError, match=r"pivot \(1, 0\) is not a unit mod 3"):
+        elementary_divisors([{0: 1}, {}], 3, 2, [(1, 0)])

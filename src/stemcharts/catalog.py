@@ -10,10 +10,11 @@ from __future__ import annotations
 
 from dataclasses import replace
 
-from .charts import INF, AbGroupDesc, _json_object, cyclic, free_group
+from .charts import INF, AbGroupDesc, cyclic, free_group
 from .fields import (FieldDescriptor, FieldError, WittData,
                      algebraically_closed, complex_like, finite_field,
                      real_closed)
+from .schema import CATALOG, check
 
 
 def default_catalog() -> dict[str, FieldDescriptor]:
@@ -51,19 +52,17 @@ def default_catalog() -> dict[str, FieldDescriptor]:
     return fields
 
 
-def load_catalog(data: dict | None = None) -> dict[str, FieldDescriptor]:
+def load_catalog(data: dict) -> dict[str, FieldDescriptor]:
     """The built-in fields, plus those of `data` (a parsed catalog file).
 
-    A catalog or "fields" that is not a JSON object raises a ValueError
-    naming it; a malformed descriptor, custom tables included, raises
-    KeyError, TypeError or ValueError here, when the catalog is loaded.
+    A catalog off `schema.CATALOG` raises a SchemaError, and a descriptor
+    that fails a value check (a torsion order or a finite q that is not a
+    prime power) raises ValueError or FieldError, here, when it is loaded.
     """
     fields = default_catalog()
-    if data is not None:
-        entries = _json_object(data, "catalog").get("fields", {})
-        for name, obj in _json_object(entries, "catalog 'fields'").items():
-            fd = FieldDescriptor.from_json(obj)
-            fields[name] = fd if fd.name else replace(fd, name=name)
+    for name, obj in check(data, CATALOG).get("fields", {}).items():
+        fd = FieldDescriptor.from_json(obj)
+        fields[name] = fd if fd.name else replace(fd, name=name)
     return fields
 
 
@@ -74,7 +73,7 @@ def catalog_to_json(fields: dict[str, FieldDescriptor]) -> dict:
 def get_field(name: str, fields: dict[str, FieldDescriptor] | None = None
               ) -> FieldDescriptor:
     """The field `name` of a loaded catalog (default: the built-in one)."""
-    fields = load_catalog() if fields is None else fields
+    fields = default_catalog() if fields is None else fields
     if name not in fields:
         raise FieldError(
             f"unknown field {name!r}; available: {', '.join(sorted(fields))}")

@@ -15,7 +15,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable, Iterable, Optional
+from typing import Callable, Optional
 
 INF = "inf"  # countably-infinite marker for ranks and multiplicities
 
@@ -23,40 +23,6 @@ INF = "inf"  # countably-infinite marker for ranks and multiplicities
 def _is_int(x) -> bool:
     """An int that is not a bool (JSON's true and false read as bools)."""
     return isinstance(x, int) and not isinstance(x, bool)
-
-
-def _json_object(obj: object, what: str) -> dict:
-    """obj, if it is a JSON object; else a ValueError naming its type."""
-    if not isinstance(obj, dict):
-        raise ValueError(f"{what} is a {type(obj).__name__}, not an object")
-    return obj
-
-
-def _json_list(obj: object, what: str) -> list:
-    """obj, if it is a JSON array; else a ValueError naming its type."""
-    if not isinstance(obj, list):
-        raise ValueError(f"{what} is a {type(obj).__name__}, not a list")
-    return obj
-
-
-def _int_key(key: str, what: str) -> int:
-    """A JSON object key that spells an integer, as an int; else a
-    ValueError naming the key."""
-    try:
-        return int(key)
-    except ValueError:
-        raise ValueError(f"{what} key {key!r} is not an integer") from None
-
-
-def _check_keys(obj: object, schema: Iterable[str], what: str,
-                required: Iterable[str] = ()) -> None:
-    """ValueError unless obj is a JSON object with every key of `required`
-    and none outside `schema`; the message names the wrong type or key."""
-    if set(_json_object(obj, what)) - set(schema):
-        raise ValueError(f"unknown {what} keys {sorted(set(obj) - set(schema))}")
-    for key in required:
-        if key not in obj:
-            raise ValueError(f"{what} without {key!r}")
 
 
 _SMALL_PRIMES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
@@ -229,6 +195,7 @@ class AbGroupDesc:
         )
 
     def to_json(self) -> dict:
+        """Its keys are field names: `AbGroupDesc(**obj)` reads it back."""
         out: dict = {"free_rank": self.free_rank, "torsion": list(self.torsion)}
         if self.torsion_infinite:
             out["torsion_infinite"] = list(self.torsion_infinite)
@@ -239,24 +206,6 @@ class AbGroupDesc:
         if self.divisible:
             out["divisible"] = True
         return out
-
-    @staticmethod
-    def from_json(obj: dict) -> "AbGroupDesc":
-        """Parse `to_json`'s schema; a key outside it, or a value of the
-        wrong JSON type, raises a ValueError naming the key."""
-        _check_keys(obj, _GROUP_JSON, "group")
-        for key, value in obj.items():
-            need, ok = _GROUP_JSON[key]
-            if not ok(value):
-                raise ValueError(f"group {key!r} is not {need}: {value!r}")
-        return AbGroupDesc(
-            free_rank=obj.get("free_rank", 0),
-            torsion=tuple(obj.get("torsion", ())),
-            torsion_infinite=tuple(obj.get("torsion_infinite", ())),
-            modulus_precision=obj.get("modulus_precision"),
-            completed_at=obj.get("completed_at"),
-            divisible=obj.get("divisible", False),
-        )
 
     def shorthand(self) -> str:
         """Compact cell text: '.', 'Z', 'Z^2', 'Zp', '9', 'Z(+)3', ..."""
@@ -277,16 +226,6 @@ class AbGroupDesc:
             parts.append(f"{q}^inf")
         return "(+)".join(parts)
 
-
-# AbGroupDesc JSON key -> (what its value must be, the test of that)
-_INTS = ("a list of integers", lambda v: isinstance(v, list) and all(map(_is_int, v)))
-_GROUP_JSON = {
-    "free_rank": ('an integer or "inf"', lambda v: v == INF or _is_int(v)),
-    "torsion": _INTS, "torsion_infinite": _INTS,
-    "modulus_precision": ("an integer or null", lambda v: v is None or _is_int(v)),
-    "completed_at": ("an integer or null", lambda v: v is None or _is_int(v)),
-    "divisible": ("a boolean", lambda v: isinstance(v, bool)),
-}
 
 ZERO_GROUP = AbGroupDesc()
 
@@ -454,26 +393,17 @@ class BigradedChart:
 
     @staticmethod
     def from_json(obj: dict) -> "BigradedChart":
-        """Parse `to_json`'s schema (other top-level keys are ignored); an
-        entry without "i" or "j" or with a key outside the group schema, a
-        label that is not a string and a prime that is neither null nor a
-        prime raise ValueError."""
-        label, prime = _json_object(obj, "chart").get("label", ""), obj.get("prime")
-        if not isinstance(label, str):
-            raise ValueError(f"chart 'label' is not a string: {label!r}")
-        if prime is not None and not (_is_int(prime) and _is_prime(prime)):
-            raise ValueError(f"chart 'prime' is not null or a prime: {prime!r}")
+        """Parse `to_json`'s schema once `schema.CHART` has checked it; two
+        entries at one (i, j) raise ValueError."""
+        from .schema import CHART, check  # schema imports this module
         entries = {}
-        for ent in _json_list(obj.get("entries", []), "chart 'entries'"):
-            _check_keys(ent, ("i", "j", *_GROUP_JSON), "chart entry",
-                        required=("i", "j"))
-            for key in ("i", "j"):
-                if not _is_int(ent[key]):
-                    raise ValueError(f"chart entry {key!r} is not an integer: "
-                                     f"{ent[key]!r}")
-            entries[(ent["i"], ent["j"])] = AbGroupDesc.from_json(
-                {k: v for k, v in ent.items() if k not in ("i", "j")})
-        return BigradedChart(entries, label, prime)
+        for ent in check(obj, CHART).get("entries", []):
+            ij = ent["i"], ent["j"]
+            if ij in entries:
+                raise ValueError(f"chart has two entries at (i, j) = {ij}")
+            entries[ij] = AbGroupDesc(
+                **{k: v for k, v in ent.items() if k not in ("i", "j")})
+        return BigradedChart(entries, obj.get("label", ""), obj.get("prime"))
 
 
 def truncate_chart(c: BigradedChart, f: Callable[[int], int], threshold: int,

@@ -20,39 +20,21 @@ HI, kmw --basis only with --complete, every input file (--module-file,
 a directory, in a directory that exists.  --table needs --source table:
 the computed source (which auto means at odd p) reads no table, so
 `synthetic_stems` rejects a table under it (exit 2) before anything is
-computed or stored.  Each input file is read once,
-by `_read_input`, and one that is not JSON or does not describe what its
-option expects is a precondition violation (exit 2) naming the file: a
-module file with a key missing or a key outside the module schema (p,
-dim, t) or the ind-system schema (modules, maps, stable_from), a matrix
-of the wrong shape or a structure-map row that is not a list, a t-action
-that is not nilpotent or a structure map that is not injective or not
-t-equivariant, or a t, modules or maps that is not a list; a chart whose
-label is not a string, whose prime is neither null nor a prime or whose
-entries is not a list, a chart entry without "i" or "j", or with another
-key outside the chart schema; a catalog field without "variant", with a
-variant `fields.VARIANTS` does not name, a q, char or tower_prime that is
-not an integer, a key outside the schema `catalog` prints (in the
-descriptor, its witt_table or one of its groups), a table degree that is
-not an integer, a malformed custom table or, for a finite field, a q that
-is not a prime power, or a catalog or its "fields" that is not an object;
-a table with a key other than p and stems, a p that is not a prime, stems
-that is not an object, a stem key that is not an integer, a stem that is
-not a list of rows, or a row that is not
-[integer weight, integer filtration >= 0, "free" or an order >= 1] or
-lies off its lane n + s = 2w.  So is an ind-system whose profiles do not
-stabilize as declared, and a value of the wrong JSON type: an integer is
-a JSON integer, not a boolean or a fraction (2.5, 2.0), in a chart
-entry's i, j and group, a catalog count and a table row's weight,
-filtration and order, and "divisible" is a boolean.  The message names the
-missing key or the wrong type or shape ("chart entry without 'i'",
-"chart is a list, not an object", "field descriptor without 'variant'",
-"Witt table without 'GW'", "km_table is a list, not an object", "stem 0
-in table is not a list of rows", "row [0, 0] in table is not [weight,
-filtration, order]"), not a raw KeyError or unpacking error.  `check`
-exits 1 when a claim fails; a suite that raises prints "[FAIL] <suite>:
-<exception type>: <message>" and the next suite still runs.  The cache
-key holds the command, every option but
+computed or stored.  Each input file is read once, by `_read_input`, and
+one that is not JSON, has a key twice in one object, is off the schema of
+its kind in `schema` (chart, catalog, synthetic table, module or
+ind-system) or fails a value check of its reader is a precondition
+violation (exit 2) naming the file and the first violation, with its path
+in the file for a schema violation.  The value checks: a torsion order and
+a finite field's q must be prime powers, a t-action dim x dim and
+nilpotent, a structure map of the right shape, injective and
+t-equivariant, an ind-system's profiles must stabilize as declared, a
+chart holds at most one entry per (i, j), and a table row is [integer
+weight, integer filtration >= 0, "free" or an order >= 1] on its lane
+n + s = 2w.  Any other error of a reader is a defect and is not reported
+as an input error.  `check` exits 1 when a claim fails; a suite that
+raises prints "[FAIL] <suite>: <exception type>: <message>" and the next
+suite still runs.  The cache key holds the command, every option but
 --format, --view, --out and --cache-dir, each --table or --catalog file by
 the sha256 of its bytes, and the sha256 of the engine's sources (see
 `cache`).  A cache entry that cannot be written is reported on stderr,
@@ -76,9 +58,8 @@ import os
 import sys
 
 from .cache import ENGINE_VERSION, cache_key, cache_load, cache_store
-from .charts import (AbGroupDesc, BigradedChart, _check_keys, _is_prime,
-                     _json_list, _json_object)
-from .catalog import catalog_to_json, get_field, load_catalog
+from .charts import AbGroupDesc, BigradedChart, _is_prime
+from .catalog import catalog_to_json, default_catalog, get_field, load_catalog
 from .cobar import EngineError
 from .extcharts import PrecisionExhausted, ext_chart
 from .fields import FieldError
@@ -87,6 +68,7 @@ from .fpt import FptError, FptModule, IndFptModule, IndSystemError, \
 from .hopf import build_algebroid
 from .kmw import NotFreeError, completed_milnor_witt, free_basis, milnor_witt
 from .render import render_svg, render_text
+from .schema import IND_SYSTEM, MODULE, SchemaError, check
 from .stems import PreconditionError, check_table, synthetic_stems, \
     tensor_formula
 
@@ -114,23 +96,33 @@ def _chart_output(chart: BigradedChart, fmt: str, view: str) -> str:
     raise ValueError(f"unknown format {fmt!r}")
 
 
+def _unique_keys(pairs: list) -> dict:
+    """A JSON object from its pairs; a repeated key, which `json.loads`
+    would silently overwrite, is a SchemaError."""
+    obj = dict(pairs)
+    if len(obj) < len(pairs):
+        keys = [key for key, _ in pairs]
+        raise SchemaError(f"duplicate key {max(keys, key=keys.count)!r}")
+    return obj
+
+
 def _read_input(path: str | None, what: str, parse) -> tuple[object, str | None]:
     """(parse(the JSON in the file), sha256 of the file's bytes), or
     (None, None) without a path.
 
     Every input file (module, chart, table, catalog) is read here, once:
-    a file that is not JSON or does not describe a `what` is a precondition
-    violation that names the file.
+    a file that is not JSON, is off its schema or fails a value check is a
+    precondition violation that names the file; any other error propagates.
     """
     if path is None:
         return None, None
     with open(path, "rb") as fh:
         data = fh.read()
     try:
-        return parse(json.loads(data)), hashlib.sha256(data).hexdigest()
-    except (KeyError, TypeError, ValueError, AttributeError, FptError,
-            FieldError) as exc:
-        # ValueError covers json.JSONDecodeError and UnicodeDecodeError
+        return (parse(json.loads(data, object_pairs_hook=_unique_keys)),
+                hashlib.sha256(data).hexdigest())
+    except (ValueError, FptError, FieldError) as exc:
+        # ValueError: a SchemaError, a JSON or UTF-8 error or a value check
         raise PreconditionError(
             f"{path} is not a {what} file ({type(exc).__name__}: {exc})") from exc
 
@@ -199,7 +191,7 @@ def cmd_kmw(args) -> int:
         _emit(payload, args.out)
     else:
         obj = json.loads(payload)
-        chart = BigradedChart({(int(n), 0): AbGroupDesc.from_json(g)
+        chart = BigradedChart({(int(n), 0): AbGroupDesc(**g)
                                for n, g in obj["kmw"].items()},
                               label=f"K^MW of {obj['field']}")
         _emit(_chart_output(chart, args.format, "ij"), args.out)
@@ -234,14 +226,11 @@ def cmd_synthetic(args) -> int:
 
 def _module_from_json(data) -> FptModule | IndFptModule:
     """The module or ind-system of a module file."""
-    if "modules" not in _json_object(data, "module"):
-        return FptModule.from_json(data)
-    _check_keys(data, ("modules", "maps", "stable_from"), "ind-system",
-                required=("modules", "maps"))
-    mods = [FptModule.from_json(m)
-            for m in _json_list(data["modules"], "ind-system 'modules'")]
-    return IndFptModule(mods, _json_list(data["maps"], "ind-system 'maps'"),
-                        data.get("stable_from", 0))
+    if not (isinstance(data, dict) and "modules" in data):
+        return FptModule.from_json(check(data, MODULE))
+    check(data, IND_SYSTEM)
+    return IndFptModule([FptModule.from_json(m) for m in data["modules"]],
+                        data["maps"], data.get("stable_from", 0))
 
 
 def cmd_decompose(args) -> int:
@@ -285,7 +274,7 @@ def cmd_render(args) -> int:
 
 def cmd_catalog(args) -> int:
     fields, _ = _read_input(args.catalog, "catalog", load_catalog)
-    fields = load_catalog() if fields is None else fields
+    fields = default_catalog() if fields is None else fields
     if args.show:
         if args.show not in fields:
             raise FieldError(f"unknown field {args.show!r}")

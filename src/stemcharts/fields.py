@@ -23,9 +23,8 @@ from itertools import combinations_with_replacement, product
 from math import gcd
 from typing import Optional
 
-from .charts import (AbGroupDesc, INF, _check_keys, _int_key, _is_int,
-                     _is_prime_power, _json_object, cyclic, free_group,
-                     valuation)
+from .charts import (AbGroupDesc, INF, _is_int, _is_prime_power, cyclic,
+                     free_group, valuation)
 
 DIVISIBLE = AbGroupDesc(divisible=True)
 VARIANTS = ("finite", "algebraically_closed", "real_closed", "complex_like",
@@ -44,23 +43,13 @@ def _prime_and_exponent(q) -> tuple[int, int]:
     return pe
 
 
-def _count(n, what: str):
-    """n, if it is a JSON integer or INF; else a ValueError naming `what`."""
-    if n != INF and not _is_int(n):
-        raise ValueError(f"{what} is not an integer or \"inf\": {n!r}")
-    return n
+def _table(obj: dict, parse=lambda v: v) -> dict:
+    """{int(key): parse(value)} of a checked JSON object, by increasing key."""
+    return {int(k): parse(obj[k]) for k in sorted(obj, key=int)}
 
 
-def _table(obj: dict, what: str, parse=None) -> dict:
-    """{int(key): parse(value)} of the JSON object `what`, by increasing
-    key; without `parse`, each value is a count named by `what` and its key."""
-    parsed = {_int_key(k, what): parse(v) if parse else _count(v, f"{what} {k!r}")
-              for k, v in _json_object(obj, what).items()}
-    return {k: parsed[k] for k in sorted(parsed)}
-
-
-def _groups(obj: dict, what: str) -> dict[int, AbGroupDesc]:
-    return _table(obj, what, AbGroupDesc.from_json)
+def _groups(obj: dict) -> dict[int, AbGroupDesc]:
+    return _table(obj, lambda group: AbGroupDesc(**group))
 
 
 def _table_json(table: dict, encode=lambda v: v) -> dict:
@@ -81,12 +70,12 @@ class WittData:
 
     @staticmethod
     def from_json(obj: dict) -> "WittData":
-        _check_keys(obj, ("GW", "W", "I", "k"), "Witt table",
-                    required=("GW", "W"))
-        return WittData(gw=AbGroupDesc.from_json(obj["GW"]),
-                        w=AbGroupDesc.from_json(obj["W"]),
-                        fundamental=_groups(obj.get("I", {}), "Witt table 'I'"),
-                        km_mod2=_groups(obj.get("k", {}), "Witt table 'k'"))
+        return WittData(gw=AbGroupDesc(**obj["GW"]), w=AbGroupDesc(**obj["W"]),
+                        fundamental=_groups(obj.get("I", {})),
+                        km_mod2=_groups(obj.get("k", {})))
+
+
+_SCALARS = ("name", "q", "char", "base_name", "tower_prime")  # JSON as is
 
 
 @dataclass(frozen=True)
@@ -137,7 +126,7 @@ class FieldDescriptor:
 
     def to_json(self) -> dict:
         out = {"variant": self.variant}
-        for key in ("name", "q", "char", "base_name", "tower_prime"):
+        for key in _SCALARS:
             v = getattr(self, key)
             if v not in (None, "", 0):
                 out[key] = v
@@ -155,44 +144,18 @@ class FieldDescriptor:
 
     @staticmethod
     def from_json(obj: dict) -> "FieldDescriptor":
-        """Parse `to_json`'s schema; a missing "variant" or a key outside the
-        schema raises a ValueError naming it, as do a variant outside
-        VARIANTS, a q, char or tower_prime that is not an integer, a name or
-        base_name that is not a string and a table that is not a JSON
-        object, and a malformed table entry raises ValueError or TypeError,
-        here and not in a command."""
-        _check_keys(obj, ("variant", "name", "q", "char", "base_name",
-                          "tower_prime", "km_table", "witt_table", "kmw_table",
-                          "roots_of_unity", "km_mod_p_dims"), "field descriptor",
-                    required=("variant",))
-        if obj["variant"] not in VARIANTS:
-            raise ValueError(f"field descriptor 'variant' is not one of "
-                             f"{', '.join(VARIANTS)}: {obj['variant']!r}")
-        for key in ("q", "char", "tower_prime"):
-            if key in obj and not _is_int(obj[key]):
-                raise ValueError(f"field descriptor {key!r} is not an integer: "
-                                 f"{obj[key]!r}")
-        for key in ("name", "base_name"):
-            if key in obj and not isinstance(obj[key], str):
-                raise ValueError(f"field descriptor {key!r} is not a string: "
-                                 f"{obj[key]!r}")
-
+        """Parse `to_json`'s schema (`schema.FIELD`, checked by the caller);
+        a finite field's q that is not a prime power raises FieldError."""
         def table(key, parse):
-            return parse(_json_object(obj[key], key)) if key in obj else None
+            return parse(obj[key]) if key in obj else None
 
         return FieldDescriptor(
-            variant=obj["variant"],
-            name=obj.get("name", ""),
-            q=obj.get("q"),
-            char=obj.get("char", 0),
-            base_name=obj.get("base_name"),
-            tower_prime=obj.get("tower_prime"),
-            km_table=table("km_table", lambda t: _groups(t, "km_table")),
+            **{key: obj[key] for key in ("variant", *_SCALARS) if key in obj},
+            km_table=table("km_table", _groups),
             witt_table=table("witt_table", WittData.from_json),
-            kmw_table=table("kmw_table", lambda t: _groups(t, "kmw_table")),
-            roots=table("roots_of_unity", lambda t: _table(t, "roots_of_unity")),
-            km_mod_p_dims=table("km_mod_p_dims", lambda t: _table(
-                t, "km_mod_p_dims", lambda dims: _table(dims, "km_mod_p_dims"))),
+            kmw_table=table("kmw_table", _groups),
+            roots=table("roots_of_unity", _table),
+            km_mod_p_dims=table("km_mod_p_dims", lambda t: _table(t, _table)),
         )
 
 

@@ -39,7 +39,7 @@ from dataclasses import dataclass, field as dc_field
 from operator import mul
 from typing import Optional
 
-from .charts import _check_keys, _is_int, _is_prime, _json_list, valuation
+from .charts import _is_int, _is_prime, valuation
 from .zpk import elementary_divisors, identity, mat_mul
 
 Matrix = list[list[int]]
@@ -236,10 +236,9 @@ class FptModule:
 
     @staticmethod
     def from_json(obj: dict) -> "FptModule":
-        _check_keys(obj, ("p", "dim", "t"), "module", required=("p", "dim", "t"))
-        p, dim = obj["p"], obj["dim"]
+        """Parse `to_json`'s schema (`schema.MODULE`, checked by the caller)."""
+        p, dim, flat = obj["p"], obj["dim"], obj["t"]
         _check_dim(dim)
-        flat = _json_list(obj["t"], "module 't'")
         if len(flat) != dim * dim:
             raise FptError("row-major t-matrix has the wrong length")
         rows = tuple(tuple(flat[i * dim:(i + 1) * dim]) for i in range(dim))

@@ -19,14 +19,14 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field as dc_field
 
-from .charts import (BigradedChart, _check_keys, _int_key, _is_int, _is_prime,
-                     _json_object, complete_chart, complete_desc, cyclic,
-                     free_group, sum_groups)
+from .charts import (BigradedChart, _is_int, complete_chart, complete_desc,
+                     cyclic, free_group, sum_groups)
 from .fields import FieldDescriptor, milnor_k
 from .kmw import completed_milnor_witt, free_basis, milnor_witt
 from .hopf import build_algebroid
 from .extcharts import ext_chart
 from .fgl import EngineError
+from .schema import TABLE, check
 
 
 class PreconditionError(Exception):
@@ -200,25 +200,20 @@ def _synthetic_chart(rows: list, p: int, stem_max: int, source: str,
 
 
 def check_table(table: dict) -> dict:
-    """The table, once its whole chart is built: a "p" that is not a
-    prime, "stems" that is not an object, a stem key that is not an
-    integer, a stem that is not a list of rows, a malformed row (short, a
-    weight, filtration or order that is a boolean or not an integer, with
-    "free" the one other order; a negative filtration or an order below 1;
-    then a row off its lane n + s = 2w) or a key other than "p" and "stems"
-    raises here, when the table is loaded."""
-    _check_keys(table, ("p", "stems"), "table", required=("p", "stems"))
-    if not (_is_int(table["p"]) and _is_prime(table["p"])):
-        raise ValueError(f"table 'p' is not a prime: {table['p']!r}")
-    synthetic_from_table(table, math.inf)
+    """The table, once its shape (`schema.TABLE`) is checked and its whole
+    chart built: a malformed row (short, a weight, filtration or order that
+    is a boolean or not an integer, with "free" the one other order; a
+    negative filtration or an order below 1; then a row off its lane
+    n + s = 2w) raises ValueError here, when the table is loaded."""
+    synthetic_from_table(check(table, TABLE), math.inf)
     return table
 
 
 def synthetic_from_table(table: dict, stem_max: int) -> SyntheticChart:
     p = table["p"]
     rows = []
-    for stem_str, items in _json_object(table["stems"], "table 'stems'").items():
-        n = _int_key(stem_str, "table stem")
+    for stem_str, items in table["stems"].items():
+        n = int(stem_str)
         if n > stem_max:
             continue
         if not isinstance(items, list):

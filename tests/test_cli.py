@@ -6,7 +6,7 @@ import time
 
 import pytest
 
-from stemcharts import cli
+from stemcharts import cli, schema
 from stemcharts.cache import cache_key, cache_load, cache_store
 from stemcharts.charts import (AbGroupDesc, BigradedChart, charts_same_groups,
                                cyclic, free_group)
@@ -860,6 +860,25 @@ MALFORMED_INPUTS = {
         {"fields": {"x": {"variant": "cyclotomic_tower", "tower_prime": 3,
                           "base_name": [1]}}},
         "field descriptor 'base_name' is not a string: [1]"),
+    "chart-duplicate-cell": (
+        ["render", "--chart-file", "in.json"],
+        {"entries": [{"i": 0, "j": 0, "free_rank": 1},
+                     {"i": 0, "j": 0, "torsion": [3]}]},
+        "chart has two entries at (i, j) = (0, 0)"),
+    "table-zero-padded-stem-key": (
+        ["synthetic", "--prime", "2", "--source", "table", "--table", "in.json"],
+        {"p": 2, "stems": {"0": [[0, 0, "free"]], "1": [[1, 1, 2]],
+                           "01": [[1, 1, 2]]}},
+        "table stem key '01' is not an integer"),
+    "catalog-underscored-km-degree": (
+        ["kmw", "--field", "x", "--catalog", "in.json"],
+        {"fields": {"x": {"variant": "custom", "km_table": {
+            "1": {"torsion": [3]}, "1_0": {"free_rank": 1}}}}},
+        "km_table key '1_0' is not an integer"),
+    "module-duplicate-key": (
+        ["decompose", "--module-file", "in.json"],
+        '{"p": 2, "dim": 1, "t": [0], "p": 3}',
+        "duplicate key 'p'"),
 }
 
 
@@ -884,10 +903,10 @@ def test_table_needs_table_source(monkeypatch, tmp_path, capsys, argv):
     assert code == 0 and entries[(3, 2)]["torsion"] == [9]
 
 
-@pytest.mark.parametrize("argv,content,message", MALFORMED_INPUTS.values(),
-                         ids=MALFORMED_INPUTS.keys())
-def test_malformed_input_is_precondition(monkeypatch, tmp_path, capsys, argv,
-                                         content, message):
+def rejected(monkeypatch, tmp_path, capsys, argv, content) -> str:
+    """stderr of argv run on content as in.json, once the command is found to
+    exit 2 with no output and no cache entry and to name what is wrong
+    without a raw Python error."""
     cache = tmp_path / "cache"
     monkeypatch.setenv("STEMCHARTS_CACHE_DIR", str(cache))
     path = tmp_path / "in.json"
@@ -902,10 +921,153 @@ def test_malformed_input_is_precondition(monkeypatch, tmp_path, capsys, argv,
     assert not cache.exists()
     if content is not None:
         assert f"precondition violated: {path} is not a" in captured.err
-    assert message in captured.err
     # the boundary names what is wrong; no raw Python error leaks through
     for leak in ("KeyError", "TypeError", "AttributeError", "IndexError"):
         assert leak not in captured.err
+    return captured.err
+
+
+@pytest.mark.parametrize("argv,content,message", MALFORMED_INPUTS.values(),
+                         ids=MALFORMED_INPUTS.keys())
+def test_malformed_input_is_precondition(monkeypatch, tmp_path, capsys, argv,
+                                         content, message):
+    assert message in rejected(monkeypatch, tmp_path, capsys, argv, content)
+
+
+# -- negative cases generated from the schemas -------------------------------
+
+FULL_GROUP = {"free_rank": 1, "torsion": [3], "torsion_infinite": [9],
+              "modulus_precision": 5, "completed_at": 3, "divisible": True}
+# file kind -> (argv, its schema, a valid file that reaches every schema node)
+SCHEMA_EXAMPLES = {
+    "chart": (["render", "--chart-file", "in.json"], schema.CHART, {
+        "label": "x", "prime": 3, "axes": ["s", "t"],
+        "entries": [{"i": 0, "j": 0, **FULL_GROUP}]}),
+    "catalog": (["catalog", "--catalog", "in.json"], schema.CATALOG, {
+        "fields": {"x": {
+            "variant": "custom", "name": "x", "q": 7, "char": 0,
+            "base_name": "F7", "tower_prime": 3, "km_table": {"0": FULL_GROUP},
+            "witt_table": {"GW": FULL_GROUP, "W": FULL_GROUP,
+                           "I": {"1": FULL_GROUP}, "k": {"0": FULL_GROUP}},
+            "kmw_table": {"0": FULL_GROUP}, "roots_of_unity": {"3": "inf"},
+            "km_mod_p_dims": {"3": {"0": 1}}}}}),
+    "table": (["synthetic", "--prime", "2", "--source", "table", "--table",
+               "in.json"], schema.TABLE, {"p": 2, "stems": {"0": [[0, 0, "free"]]}}),
+    "module": (["decompose", "--module-file", "in.json"], schema.MODULE,
+               {"p": 2, "dim": 2, "t": [0, 0, 1, 0]}),
+    "ind-system": (["decompose", "--module-file", "in.json"], schema.IND_SYSTEM,
+                   {"modules": [{"p": 3, "dim": 1, "t": [0]}] * 2,
+                    "maps": [[[1]]], "stable_from": 0}),
+}
+WRONG_TYPES = {"int": 1, "float": 2.5, "bool": True, "string": "x", "null": None,
+               "list": [1], "object": {"x": 1}}
+
+
+def _record_keys(node) -> dict:
+    """key -> schema of every key a Record names, its `rest` Record's too."""
+    rest = node.rest if isinstance(node.rest, schema.Record) else None
+    return {**node.required, **node.optional,
+            **(_record_keys(rest) if rest else {})}
+
+
+def _schema_nodes(node, where=()):
+    """(schema path, node) of every node of a schema; "[]" stands for any
+    list item and "*" for any key of a Map."""
+    yield where, node
+    if isinstance(node, list):
+        yield from _schema_nodes(node[0], where + ("[]",))
+    elif isinstance(node, schema.Map):
+        yield from _schema_nodes(node.value, where + ("*",))
+    elif isinstance(node, schema.Record):
+        for key, child in _record_keys(node).items():
+            yield from _schema_nodes(child, where + (key,))
+
+
+def _reached_nodes(node, value, path=(), where=()):
+    """(path in value, schema path, node) of every node value reaches."""
+    yield path, where, node
+    if isinstance(node, list):
+        for i, item in enumerate(value):
+            yield from _reached_nodes(node[0], item, path + (i,), where + ("[]",))
+    elif isinstance(node, schema.Map):
+        for key, item in value.items():
+            yield from _reached_nodes(node.value, item, path + (key,), where + ("*",))
+    elif isinstance(node, schema.Record):
+        keys = _record_keys(node)
+        for key, item in value.items():
+            if key in keys:
+                yield from _reached_nodes(keys[key], item, path + (key,),
+                                          where + (key,))
+
+
+def _is_wrong_type(node, value) -> bool:
+    if isinstance(node, schema.Leaf):
+        return not node.ok(value)
+    return not isinstance(value, list if isinstance(node, list) else dict)
+
+
+def _replaced(value, path, new):
+    """A copy of value with the item at path replaced by new."""
+    if not path:
+        return new
+    out = json.loads(json.dumps(value))
+    holder = out
+    for step in path[:-1]:
+        holder = holder[step]
+    holder[path[-1]] = new
+    return out
+
+
+SCHEMA_CASES = {
+    f"{kind}:{'/'.join(map(str, path))}:{name}":
+        (argv, _replaced(example, path, wrong))
+    for kind, (argv, node, example) in SCHEMA_EXAMPLES.items()
+    for path, _, reached in _reached_nodes(node, example)
+    for name, wrong in WRONG_TYPES.items() if _is_wrong_type(reached, wrong)}
+
+
+@pytest.mark.parametrize("kind", SCHEMA_EXAMPLES)
+def test_schema_examples_are_valid_and_reach_every_node(tmp_path, capsys, kind):
+    argv, node, example = SCHEMA_EXAMPLES[kind]
+    path = tmp_path / "in.json"
+    path.write_text(json.dumps(example))
+    assert main([str(path) if a == "in.json" else a for a in argv]) == 0
+    capsys.readouterr()
+    assert {where for _, where, _ in _reached_nodes(node, example)} \
+        == {where for where, _ in _schema_nodes(node)}
+
+
+@pytest.mark.parametrize("argv,content", SCHEMA_CASES.values(),
+                         ids=SCHEMA_CASES.keys())
+def test_wrong_json_type_is_precondition(monkeypatch, tmp_path, capsys, argv,
+                                         content):
+    assert "SchemaError" in rejected(monkeypatch, tmp_path, capsys, argv,
+                                     json.dumps(content))
+
+
+@pytest.mark.parametrize("argv,content,owner,reader", [
+    (["render", "--chart-file", "in.json"], {"entries": []},
+     BigradedChart, "from_json"),
+    (["decompose", "--module-file", "in.json"], {"p": 2, "dim": 1, "t": [0]},
+     cli, "_module_from_json"),
+    (["catalog", "--catalog", "in.json"], {"fields": {}}, cli, "load_catalog"),
+    (["synthetic", "--prime", "2", "--source", "table", "--table", "in.json"],
+     {"p": 2, "stems": {}}, cli, "check_table")],
+    ids=["chart", "module", "catalog", "table"])
+def test_reader_defect_is_not_a_precondition(monkeypatch, tmp_path, argv,
+                                             content, owner, reader):
+    # a reader that fails on a file its schema accepted has a defect: that
+    # is not reported as a malformed input (exit 2)
+    read = getattr(owner, reader)
+
+    def defective(data):
+        read(data)
+        raise TypeError("defect in the reader")
+    monkeypatch.setattr(owner, reader, defective)
+    path = tmp_path / "in.json"
+    path.write_text(json.dumps(content))
+    with pytest.raises(TypeError, match="defect in the reader"):
+        main([str(path) if a == "in.json" else a for a in argv])
 
 
 def test_km_only_custom_field_at_odd_prime(monkeypatch, tmp_path, capsys):

@@ -25,8 +25,8 @@ USED = {module: {n.id if isinstance(n, ast.Name) else n.attr for n in ast.walk(t
 ACCEPTED_COLLISIONS = {
     "add": {"fields.SmallFiniteField", "fpt._Span"},
     "coefficient": {"poly.Poly", "series.Series"},
-    "from_json": {"charts.AbGroupDesc", "charts.BigradedChart",
-                  "fields.FieldDescriptor", "fields.WittData", "fpt.FptModule"},
+    "from_json": {"charts.BigradedChart", "fields.FieldDescriptor",
+                  "fields.WittData", "fpt.FptModule"},
     "group": {"charts.BigradedChart", "extcharts.ExtChart", "kmw.KMWChart"},
     "is_zero": {"charts.AbGroupDesc", "poly.Poly", "series.Series"},
     "one": {"fields.SmallFiniteField", "poly.PolyRing"},

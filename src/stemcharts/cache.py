@@ -16,7 +16,6 @@ import hashlib
 import json
 import os
 import sys
-import time
 
 ENGINE_VERSION = "0.1.0"
 
@@ -51,12 +50,7 @@ def _path(cache_dir: str, key: str) -> str:
 def cache_store(cache_dir: str, key: str, payload: str) -> str | None:
     """Write an entry and return its path; a directory that cannot be
     written is reported on stderr, and nothing is stored (None)."""
-    entry = {
-        "key": key,
-        "engine_version": ENGINE_VERSION,
-        "created_at": time.time(),
-        "payload": payload,
-    }
+    entry = {"key": key, "payload": payload}
     path = _path(cache_dir, key)
     tmp = path + f".tmp.{os.getpid()}"
     try:
@@ -75,7 +69,7 @@ def cache_load(cache_dir: str, key: str) -> str | None:
     """Return the cached payload, or None on miss.  A corrupt entry (bytes
     that are not UTF-8, text that is not JSON, JSON that is not an object,
     a wrong key or a payload that is not a string) is reported on stderr
-    and evicted; an entry of another engine version is ignored."""
+    and evicted."""
     path = _path(cache_dir, key)
     if not os.path.exists(path):
         return None
@@ -86,8 +80,6 @@ def cache_load(cache_dir: str, key: str) -> str | None:
             raise CacheCorrupt("entry is not a JSON object")
         if entry.get("key") != key:
             raise CacheCorrupt("key mismatch")
-        if entry.get("engine_version") != ENGINE_VERSION:
-            return None  # stale version: ignore, do not evict
         payload = entry["payload"]
         if not isinstance(payload, str):
             raise CacheCorrupt("payload is not a string")

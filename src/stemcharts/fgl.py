@@ -33,7 +33,7 @@ from fractions import Fraction
 from math import comb, gcd, lcm
 
 from .poly import Poly, PolyRing, Monomial, MonomialMap, mon_deg
-from .series import (Series, compose_univariate, generic_series, integrate,
+from .series import (Series, compose, generic_series, integrate,
                      multiplicative_inverse, powers, reversion)
 from .zpk import identity
 
@@ -119,18 +119,9 @@ class FormalGroupLaw:
             if F.coefficient((j, i)).terms != c.terms:
                 raise FGLAxiomError(f"a_{i}{j} != a_{j}{i}")
         # associativity in three variables
-        left = _subst_two(F, 0)   # F(F(x,y), z)
-        right = _subst_two(F, 1)  # F(x, F(y,z))
-        if left != right:
+        x, y, z = (Series.variable(F.ring, 3, order, i) for i in range(3))
+        if compose(F, [compose(F, [x, y]), z]) != compose(F, [x, compose(F, [y, z])]):
             raise FGLAxiomError("associativity fails below the bound")
-
-
-def _subst_two(F: Series, slot: int) -> Series:
-    """F(F(x,y),z) for slot=0, F(x,F(y,z)) for slot=1, as trivariate series."""
-    x, y, z = (Series.variable(F.ring, 3, F.order, i) for i in range(3))
-    if slot == 0:
-        return _eval_bivariate(F, _eval_bivariate(F, x, y), z)
-    return _eval_bivariate(F, x, _eval_bivariate(F, y, z))
 
 
 def _sum_series(log: Series, exp: Series) -> Series:
@@ -542,27 +533,14 @@ def fgl_inverse(F: FormalGroupLaw) -> Series:
     returned as int.  The result is checked against F(x, i(x)) = 0.
     """
     log = _log_over_char_zero(F)
-    inv = compose_univariate(reversion(log), log.scale(-1))
+    inv = compose(reversion(log), [log.scale(-1)])
     out = Series(inv.ring, 1, inv.order, {
         e: Poly(q.ring, {m: int(c) if Fraction(c).denominator == 1 else c
                          for m, c in q.terms.items()})
         for e, q in inv.terms.items()})
     x1 = Series.variable(out.ring, 1, out.order, 0)
-    if not _eval_bivariate(F.as_series(), x1, out).is_zero():
+    if not compose(F.as_series(), [x1, out]).is_zero():
         raise FGLAxiomError("formal inverse construction failed")
-    return out
-
-
-def _eval_bivariate(F: Series, a: Series, b: Series) -> Series:
-    """F(a, b) = sum_ij a_ij a^i b^j, over the successive powers of a and b."""
-    ring, order, nv = a.ring, a.order, a.nvars
-    one = Series(ring, nv, order, {(0,) * nv: ring.one()})
-    pa = [one, *powers(a, max((i for i, _ in F.terms), default=0))]
-    pb = [one, *powers(b, max((j for _, j in F.terms), default=0))]
-    out = Series.zero(ring, nv, order)
-    for (i, j), c in F.terms.items():
-        out = out + Series(ring, nv, order, {e: c * q for e, q in
-                                             (pa[i] * pb[j]).terms.items()})
     return out
 
 

@@ -29,7 +29,7 @@ from __future__ import annotations
 from fractions import Fraction
 
 from .poly import Poly, PolyRing, Monomial, MonomialMap, ONE, mon_mul, mon_deg, power
-from .series import compose_univariate, generic_series
+from .series import compose, generic_series
 from .fgl import (EngineError, GradedRingPresentation, UniversalFGL,
                   hazewinkel_lambdas, p_typical_presentation)
 
@@ -404,8 +404,7 @@ def build_universal(bound: int) -> HopfAlgebroid:
                   list(range(1, bound + 1)) + bdegrees, bound)
     nm = bound
     order = bound + 1
-    logr = compose_univariate(generic_series(mb, order, 0),
-                              generic_series(mb, order, nm))
+    logr = compose(generic_series(mb, order, 0), [generic_series(mb, order, nm)])
     # eta_R as a ring map on m-monomials; m_{g+1} has index g in Q[m] and
     # in Q[m, b]
     eta_r_m = MonomialMap([logr.coefficient((n + 1,)) for n in range(1, bound + 1)],

@@ -56,11 +56,14 @@ GROUP = Record("group", optional={
     "free_rank": COUNT, "torsion": INTS, "torsion_infinite": INTS,
     "modulus_precision": INT_OR_NULL, "completed_at": INT_OR_NULL,
     "divisible": Leaf("a boolean", lambda v: isinstance(v, bool))})
-CHART = Record("chart", optional={  # other top-level keys are ignored
+CHART = Record("chart", optional={
     "label": STRING,
     "prime": Leaf("null or a prime", lambda v: v is None or PRIME.ok(v)),
     "entries": [Record("chart entry", {"i": INT, "j": INT}, rest=GROUP)],
-}, rest=ANY)
+    # written by Ext and synthetic charts, read by no reader
+    "axes": [STRING], "precision": INT, "kind": STRING, "s_max": INT,
+    "t_max": INT, "degeneration_max": INT, "source": STRING,
+    "filtrations": [ANY]})
 FIELD = Record("field descriptor", {
     "variant": Leaf(f"one of {', '.join(VARIANTS)}", lambda v: v in VARIANTS),
 }, {
@@ -71,8 +74,7 @@ FIELD = Record("field descriptor", {
     "kmw_table": Map(GROUP, "kmw_table"),
     "roots_of_unity": Map(COUNT, "roots_of_unity"),
     "km_mod_p_dims": Map(Map(COUNT, "km_mod_p_dims"), "km_mod_p_dims")})
-CATALOG = Record("catalog", optional={"fields": Map(FIELD, ints=False)},
-                 rest=ANY)
+CATALOG = Record("catalog", optional={"fields": Map(FIELD, ints=False)})
 # a stem's rows are checked with their values by `synthetic_from_table`
 TABLE = Record("table", {"p": PRIME, "stems": Map(ANY, entry="table stem")})
 # FptModule and IndFptModule check the shapes and entries of matrices

@@ -5,9 +5,9 @@ and the series identities defining Hopf-algebroid structure maps.  A series
 in n variables is a dict exponent-tuple -> Poly, kept to total variable
 degree <= order.
 
-Every composition f(g) = sum_n f_n g^n, formal sum (`fgl._sum_series`,
-`fgl._eval_bivariate`) and inverse 1/f reads one table of successive
-powers, `powers`: g^n is g^{n-1} g, truncated at g's order.
+Every composition f(g_1, ..., g_k) (`compose`), formal sum
+(`fgl._sum_series`) and inverse 1/f reads one table of successive powers
+per argument, `powers`: g^n is g^{n-1} g, truncated at g's order.
 
 Reversion solves f(g) = x for g, so it cannot read `powers` of a g it
 does not know yet: it fills its own table P[k][n] = [x^n] g^k (Brent and
@@ -110,25 +110,35 @@ def generic_series(ring: PolyRing, order: int, first: int) -> Series:
                    **{(i + 1,): ring.gen(first + i - 1) for i in range(1, order)}})
 
 
-def compose_univariate(f: Series, g: Series) -> Series:
-    """f(g(...)) where f is univariate with f(0)=0 and g has no constant term.
+def compose(f: Series, gs: list[Series]) -> Series:
+    """f(g_1, ..., g_k): f in k = len(gs) variables, f_e g_1^e_1 ... g_k^e_k
+    summed over the terms of f.
 
-    The result lives in g's variable count.
+    The arguments share one ring, variable count and order, and have no
+    constant term; f may have one.  The result lives in the arguments'
+    variable count.  Each g_i reads one `powers` table, so a term of f
+    costs one product per variable past the first.
     """
-    if f.nvars != 1:
-        raise ValueError("outer series must be univariate")
-    zero_e = (0,) * g.nvars
-    if not g.coefficient(zero_e).is_zero():
+    if f.nvars != len(gs):
+        raise ValueError(f"a series in {f.nvars} variables needs "
+                         f"{f.nvars} arguments, not {len(gs)}")
+    ring, nv, order = gs[0].ring, gs[0].nvars, gs[0].order
+    zero_e = (0,) * nv
+    if any(not g.coefficient(zero_e).is_zero() for g in gs):
         raise ValueError("inner series must have zero constant term")
-    ring, nv, order = g.ring, g.nvars, g.order
+    one = Series(ring, nv, order, {zero_e: ring.one()})
+    # a term past the order meets the arguments more than order times and
+    # contributes nothing
+    tables = [[one, *powers(g, min(max((e[i] for e in f.terms), default=0), order))]
+              for i, g in enumerate(gs)]
     acc = Series.zero(ring, nv, order)
-    # f_n with n > order meets g at least n times and contributes nothing
-    top = min(max((e[0] for e in f.terms), default=0), order)
-    for n, gn in enumerate(powers(g, top), 1):
-        c = f.coefficient((n,))
-        if not c.is_zero():
-            acc = acc + Series(ring, nv, order,
-                               {e: c * q for e, q in gn.terms.items()})
+    for e, c in f.terms.items():
+        if sum(e) > order:
+            continue
+        term = tables[0][e[0]]
+        for table, n in zip(tables[1:], e[1:]):
+            term = term * table[n]
+        acc = acc + Series(ring, nv, order, {x: c * q for x, q in term.terms.items()})
     return acc
 
 
@@ -187,7 +197,6 @@ def multiplicative_inverse(f: Series) -> Series:
     inv0 = Fraction(1, 1) / Fraction(c0.constant_term())
     h = Series(f.ring, nv, f.order,
                {e: q.scale(-inv0) for e, q in f.terms.items() if e != zero_e})
-    acc = Series(f.ring, nv, f.order, {zero_e: f.ring.one()})
-    for hk in powers(h, f.order):
-        acc = acc + hk
-    return acc.scale(inv0)
+    geometric = Series(f.ring, 1, f.order,
+                       {(k,): f.ring.one() for k in range(f.order + 1)})
+    return compose(geometric, [h]).scale(inv0)

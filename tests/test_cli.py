@@ -8,9 +8,11 @@ import pytest
 
 from stemcharts import cli, schema
 from stemcharts.cache import cache_key, cache_load, cache_store
+from stemcharts.catalog import get_field
 from stemcharts.charts import (AbGroupDesc, BigradedChart, charts_same_groups,
                                cyclic, free_group)
 from stemcharts.cli import main
+from stemcharts.kmw import milnor_witt
 from stemcharts.render import render_svg, render_text
 
 
@@ -326,15 +328,15 @@ def test_cache_roundtrip(tmp_path, capsys):
     assert cache_load(str(cache), key) == out1
 
 
-def test_cache_version_bump_misses(tmp_path):
+def test_cache_version_bump_misses(monkeypatch, tmp_path):
+    from stemcharts import cache
     key = cache_key("cmd", {"a": 1})
     cache_store(str(tmp_path), key, "payload")
-    path = tmp_path / f"{key}.json"
-    entry = json.loads(path.read_text())
-    entry["engine_version"] = "0.0.0-old"
-    path.write_text(json.dumps(entry))
-    assert cache_load(str(tmp_path), key) is None
-    assert path.exists()  # stale versions are ignored, not evicted
+    monkeypatch.setattr(cache, "ENGINE_VERSION", "0.0.0-new")
+    bumped = cache_key("cmd", {"a": 1})
+    assert bumped != key
+    assert cache_load(str(tmp_path), bumped) is None
+    assert cache_load(str(tmp_path), key) == "payload"
 
 
 def test_cache_corruption_evicts(tmp_path, capsys):
@@ -624,6 +626,14 @@ MALFORMED_INPUTS = {
         ["render", "--chart-file", "in.json"],
         {"label": "x", "entries": [{"j": 0, "free_rank": 1}]},
         "chart entry without 'i'"),
+    "chart-misspelt-entries": (
+        ["render", "--chart-file", "in.json"],
+        {"label": "x", "entires": [{"i": 0, "j": 0, "free_rank": 1}]},
+        "unknown chart keys ['entires']"),
+    "chart-kmw-payload": (
+        ["render", "--chart-file", "in.json"],
+        milnor_witt(get_field("complex"), -1, 1).to_json(),
+        "unknown chart keys ['completed_at', 'eta', 'field', 'km', 'kmw', 'range']"),
     "chart-not-an-object": (
         ["render", "--chart-file", "in.json"], [1],
         "chart is a list, not an object"),
@@ -697,6 +707,10 @@ MALFORMED_INPUTS = {
         {"fields": {"x": {"variant": "custom", "km_table": {
             "1": {"free_rank": 0, "torsoin": [3]}}}}},
         "unknown group keys ['torsoin']"),
+    "catalog-misspelt-fields": (
+        ["catalog", "--catalog", "in.json"],
+        {"feilds": {"x": {"variant": "finite", "q": 3}}},
+        "unknown catalog keys ['feilds']"),
     "catalog-not-an-object": (
         ["catalog", "--catalog", "in.json"], [1],
         "catalog is a list, not an object"),
@@ -942,7 +956,10 @@ FULL_GROUP = {"free_rank": 1, "torsion": [3], "torsion_infinite": [9],
 SCHEMA_EXAMPLES = {
     "chart": (["render", "--chart-file", "in.json"], schema.CHART, {
         "label": "x", "prime": 3, "axes": ["s", "t"],
-        "entries": [{"i": 0, "j": 0, **FULL_GROUP}]}),
+        "entries": [{"i": 0, "j": 0, **FULL_GROUP}], "precision": 2,
+        "kind": "p_typical", "s_max": 1, "t_max": 4, "degeneration_max": 20,
+        "source": "computed",
+        "filtrations": [{"stem": 0, "weight": 0, "entries": [[0, "free"]]}]}),
     "catalog": (["catalog", "--catalog", "in.json"], schema.CATALOG, {
         "fields": {"x": {
             "variant": "custom", "name": "x", "q": 7, "char": 0,

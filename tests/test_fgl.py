@@ -14,7 +14,7 @@ from stemcharts.fgl import (QQ, EngineError, FGLAxiomError, FormalGroupLaw,
                             p_typical_log, p_typical_reduction, universal_fgl,
                             UniversalFGL)
 from stemcharts.poly import Poly, PolyRing, mon_deg
-from stemcharts.series import Series, compose_univariate, generic_series, reversion
+from stemcharts.series import Series, compose, generic_series, reversion
 
 
 def nu(k: int) -> int:
@@ -103,7 +103,7 @@ def test_log_exp_roundtrip():
     m = multiplicative_fgl(5)
     log = fgl_log(m)
     exp = fgl_exp(m)
-    comp = compose_univariate(exp, log)
+    comp = compose(exp, [log])
     assert comp.terms == {(1,): m.presentation.ring().one()}
 
 
@@ -141,8 +141,8 @@ def test_universal_log_linearizes():
     order = 6
     x = Series.variable(u.mring, 2, order, 0)
     y = Series.variable(u.mring, 2, order, 1)
-    lx = compose_univariate(u.log, x)
-    ly = compose_univariate(u.log, y)
+    lx = compose(u.log, [x])
+    ly = compose(u.log, [y])
     lhs = Series.zero(u.mring, 2, order)
     fpow = {0: Series(u.mring, 2, order, {(0, 0): u.mring.one()})}
 
@@ -164,8 +164,7 @@ def horner_sum(log, exp):
     construction the binomial expansion in fgl._sum_series replaced."""
     x = Series.variable(log.ring, 2, log.order, 0)
     y = Series.variable(log.ring, 2, log.order, 1)
-    return compose_univariate(exp, compose_univariate(log, x)
-                              + compose_univariate(log, y))
+    return compose(exp, [compose(log, [x]) + compose(log, [y])])
 
 
 def coefficient_reprs(series):

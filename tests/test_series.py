@@ -1,8 +1,10 @@
 """The series kernels against naive references.
 
 `powers` is checked against square-and-multiply (`poly.power`),
-`compose_univariate` against sum_k f_k g^k with every power computed that
-way, `reversion` by f(g) = x and g(f) = x under that naive composition,
+`compose` against sum_e f_e g_1^e_1 ... g_k^e_k with every power computed
+that way, for one, two and three arguments and an outer series with a
+constant term, `reversion` by f(g) = x and g(f) = x under that naive
+composition,
 and `multiplicative_inverse` by f * (1/f) = 1 on a bivariate series.
 Inputs are seeded random series over a small graded
 ring (generators of degree 1 and 2, truncated at degree 4), with int or
@@ -18,8 +20,8 @@ import pytest
 
 from stemcharts.hopf import build_p_typical
 from stemcharts.poly import Poly, PolyRing, mon_mul, power
-from stemcharts.series import (Series, compose_univariate, multiplicative_inverse,
-                               powers, reversion)
+from stemcharts.series import (Series, compose, multiplicative_inverse, powers,
+                               reversion)
 
 RING = PolyRing(["a", "b"], [1, 2], 4)
 MONOMIALS = [m for d in range(RING.bound + 1) for m in RING.monomials_of_degree(d)]
@@ -59,11 +61,16 @@ def naive_power(g: Series, k: int) -> Series:
     return power(g, k, one, Series.__mul__)
 
 
-def naive_compose(f: Series, g: Series) -> Series:
+def naive_compose(f: Series, gs: list[Series]) -> Series:
+    """f(g_1, ..., g_k) term by term, each power by square-and-multiply."""
+    g = gs[0]
     out = Series.zero(g.ring, g.nvars, g.order)
-    for (k,), c in f.terms.items():
+    for exps, c in f.terms.items():
+        term = Series(g.ring, g.nvars, g.order, {(0,) * g.nvars: g.ring.one()})
+        for gi, k in zip(gs, exps):
+            term = term * naive_power(gi, k)
         out = out + Series(g.ring, g.nvars, g.order,
-                           {e: q * c for e, q in naive_power(g, k).terms.items()})
+                           {e: q * c for e, q in term.terms.items()})
     return out
 
 
@@ -81,7 +88,21 @@ def test_compose_matches_naive(order, nvars, fractions):
     # outer series sparse, with gaps, and reaching past the inner order
     f = random_series(rng, 1, order + 2, fractions, density=0.5)
     g = random_series(rng, nvars, order, fractions)
-    assert compose_univariate(f, g) == naive_compose(f, g)
+    assert compose(f, [g]) == naive_compose(f, [g])
+
+
+MULTI_CASES = [(order, nargs, nvars)
+               for order in range(1, 7) for nargs in (2, 3) for nvars in (1, 2)]
+
+
+@pytest.mark.parametrize("order,nargs,nvars", MULTI_CASES)
+def test_compose_several_arguments_matches_naive(order, nargs, nvars):
+    rng = random.Random(1000 * order + 10 * nargs + nvars + 3)
+    # outer series with a constant term, reaching past the inner order
+    f = random_series(rng, nargs, order + 1, True, density=0.5, lowest=0)
+    f = f + Series(RING, nargs, order + 1, {(0,) * nargs: RING.one().scale(2)})
+    gs = [random_series(rng, nvars, order, True) for _ in range(nargs)]
+    assert compose(f, gs) == naive_compose(f, gs)
 
 
 @pytest.mark.parametrize("order,nvars,fractions", CASES)
@@ -118,8 +139,8 @@ def test_reversion_is_two_sided_inverse(order, fractions):
     f = f + x_series(order)
     g = reversion(f)
     assert g.coefficient((1,)) == RING.one()
-    assert naive_compose(f, g) == x_series(order)
-    assert naive_compose(g, f) == x_series(order)
+    assert naive_compose(f, [g]) == x_series(order)
+    assert naive_compose(g, [f]) == x_series(order)
 
 
 def test_reversion_of_sparse_series():
@@ -128,7 +149,7 @@ def test_reversion_of_sparse_series():
     f = Series(RING, 1, 11, {(1,): one, (3,): one, (7,): one})
     g = reversion(f)
     assert all(n % 2 for (n,) in g.terms)
-    assert naive_compose(f, g) == x_series(11)
+    assert naive_compose(f, [g]) == x_series(11)
 
 
 def test_reversion_rejects_non_unit_leading_coefficient():
@@ -149,12 +170,14 @@ def test_compose_rejects_constant_term():
     f = x_series(4)
     g = x_series(4) + Series(RING, 1, 4, {(0,): RING.one()})
     with pytest.raises(ValueError, match="zero constant term"):
-        compose_univariate(f, g)
+        compose(f, [g])
+    with pytest.raises(ValueError, match="zero constant term"):
+        compose(Series.variable(RING, 2, 4, 0), [x_series(4), g])
 
 
 def test_compose_rejects_multivariate_outer_series():
-    with pytest.raises(ValueError, match="outer series must be univariate"):
-        compose_univariate(Series.variable(RING, 2, 4, 0), x_series(4))
+    with pytest.raises(ValueError, match="2 variables needs 2 arguments, not 1"):
+        compose(Series.variable(RING, 2, 4, 0), [x_series(4)])
 
 
 def test_powers_reject_negative_exponents():
